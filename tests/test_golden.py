@@ -1,0 +1,45 @@
+"""Byte-for-byte pins of CLI outputs.
+
+The files under ``tests/golden/`` were written by the per-point
+implementation of ``sweep``, ``figure`` and ``nash``.  Any refactor of those
+paths must reproduce them exactly: same rows, same order, same 12-digit
+values.  The figure CSVs are pinned by SHA-256 digest (``sha256sum`` format),
+the others in full.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from qgmem.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIGURE_DIGESTS = dict(
+    reversed(line.split()) for line in
+    (GOLDEN / "figures.sha256").read_text().splitlines())
+
+
+def test_three_axis_sweep_bytes(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    conf = tmp_path / "sweep.conf"
+    conf.write_text((GOLDEN / "sweep_p1_mu2_theta2.conf").read_text()
+                    + f"output = {out}\n")
+    assert main(["sweep", "--config", str(conf)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_p1_mu2_theta2.csv").read_bytes()
+
+
+def test_nash_gain_table_bytes(tmp_path, capsys):
+    out = tmp_path / "gains.csv"
+    # ii-b's nominal profile is refuted, so the command exits 4.
+    assert main(["nash", "--case", "ii-b", "--grid", "5x5x5",
+                 "--csv", str(out)]) == 4
+    assert out.read_bytes() == (GOLDEN / "nash_ii-b_5x5x5.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fid", range(2, 8))
+def test_figure_digest(tmp_path, capsys, fid):
+    assert main(["figure", "--id", str(fid), "--outdir", str(tmp_path)]) == 0
+    name = f"figure{fid}.csv"
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == FIGURE_DIGESTS[name]
