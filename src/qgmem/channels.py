@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import PAULI, dagger, max_abs, tensor
+from .qmat import PAULI, check_range, dagger, max_abs, tensor
 
 
 class ChannelKind(enum.Enum):
@@ -34,10 +34,8 @@ class ChannelSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        check_range("p", self.p, 0.0, 1.0, "[0, 1]")
+        check_range("mu", self.mu, 0.0, 1.0, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ def _ad_elements(p: float) -> tuple[np.ndarray, np.ndarray]:
 
 def single_use_kraus(kind: ChannelKind, p: float) -> KrausSet:
     """Kraus operators for one qubit crossing the channel once."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_range("p", p, 0.0, 1.0, "[0, 1]")
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         return KrausSet(_ad_elements(p))
     probs = _pauli_probs(kind, p)
@@ -91,10 +88,8 @@ def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int]
     Only the Pauli-type channels admit this form; the correlated
     amplitude-damping pair is not a weighted product of single-use elements.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    check_range("p", p, 0.0, 1.0, "[0, 1]")
+    check_range("mu", mu, 0.0, 1.0, "[0, 1]")
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         raise ValueError(
             "amplitude damping has no Pauli pair weights; "

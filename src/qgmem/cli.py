@@ -12,10 +12,13 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closedform import Pairing, closed_payoff, closed_payoff_pair
+from .closedform import (Pairing, batch_weights, closed_payoff, closed_payoff_pair,
+                         payoff_surface)
 from .equilibrium import CASE_IDS, StrategySpace, case_study
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
@@ -24,6 +27,8 @@ from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
 
 CSV_HEADER = ("game,pairing,p1,mu1,p2,mu2,gamma,delta,"
               "theta1,alpha1,beta1,theta2,alpha2,beta2,payoff_a,payoff_b")
+
+GAIN_HEADER = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
 
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
 
@@ -37,7 +42,7 @@ def parse_angle(text: str) -> float:
         token = token[1:]
     if token == "pi":
         return sign * math.pi
-    if token.startswith("pi/"):
+    if token.startswith("pi/") and float(token[3:]) != 0:  # pi/0 fails below
         return sign * math.pi / float(token[3:])
     return sign * float(token)
 
@@ -47,13 +52,27 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def make_row(game_name, pairing, p1, mu1, p2, mu2, ent, s1, s2, pa, pb) -> str:
-    cells = [game_name, pairing.value] + [
-        fmt(v) for v in (p1, mu1, p2, mu2, ent.gamma, ent.delta,
-                         s1.theta, s1.alpha, s1.beta,
-                         s2.theta, s2.alpha, s2.beta, pa, pb)
-    ]
-    return ",".join(cells)
+def make_row(game_name: str, pairing: Pairing, values) -> str:
+    """A CSV row from the columns p1 .. payoff_b.  An array value (a column
+    that varies per row) leaves a %.12g slot, which formats as ``fmt``."""
+    return ",".join([game_name, pairing.value] + [
+        "%.12g" if isinstance(v, np.ndarray) else fmt(v) for v in values])
+
+
+def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
+                s1: StrategyParams, s2: StrategyParams, ch1, ch2) -> list[str]:
+    """CSV rows of one array evaluation.  Channel parameters and angles may be
+    arrays; rows run over their broadcast shape, last axis fastest."""
+    w = batch_weights(pairing, ent, ch1, ch2)
+    angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
+    pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles, weights=w)
+              for e in (game.a, game.b))
+    values = (*ch1, *ch2, ent.gamma, ent.delta, *angles, pa, pb)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    columns = [np.broadcast_to(v, shape).ravel().tolist()
+               for v in values if isinstance(v, np.ndarray)]
+    template = make_row(game.name, pairing, values)
+    return [template % cells for cells in zip(*columns)]
 
 
 # --------------------------------------------------------------------------
@@ -76,6 +95,8 @@ def cmd_payoff(args) -> int:
 # --------------------------------------------------------------------------
 def cmd_verify(args) -> int:
     pairing = Pairing.from_string(args.pairing)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     # Deterministic tuples from the stdlib Mersenne Twister; random() streams
     # are stable across Python versions for a fixed integer seed.
     rng = random.Random(args.seed)
@@ -143,8 +164,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
+        values[key] = val
 
     if values.get("game", "") == "custom":
         entries_a = [float(x) for x in values.pop("entries_a").split(",")]
@@ -190,36 +213,18 @@ def parse_sweep_config(text: str) -> SweepConfig:
 
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Rows in lexicographic axis order (canonical axis order, last fastest)."""
-    rows = []
-
-    def recurse(i: int, point: dict):
-        if i == len(cfg.axes):
-            ent = EntanglementParams(cfg.gamma, cfg.delta)
-            s1 = StrategyParams(point["theta1"], point["alpha1"], point["beta1"])
-            s2 = StrategyParams(point["theta2"], point["alpha2"], point["beta2"])
-            pa, pb = closed_payoff_pair(cfg.pairing, cfg.game, ent, s1, s2,
-                                        (point["p1"], point["mu1"]),
-                                        (point["p2"], point["mu2"]))
-            rows.append(make_row(cfg.game.name, cfg.pairing, point["p1"],
-                                 point["mu1"], point["p2"], point["mu2"],
-                                 ent, s1, s2, pa, pb))
-            return
-        name, grid = cfg.axes[i]
-        for value in grid:
-            recurse(i + 1, {**point, name: value})
-
-    base = {k: getattr(cfg, k) for k in
-            ("p1", "mu1", "p2", "mu2", "theta1", "alpha1", "beta1",
-             "theta2", "alpha2", "beta2")}
-    recurse(0, base)
-    return rows
+    grids = np.meshgrid(*(np.array(grid) for _, grid in cfg.axes),
+                        indexing="ij", sparse=True)
+    c = replace(cfg, **{name: g for (name, _), g in zip(cfg.axes, grids)})
+    return payoff_rows(c.game, c.pairing, EntanglementParams(c.gamma, c.delta),
+                       StrategyParams(c.theta1, c.alpha1, c.beta1),
+                       StrategyParams(c.theta2, c.alpha2, c.beta2),
+                       (c.p1, c.mu1), (c.p2, c.mu2))
 
 
-def write_csv(path: str, rows: list[str]) -> None:
+def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def cmd_sweep(args) -> int:
@@ -263,17 +268,10 @@ def figure_rows(figure_id: int) -> list[str]:
     ent = EntanglementParams(*spec["ent"])
     s1 = StrategyParams(*spec["s1"])
     s2 = StrategyParams(*spec["s2"])
-    rows = []
-    for game_name, pairing_name, p in spec["groups"]:
-        game = builtin_game(game_name)
-        pairing = Pairing.from_string(pairing_name)
-        for i in range(FIGURE_MU_STEPS):
-            mu = i / (FIGURE_MU_STEPS - 1)
-            pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2,
-                                        (p, mu), (p, mu))
-            rows.append(make_row(game_name, pairing, p, mu, p, mu,
-                                 ent, s1, s2, pa, pb))
-    return rows
+    mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
+    return [row for game, pairing, p in spec["groups"]
+            for row in payoff_rows(builtin_game(game), Pairing.from_string(pairing),
+                                   ent, s1, s2, (p, mu), (p, mu))]
 
 
 def cmd_figure(args) -> int:
@@ -308,14 +306,9 @@ def cmd_nash(args) -> int:
         else case_study(args.case)
     print("\n".join(report.lines()))
     if args.csv:
-        header = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for r in report.gain_rows:
-                fh.write(",".join([r["case"], r["pairing"], r["game"]]
-                                  + [fmt(r[k]) for k in
-                                     ("p", "mu", "payoff_a", "payoff_b",
-                                      "gain_a", "gain_b")]) + "\n")
+        write_csv(args.csv, [",".join([r["case"], r["pairing"], r["game"]]
+                                      + [fmt(r[k]) for k in GAIN_HEADER.split(",")[3:]])
+                             for r in report.gain_rows], GAIN_HEADER)
         print(f"wrote {len(report.gain_rows)} gain rows to {args.csv}")
     return 0 if report.nash_certified else VERIFY_FAIL
 

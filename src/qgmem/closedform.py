@@ -15,10 +15,11 @@ xi = (1/2) sin(delta) sin(gamma):
                    + h_off  (e01 - e10) sin(a1-a2+b1-b2) )
 
 The sector weights and interference factors depend only on the channel
-parameters and the entanglement angles; ``pairing_weights`` builds them per
+parameters and the entanglement angles; ``batch_weights`` builds them per
 pairing.  Each factor follows a single rule: the delta-interference terms
 carry channel 2's coherence factor times channel 1's population factor, and
-the gamma terms mirror that with the channel roles reflected.
+the gamma terms mirror that with the channel roles reflected.  Coefficients
+and weights broadcast over arrays of p and mu, bit for bit as at float points.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -35,9 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec
+from .channels import ChannelKind
 from .games import Bimatrix
 from .protocol import EntanglementParams, StrategyParams
+from .qmat import check_range
 
 
 class Pairing(enum.Enum):
@@ -83,11 +85,21 @@ _KIND = {"ph": ChannelKind.DEPHASING, "ad": ChannelKind.AMPLITUDE_DAMPING,
 # --------------------------------------------------------------------------
 # per-channel coefficient families
 # --------------------------------------------------------------------------
-def _check_pm(p: float, mu: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+def _check_pm(p, mu) -> None:
+    check_range("p", p, 0.0, 1.0, "[0, 1]")
+    check_range("mu", mu, 0.0, 1.0, "[0, 1]")
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _square(x):
+    """x**2 rounded as for a float (libm pow) also on arrays, where numpy's
+    x*x differs in the last bit for about 0.1% of inputs."""
+    if isinstance(x, np.ndarray):
+        return np.asarray(x.astype(object) ** 2, dtype=float)
+    return x**2
 
 
 @dataclass(frozen=True)
@@ -112,9 +124,9 @@ class AdCoeffs:
 def ad_coeffs(p: float, mu: float) -> AdCoeffs:
     _check_pm(p, mu)
     return AdCoeffs(
-        chi00=(1 - p) ** 2 + mu * (1 - p) * p,
-        chi11=p**2 + mu * (1 - p) * p,
-        chi10=(1 - mu) * (1 - p) + mu * math.sqrt(1 - p),
+        chi00=_square(1 - p) + mu * (1 - p) * p,
+        chi11=_square(p) + mu * (1 - p) * p,
+        chi10=(1 - mu) * (1 - p) + mu * _sqrt(1 - p),
         chi01=(1 - mu) * (1 - p) * p,
         chi_a=(1 - mu) * p,
         chi_b=(1 - p) + mu * p,
@@ -146,7 +158,8 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
         raise ValueError(f"slot must be 1 or 2, got {slot}")
     base_a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
     base_b = -(2 / 9) * p * (-2 * p + 2 * mu * p - 3 * mu)
-    base_c4 = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p**2 + 16 * mu * p**2)
+    p_sq = _square(p)
+    base_c4 = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p_sq + 16 * mu * p_sq)
     base_c3 = base_c4 - (2 / 3) * mu * p
     base_d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
     eta1dp = 2 * base_d - base_a - base_b
@@ -164,7 +177,7 @@ class DephasingCoeff:
 
 def dephasing_coeff(p: float, mu: float) -> DephasingCoeff:
     _check_pm(p, mu)
-    return DephasingCoeff(mu_p=(1 - mu) * (1 - p) ** 2 + mu)
+    return DephasingCoeff(mu_p=(1 - mu) * _square(1 - p) + mu)
 
 
 # --------------------------------------------------------------------------
@@ -394,13 +407,14 @@ def _w_ph_d(cg, sg, cd, sd, z1: DephasingCoeff, v: DepolCoeffs) -> PairingWeight
     )
 
 
-def pairing_weights(
+def batch_weights(
     pairing: Pairing,
     ent: EntanglementParams,
     ch1: tuple[float, float],
     ch2: tuple[float, float],
 ) -> PairingWeights:
-    """Build the sector weights for one pairing at fixed channel parameters."""
+    """Build the sector weights for one pairing.  The p and mu in ``ch1`` and
+    ``ch2`` may be arrays; they broadcast, and so does every weight."""
     cg, sg = math.cos(ent.gamma / 2) ** 2, math.sin(ent.gamma / 2) ** 2
     cd, sd = math.cos(ent.delta / 2) ** 2, math.sin(ent.delta / 2) ** 2
 
@@ -416,6 +430,12 @@ def pairing_weights(
     b = coeff(pairing.second, ch2, 2)
     builder = _BUILDERS[pairing]
     return builder(cg, sg, cd, sd, a, b)
+
+
+def pairing_weights(pairing, ent, ch1, ch2) -> PairingWeights:
+    """``batch_weights`` at one channel point, floats only.  A separate function
+    so that per-call profiling can key calls on their (hashable) arguments."""
+    return batch_weights(pairing, ent, ch1, ch2)
 
 
 _BUILDERS = {
@@ -441,16 +461,18 @@ def payoff_surface(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
     theta1, alpha1, beta1, theta2, alpha2, beta2,
+    weights: PairingWeights | None = None,
 ):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles.
 
-    No range validation on the angle arrays; grid scans are expected to stay
-    inside the strategy domain by construction.
+    ``weights``, if given, is ``batch_weights(pairing, ent, ch1, ch2)``, shared
+    by both players' calls.  No range validation on the angle arrays; grid
+    scans are expected to stay inside the strategy domain by construction.
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     e00, e01, e10, e11 = (float(x) for x in entries)
-    w = pairing_weights(pairing, ent, ch1, ch2)
+    w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
 
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
@@ -511,9 +533,3 @@ def closed_payoff_pair(
     pa = closed_payoff(pairing, game.a, ent, s1, s2, ch1, ch2)
     pb = closed_payoff(pairing, game.b, ent, s1, s2, ch1, ch2)
     return pa, pb
-
-
-def channel_pair(pairing: Pairing, ch1: tuple[float, float],
-                 ch2: tuple[float, float]) -> tuple[ChannelSpec, ChannelSpec]:
-    """ChannelSpecs matching a pairing's kinds (for oracle cross-checks)."""
-    return (ChannelSpec(pairing.first, *ch1), ChannelSpec(pairing.second, *ch2))

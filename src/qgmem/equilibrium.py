@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import Pairing, payoff_surface
+from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
 from .games import Bimatrix, builtin_game
 from .protocol import EntanglementParams, StrategyParams
 
@@ -73,11 +73,8 @@ class PayoffEvaluator:
     ch2: tuple[float, float]
 
     def pair(self, s1: StrategyParams, s2: StrategyParams) -> tuple[float, float]:
-        pa = payoff_surface(self.pairing, self.game.a, self.ent, self.ch1, self.ch2,
-                            s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
-        pb = payoff_surface(self.pairing, self.game.b, self.ent, self.ch1, self.ch2,
-                            s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
-        return float(pa), float(pb)
+        return closed_payoff_pair(self.pairing, self.game, self.ent, s1, s2,
+                                  self.ch1, self.ch2)
 
     def own_surface(self, responder: int, opponent: StrategyParams,
                     theta, alpha, beta) -> np.ndarray:
@@ -198,9 +195,11 @@ def _mono_nondecreasing(values, tol=1e-12) -> bool:
 
 
 def _mu_curve(pairing, game, ent, s1, s2, p, mus=MU_GRID_11, player=1):
-    ev = [PayoffEvaluator(pairing, game, ent, (p, m), (p, m)).pair(s1, s2)
-          for m in mus]
-    return [v[player] for v in ev]
+    """One player's payoffs over mu = mu1 = mu2 at p = p1 = p2, in one array call."""
+    ch = (p, np.array(mus, dtype=float))
+    return payoff_surface(pairing, (game.a, game.b)[player], ent, ch, ch,
+                          s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta,
+                          weights=batch_weights(pairing, ent, ch, ch)).tolist()
 
 
 def _nash_rows(report_rows, case_id, pairing, game, ent, s1, s2, pm_grid,
@@ -280,10 +279,9 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
         for p in (0.2, 0.8):
             curve = _mu_curve(Pairing.AD_AD, game, ent, s1, s2, p, player=1)
             ok_mono &= _mono_nondecreasing(curve)
-        for m in (0.0, 0.5, 1.0):
-            lo = PayoffEvaluator(Pairing.AD_AD, game, ent, (0.2, m), (0.2, m)).pair(s1, s2)[1]
-            hi = PayoffEvaluator(Pairing.AD_AD, game, ent, (0.8, m), (0.8, m)).pair(s1, s2)[1]
-            ok_p &= hi <= lo + 1e-12
+        lo, hi = (_mu_curve(Pairing.AD_AD, game, ent, s1, s2, p, (0.0, 0.5, 1.0))
+                  for p in (0.2, 0.8))
+        ok_p &= all(b <= a + 1e-12 for a, b in zip(lo, hi))
     report.claims.append(CaseClaim(
         "mu-monotonicity", ok_mono,
         "quantum player's payoff nondecreasing in mu at p in {0.2, 0.8}"))
@@ -294,12 +292,9 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
 def _advantage_claim(report, case_id, pairings, fig, label):
     ok, details = True, []
     for pairing in pairings:
-        margins = [
-            PayoffEvaluator(pairing, _BOS, fig["ent"], (0.5, m), (0.5, m))
-            .pair(fig["s1"], fig["s2"])
-            for m in MU_GRID_11
-        ]
-        diffs = [b - a for a, b in margins]
+        pa, pb = (_mu_curve(pairing, _BOS, fig["ent"], fig["s1"], fig["s2"], 0.5,
+                            player=k) for k in (0, 1))
+        diffs = [b - a for a, b in zip(pa, pb)]
         ok &= min(diffs) > 0
         details.append(f"{pairing.value}: min margin {min(diffs):+.4f}")
     report.claims.append(CaseClaim(label, ok, "; ".join(details)))
@@ -329,10 +324,9 @@ def _equal_payoffs_claim(report, pairings, fig, label):
     for pairing in pairings:
         for game in _GAMES:
             for p in (0.3, 0.7):
-                for m in (0.0, 0.5, 1.0):
-                    pa, pb = PayoffEvaluator(pairing, game, fig["ent"],
-                                             (p, m), (p, m)).pair(fig["s1"], fig["s2"])
-                    worst = max(worst, abs(pa - pb))
+                pa, pb = (_mu_curve(pairing, game, fig["ent"], fig["s1"], fig["s2"], p,
+                                    (0.0, 0.5, 1.0), k) for k in (0, 1))
+                worst = max(worst, *(abs(a - b) for a, b in zip(pa, pb)))
     report.claims.append(CaseClaim(
         label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
 
@@ -344,9 +338,8 @@ def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
     # payoff shrinks as mu grows (exact for dephasing).  Checked at the
     # theta1 = theta2 = pi/2 profile, where the noise actually acts.
     s1, s2 = FIG3["s1"], FIG3["s2"]
-    ref = PayoffEvaluator(Pairing.PH_PH, _PD, FIG4["ent"], (0.0, 0.0), (0.0, 0.0)).pair(s1, s2)[1]
-    dist = [abs(PayoffEvaluator(Pairing.PH_PH, _PD, FIG4["ent"], (0.6, m), (0.6, m))
-                .pair(s1, s2)[1] - ref) for m in MU_GRID_11]
+    ref = _mu_curve(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.0, (0.0,))[0]
+    dist = [abs(v - ref) for v in _mu_curve(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.6)]
     ok = (dist[0] > 1e-3 and dist[-1] < 1e-12
           and all(b <= a + 1e-12 for a, b in zip(dist, dist[1:])))
     report.claims.append(CaseClaim(
@@ -375,17 +368,14 @@ def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
     # Memory compensation, measured as the distance from the noiseless payoff
     # over mu, at the theta1 = theta2 = pi/2 profile where the noise acts
     # (with theta1 = 0 these payoffs are noise-independent).
-    s1, s2 = StrategyParams(PI / 2), FIG5["s2"]
+    s1, s2, ent = StrategyParams(PI / 2), FIG5["s2"], FIG5["ent"]
     for pairing, tag in ((Pairing.PH_PH, "dephasing"),
                          (Pairing.AD_AD, "amplitude damping")):
         ok, spread = True, 0.0
         for game in (_PD, _CHICKEN):
-            ref = PayoffEvaluator(pairing, game, FIG5["ent"],
-                                  (0.0, 0.0), (0.0, 0.0)).pair(s1, s2)[1]
+            ref = _mu_curve(pairing, game, ent, s1, s2, 0.0, (0.0,))[0]
             for p in (0.2, 0.8):
-                dist = [abs(PayoffEvaluator(pairing, game, FIG5["ent"],
-                                            (p, m), (p, m)).pair(s1, s2)[1] - ref)
-                        for m in MU_GRID_11]
+                dist = [abs(v - ref) for v in _mu_curve(pairing, game, ent, s1, s2, p)]
                 ok &= all(b <= a + 1e-12 for a, b in zip(dist, dist[1:]))
                 spread = max(spread, dist[-1])
         report.claims.append(CaseClaim(
@@ -404,11 +394,11 @@ def _case_iii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
 
 def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
     ent, s1, s2 = FIG67["ent"], FIG67["s1"], FIG67["s2"]
-    worst_margin, where = math.inf, ""
+    worst_margin, where, mus = math.inf, "", (0.25, 0.5, 0.75, 1.0)
     for pairing in Pairing:
         for game in _GAMES:
-            for m in (0.25, 0.5, 0.75, 1.0):
-                pa, pb = PayoffEvaluator(pairing, game, ent, (1.0, m), (1.0, m)).pair(s1, s2)
+            curves = (_mu_curve(pairing, game, ent, s1, s2, 1.0, mus, k) for k in (0, 1))
+            for m, pa, pb in zip(mus, *curves):
                 if pb - pa < worst_margin:
                     worst_margin, where = pb - pa, f"{pairing.value}/{game.name}/mu={m}"
     report.claims.append(CaseClaim(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import dagger, mat_trace
+from .qmat import check_range, dagger, mat_trace
 
 _IMAG_RESIDUE_TOL = 1e-10
 
@@ -37,12 +37,9 @@ class StrategyParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        if not -math.pi <= self.alpha <= math.pi:
-            raise ValueError(f"alpha must be in [-pi, pi], got {self.alpha}")
-        if not -math.pi <= self.beta <= math.pi:
-            raise ValueError(f"beta must be in [-pi, pi], got {self.beta}")
+        check_range("theta", self.theta, 0.0, math.pi, "[0, pi]")
+        check_range("alpha", self.alpha, -math.pi, math.pi, "[-pi, pi]")
+        check_range("beta", self.beta, -math.pi, math.pi, "[-pi, pi]")
 
     @classmethod
     def classical(cls, theta: float) -> "StrategyParams":
@@ -59,16 +56,13 @@ class EntanglementParams:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= math.pi / 2:
-            raise ValueError(f"gamma must be in [0, pi/2], got {self.gamma}")
-        if not 0.0 <= self.delta <= math.pi / 2:
-            raise ValueError(f"delta must be in [0, pi/2], got {self.delta}")
+        check_range("gamma", self.gamma, 0.0, math.pi / 2, "[0, pi/2]")
+        check_range("delta", self.delta, 0.0, math.pi / 2, "[0, pi/2]")
 
 
 def initial_state(gamma: float) -> np.ndarray:
     """Arbiter's initial state cos(gamma/2)|00> + i sin(gamma/2)|11>."""
-    if not 0.0 <= gamma <= math.pi / 2:
-        raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
+    check_range("gamma", gamma, 0.0, math.pi / 2, "[0, pi/2]")
     psi = np.zeros(4, dtype=complex)
     psi[0] = math.cos(gamma / 2)
     psi[3] = 1j * math.sin(gamma / 2)
@@ -99,8 +93,7 @@ def measurement_basis(delta: float) -> np.ndarray:
     |v_00> = cos(d/2)|00> + i sin(d/2)|11>     |v_11> = cos(d/2)|11> + i sin(d/2)|00>
     |v_01> = cos(d/2)|01> - i sin(d/2)|10>     |v_10> = cos(d/2)|10> - i sin(d/2)|01>
     """
-    if not 0.0 <= delta <= math.pi / 2:
-        raise ValueError(f"delta must be in [0, pi/2], got {delta}")
+    check_range("delta", delta, 0.0, math.pi / 2, "[0, pi/2]")
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
     return np.array(

@@ -72,3 +72,16 @@ def is_density(m: np.ndarray, tol: float = 1e-9) -> bool:
     if abs(mat_trace(m) - 1.0) > tol:
         return False
     return bool(hermitian_eigenvalues(m).min() >= -tol)
+
+
+def check_range(name: str, value, lo: float, hi: float, span: str) -> None:
+    """Raise ``ValueError`` unless lo <= value <= hi (NaN fails).  For an
+    ndarray the message names its first offending element."""
+    if isinstance(value, np.ndarray):
+        bad = value[~((value >= lo) & (value <= hi))]
+        if not bad.size:
+            return
+        value = bad[0]
+    elif lo <= value <= hi:
+        return
+    raise ValueError(f"{name} must be in {span}, got {value}")

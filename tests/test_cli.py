@@ -22,6 +22,18 @@ class TestParseAngle:
         with pytest.raises(ValueError):
             parse_angle("two-pi")
 
+    def test_rejects_division_by_zero(self):
+        for text in ("pi/0", "-pi/0.0"):
+            with pytest.raises(ValueError):
+                parse_angle(text)
+
+    def test_division_by_zero_is_usage_error(self, capsys):
+        assert run(["payoff", "--game", "pd", "--pairing", "ph-ph",
+                    "--gamma", "pi/0", "--delta", "0", "--p1", "0", "--mu1", "0",
+                    "--p2", "0", "--mu2", "0", "--theta1", "0",
+                    "--theta2", "0"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestPayoffCommand:
     def test_classical_defection(self, capsys):
@@ -68,6 +80,14 @@ class TestVerifyCommand:
     def test_mu_zero_restriction(self, capsys):
         assert run(["verify", "--pairing", "ad-ad", "--samples", "20",
                     "--seed", "7", "--tol", "1e-9", "--mu-zero"]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_usage_error(self, samples, capsys):
+        # Zero samples would report max_abs_diff=0 and pass vacuously.
+        assert run(["verify", "--pairing", "d-d", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "max_abs_diff" not in captured.out
+        assert "--samples must be >= 1" in captured.err
 
     def test_impossible_tolerance_fails(self):
         assert run(["verify", "--pairing", "ph-ph", "--samples", "10",
@@ -165,6 +185,33 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(conf)]) == 2
         conf.write_text("nonsense line\n")
         assert run(["sweep", "--config", str(conf)]) == 2
+
+    def test_repeated_key_names_its_line(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        text = SWEEP_CONF.format(out=out) + "sweep.mu1 = 0:1:5\n"
+        conf.write_text(text)
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError,
+                           match=f"config line {lineno}: repeated key 'sweep.mu1'"):
+            parse_sweep_config(text)
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis,message", [
+        ("sweep.p1 = 0:1.5:4", "p must be in [0, 1], got 1.5"),
+        ("sweep.mu2 = nan:1:3", "mu must be in [0, 1], got nan"),
+        ("sweep.mu1 = 0:nan:3", "mu must be in [0, 1], got nan"),
+        ("sweep.theta2 = 0:4:3", "theta must be in [0, pi], got 4.0"),
+    ])
+    def test_swept_axis_out_of_range(self, tmp_path, capsys, axis, message):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text("game = pd\npairing = ad-d\nsweep.p2 = 0:1:3\n"
+                        f"{axis}\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
 
     def test_axis_order_canonical(self):
         cfg = parse_sweep_config(

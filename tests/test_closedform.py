@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_ent, random_entries, random_strategy
 
 from qgmem.channels import ChannelSpec
-from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, closed_payoff,
-                              closed_payoff_pair, dephasing_coeff,
+from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, batch_weights,
+                              closed_payoff, closed_payoff_pair, dephasing_coeff,
                               depol_coeffs, pairing_weights, payoff_surface)
 from qgmem.games import builtin_game, classical_expected
 from qgmem.oracle import two_pass_state
@@ -237,6 +238,47 @@ class TestPayoffSurface:
                     StrategyParams(float(theta[i]), float(alpha[j]), 0.5),
                     ch1, ch2)
                 assert grid[i, j] == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_channel_arrays_match_float_points_bit_for_bit(self, pairing, rng):
+        # One array evaluation over many channel points must give the exact
+        # bits of the float path at each point, or CSV bytes could drift.
+        ent = random_ent(rng)
+        s1, s2 = random_strategy(rng), random_strategy(rng)
+        game = builtin_game("chicken")
+        points = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.5, 0.0, 0.25)]
+        points += [tuple(rng.random() for _ in range(4)) for _ in range(300)]
+        # p where libm pow(p, 2) and p*p round apart (about 1 in 1000 draws).
+        split = list(itertools.islice(
+            (p for p in iter(rng.random, None)
+             if p**2 != p * p or (1 - p) ** 2 != (1 - p) * (1 - p)), 40))
+        points += [(a, rng.random(), b, rng.random()) for a, b in zip(split, split[::-1])]
+        p1, mu1, p2, mu2 = np.array(points).T
+        ch1, ch2 = (p1, mu1), (p2, mu2)
+        w = batch_weights(pairing, ent, ch1, ch2)
+        angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
+        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles, weights=w)
+                  for e in (game.a, game.b))
+        for i, (a, b, c, d) in enumerate(points):
+            assert (pa[i], pb[i]) == closed_payoff_pair(
+                pairing, game, ent, s1, s2, (a, b), (c, d))
+
+    def test_channel_arrays_broadcast(self):
+        p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)
+        mu = np.array([0.2, 0.9])
+        w = batch_weights(Pairing.AD_D, EntanglementParams(0.4, 0.6),
+                          (p, 0.5), (0.7, mu))
+        assert np.shape(w.f_diag) == (3, 2)
+        assert w.h_off[1, 0] == pairing_weights(
+            Pairing.AD_D, EntanglementParams(0.4, 0.6), (0.3, 0.5), (0.7, 0.2)).h_off
+
+    @pytest.mark.parametrize("name,p,mu,bad", [
+        ("p", [0.2, 1.5, -1.0], 0.3, "1.5"),
+        ("mu", 0.3, [0.0, float("nan")], "nan"),
+    ])
+    def test_array_range_error_names_first_bad_value(self, name, p, mu, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
+            ad_coeffs(np.asarray(p), np.asarray(mu))
 
     def test_entry_count_validated(self):
         with pytest.raises(ValueError):
