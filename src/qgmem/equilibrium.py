@@ -194,12 +194,13 @@ def _mono_nondecreasing(values, tol=1e-12) -> bool:
     return all(b >= a - tol for a, b in zip(values, values[1:]))
 
 
-def _mu_curve(pairing, game, ent, s1, s2, p, mus=MU_GRID_11, player=1):
-    """One player's payoffs over mu = mu1 = mu2 at p = p1 = p2, in one array call."""
+def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
+    """(Alice, Bob) payoffs over mu = mu1 = mu2 at p = p1 = p2, one call each."""
     ch = (p, np.array(mus, dtype=float))
-    return payoff_surface(pairing, (game.a, game.b)[player], ent, ch, ch,
-                          s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta,
-                          weights=batch_weights(pairing, ent, ch, ch)).tolist()
+    w = batch_weights(pairing, ent, ch, ch)
+    return tuple(payoff_surface(pairing, e, ent, ch, ch, s1.theta, s1.alpha, s1.beta,
+                                s2.theta, s2.alpha, s2.beta, weights=w).tolist()
+                 for e in (game.a, game.b))
 
 
 def _nash_rows(report_rows, case_id, pairing, game, ent, s1, s2, pm_grid,
@@ -243,8 +244,8 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
     for game in _GAMES:
         for p in (0.2, 0.8):
             for player, tag in ((0, "A"), (1, "B")):
-                curve = _mu_curve(Pairing.AD_AD, game, ent, FIG2["s1"], FIG2["s2"],
-                                  p, player=player)
+                curve = _mu_curves(Pairing.AD_AD, game, ent, FIG2["s1"], FIG2["s2"],
+                                   p)[player]
                 mono = _mono_nondecreasing(curve)
                 ok_all &= mono
                 if not mono:
@@ -277,9 +278,9 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
     ok_mono, ok_p = True, True
     for game in (_PD, _CHICKEN):
         for p in (0.2, 0.8):
-            curve = _mu_curve(Pairing.AD_AD, game, ent, s1, s2, p, player=1)
+            curve = _mu_curves(Pairing.AD_AD, game, ent, s1, s2, p)[1]
             ok_mono &= _mono_nondecreasing(curve)
-        lo, hi = (_mu_curve(Pairing.AD_AD, game, ent, s1, s2, p, (0.0, 0.5, 1.0))
+        lo, hi = (_mu_curves(Pairing.AD_AD, game, ent, s1, s2, p, (0.0, 0.5, 1.0))[1]
                   for p in (0.2, 0.8))
         ok_p &= all(b <= a + 1e-12 for a, b in zip(lo, hi))
     report.claims.append(CaseClaim(
@@ -292,8 +293,7 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
 def _advantage_claim(report, case_id, pairings, fig, label):
     ok, details = True, []
     for pairing in pairings:
-        pa, pb = (_mu_curve(pairing, _BOS, fig["ent"], fig["s1"], fig["s2"], 0.5,
-                            player=k) for k in (0, 1))
+        pa, pb = _mu_curves(pairing, _BOS, fig["ent"], fig["s1"], fig["s2"], 0.5)
         diffs = [b - a for a, b in zip(pa, pb)]
         ok &= min(diffs) > 0
         details.append(f"{pairing.value}: min margin {min(diffs):+.4f}")
@@ -324,8 +324,8 @@ def _equal_payoffs_claim(report, pairings, fig, label):
     for pairing in pairings:
         for game in _GAMES:
             for p in (0.3, 0.7):
-                pa, pb = (_mu_curve(pairing, game, fig["ent"], fig["s1"], fig["s2"], p,
-                                    (0.0, 0.5, 1.0), k) for k in (0, 1))
+                pa, pb = _mu_curves(pairing, game, fig["ent"], fig["s1"], fig["s2"], p,
+                                    (0.0, 0.5, 1.0))
                 worst = max(worst, *(abs(a - b) for a, b in zip(pa, pb)))
     report.claims.append(CaseClaim(
         label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
@@ -338,8 +338,9 @@ def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
     # payoff shrinks as mu grows (exact for dephasing).  Checked at the
     # theta1 = theta2 = pi/2 profile, where the noise actually acts.
     s1, s2 = FIG3["s1"], FIG3["s2"]
-    ref = _mu_curve(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.0, (0.0,))[0]
-    dist = [abs(v - ref) for v in _mu_curve(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.6)]
+    ref = _mu_curves(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.0, (0.0,))[1][0]
+    dist = [abs(v - ref)
+            for v in _mu_curves(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.6)[1]]
     ok = (dist[0] > 1e-3 and dist[-1] < 1e-12
           and all(b <= a + 1e-12 for a, b in zip(dist, dist[1:])))
     report.claims.append(CaseClaim(
@@ -373,9 +374,9 @@ def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
                          (Pairing.AD_AD, "amplitude damping")):
         ok, spread = True, 0.0
         for game in (_PD, _CHICKEN):
-            ref = _mu_curve(pairing, game, ent, s1, s2, 0.0, (0.0,))[0]
+            ref = _mu_curves(pairing, game, ent, s1, s2, 0.0, (0.0,))[1][0]
             for p in (0.2, 0.8):
-                dist = [abs(v - ref) for v in _mu_curve(pairing, game, ent, s1, s2, p)]
+                dist = [abs(v - ref) for v in _mu_curves(pairing, game, ent, s1, s2, p)[1]]
                 ok &= all(b <= a + 1e-12 for a, b in zip(dist, dist[1:]))
                 spread = max(spread, dist[-1])
         report.claims.append(CaseClaim(
@@ -397,8 +398,7 @@ def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
     worst_margin, where, mus = math.inf, "", (0.25, 0.5, 0.75, 1.0)
     for pairing in Pairing:
         for game in _GAMES:
-            curves = (_mu_curve(pairing, game, ent, s1, s2, 1.0, mus, k) for k in (0, 1))
-            for m, pa, pb in zip(mus, *curves):
+            for m, pa, pb in zip(mus, *_mu_curves(pairing, game, ent, s1, s2, 1.0, mus)):
                 if pb - pa < worst_margin:
                     worst_margin, where = pb - pa, f"{pairing.value}/{game.name}/mu={m}"
     report.claims.append(CaseClaim(
