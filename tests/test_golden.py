@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` were written by the per-point
 implementation of ``sweep``, ``figure`` and ``nash``.  Any refactor of those
 paths must reproduce them exactly: same rows, same order, same 12-digit
-values.  The figure CSVs are pinned by SHA-256 digest (``sha256sum`` format),
+values.  The figure CSVs and the 7x9x9 gain tables of the cases ``i``,
+``iii-a`` and ``iv`` are pinned by SHA-256 digest (``sha256sum`` format),
 the others in full.
 """
 
@@ -15,9 +16,15 @@ import pytest
 from qgmem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-FIGURE_DIGESTS = dict(
-    reversed(line.split()) for line in
-    (GOLDEN / "figures.sha256").read_text().splitlines())
+
+
+def digests(name):
+    return dict(reversed(line.split())
+                for line in (GOLDEN / name).read_text().splitlines())
+
+
+FIGURE_DIGESTS = digests("figures.sha256")
+NASH_DIGESTS = digests("nash_7x9x9.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -35,6 +42,17 @@ def test_nash_gain_table_bytes(tmp_path, capsys):
     assert main(["nash", "--case", "ii-b", "--grid", "5x5x5",
                  "--csv", str(out)]) == 4
     assert out.read_bytes() == (GOLDEN / "nash_ii-b_5x5x5.csv").read_bytes()
+
+
+# Every case with certificates refutes its nominal profile somewhere on the
+# (p, mu) grid, so each exits 4.
+@pytest.mark.parametrize("case", ["i", "iii-a", "iv"])
+def test_nash_gain_digest(tmp_path, capsys, case):
+    name = f"nash_{case}_7x9x9.csv"
+    assert main(["nash", "--case", case, "--grid", "7x9x9",
+                 "--csv", str(tmp_path / name)]) == 4
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == NASH_DIGESTS[name]
 
 
 @pytest.mark.parametrize("fid", range(2, 8))
