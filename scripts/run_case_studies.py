@@ -6,7 +6,7 @@ Usage: python scripts/run_case_studies.py [GAINS_CSV]
 
 import sys
 
-from qgmem.cli import fmt
+from qgmem.cli import write_gains
 from qgmem.equilibrium import CASE_IDS, case_study
 
 rows = []
@@ -16,12 +16,5 @@ for case_id in CASE_IDS:
     rows.extend(report.gain_rows)
 
 if len(sys.argv) > 1:
-    header = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
-    with open(sys.argv[1], "w", newline="") as fh:
-        fh.write(header + "\n")
-        for r in rows:
-            fh.write(",".join([r["case"], r["pairing"], r["game"]]
-                              + [fmt(r[k]) for k in ("p", "mu", "payoff_a",
-                                                     "payoff_b", "gain_a",
-                                                     "gain_b")]) + "\n")
+    write_gains(sys.argv[1], rows)
     print(f"wrote {len(rows)} gain rows to {sys.argv[1]}")

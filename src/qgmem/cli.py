@@ -19,7 +19,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec
 from .closedform import (Pairing, batch_weights, closed_payoff, closed_payoff_pair,
                          payoff_surface)
-from .equilibrium import CASE_IDS, StrategySpace, case_study
+from .equilibrium import CASE_IDS, QUANTUM_SPACE, StrategySpace, case_study
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -64,7 +64,7 @@ def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
     """CSV rows of one array evaluation.  Channel parameters and angles may be
     arrays; rows run over their broadcast shape, last axis fastest."""
     w = batch_weights(pairing, ent, ch1, ch2)
-    angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
+    angles = (*s1.angles, *s2.angles)
     pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles, weights=w)
               for e in (game.a, game.b))
     values = (*ch1, *ch2, ent.gamma, ent.delta, *angles, pa, pb)
@@ -227,6 +227,13 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
+def write_gains(path: str, gain_rows: list[dict]) -> None:
+    """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns."""
+    keys = GAIN_HEADER.split(",")
+    write_csv(path, [",".join([r[k] for k in keys[:3]] + [fmt(r[k]) for k in keys[3:]])
+                     for r in gain_rows], GAIN_HEADER)
+
+
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = parse_sweep_config(fh.read())
@@ -294,7 +301,7 @@ def cmd_nash(args) -> int:
         print(f"unknown case id {args.case!r}; choose from {CASE_IDS}",
               file=sys.stderr)
         return USAGE_ERROR
-    space = None
+    space = QUANTUM_SPACE
     if args.grid:
         try:
             t, a, b = (int(x) for x in args.grid.lower().split("x"))
@@ -302,13 +309,10 @@ def cmd_nash(args) -> int:
             print(f"bad grid spec {args.grid!r}; expected TxAxB", file=sys.stderr)
             return USAGE_ERROR
         space = StrategySpace(t, a, b)
-    report = case_study(args.case, quantum_space=space) if space \
-        else case_study(args.case)
+    report = case_study(args.case, space)
     print("\n".join(report.lines()))
     if args.csv:
-        write_csv(args.csv, [",".join([r["case"], r["pairing"], r["game"]]
-                                      + [fmt(r[k]) for k in GAIN_HEADER.split(",")[3:]])
-                             for r in report.gain_rows], GAIN_HEADER)
+        write_gains(args.csv, report.gain_rows)
         print(f"wrote {len(report.gain_rows)} gain rows to {args.csv}")
     return 0 if report.nash_certified else VERIFY_FAIL
 

@@ -20,6 +20,8 @@ pairing.  Each factor follows a single rule: the delta-interference terms
 carry channel 2's coherence factor times channel 1's population factor, and
 the gamma terms mirror that with the channel roles reflected.  Coefficients
 and weights broadcast over arrays of p and mu, bit for bit as at float points.
+The other factors (the sector products and the trigonometric terms) do not
+depend on the channels; ``angle_terms`` builds them once for many channel points.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -454,6 +457,31 @@ _BUILDERS = {
 # --------------------------------------------------------------------------
 # payoff assembly
 # --------------------------------------------------------------------------
+# Weight-free factors of ``payoff_surface`` (see module doc): the sector
+# products, the f brackets, the gamma term, the delta prefactor and its sines.
+AngleTerms = namedtuple("AngleTerms", "cc ss sc cs f_diag f_off gamma delta "
+                                      "sin_diag sin_off")
+
+
+def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
+                theta2, alpha2, beta2) -> AngleTerms:
+    """The angle factors of ``payoff_surface``, broadcasting like it."""
+    th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
+    th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
+    c1, s1 = np.cos(th1 / 2) ** 2, np.sin(th1 / 2) ** 2
+    c2, s2 = np.cos(th2 / 2) ** 2, np.sin(th2 / 2) ** 2
+    n = np.sin(th1) * np.sin(th2)
+    cc, ss, sc, cs = c1 * c2, s1 * s2, s1 * c2, c1 * s2
+    return AngleTerms(
+        cc, ss, sc, cs,
+        cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
+        sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
+        0.25 * n * math.sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
+        0.25 * n * math.sin(ent.delta),
+        np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2),
+    )
+
+
 def payoff_surface(
     pairing: Pairing,
     entries: Sequence[float],
@@ -462,45 +490,38 @@ def payoff_surface(
     ch2: tuple[float, float],
     theta1, alpha1, beta1, theta2, alpha2, beta2,
     weights: PairingWeights | None = None,
+    terms: AngleTerms | None = None,
 ):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles.
 
-    ``weights``, if given, is ``batch_weights(pairing, ent, ch1, ch2)``, shared
-    by both players' calls.  No range validation on the angle arrays; grid
-    scans are expected to stay inside the strategy domain by construction.
+    ``weights`` and ``terms``, if given, are ``batch_weights(pairing, ent, ch1,
+    ch2)`` and ``angle_terms(ent, theta1, ..., beta2)``, shared between calls.
+    No range validation on the angle arrays; grid scans are expected to stay
+    inside the strategy domain by construction.
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     e00, e01, e10, e11 = (float(x) for x in entries)
     w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
-
-    th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
-    th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
-    c1, s1 = np.cos(th1 / 2) ** 2, np.sin(th1 / 2) ** 2
-    c2, s2 = np.cos(th2 / 2) ** 2, np.sin(th2 / 2) ** 2
-    n = np.sin(th1) * np.sin(th2)
+    t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2) \
+        if terms is None else terms
     xi = 0.5 * math.sin(ent.delta) * math.sin(ent.gamma)
 
     def sector(weights: Sector):
         w00, w11, w01, w10 = weights
         return w00 * e00 + w11 * e11 + w01 * e01 + w10 * e10
 
-    value = (
-        c1 * c2 * sector(w.cc)
-        + s1 * s2 * sector(w.ss)
-        + s1 * c2 * sector(w.sc)
-        + c1 * s2 * sector(w.cs)
-        + xi * w.f_diag * (e00 - e11)
-        * (c1 * c2 * np.cos(2 * (a1 + a2)) - s1 * s2 * np.cos(2 * (b1 + b2)))
-        + xi * w.f_off * (e01 - e10)
-        * (s1 * c2 * np.cos(2 * (a2 - b1)) - c1 * s2 * np.cos(2 * (a1 - b2)))
-        + 0.25 * n * math.sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2)
-        * (-(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10))
-        + 0.25 * n * math.sin(ent.delta)
-        * (w.h_diag * (e00 - e11) * np.sin(a1 + a2 + b1 + b2)
-           + w.h_off * (e01 - e10) * np.sin(a1 - a2 + b1 - b2))
+    return (
+        t.cc * sector(w.cc)
+        + t.ss * sector(w.ss)
+        + t.sc * sector(w.sc)
+        + t.cs * sector(w.cs)
+        + xi * w.f_diag * (e00 - e11) * t.f_diag
+        + xi * w.f_off * (e01 - e10) * t.f_off
+        + t.gamma * (-(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10))
+        + t.delta * (w.h_diag * (e00 - e11) * t.sin_diag
+                     + w.h_off * (e01 - e10) * t.sin_off)
     )
-    return value
 
 
 def closed_payoff(
@@ -513,11 +534,8 @@ def closed_payoff(
     ch2: tuple[float, float],
 ) -> float:
     """One player's closed-form payoff for their entry column."""
-    value = payoff_surface(
-        pairing, entries, ent, ch1, ch2,
-        s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta,
-    )
-    return float(value)
+    return float(payoff_surface(pairing, entries, ent, ch1, ch2,
+                                *s1.angles, *s2.angles))
 
 
 def closed_payoff_pair(
@@ -529,7 +547,9 @@ def closed_payoff_pair(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
 ) -> tuple[float, float]:
-    """(Alice, Bob) closed-form payoffs for a bimatrix game."""
-    pa = closed_payoff(pairing, game.a, ent, s1, s2, ch1, ch2)
-    pb = closed_payoff(pairing, game.b, ent, s1, s2, ch1, ch2)
-    return pa, pb
+    """(Alice, Bob) closed-form payoffs for a bimatrix game, from one
+    evaluation of the weights and of the angle terms."""
+    angles = (*s1.angles, *s2.angles)
+    w, t = pairing_weights(pairing, ent, ch1, ch2), angle_terms(ent, *angles)
+    return tuple(float(payoff_surface(pairing, e, ent, ch1, ch2, *angles,
+                                      weights=w, terms=t)) for e in (game.a, game.b))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
+from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
+                         payoff_surface)
 from .games import Bimatrix, builtin_game
 from .protocol import EntanglementParams, StrategyParams
 
@@ -54,8 +55,9 @@ class StrategySpace:
         return theta, alpha, beta
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The open (sparse) grid: each axis along its own dimension."""
         theta, alpha, beta = self.axes()
-        return np.meshgrid(theta, alpha, beta, indexing="ij")
+        return np.meshgrid(theta, alpha, beta, indexing="ij", sparse=True)
 
 
 CLASSICAL_SPACE = StrategySpace(classical_only=True)
@@ -77,17 +79,16 @@ class PayoffEvaluator:
                                   self.ch1, self.ch2)
 
     def own_surface(self, responder: int, opponent: StrategyParams,
-                    theta, alpha, beta) -> np.ndarray:
-        """Responder's payoff over their own strategy arrays."""
-        if responder == 1:
-            return payoff_surface(self.pairing, self.game.a, self.ent,
-                                  self.ch1, self.ch2, theta, alpha, beta,
-                                  opponent.theta, opponent.alpha, opponent.beta)
-        if responder == 2:
-            return payoff_surface(self.pairing, self.game.b, self.ent,
-                                  self.ch1, self.ch2, opponent.theta,
-                                  opponent.alpha, opponent.beta, theta, alpha, beta)
-        raise ValueError(f"responder must be 1 or 2, got {responder}")
+                    theta, alpha, beta, **cached) -> np.ndarray:
+        """Responder's payoff over their own strategy arrays; ``cached`` may
+        hold ``payoff_surface``'s ``weights`` and ``terms``."""
+        if responder not in (1, 2):
+            raise ValueError(f"responder must be 1 or 2, got {responder}")
+        own, other = (theta, alpha, beta), opponent.angles
+        entries, angles = ((self.game.a, own + other) if responder == 1
+                           else (self.game.b, other + own))
+        return payoff_surface(self.pairing, entries, self.ent, self.ch1, self.ch2,
+                              *angles, **cached)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def best_response(
     tie_tol: float = TIE_TOL,
 ) -> list[StrategyParams]:
     """Argmax set over the responder's grid, ties kept, lexicographic order."""
-    theta, alpha, beta = space.mesh()
+    theta, alpha, beta = np.broadcast_arrays(*space.mesh())
     values = evaluator.own_surface(responder, opponent, theta, alpha, beta)
     cutoff = float(values.max()) - tie_tol
     idx = np.argwhere(values >= cutoff)
@@ -134,14 +135,31 @@ def check_profile(
     Gains are clamped at zero, so an off-grid profile that beats its own grid
     is reported as gain 0 rather than negative.
     """
-    s1, s2 = profile
     space_b = space_a if space_b is None else space_b
-    pa, pb = evaluator.pair(s1, s2)
-    ta, aa, ba = space_a.mesh()
-    gain_a = max(0.0, float(evaluator.own_surface(1, s2, ta, aa, ba).max()) - pa)
-    tb, ab, bb = space_b.mesh()
-    gain_b = max(0.0, float(evaluator.own_surface(2, s1, tb, ab, bb).max()) - pb)
-    return EquilibriumReport((s1, s2), (pa, pb), gain_a, gain_b, epsilon)
+    return _certify(evaluator, profile,
+                    _profile_scans(evaluator.ent, profile, space_a, space_b), epsilon)
+
+
+def _profile_scans(ent, profile, space_a, space_b):
+    """Alice's and Bob's deviation grids and the angle terms of the profile
+    point and of each grid: what a certificate shares across channel points."""
+    one, two = (s.angles for s in profile)
+    grid_a, grid_b = space_a.mesh(), space_b.mesh()
+    return grid_a, grid_b, [angle_terms(ent, *angles) for angles in
+                            (one + two, (*grid_a, *two), (*one, *grid_b))]
+
+
+def _certify(ev, profile, scans, epsilon) -> EquilibriumReport:
+    """``check_profile`` from ``_profile_scans``; one weight evaluation serves
+    both players' payoffs and gains."""
+    (s1, s2), (grid_a, grid_b, (t, t_a, t_b)) = profile, scans
+    w = batch_weights(ev.pairing, ev.ent, ev.ch1, ev.ch2)
+    pa = float(ev.own_surface(1, s2, *s1.angles, weights=w, terms=t))
+    pb = float(ev.own_surface(2, s1, *s2.angles, weights=w, terms=t))
+    best_a = ev.own_surface(1, s2, *grid_a, weights=w, terms=t_a).max()
+    best_b = ev.own_surface(2, s1, *grid_b, weights=w, terms=t_b).max()
+    return EquilibriumReport(profile, (pa, pb), max(0.0, float(best_a) - pa),
+                             max(0.0, float(best_b) - pb), epsilon)
 
 
 # --------------------------------------------------------------------------
@@ -198,28 +216,32 @@ def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
     """(Alice, Bob) payoffs over mu = mu1 = mu2 at p = p1 = p2, one call each."""
     ch = (p, np.array(mus, dtype=float))
     w = batch_weights(pairing, ent, ch, ch)
-    return tuple(payoff_surface(pairing, e, ent, ch, ch, s1.theta, s1.alpha, s1.beta,
-                                s2.theta, s2.alpha, s2.beta, weights=w).tolist()
-                 for e in (game.a, game.b))
+    return tuple(payoff_surface(pairing, e, ent, ch, ch, *s1.angles, *s2.angles,
+                                weights=w).tolist() for e in (game.a, game.b))
 
 
-def _nash_rows(report_rows, case_id, pairing, game, ent, s1, s2, pm_grid,
-               space_a=CLASSICAL_SPACE, space_b=None,
-               epsilon=DEFAULT_EPSILON):
-    """Scan a profile over (p, mu) and append gain rows; returns worst gain."""
-    space_b = QUANTUM_SPACE if space_b is None else space_b
+def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
+    """Certify a profile at every (p, mu) of PM_GRID and append the gain rows;
+    returns the worst gain.  The angle terms are computed once per profile."""
+    scans = _profile_scans(ent, (s1, s2), space_a, space_b)
     worst = 0.0
-    for p in pm_grid:
-        for m in pm_grid:
+    for p in PM_GRID:
+        for m in PM_GRID:
             ev = PayoffEvaluator(pairing, game, ent, (p, m), (p, m))
-            rep = check_profile(ev, (s1, s2), space_a, space_b, epsilon)
+            rep = _certify(ev, (s1, s2), scans, DEFAULT_EPSILON)
             worst = max(worst, rep.max_unilateral_gain_a, rep.max_unilateral_gain_b)
-            report_rows.append(dict(
-                case=case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
+            report.gain_rows.append(dict(
+                case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
                 payoff_a=rep.payoffs[0], payoff_b=rep.payoffs[1],
                 gain_a=rep.max_unilateral_gain_a, gain_b=rep.max_unilateral_gain_b,
             ))
     return worst
+
+
+def _nash_claim(report, label, worst, why="", over=""):
+    ok = worst <= DEFAULT_EPSILON
+    report.claims.append(CaseClaim(
+        label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))
 
 
 def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
@@ -261,16 +283,12 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
         for cell in _CLASSICAL_NE[game.name]:
             t1, t2 = (0.0 if cell[0] == 0 else PI), (0.0 if cell[1] == 0 else PI)
             for pairing in (Pairing.PH_PH, Pairing.AD_AD, Pairing.D_D):
-                worst = max(worst, _nash_rows(
-                    report.gain_rows, "i", pairing, game, ent,
-                    StrategyParams(t1), StrategyParams(t2), PM_GRID,
-                    space_a=CLASSICAL_SPACE, space_b=quantum_space))
-    report.claims.append(CaseClaim(
-        "nash: classical equilibria unchanged", worst <= DEFAULT_EPSILON,
-        f"worst unilateral gain over games/pairings/grid = {worst:.4f}"
-        + ("" if worst <= DEFAULT_EPSILON else
-           " (fails at extreme noise, e.g. amplitude damping at p=mu=1 "
-           "inverts the effective moves)")))
+                worst = max(worst, _nash_rows(report, pairing, game, ent,
+                                              StrategyParams(t1), StrategyParams(t2),
+                                              quantum_space))
+    _nash_claim(report, "nash: classical equilibria unchanged", worst,
+                " (fails at extreme noise, e.g. amplitude damping at p=mu=1 "
+                "inverts the effective moves)", over=" over games/pairings/grid")
 
 
 def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
@@ -303,15 +321,11 @@ def _advantage_claim(report, case_id, pairings, fig, label):
 def _case_ii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
     _advantage_claim(report, "ii-b", (Pairing.AD_AD,), FIG4,
                      "quantum advantage (bos, p=0.5)")
-    worst = _nash_rows(report.gain_rows, "ii-b", Pairing.AD_AD, _BOS,
-                       FIG4["ent"], FIG4["s1"], FIG4["s2"], PM_GRID,
-                       space_b=quantum_space)
-    report.claims.append(CaseClaim(
-        "nash: nominal profile", worst <= DEFAULT_EPSILON,
-        f"worst unilateral gain = {worst:.4f}"
-        + ("" if worst <= DEFAULT_EPSILON else
-           " (the quantum player's best response to theta1=0 is the theta2=0 "
-           "family; the nominal profile is not an equilibrium)")))
+    worst = _nash_rows(report, Pairing.AD_AD, _BOS, FIG4["ent"], FIG4["s1"],
+                       FIG4["s2"], quantum_space)
+    _nash_claim(report, "nash: nominal profile", worst,
+                " (the quantum player's best response to theta1=0 is the theta2=0 "
+                "family; the nominal profile is not an equilibrium)")
 
 
 def _case_ii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
@@ -351,16 +365,12 @@ def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
 def _case_iii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
     _advantage_claim(report, "iii-a", (Pairing.D_D,), FIG5,
                      "quantum advantage (bos, p=0.5)")
-    worst = _nash_rows(report.gain_rows, "iii-a", Pairing.D_D, _BOS,
-                       FIG5["ent"], FIG5["s1"], FIG5["s2"], PM_GRID,
-                       space_b=quantum_space)
-    report.claims.append(CaseClaim(
-        "nash: nominal profile", worst <= DEFAULT_EPSILON,
-        f"worst unilateral gain = {worst:.4f}"
-        + ("" if worst <= DEFAULT_EPSILON else
-           " (with theta1=0 and gamma=0 every interference term vanishes; "
-           "the payoffs at the profile are equal and the profile is not an "
-           "equilibrium)")))
+    worst = _nash_rows(report, Pairing.D_D, _BOS, FIG5["ent"], FIG5["s1"],
+                       FIG5["s2"], quantum_space)
+    _nash_claim(report, "nash: nominal profile", worst,
+                " (with theta1=0 and gamma=0 every interference term vanishes; "
+                "the payoffs at the profile are equal and the profile is not an "
+                "equilibrium)")
 
 
 def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
@@ -406,11 +416,8 @@ def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
         f"min Bob-Alice margin = {worst_margin:+.4f} at {where}"
         + ("" if worst_margin > 0 else
            " (zero for the AD-slotted pairings, negative for the rest)")))
-    worst = _nash_rows(report.gain_rows, "iv", Pairing.AD_AD, _BOS, ent, s1, s2,
-                       PM_GRID, space_b=quantum_space)
-    report.claims.append(CaseClaim(
-        "nash: figure profile (bos, ad-ad)", worst <= DEFAULT_EPSILON,
-        f"worst unilateral gain = {worst:.4f}"))
+    _nash_claim(report, "nash: figure profile (bos, ad-ad)",
+                _nash_rows(report, Pairing.AD_AD, _BOS, ent, s1, s2, quantum_space))
 
 
 _PD = builtin_game("pd")

@@ -41,6 +41,10 @@ class StrategyParams:
         check_range("alpha", self.alpha, -math.pi, math.pi, "[-pi, pi]")
         check_range("beta", self.beta, -math.pi, math.pi, "[-pi, pi]")
 
+    @property
+    def angles(self) -> tuple[float, float, float]:
+        return self.theta, self.alpha, self.beta
+
     @classmethod
     def classical(cls, theta: float) -> "StrategyParams":
         """A player restricted to the classical mixture axis (alpha=beta=0)."""

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import random_ent, random_entries, random_strategy
 
 from qgmem.channels import ChannelSpec
-from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, batch_weights,
-                              closed_payoff, closed_payoff_pair, dephasing_coeff,
-                              depol_coeffs, pairing_weights, payoff_surface)
+from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
+                              batch_weights, closed_payoff, closed_payoff_pair,
+                              dephasing_coeff, depol_coeffs, pairing_weights,
+                              payoff_surface)
 from qgmem.games import builtin_game, classical_expected
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams,
@@ -262,6 +263,29 @@ class TestPayoffSurface:
         for i, (a, b, c, d) in enumerate(points):
             assert (pa[i], pb[i]) == closed_payoff_pair(
                 pairing, game, ent, s1, s2, (a, b), (c, d))
+
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_precomputed_terms_bit_for_bit(self, pairing, rng):
+        # Precomputed angle terms, on open grids of either player or at one
+        # point, must give the exact bits of the call that computes them.
+        ent = random_ent(rng)
+        s1, s2 = random_strategy(rng), random_strategy(rng)
+        game = builtin_game("bos")
+        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        grid = np.meshgrid(np.linspace(0, PI, 7), np.linspace(-PI, PI, 9),
+                           np.linspace(-PI, PI, 5), indexing="ij", sparse=True)
+        one, two = (s1.theta, s1.alpha, s1.beta), (s2.theta, s2.alpha, s2.beta)
+        w = batch_weights(pairing, ent, ch1, ch2)
+        for angles in ((*grid, *two), (*one, *grid), one + two):
+            t = angle_terms(ent, *angles)
+            for e in (game.a, game.b):
+                direct = payoff_surface(pairing, e, ent, ch1, ch2, *angles)
+                cached = payoff_surface(pairing, e, ent, ch1, ch2, *angles,
+                                        weights=w, terms=t)
+                assert np.shape(cached) == np.shape(direct)
+                assert np.array_equal(cached, direct)
+        assert closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2) == tuple(
+            closed_payoff(pairing, e, ent, s1, s2, ch1, ch2) for e in (game.a, game.b))
 
     def test_channel_arrays_broadcast(self):
         p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from qgmem.closedform import Pairing
-from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, QUANTUM_SPACE,
+from conftest import random_ent, random_strategy
+
+from qgmem.closedform import Pairing, closed_payoff_pair, payoff_surface
+from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, PM_GRID, QUANTUM_SPACE,
                                CaseReport, PayoffEvaluator, StrategySpace,
-                               best_response, case_study, check_profile)
+                               _nash_rows, best_response, case_study,
+                               check_profile)
 from qgmem.games import Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
 
@@ -32,6 +36,14 @@ class TestStrategySpace:
     def test_minimum_counts(self):
         with pytest.raises(ValueError):
             StrategySpace(theta_points=1)
+
+    @pytest.mark.parametrize("space", [StrategySpace(3, 4, 5), CLASSICAL_SPACE,
+                                       QUANTUM_SPACE])
+    def test_open_mesh_broadcasts_to_dense_mesh(self, space):
+        dense = np.meshgrid(*space.axes(), indexing="ij")
+        for open_axis, full in zip(np.broadcast_arrays(*space.mesh()), dense):
+            assert open_axis.shape == full.shape
+            assert np.array_equal(open_axis, full)
 
 
 class TestBestResponse:
@@ -103,6 +115,39 @@ class TestCheckProfile:
             CLASSICAL_SPACE, QUANTUM_SPACE)
         assert report.max_unilateral_gain_a >= 0
         assert report.max_unilateral_gain_b >= 0
+
+
+class TestCertificatePath:
+    # One profile per pairing; the (p, mu) loop shares the angle terms of the
+    # profile and of both grids across all its channel points.
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_nash_rows_match_per_point_certificates(self, pairing, rng):
+        game = builtin_game("chicken")
+        ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+        space_a, space_b = StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
+        report = CaseReport("t")
+        _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
+        rows = report.gain_rows
+        assert [(r["p"], r["mu"]) for r in rows] == \
+            [(p, m) for p in PM_GRID for m in PM_GRID]
+        for r in rows:
+            ch = (r["p"], r["mu"])
+            ev = PayoffEvaluator(pairing, game, ent, ch, ch)
+            rep = check_profile(ev, (s1, s2), space_a, space_b)
+            assert (r["payoff_a"], r["payoff_b"]) == rep.payoffs
+            assert (r["gain_a"], r["gain_b"]) == \
+                (rep.max_unilateral_gain_a, rep.max_unilateral_gain_b)
+            # ... and those are the gains over the dense meshes.
+            pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+            dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
+            dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
+            best_a = payoff_surface(pairing, game.a, ent, ch, ch, *dense_a,
+                                    s2.theta, s2.alpha, s2.beta).max()
+            best_b = payoff_surface(pairing, game.b, ent, ch, ch, s1.theta,
+                                    s1.alpha, s1.beta, *dense_b).max()
+            assert rep.payoffs == (pa, pb)
+            assert rep.max_unilateral_gain_a == max(0.0, float(best_a) - pa)
+            assert rep.max_unilateral_gain_b == max(0.0, float(best_b) - pb)
 
 
 class TestCaseStudies:
