@@ -11,12 +11,11 @@ of independent ones during that crossing.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import PAULI, check_range, dagger, max_abs, tensor
+from .qmat import PAULI, check_range, dagger, max_abs, sqrt, tensor
 
 
 class ChannelKind(enum.Enum):
@@ -27,7 +26,8 @@ class ChannelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One channel crossing: noise kind, decoherence p, memory mu."""
+    """One channel crossing: noise kind, decoherence p, memory mu.  Arrays of
+    p and mu describe a batch of crossings of one kind."""
 
     kind: ChannelKind
     p: float
@@ -58,26 +58,26 @@ def _pauli_probs(kind: ChannelKind, p: float) -> dict[int, float]:
     raise ValueError(f"{kind} is not a Pauli-type channel")
 
 
-def _ad_elements(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-use amplitude-damping Kraus pair with cos(chi) = sqrt(1-p).
+def _ad_elements(p) -> np.ndarray:
+    """Single-use amplitude-damping Kraus pair with cos(chi) = sqrt(1-p),
+    shape (..., 2, 2, 2) over p.
 
     This channel damps |0> toward |1>: |01>, |10>, |11> and their mixtures
     pass undisturbed while the |0> amplitude decays.
     """
-    cos_chi = math.sqrt(1.0 - p)
-    sin_chi = math.sqrt(p)
-    a0 = np.array([[cos_chi, 0], [0, 1]], dtype=complex)
-    a1 = np.array([[0, 0], [sin_chi, 0]], dtype=complex)
-    return a0, a1
+    ops = np.zeros(np.shape(p) + (2, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0], ops[..., 0, 1, 1] = sqrt(1.0 - p), 1.0
+    ops[..., 1, 1, 0] = sqrt(p)
+    return ops
 
 
 def single_use_kraus(kind: ChannelKind, p: float) -> KrausSet:
     """Kraus operators for one qubit crossing the channel once."""
     check_range("p", p, 0.0, 1.0, "[0, 1]")
     if kind is ChannelKind.AMPLITUDE_DAMPING:
-        return KrausSet(_ad_elements(p))
+        return KrausSet(tuple(_ad_elements(p)))
     probs = _pauli_probs(kind, p)
-    return KrausSet(tuple(math.sqrt(w) * PAULI[i] for i, w in sorted(probs.items())))
+    return KrausSet(tuple(sqrt(w) * PAULI[i] for i, w in sorted(probs.items())))
 
 
 def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int], float]:
@@ -103,66 +103,61 @@ def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int]
     }
 
 
-def _correlated_ad_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The non-factorizable correlated amplitude-damping pair (4x4)."""
-    cos_chi = math.sqrt(1.0 - p)
-    sin_chi = math.sqrt(p)
-    a00 = np.diag([cos_chi, 1.0, 1.0, 1.0]).astype(complex)
-    a11 = np.zeros((4, 4), dtype=complex)
-    a11[3, 0] = sin_chi
-    return a00, a11
+# kron(P_i, P_j) for every pair of Pauli indices, shape (4, 4, 4, 4).
+_PAULI_PAIRS = tensor(np.array(PAULI)[:, None], np.array(PAULI)[None, :])
+# Operators in the uncorrelated group of each family's two-use stack.
+_UNCORRELATED = {ChannelKind.DEPHASING: 4, ChannelKind.DEPOLARIZING: 16,
+                 ChannelKind.AMPLITUDE_DAMPING: 4}
+
+
+def kraus_stack(kind: ChannelKind, p, mu) -> tuple[np.ndarray, np.ndarray]:
+    """4x4 Kraus operators of one crossing over arrays p and mu, as (scales,
+    ops): operator k is scales[..., k] * ops[..., k, :, :].  The Pauli families
+    share constant ops, shape (K, 4, 4); amplitude damping's depend on p.
+
+    Convex mixture: weight (1-mu) on tensor products of single-use elements
+    (independent errors on the two qubits), then weight mu on the correlated
+    set (identical Pauli pairs, or the joint amplitude-damping pair that damps
+    |00> to |11>).  Each scale is the square root of its operator's weight.
+    """
+    sq_unc, sq_cor = sqrt(1.0 - mu), sqrt(mu)
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        single = _ad_elements(p)
+        unc = tensor(single[..., :, None, :, :], single[..., None, :, :, :])
+        cor = np.zeros(np.shape(p) + (2, 4, 4), dtype=complex)
+        cor[..., 0, :, :] = np.eye(4)
+        cor[..., 0, 0, 0], cor[..., 1, 3, 0] = single[..., 0, 0, 0], single[..., 1, 1, 0]
+        ops = np.concatenate([unc.reshape(*unc.shape[:-4], 4, 4, 4), cor], axis=-3)
+        scales = [sq_unc] * 4 + [sq_cor] * 2
+    else:
+        probs = sorted(_pauli_probs(kind, p).items())
+        idx = [i for i, _ in probs]
+        # The correlated sum must run over the channel's full error index
+        # set; anything less is not trace-preserving.
+        ops = np.concatenate([_PAULI_PAIRS[np.ix_(idx, idx)].reshape(-1, 4, 4),
+                              _PAULI_PAIRS[idx, idx]])
+        scales = [sq_unc * sqrt(pi * pj) for _, pi in probs for _, pj in probs] \
+            + [sq_cor * sqrt(pi) for _, pi in probs]
+    return np.stack(np.broadcast_arrays(*scales), axis=-1), ops
 
 
 def two_use_kraus(spec: ChannelSpec) -> KrausSet:
-    """4x4 Kraus family for one crossing of the two-qubit state.
-
-    Convex mixture: weight (1-mu) on tensor products of single-use elements
-    (independent errors on the two qubits), weight mu on the correlated set
-    (identical Pauli pairs, or the joint amplitude-damping pair).  Operators
-    with zero scale are dropped.
-    """
-    ops: list[np.ndarray] = []
-    sq_unc = math.sqrt(1.0 - spec.mu)
-    sq_cor = math.sqrt(spec.mu)
-
-    if spec.kind is ChannelKind.AMPLITUDE_DAMPING:
-        singles = _ad_elements(spec.p)
-        if sq_unc > 0.0:
-            ops.extend(sq_unc * tensor(a, b) for a in singles for b in singles)
-        if sq_cor > 0.0:
-            ops.extend(sq_cor * k for k in _correlated_ad_pair(spec.p))
-        return KrausSet(tuple(ops))
-
-    probs = _pauli_probs(spec.kind, spec.p)
-    if sq_unc > 0.0:
-        ops.extend(
-            sq_unc * math.sqrt(pi * pj) * tensor(PAULI[i], PAULI[j])
-            for i, pi in sorted(probs.items())
-            for j, pj in sorted(probs.items())
-        )
-    if sq_cor > 0.0:
-        # The correlated sum must run over the channel's full error index
-        # set; anything less is not trace-preserving.
-        ops.extend(
-            sq_cor * math.sqrt(pi) * tensor(PAULI[i], PAULI[i])
-            for i, pi in sorted(probs.items())
-        )
-    return KrausSet(tuple(ops))
+    """``kraus_stack`` at one channel point, with the operators of a group
+    whose weight is zero dropped."""
+    scales, ops = kraus_stack(spec.kind, spec.p, spec.mu)
+    ops = scales[..., None, None] * ops
+    n = _UNCORRELATED[spec.kind]
+    groups = ((ops[:n], spec.mu < 1.0), (ops[n:], spec.mu > 0.0))
+    return KrausSet(tuple(op for group, weighted in groups if weighted for op in group))
 
 
 def verify_completeness(ks: KrausSet, tol: float = 1e-12) -> tuple[bool, float]:
     """Check sum_k K^dag K = I; returns (ok, max entrywise deviation)."""
-    dim = ks.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in ks.operators:
-        acc += dagger(k) @ k
-    deviation = max_abs(acc - np.eye(dim))
+    acc = sum(dagger(k) @ k for k in ks.operators)
+    deviation = max_abs(acc - np.eye(ks.dim))
     return deviation <= tol, deviation
 
 
 def apply_channel(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Operator-sum action sum_k K rho K^dag."""
-    out = np.zeros_like(rho, dtype=complex)
-    for k in ks.operators:
-        out += k @ rho @ dagger(k)
-    return out
+    return sum(k @ rho @ dagger(k) for k in ks.operators)

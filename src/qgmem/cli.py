@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closedform import (Pairing, batch_weights, closed_payoff, closed_payoff_pair,
-                         payoff_surface)
+from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
 from .equilibrium import CASE_IDS, QUANTUM_SPACE, StrategySpace, case_study
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
@@ -31,6 +30,9 @@ CSV_HEADER = ("game,pairing,p1,mu1,p2,mu2,gamma,delta,"
 GAIN_HEADER = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
 
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
+
+ANGLES = ("gamma", "delta", "theta1", "alpha1", "beta1", "theta2", "alpha2", "beta2")
+ANGLE_FLAGS = {f"--{name}" for name in ANGLES}
 
 
 def parse_angle(text: str) -> float:
@@ -93,37 +95,46 @@ def cmd_payoff(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
+VERIFY_BLOCK = 128  # samples evaluated per array call
+# Bounds of a verify tuple's 16 draws: entries, gamma, delta, angles, (mu, p) x 2.
+_DRAW_LO, _DRAW_HI = np.array(
+    [(-2.0, 5.0)] * 4 + [(0.0, math.pi / 2)] * 2
+    + [(0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi)] * 2 + [(0.0, 1.0)] * 4).T
+
+
+def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
+    """The ``verify`` tuples, VERIFY_BLOCK at a time, as (16, n) arrays with
+    rows e00, e01, e10, e11, gamma, delta, theta1 .. beta2, p1, mu1, p2, mu2.
+    Each draw is lo + (hi - lo) * random(), as in ``random.uniform``; the
+    Mersenne Twister stream is stable across Python versions for a fixed
+    integer seed.  ``mu_zero`` zeroes amplitude-damping memories once drawn."""
+    rng = random.Random(seed)
+    for start in range(0, samples, VERIFY_BLOCK):
+        n = min(VERIFY_BLOCK, samples - start)
+        u = np.array([rng.random() for _ in range(16 * n)]).reshape(n, 16)
+        cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[[*range(12), 13, 12, 15, 14]]
+        for row, kind in ((13, pairing.first), (15, pairing.second)):
+            if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
+                cols[row] = 0.0
+        yield cols
+
+
 def cmd_verify(args) -> int:
     pairing = Pairing.from_string(args.pairing)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    # Deterministic tuples from the stdlib Mersenne Twister; random() streams
-    # are stable across Python versions for a fixed integer seed.
-    rng = random.Random(args.seed)
     worst = 0.0
-    for _ in range(args.samples):
-        entries = tuple(rng.uniform(-2.0, 5.0) for _ in range(4))
-        ent = EntanglementParams(rng.uniform(0, math.pi / 2),
-                                 rng.uniform(0, math.pi / 2))
-        s1 = StrategyParams(rng.uniform(0, math.pi),
-                            rng.uniform(-math.pi, math.pi),
-                            rng.uniform(-math.pi, math.pi))
-        s2 = StrategyParams(rng.uniform(0, math.pi),
-                            rng.uniform(-math.pi, math.pi),
-                            rng.uniform(-math.pi, math.pi))
-        cps = []
-        for kind in (pairing.first, pairing.second):
-            mu = rng.random()
-            if args.mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
-                mu = 0.0
-            cps.append((rng.random(), mu))
-        (p1, m1), (p2, m2) = cps
-        closed = closed_payoff(pairing, entries, ent, s1, s2, (p1, m1), (p2, m2))
-        rho = two_pass_state(ent, s1, s2,
-                             ChannelSpec(pairing.first, p1, m1),
-                             ChannelSpec(pairing.second, p2, m2))
+    for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
+        entries, ent = cols[:4], EntanglementParams(*cols[4:6])
+        s1, s2, ch1, ch2 = cols[6:9], cols[9:12], tuple(cols[12:14]), tuple(cols[14:])
+        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1, *s2,
+                                weights=batch_weights(pairing, ent, ch1, ch2))
+        rho = two_pass_state(ent, StrategyParams(*s1), StrategyParams(*s2),
+                             ChannelSpec(pairing.first, *ch1),
+                             ChannelSpec(pairing.second, *ch2))
         simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
-        worst = max(worst, abs(closed - simulated))
+        # np.max keeps a NaN difference, which then fails the tolerance.
+        worst = float(np.max(np.abs(closed - simulated), initial=worst))
     print(f"pairing={pairing.value} samples={args.samples} seed={args.seed} "
           f"max_abs_diff={worst:.3e} tol={args.tol:.3e}")
     return 0 if worst <= args.tol else VERIFY_FAIL
@@ -179,8 +190,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         game = builtin_game(values["game"])
     cfg = SweepConfig(game=game, pairing=Pairing.from_string(values["pairing"]))
 
-    angle_keys = {"gamma", "delta", "theta1", "alpha1", "beta1",
-                  "theta2", "alpha2", "beta2"}
     for key, val in values.items():
         if key in ("game", "pairing"):
             continue
@@ -199,7 +208,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             cfg.axes.append((axis, grid))
         elif key == "output":
             cfg.output = val
-        elif key in angle_keys:
+        elif key in ANGLES:
             setattr(cfg, key, parse_angle(val))
         elif key in ("p1", "mu1", "p2", "mu2"):
             setattr(cfg, key, float(val))
@@ -329,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pay = sub.add_parser("payoff", help="closed-form payoff at one point")
     pay.add_argument("--game", required=True, choices=("pd", "bos", "chicken"))
     pay.add_argument("--pairing", required=True)
-    for name in ("gamma", "delta", "theta1", "alpha1", "beta1",
-                 "theta2", "alpha2", "beta2"):
+    for name in ANGLES:
         required = name in ("gamma", "delta", "theta1", "theta2")
         pay.add_argument(f"--{name}", type=parse_angle,
                          required=required, default=0.0)
@@ -364,10 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def attach_angle_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha2 -pi/2`` as ``--alpha2=-pi/2``: argparse takes a
+    separate token that starts with '-' and is not a plain number for an
+    option, so a negative angle literal would lose its flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ANGLE_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            attach_angle_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

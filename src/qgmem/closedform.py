@@ -19,7 +19,9 @@ parameters and the entanglement angles; ``batch_weights`` builds them per
 pairing.  Each factor follows a single rule: the delta-interference terms
 carry channel 2's coherence factor times channel 1's population factor, and
 the gamma terms mirror that with the channel roles reflected.  Coefficients
-and weights broadcast over arrays of p and mu, bit for bit as at float points.
+and weights broadcast over arrays of p and mu, bit for bit as at float points,
+and over arrays of gamma and delta (to within rounding: floats take libm's
+trigonometry, arrays numpy's).
 The other factors (the sector products and the trigonometric terms) do not
 depend on the channels; ``angle_terms`` builds them once for many channel points.
 
@@ -32,7 +34,6 @@ machine precision).
 from __future__ import annotations
 
 import enum
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +43,7 @@ import numpy as np
 from .channels import ChannelKind
 from .games import Bimatrix
 from .protocol import EntanglementParams, StrategyParams
-from .qmat import check_range
+from .qmat import check_range, cos, sin, sqrt
 
 
 class Pairing(enum.Enum):
@@ -93,10 +94,6 @@ def _check_pm(p, mu) -> None:
     check_range("mu", mu, 0.0, 1.0, "[0, 1]")
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _square(x):
     """x**2 rounded as for a float (libm pow) also on arrays, where numpy's
     x*x differs in the last bit for about 0.1% of inputs."""
@@ -129,7 +126,7 @@ def ad_coeffs(p: float, mu: float) -> AdCoeffs:
     return AdCoeffs(
         chi00=_square(1 - p) + mu * (1 - p) * p,
         chi11=_square(p) + mu * (1 - p) * p,
-        chi10=(1 - mu) * (1 - p) + mu * _sqrt(1 - p),
+        chi10=(1 - mu) * (1 - p) + mu * sqrt(1 - p),
         chi01=(1 - mu) * (1 - p) * p,
         chi_a=(1 - mu) * p,
         chi_b=(1 - p) + mu * p,
@@ -417,9 +414,10 @@ def batch_weights(
     ch2: tuple[float, float],
 ) -> PairingWeights:
     """Build the sector weights for one pairing.  The p and mu in ``ch1`` and
-    ``ch2`` may be arrays; they broadcast, and so does every weight."""
-    cg, sg = math.cos(ent.gamma / 2) ** 2, math.sin(ent.gamma / 2) ** 2
-    cd, sd = math.cos(ent.delta / 2) ** 2, math.sin(ent.delta / 2) ** 2
+    ``ch2``, and gamma and delta, may be arrays; they broadcast, and so does
+    every weight."""
+    cg, sg = cos(ent.gamma / 2) ** 2, sin(ent.gamma / 2) ** 2
+    cd, sd = cos(ent.delta / 2) ** 2, sin(ent.delta / 2) ** 2
 
     def coeff(kind: ChannelKind, pm: tuple[float, float], slot: int):
         p, mu = pm
@@ -476,8 +474,8 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
         cc, ss, sc, cs,
         cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
         sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
-        0.25 * n * math.sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
-        0.25 * n * math.sin(ent.delta),
+        0.25 * n * sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
+        0.25 * n * sin(ent.delta),
         np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2),
     )
 
@@ -492,7 +490,9 @@ def payoff_surface(
     weights: PairingWeights | None = None,
     terms: AngleTerms | None = None,
 ):
-    """Closed-form payoff, broadcasting over numpy arrays of strategy angles.
+    """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
+    of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
+    array.
 
     ``weights`` and ``terms``, if given, are ``batch_weights(pairing, ent, ch1,
     ch2)`` and ``angle_terms(ent, theta1, ..., beta2)``, shared between calls.
@@ -501,11 +501,12 @@ def payoff_surface(
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    e00, e01, e10, e11 = (float(x) for x in entries)
+    e00, e01, e10, e11 = (entries if isinstance(entries, np.ndarray)
+                          else map(float, entries))
     w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
     t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2) \
         if terms is None else terms
-    xi = 0.5 * math.sin(ent.delta) * math.sin(ent.gamma)
+    xi = 0.5 * sin(ent.delta) * sin(ent.gamma)
 
     def sector(weights: Sector):
         w00, w11, w01, w10 = weights

@@ -9,6 +9,9 @@ Conventions (fixed package-wide):
   ($_00, $_01, $_10, $_11);
 * angles are radians; gamma and delta live in [0, pi/2], theta in [0, pi],
   alpha and beta in [-pi, pi].
+
+Parameters may be arrays of matching shapes; states, unitaries and operators
+then come as stacks, shape (..., 4, 4) or (..., 2, 2).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import check_range, dagger, mat_trace
+from .qmat import check_range, cos, dagger, sin
 
 _IMAG_RESIDUE_TOL = 1e-10
 
@@ -67,28 +70,26 @@ class EntanglementParams:
 def initial_state(gamma: float) -> np.ndarray:
     """Arbiter's initial state cos(gamma/2)|00> + i sin(gamma/2)|11>."""
     check_range("gamma", gamma, 0.0, math.pi / 2, "[0, pi/2]")
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = math.cos(gamma / 2)
-    psi[3] = 1j * math.sin(gamma / 2)
+    psi = np.zeros(np.shape(gamma) + (4,), dtype=complex)
+    psi[..., 0] = cos(gamma / 2)
+    psi[..., 3] = 1j * sin(gamma / 2)
     return psi
 
 
 def initial_density(gamma: float) -> np.ndarray:
     psi = initial_state(gamma)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def strategy_unitary(s: StrategyParams) -> np.ndarray:
     """2x2 unitary for one player's move, global phase taken literally."""
-    c = math.cos(s.theta / 2)
-    t = math.sin(s.theta / 2)
-    return np.array(
-        [
-            [c * np.exp(1j * s.alpha), t * np.exp(1j * (math.pi / 2 + s.beta))],
-            [t * np.exp(1j * (math.pi / 2 - s.beta)), c * np.exp(-1j * s.alpha)],
-        ],
-        dtype=complex,
-    )
+    c, t = cos(s.theta / 2), sin(s.theta / 2)
+    u = np.empty(np.broadcast_shapes(*map(np.shape, s.angles)) + (2, 2), dtype=complex)
+    u[..., 0, 0] = c * np.exp(1j * s.alpha)
+    u[..., 0, 1] = t * np.exp(1j * (math.pi / 2 + s.beta))
+    u[..., 1, 0] = t * np.exp(1j * (math.pi / 2 - s.beta))
+    u[..., 1, 1] = c * np.exp(-1j * s.alpha)
+    return u
 
 
 def measurement_basis(delta: float) -> np.ndarray:
@@ -98,17 +99,8 @@ def measurement_basis(delta: float) -> np.ndarray:
     |v_01> = cos(d/2)|01> - i sin(d/2)|10>     |v_10> = cos(d/2)|10> - i sin(d/2)|01>
     """
     check_range("delta", delta, 0.0, math.pi / 2, "[0, pi/2]")
-    c = math.cos(delta / 2)
-    s = math.sin(delta / 2)
-    return np.array(
-        [
-            [c, 0, 0, 1j * s],
-            [0, c, -1j * s, 0],
-            [0, -1j * s, c, 0],
-            [1j * s, 0, 0, c],
-        ],
-        dtype=complex,
-    )
+    return np.multiply.outer(cos(delta / 2), np.eye(4)) + np.multiply.outer(
+        1j * sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
 
 
 def payoff_projectors(delta: float) -> list[np.ndarray]:
@@ -116,23 +108,21 @@ def payoff_projectors(delta: float) -> list[np.ndarray]:
 
     They are mutually orthogonal and sum to the identity for every delta.
     """
-    basis = measurement_basis(delta)
-    return [np.outer(v, v.conj()) for v in basis]
+    return [v[..., :, None] * v.conj()[..., None, :]
+            for v in np.moveaxis(measurement_basis(delta), -2, 0)]
 
 
 def payoff_operator(delta: float, entries: Sequence[float]) -> np.ndarray:
     """Hermitian observable sum_ij $_ij |v_ij><v_ij| for one player.
 
-    ``entries`` is the player's payoff column ($_00, $_01, $_10, $_11); the
-    operator's eigenvalues are exactly these four numbers.
+    ``entries`` is the player's payoff column ($_00, $_01, $_10, $_11), four
+    floats or four arrays; the operator's eigenvalues are exactly these
+    four numbers.
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    projectors = payoff_projectors(delta)
-    out = np.zeros((4, 4), dtype=complex)
-    for value, proj in zip(entries, projectors):
-        out += value * proj
-    return out
+    return sum(np.asarray(value)[..., None, None] * proj
+               for value, proj in zip(entries, payoff_projectors(delta)))
 
 
 def noiseless_final_state(
@@ -144,16 +134,17 @@ def noiseless_final_state(
 
 
 def measure_payoff(payoff_op: np.ndarray, rho: np.ndarray) -> float:
-    """Tr(P rho) as a real payoff.
+    """Tr(P rho) as a real payoff (an array of them over stacks of P and rho).
 
     The trace of a Hermitian observable against a density matrix is real up
     to round-off; an imaginary residue beyond 1e-10 signals an invalid input
     and raises instead of being silently discarded.
     """
-    value = mat_trace(payoff_op @ rho)
-    if abs(value.imag) > _IMAG_RESIDUE_TOL:
+    value = np.trace(payoff_op @ rho, axis1=-2, axis2=-1)
+    residue = np.max(np.abs(value.imag))
+    if residue > _IMAG_RESIDUE_TOL:
         raise ArithmeticError(
-            f"payoff trace has imaginary residue {value.imag:.3e}; "
+            f"payoff trace has imaginary residue {residue:.3e}; "
             "inputs are not a Hermitian observable and a density matrix"
         )
-    return value.real
+    return value.real if value.ndim else float(value.real)

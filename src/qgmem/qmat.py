@@ -3,10 +3,13 @@
 Everything in this package carries states, unitaries, Kraus elements and
 observables as plain ``numpy`` arrays of dtype ``complex128``, row-major,
 with the two-qubit basis ordered |00>, |01>, |10>, |11>.  The helpers here
-are written for any dimension but are only exercised at dims 2 and 4.
+are written for any dimension but are only exercised at dims 2 and 4; they
+act on the last two axes, so they also take stacks of matrices.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,18 +22,28 @@ PAULI = (
 )
 
 SIGMA_X = PAULI[1]
-SIGMA_Y = PAULI[2]
 SIGMA_Z = PAULI[3]
+
+
+def _float_or_array(name: str):
+    """``math.<name>`` on a float, which keeps libm's bits, numpy's on an ndarray."""
+    np_fn, math_fn = getattr(np, name), getattr(math, name)
+    return lambda x: np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
+
+
+sqrt, cos, sin = (_float_or_array(name) for name in ("sqrt", "cos", "sin"))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the slow (left) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def mat_trace(a: np.ndarray) -> complex:

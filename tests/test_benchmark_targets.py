@@ -1,0 +1,51 @@
+"""The benchmark's hooks into the package still resolve.
+
+``benchmark/tracing.py`` wraps the functions named in its ``LAYERS`` table,
+and the benchmark's modules import names from ``qgmem``; a refactor that
+renames or removes one of them crashes the traced run and the benchmark's
+self-test.  The benchmark files are only parsed here, never imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def _layers() -> dict:
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmark/tracing.py has no LAYERS table")
+
+
+def _qgmem_imports():
+    """(file, module, name) of every ``from qgmem... import name`` in benchmark/."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qgmem"):
+                yield from ((path.name, node.module, a.name) for a in node.names)
+
+
+@pytest.mark.parametrize("target", sorted({t for targets, _ in _layers().values()
+                                           for t in targets}))
+def test_tracer_target_resolves(target):
+    # "module:function" or "module:Class.method"; methods are read from the
+    # class __dict__, as the tracer rebinds them.
+    modname, _, attr = target.partition(":")
+    owner = importlib.import_module(modname)
+    *classes, name = attr.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls)
+    assert callable(owner.__dict__[name] if classes else getattr(owner, name)), target
+
+
+@pytest.mark.parametrize("where,module,name", list(_qgmem_imports()))
+def test_benchmark_import_resolves(where, module, name):
+    owner = importlib.import_module(module)
+    assert hasattr(owner, name) or importlib.import_module(f"{module}.{name}"), where

@@ -1,9 +1,13 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
-from qgmem.cli import (CSV_HEADER, main, parse_angle, parse_sweep_config,
-                       run_sweep)
+from qgmem.channels import ChannelKind
+from qgmem.cli import (CSV_HEADER, VERIFY_BLOCK, main, parse_angle,
+                       parse_sweep_config, run_sweep, verify_blocks)
+from qgmem.closedform import Pairing
 
 
 def run(args):
@@ -67,6 +71,25 @@ class TestPayoffCommand:
     def test_missing_flag_is_usage_error(self):
         assert run(["payoff", "--game", "pd"]) == 2
 
+    PAYOFF = ["payoff", "--game", "chicken", "--pairing", "d-ad", "--gamma", "pi/3",
+              "--delta", "pi/5", "--theta1", "pi/4", "--theta2", "pi/2", "--p1", "0.3",
+              "--mu1", "0.2", "--p2", "0.6", "--mu2", "0.5"]
+
+    def test_negative_literal_after_its_flag(self, capsys):
+        # argparse reads a separate "-pi/2" as an option; it must still be
+        # taken as the value of the angle flag before it.
+        outs = []
+        for extra in (["--alpha2", "-pi/2", "--beta1", "-0.25"],
+                      ["--alpha2=-pi/2", "--beta1=-0.25"],
+                      ["--alpha2", "pi/2", "--beta1", "-0.25"]):
+            assert run(self.PAYOFF + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_flag_without_value_is_still_usage_error(self, capsys):
+        assert run(self.PAYOFF + ["--alpha2", "--beta1", "0"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("pairing", ["ph-ph", "d-d", "ad-ad", "ph-d"])
@@ -98,6 +121,37 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         run(["verify", "--pairing", "d-ph", "--samples", "25", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+    @staticmethod
+    def per_sample_draws(pairing, samples, seed, mu_zero):
+        """The tuples as verify drew them one sample at a time, in the order
+        of the rows of ``verify_blocks``."""
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(samples):
+            entries = [rng.uniform(-2.0, 5.0) for _ in range(4)]
+            ent = [rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 2)]
+            s1 = [rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
+                  rng.uniform(-math.pi, math.pi)]
+            s2 = [rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
+                  rng.uniform(-math.pi, math.pi)]
+            cps = []
+            for kind in (pairing.first, pairing.second):
+                mu = rng.random()
+                if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
+                    mu = 0.0
+                cps += [rng.random(), mu]
+            rows.append(entries + ent + s1 + s2 + cps)
+        return np.array(rows).T
+
+    @pytest.mark.parametrize("pairing", ["ad-d", "ph-ad", "d-ph"])
+    @pytest.mark.parametrize("mu_zero", [False, True])
+    def test_draw_order_of_per_sample_loop(self, pairing, mu_zero):
+        pairing = Pairing.from_string(pairing)
+        blocks = list(verify_blocks(pairing, 2 * VERIFY_BLOCK + 7, 11, mu_zero))
+        assert [b.shape for b in blocks] == [(16, VERIFY_BLOCK)] * 2 + [(16, 7)]
+        want = self.per_sample_draws(pairing, 2 * VERIFY_BLOCK + 7, 11, mu_zero)
+        assert np.array_equal(np.concatenate(blocks, axis=1), want)
 
     @pytest.mark.parametrize("pairing,seed", [("ph-ph", 42), ("d-d", 7)])
     def test_full_scale_runs(self, pairing, seed):

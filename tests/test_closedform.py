@@ -287,6 +287,29 @@ class TestPayoffSurface:
         assert closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2) == tuple(
             closed_payoff(pairing, e, ent, s1, s2, ch1, ch2) for e in (game.a, game.b))
 
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_sample_arrays_match_float_calls(self, pairing, rng):
+        # One call over per-sample gamma, delta, channels, angles and a
+        # (4, N) entry array, as verify makes it, against one float call per
+        # sample; arrays take numpy's trigonometry, floats libm's.
+        n = 80
+        cols = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in
+                [(-2.0, 5.0)] * 4 + [(0.0, PI / 2)] * 2
+                + [(0.0, PI), (-PI, PI), (-PI, PI)] * 2 + [(0.0, 1.0)] * 4]
+        cols[4][:3], cols[5][:3] = [0.0, PI / 2, PI / 2], [PI / 2, 0.0, PI / 2]
+        cols = np.array(cols)
+        entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
+        ch1, ch2 = (cols[12], cols[13]), (cols[14], cols[15])
+        got = payoff_surface(pairing, entries, ent, ch1, ch2, *cols[6:12])
+        cached = payoff_surface(pairing, entries, ent, ch1, ch2, *cols[6:12],
+                                weights=batch_weights(pairing, ent, ch1, ch2))
+        assert np.array_equal(got, cached)
+        want = [payoff_surface(pairing, tuple(c[:4]), EntanglementParams(c[4], c[5]),
+                               (c[12], c[13]), (c[14], c[15]), *c[6:12])
+                for c in cols.T.tolist()]
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_channel_arrays_broadcast(self):
         p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)
         mu = np.array([0.2, 0.9])

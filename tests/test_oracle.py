@@ -1,17 +1,21 @@
+import ast
+import itertools
 import math
-import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_ent, random_strategy
 
-from qgmem.channels import ChannelKind, ChannelSpec
-from qgmem.closedform import dephasing_coeff
+import qgmem
+from qgmem.channels import ChannelKind, ChannelSpec, apply_channel, two_use_kraus
+from qgmem.closedform import Pairing, dephasing_coeff
 from qgmem.games import Bimatrix, builtin_game
-from qgmem.oracle import GameConfig, oracle_payoffs, two_pass_state
-from qgmem.protocol import (EntanglementParams, StrategyParams,
-                            initial_density, noiseless_final_state)
+from qgmem.oracle import GameConfig, liouville, oracle_payoffs, two_pass_state
+from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
+                            measure_payoff, noiseless_final_state,
+                            payoff_operator, strategy_unitary)
 from qgmem.qmat import is_density, mat_trace
 
 PI = math.pi
@@ -124,3 +128,106 @@ class TestOraclePayoffs:
             values.append(oracle_payoffs(cfg))
         for v in values[1:]:
             assert v == pytest.approx(values[0], abs=1e-12)
+
+
+def operator_sum_state(ent, s1, s2, ch1, ch2):
+    """The operator-sum route: each crossing as sum_k K rho K^dag over the
+    Kraus operators of ``two_use_kraus``, one round at a time."""
+    rho = apply_channel(two_use_kraus(ch1), initial_density(ent.gamma))
+    u = np.kron(strategy_unitary(s1), strategy_unitary(s2))
+    return apply_channel(two_use_kraus(ch2), u @ rho @ u.conj().T)
+
+
+BOUNDS = {"gamma": (0.0, PI / 2), "delta": (0.0, PI / 2), "theta": (0.0, PI),
+          "phase": (-PI, PI)}
+ANGLES = ("gamma", "delta") + ("theta", "phase", "phase") * 2
+
+
+def _rounds(pairing, rng):
+    """Columns (entries x4, gamma, delta, theta1, alpha1, beta1, theta2,
+    alpha2, beta2, p1, mu1, p2, mu2) of the rounds to check: every corner of
+    (p1, mu1, p2, mu2) in {0, 1} with each angle at an end of its domain,
+    angles at their ends with random channels, random interior points, and
+    amplitude-damping slots at mu = 0."""
+    def row(channels, at_ends):
+        angles = [rng.choice(BOUNDS[k]) if at_ends else rng.uniform(*BOUNDS[k])
+                  for k in ANGLES]
+        return [rng.uniform(-2, 5) for _ in range(4)] + angles + list(channels)
+
+    def channels(ad_mu=None):
+        (p1, mu1), (p2, mu2) = [(rng.random(), rng.random()) for _ in range(2)]
+        if ad_mu is not None and pairing.first is ChannelKind.AMPLITUDE_DAMPING:
+            mu1 = ad_mu
+        if ad_mu is not None and pairing.second is ChannelKind.AMPLITUDE_DAMPING:
+            mu2 = ad_mu
+        return p1, mu1, p2, mu2
+
+    rows = [row(corner, True) for corner in itertools.product((0.0, 1.0), repeat=4)]
+    rows += [row(channels(), True) for _ in range(8)]
+    rows += [row(channels(), False) for _ in range(20)]
+    rows += [row(channels(ad_mu=0.0), False) for _ in range(10)]
+    return np.array(rows).T
+
+
+class TestLiouvilleOracle:
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_matches_operator_sum_route(self, pairing, rng):
+        cols = _rounds(pairing, rng)
+        entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
+        s1, s2 = StrategyParams(*cols[6:9]), StrategyParams(*cols[9:12])
+        ch1 = ChannelSpec(pairing.first, cols[12], cols[13])
+        ch2 = ChannelSpec(pairing.second, cols[14], cols[15])
+        rho = two_pass_state(ent, s1, s2, ch1, ch2)
+        payoffs = measure_payoff(payoff_operator(ent.delta, entries), rho)
+        assert rho.shape == (cols.shape[1], 4, 4)
+        for i, c in enumerate(cols.T.tolist()):
+            one = EntanglementParams(c[4], c[5])
+            want = operator_sum_state(
+                one, StrategyParams(*c[6:9]), StrategyParams(*c[9:12]),
+                ChannelSpec(pairing.first, c[12], c[13]),
+                ChannelSpec(pairing.second, c[14], c[15]))
+            assert np.max(np.abs(rho[i] - want)) <= 1e-12
+            assert abs(payoffs[i] - measure_payoff(
+                payoff_operator(one.delta, c[:4]), want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_choi_matrix_is_cptp(self, kind):
+        # Choi matrix sum_k vec(K) vec(K)^dag, indexed [(a, c), (b, d)], is the
+        # Liouville matrix [(a, b), (c, d)] reshuffled.  Positive semidefinite
+        # means completely positive; tracing out the output index a gives the
+        # identity exactly when the map preserves the trace.
+        grid = np.linspace(0.0, 1.0, 11)
+        p, mu = np.meshgrid(grid, grid, indexing="ij")
+        lv = liouville(ChannelSpec(kind, p, mu))
+        assert lv.shape == (11, 11, 16, 16)
+        choi = lv.reshape(11, 11, 4, 4, 4, 4).swapaxes(-3, -2)
+        assert np.linalg.eigvalsh(choi.reshape(11, 11, 16, 16)).min() >= -1e-12
+        assert np.max(np.abs(np.einsum("...acad->...cd", choi) - np.eye(4))) <= 1e-12
+
+
+SRC = Path(qgmem.__file__).parent
+
+
+def _imports(path: Path) -> set[str]:
+    """Names of the qgmem modules that ``path`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("qgmem.") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("qgmem.").removeprefix("qgmem")
+            found |= {module} if module else {a.name for a in node.names}
+    return {name for name in found if (SRC / f"{name}.py").exists()}
+
+
+def test_oracle_never_imports_closedform():
+    # The oracle is the independent route to every payoff: neither it nor any
+    # qgmem module it reaches may import the closed form.
+    seen, todo = set(), ["oracle", "channels"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += _imports(SRC / f"{name}.py")
+    assert "closedform" not in seen, sorted(seen)
+    assert {"protocol", "qmat", "games"} <= seen
