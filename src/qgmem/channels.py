@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import PAULI, check_range, dagger, max_abs, sqrt, tensor
+from .qmat import PAULI, check_range, dagger, max_abs, tensor
 
 
 class ChannelKind(enum.Enum):
@@ -66,8 +66,8 @@ def _ad_elements(p) -> np.ndarray:
     pass undisturbed while the |0> amplitude decays.
     """
     ops = np.zeros(np.shape(p) + (2, 2, 2), dtype=complex)
-    ops[..., 0, 0, 0], ops[..., 0, 1, 1] = sqrt(1.0 - p), 1.0
-    ops[..., 1, 1, 0] = sqrt(p)
+    ops[..., 0, 0, 0], ops[..., 0, 1, 1] = np.sqrt(1.0 - p), 1.0
+    ops[..., 1, 1, 0] = np.sqrt(p)
     return ops
 
 
@@ -77,7 +77,7 @@ def single_use_kraus(kind: ChannelKind, p: float) -> KrausSet:
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         return KrausSet(tuple(_ad_elements(p)))
     probs = _pauli_probs(kind, p)
-    return KrausSet(tuple(sqrt(w) * PAULI[i] for i, w in sorted(probs.items())))
+    return KrausSet(tuple(np.sqrt(w) * PAULI[i] for i, w in sorted(probs.items())))
 
 
 def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int], float]:
@@ -120,7 +120,7 @@ def kraus_stack(kind: ChannelKind, p, mu) -> tuple[np.ndarray, np.ndarray]:
     set (identical Pauli pairs, or the joint amplitude-damping pair that damps
     |00> to |11>).  Each scale is the square root of its operator's weight.
     """
-    sq_unc, sq_cor = sqrt(1.0 - mu), sqrt(mu)
+    sq_unc, sq_cor = np.sqrt(1.0 - mu), np.sqrt(mu)
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         single = _ad_elements(p)
         unc = tensor(single[..., :, None, :, :], single[..., None, :, :, :])
@@ -136,8 +136,8 @@ def kraus_stack(kind: ChannelKind, p, mu) -> tuple[np.ndarray, np.ndarray]:
         # set; anything less is not trace-preserving.
         ops = np.concatenate([_PAULI_PAIRS[np.ix_(idx, idx)].reshape(-1, 4, 4),
                               _PAULI_PAIRS[idx, idx]])
-        scales = [sq_unc * sqrt(pi * pj) for _, pi in probs for _, pj in probs] \
-            + [sq_cor * sqrt(pi) for _, pi in probs]
+        scales = [sq_unc * np.sqrt(pi * pj) for _, pi in probs for _, pj in probs] \
+            + [sq_cor * np.sqrt(pi) for _, pi in probs]
     return np.stack(np.broadcast_arrays(*scales), axis=-1), ops
 
 

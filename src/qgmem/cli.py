@@ -9,6 +9,7 @@ files are byte-identical across runs for the same inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
 from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
-from .equilibrium import CASE_IDS, QUANTUM_SPACE, StrategySpace, case_study
+from .equilibrium import CASE_IDS, FIGURES, QUANTUM_SPACE, StrategySpace, case_study
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -255,37 +256,13 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # figure
 # --------------------------------------------------------------------------
-PI = math.pi
-
-# One entry per figure: entanglement, strategies, and the curve groups
-# (game, pairing, p) in plotting order; mu is swept 0..1 in 101 steps.
-FIGURES = {
-    2: dict(ent=(0.0, 0.0), s1=(0.0, 0.0, 0.0), s2=(PI / 2, PI / 2, 0.0),
-            groups=[(g, "ad-ad", p) for g in ("pd", "bos", "chicken")
-                    for p in (0.8, 0.2)]),
-    3: dict(ent=(PI / 2, 0.0), s1=(PI / 2, 0.0, 0.0), s2=(PI / 2, PI / 2, 0.0),
-            groups=[(g, "ad-ad", p) for g in ("pd", "chicken")
-                    for p in (0.8, 0.2)]),
-    4: dict(ent=(PI / 2, 0.0), s1=(0.0, 0.0, 0.0), s2=(PI / 2, PI / 2, 0.0),
-            groups=[("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
-    5: dict(ent=(0.0, PI / 2), s1=(0.0, 0.0, 0.0), s2=(PI / 2, 0.0, PI / 2),
-            groups=[("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
-    6: dict(ent=(PI / 2, PI / 2), s1=(0.0, 0.0, 0.0), s2=(PI / 2, PI / 2, 0.0),
-            groups=[(g, "ad-ad", 0.5) for g in ("pd", "bos", "chicken")]),
-    7: dict(ent=(PI / 2, PI / 2), s1=(0.0, 0.0, 0.0), s2=(PI / 2, PI / 2, 0.0),
-            groups=[(g, "d-d", 0.5) for g in ("pd", "bos", "chicken")]),
-}
-
 FIGURE_MU_STEPS = 101
 
 
 def figure_rows(figure_id: int) -> list[str]:
-    spec = FIGURES[figure_id]
-    ent = EntanglementParams(*spec["ent"])
-    s1 = StrategyParams(*spec["s1"])
-    s2 = StrategyParams(*spec["s2"])
+    ent, s1, s2, groups = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
-    return [row for game, pairing, p in spec["groups"]
+    return [row for game, pairing, p in groups
             for row in payoff_rows(builtin_game(game), Pairing.from_string(pairing),
                                    ent, s1, s2, (p, mu), (p, mu))]
 
@@ -329,7 +306,9 @@ def cmd_nash(args) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 # --------------------------------------------------------------------------
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qgmem",
         description="Two-player quantum games over noisy channels with memory.")

@@ -19,9 +19,10 @@ parameters and the entanglement angles; ``batch_weights`` builds them per
 pairing.  Each factor follows a single rule: the delta-interference terms
 carry channel 2's coherence factor times channel 1's population factor, and
 the gamma terms mirror that with the channel roles reflected.  Coefficients
-and weights broadcast over arrays of p and mu, bit for bit as at float points,
-and over arrays of gamma and delta (to within rounding: floats take libm's
-trigonometry, arrays numpy's).
+and weights broadcast over arrays of p, mu, gamma and delta, bit for bit as at
+float points: a float is a 0-d input to the same numpy arithmetic, and every
+square is written as a product, since ``** 2`` rounds through libm's pow on a
+scalar but multiplies on an array.
 The other factors (the sector products and the trigonometric terms) do not
 depend on the channels; ``angle_terms`` builds them once for many channel points.
 
@@ -43,7 +44,7 @@ import numpy as np
 from .channels import ChannelKind
 from .games import Bimatrix
 from .protocol import EntanglementParams, StrategyParams
-from .qmat import check_range, cos, sin, sqrt
+from .qmat import check_range
 
 
 class Pairing(enum.Enum):
@@ -94,12 +95,10 @@ def _check_pm(p, mu) -> None:
     check_range("mu", mu, 0.0, 1.0, "[0, 1]")
 
 
-def _square(x):
-    """x**2 rounded as for a float (libm pow) also on arrays, where numpy's
-    x*x differs in the last bit for about 0.1% of inputs."""
-    if isinstance(x, np.ndarray):
-        return np.asarray(x.astype(object) ** 2, dtype=float)
-    return x**2
+def _half_angle_squares(x):
+    """(cos^2(x/2), sin^2(x/2)), squared as products (see module doc)."""
+    c, s = np.cos(x / 2), np.sin(x / 2)
+    return c * c, s * s
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,9 @@ class AdCoeffs:
 def ad_coeffs(p: float, mu: float) -> AdCoeffs:
     _check_pm(p, mu)
     return AdCoeffs(
-        chi00=_square(1 - p) + mu * (1 - p) * p,
-        chi11=_square(p) + mu * (1 - p) * p,
-        chi10=(1 - mu) * (1 - p) + mu * sqrt(1 - p),
+        chi00=(1 - p) * (1 - p) + mu * (1 - p) * p,
+        chi11=p * p + mu * (1 - p) * p,
+        chi10=(1 - mu) * (1 - p) + mu * np.sqrt(1 - p),
         chi01=(1 - mu) * (1 - p) * p,
         chi_a=(1 - mu) * p,
         chi_b=(1 - p) + mu * p,
@@ -158,7 +157,7 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
         raise ValueError(f"slot must be 1 or 2, got {slot}")
     base_a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
     base_b = -(2 / 9) * p * (-2 * p + 2 * mu * p - 3 * mu)
-    p_sq = _square(p)
+    p_sq = p * p
     base_c4 = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p_sq + 16 * mu * p_sq)
     base_c3 = base_c4 - (2 / 3) * mu * p
     base_d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
@@ -177,7 +176,7 @@ class DephasingCoeff:
 
 def dephasing_coeff(p: float, mu: float) -> DephasingCoeff:
     _check_pm(p, mu)
-    return DephasingCoeff(mu_p=(1 - mu) * _square(1 - p) + mu)
+    return DephasingCoeff(mu_p=(1 - mu) * ((1 - p) * (1 - p)) + mu)
 
 
 # --------------------------------------------------------------------------
@@ -416,8 +415,7 @@ def batch_weights(
     """Build the sector weights for one pairing.  The p and mu in ``ch1`` and
     ``ch2``, and gamma and delta, may be arrays; they broadcast, and so does
     every weight."""
-    cg, sg = cos(ent.gamma / 2) ** 2, sin(ent.gamma / 2) ** 2
-    cd, sd = cos(ent.delta / 2) ** 2, sin(ent.delta / 2) ** 2
+    (cg, sg), (cd, sd) = _half_angle_squares(ent.gamma), _half_angle_squares(ent.delta)
 
     def coeff(kind: ChannelKind, pm: tuple[float, float], slot: int):
         p, mu = pm
@@ -466,16 +464,15 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
     """The angle factors of ``payoff_surface``, broadcasting like it."""
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
-    c1, s1 = np.cos(th1 / 2) ** 2, np.sin(th1 / 2) ** 2
-    c2, s2 = np.cos(th2 / 2) ** 2, np.sin(th2 / 2) ** 2
+    (c1, s1), (c2, s2) = _half_angle_squares(th1), _half_angle_squares(th2)
     n = np.sin(th1) * np.sin(th2)
     cc, ss, sc, cs = c1 * c2, s1 * s2, s1 * c2, c1 * s2
     return AngleTerms(
         cc, ss, sc, cs,
         cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
         sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
-        0.25 * n * sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
-        0.25 * n * sin(ent.delta),
+        0.25 * n * np.sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
+        0.25 * n * np.sin(ent.delta),
         np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2),
     )
 
@@ -501,12 +498,11 @@ def payoff_surface(
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    e00, e01, e10, e11 = (entries if isinstance(entries, np.ndarray)
-                          else map(float, entries))
+    e00, e01, e10, e11 = np.asarray(entries, dtype=float)
     w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
     t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2) \
         if terms is None else terms
-    xi = 0.5 * sin(ent.delta) * sin(ent.gamma)
+    xi = 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
 
     def sector(weights: Sector):
         w00, w11, w01, w10 = weights

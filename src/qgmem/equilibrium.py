@@ -10,6 +10,7 @@ claim does not survive the exact dynamics, the report says so.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,22 +195,36 @@ class CaseReport:
         return out
 
 
-# Figure profiles (strategy and entanglement settings from the plotted
-# configurations; alpha1 = beta1 = 0 throughout, Alice is classical).
-FIG2 = dict(ent=EntanglementParams(0.0, 0.0),
-            s1=StrategyParams(0.0), s2=StrategyParams(PI / 2, PI / 2, 0.0))
-FIG3 = dict(ent=EntanglementParams(PI / 2, 0.0),
-            s1=StrategyParams(PI / 2), s2=StrategyParams(PI / 2, PI / 2, 0.0))
-FIG4 = dict(ent=EntanglementParams(PI / 2, 0.0),
-            s1=StrategyParams(0.0), s2=StrategyParams(PI / 2, PI / 2, 0.0))
-FIG5 = dict(ent=EntanglementParams(0.0, PI / 2),
-            s1=StrategyParams(0.0), s2=StrategyParams(PI / 2, 0.0, PI / 2))
-FIG67 = dict(ent=EntanglementParams(PI / 2, PI / 2),
-             s1=StrategyParams(0.0), s2=StrategyParams(PI / 2, PI / 2, 0.0))
+# The paper's figures: entanglement, strategies (alpha1 = beta1 = 0
+# throughout, Alice is classical) and the curve groups (game, pairing, p) in
+# plotting order; each curve runs over mu = mu1 = mu2 at p = p1 = p2.
+Figure = namedtuple("Figure", "ent s1 s2 groups")
+FIGURES = {
+    2: Figure(EntanglementParams(0.0, 0.0), StrategyParams(0.0),
+              StrategyParams(PI / 2, PI / 2, 0.0),
+              [(g, "ad-ad", p) for g in ("pd", "bos", "chicken") for p in (0.8, 0.2)]),
+    3: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(PI / 2),
+              StrategyParams(PI / 2, PI / 2, 0.0),
+              [(g, "ad-ad", p) for g in ("pd", "chicken") for p in (0.8, 0.2)]),
+    4: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(0.0),
+              StrategyParams(PI / 2, PI / 2, 0.0),
+              [("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
+    5: Figure(EntanglementParams(0.0, PI / 2), StrategyParams(0.0),
+              StrategyParams(PI / 2, 0.0, PI / 2),
+              [("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
+    6: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
+              StrategyParams(PI / 2, PI / 2, 0.0),
+              [(g, "ad-ad", 0.5) for g in ("pd", "bos", "chicken")]),
+    7: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
+              StrategyParams(PI / 2, PI / 2, 0.0),
+              [(g, "d-d", 0.5) for g in ("pd", "bos", "chicken")]),
+}
 
 
-def _mono_nondecreasing(values, tol=1e-12) -> bool:
-    return all(b >= a - tol for a, b in zip(values, values[1:]))
+def _monotone(values, sign=1, tol=1e-12) -> bool:
+    """Consecutive values never fall (sign 1) or never rise (sign -1) by more
+    than tol."""
+    return all(sign * b >= sign * a - tol for a, b in zip(values, values[1:]))
 
 
 def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
@@ -247,7 +262,7 @@ def _nash_claim(report, label, worst, why="", over=""):
 def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
     # Phase independence: at gamma = delta = 0 the payoff cannot depend on
     # the quantum phases, for any pairing.
-    ent = FIG2["ent"]
+    ent, s1, s2, _ = FIGURES[2]
     worst = 0.0
     alpha = np.linspace(-PI, PI, 9)
     beta = np.linspace(-PI, PI, 9)
@@ -262,19 +277,15 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))
 
     # Memory compensation in the Fig-2 configuration, reported per curve.
-    ok_all, detail = True, []
+    detail = []
     for game in _GAMES:
         for p in (0.2, 0.8):
-            for player, tag in ((0, "A"), (1, "B")):
-                curve = _mu_curves(Pairing.AD_AD, game, ent, FIG2["s1"], FIG2["s2"],
-                                   p)[player]
-                mono = _mono_nondecreasing(curve)
-                ok_all &= mono
-                if not mono:
-                    detail.append(f"{game.name}/{tag}/p={p}")
+            curves = _mu_curves(Pairing.AD_AD, game, ent, s1, s2, p)
+            detail += [f"{game.name}/{tag}/p={p}" for tag, curve in zip("AB", curves)
+                       if not _monotone(curve)]
     report.claims.append(CaseClaim(
-        "memory-compensation (informational)", ok_all,
-        "payoff nondecreasing in mu for every curve" if ok_all
+        "memory-compensation (informational)", not detail,
+        "payoff nondecreasing in mu for every curve" if not detail
         else "decreasing curves: " + ", ".join(detail)))
 
     # Classical equilibria under noise, certified on the (p, mu) grid.
@@ -292,15 +303,15 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
 
 
 def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
-    ent, s1, s2 = FIG3["ent"], FIG3["s1"], FIG3["s2"]
+    ent, s1, s2, _ = FIGURES[3]
     ok_mono, ok_p = True, True
     for game in (_PD, _CHICKEN):
         for p in (0.2, 0.8):
             curve = _mu_curves(Pairing.AD_AD, game, ent, s1, s2, p)[1]
-            ok_mono &= _mono_nondecreasing(curve)
+            ok_mono &= _monotone(curve)
         lo, hi = (_mu_curves(Pairing.AD_AD, game, ent, s1, s2, p, (0.0, 0.5, 1.0))[1]
                   for p in (0.2, 0.8))
-        ok_p &= all(b <= a + 1e-12 for a, b in zip(lo, hi))
+        ok_p &= all(_monotone(pair, -1) for pair in zip(lo, hi))
     report.claims.append(CaseClaim(
         "mu-monotonicity", ok_mono,
         "quantum player's payoff nondecreasing in mu at p in {0.2, 0.8}"))
@@ -308,29 +319,27 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
         "decoherence hurts", ok_p, "payoff at p=0.8 <= payoff at p=0.2"))
 
 
-def _advantage_claim(report, case_id, pairings, fig, label):
+def _advantage_claim(report, pairings, fig):
     ok, details = True, []
     for pairing in pairings:
-        pa, pb = _mu_curves(pairing, _BOS, fig["ent"], fig["s1"], fig["s2"], 0.5)
+        pa, pb = _mu_curves(pairing, _BOS, fig.ent, fig.s1, fig.s2, 0.5)
         diffs = [b - a for a, b in zip(pa, pb)]
         ok &= min(diffs) > 0
         details.append(f"{pairing.value}: min margin {min(diffs):+.4f}")
-    report.claims.append(CaseClaim(label, ok, "; ".join(details)))
+    report.claims.append(CaseClaim("quantum advantage (bos, p=0.5)", ok,
+                                   "; ".join(details)))
 
 
 def _case_ii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, "ii-b", (Pairing.AD_AD,), FIG4,
-                     "quantum advantage (bos, p=0.5)")
-    worst = _nash_rows(report, Pairing.AD_AD, _BOS, FIG4["ent"], FIG4["s1"],
-                       FIG4["s2"], quantum_space)
+    _advantage_claim(report, (Pairing.AD_AD,), FIGURES[4])
+    worst = _nash_rows(report, Pairing.AD_AD, _BOS, *FIGURES[4][:3], quantum_space)
     _nash_claim(report, "nash: nominal profile", worst,
                 " (the quantum player's best response to theta1=0 is the theta2=0 "
                 "family; the nominal profile is not an equilibrium)")
 
 
 def _case_ii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, "ii-c", (Pairing.PH_AD, Pairing.D_AD), FIG4,
-                     "quantum advantage (bos, p=0.5)")
+    _advantage_claim(report, (Pairing.PH_AD, Pairing.D_AD), FIGURES[4])
 
 
 def _equal_payoffs_claim(report, pairings, fig, label):
@@ -338,7 +347,7 @@ def _equal_payoffs_claim(report, pairings, fig, label):
     for pairing in pairings:
         for game in _GAMES:
             for p in (0.3, 0.7):
-                pa, pb = _mu_curves(pairing, game, fig["ent"], fig["s1"], fig["s2"], p,
+                pa, pb = _mu_curves(pairing, game, fig.ent, fig.s1, fig.s2, p,
                                     (0.0, 0.5, 1.0))
                 worst = max(worst, *(abs(a - b) for a, b in zip(pa, pb)))
     report.claims.append(CaseClaim(
@@ -346,27 +355,24 @@ def _equal_payoffs_claim(report, pairings, fig, label):
 
 
 def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.D_D), FIG4,
+    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.D_D), FIGURES[4],
                          "equal payoffs (unital pairings)")
     # Memory moderates decoherence: at fixed p, distance from the noiseless
     # payoff shrinks as mu grows (exact for dephasing).  Checked at the
     # theta1 = theta2 = pi/2 profile, where the noise actually acts.
-    s1, s2 = FIG3["s1"], FIG3["s2"]
-    ref = _mu_curves(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.0, (0.0,))[1][0]
+    s1, s2 = FIGURES[3].s1, FIGURES[3].s2
+    ref = _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2, 0.0, (0.0,))[1][0]
     dist = [abs(v - ref)
-            for v in _mu_curves(Pairing.PH_PH, _PD, FIG4["ent"], s1, s2, 0.6)[1]]
-    ok = (dist[0] > 1e-3 and dist[-1] < 1e-12
-          and all(b <= a + 1e-12 for a, b in zip(dist, dist[1:])))
+            for v in _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2, 0.6)[1]]
+    ok = dist[0] > 1e-3 and dist[-1] < 1e-12 and _monotone(dist, -1)
     report.claims.append(CaseClaim(
         "memory moderates decoherence (dephasing)", ok,
         f"distance to noiseless payoff falls from {dist[0]:.4f} to {dist[-1]:.1e}"))
 
 
 def _case_iii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, "iii-a", (Pairing.D_D,), FIG5,
-                     "quantum advantage (bos, p=0.5)")
-    worst = _nash_rows(report, Pairing.D_D, _BOS, FIG5["ent"], FIG5["s1"],
-                       FIG5["s2"], quantum_space)
+    _advantage_claim(report, (Pairing.D_D,), FIGURES[5])
+    worst = _nash_rows(report, Pairing.D_D, _BOS, *FIGURES[5][:3], quantum_space)
     _nash_claim(report, "nash: nominal profile", worst,
                 " (with theta1=0 and gamma=0 every interference term vanishes; "
                 "the payoffs at the profile are equal and the profile is not an "
@@ -374,12 +380,12 @@ def _case_iii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
 
 
 def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.AD_AD), FIG5,
+    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.AD_AD), FIGURES[5],
                          "equal payoffs (ph-ph, ad-ad)")
     # Memory compensation, measured as the distance from the noiseless payoff
     # over mu, at the theta1 = theta2 = pi/2 profile where the noise acts
     # (with theta1 = 0 these payoffs are noise-independent).
-    s1, s2, ent = StrategyParams(PI / 2), FIG5["s2"], FIG5["ent"]
+    s1, s2, ent = StrategyParams(PI / 2), FIGURES[5].s2, FIGURES[5].ent
     for pairing, tag in ((Pairing.PH_PH, "dephasing"),
                          (Pairing.AD_AD, "amplitude damping")):
         ok, spread = True, 0.0
@@ -387,7 +393,7 @@ def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
             ref = _mu_curves(pairing, game, ent, s1, s2, 0.0, (0.0,))[1][0]
             for p in (0.2, 0.8):
                 dist = [abs(v - ref) for v in _mu_curves(pairing, game, ent, s1, s2, p)[1]]
-                ok &= all(b <= a + 1e-12 for a, b in zip(dist, dist[1:]))
+                ok &= _monotone(dist, -1)
                 spread = max(spread, dist[-1])
         report.claims.append(CaseClaim(
             f"memory compensation ({tag})", ok,
@@ -399,12 +405,11 @@ def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
 
 
 def _case_iii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, "iii-c", (Pairing.PH_AD, Pairing.D_AD), FIG5,
-                     "quantum advantage (bos, p=0.5)")
+    _advantage_claim(report, (Pairing.PH_AD, Pairing.D_AD), FIGURES[5])
 
 
 def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
-    ent, s1, s2 = FIG67["ent"], FIG67["s1"], FIG67["s2"]
+    ent, s1, s2, _ = FIGURES[6]
     worst_margin, where, mus = math.inf, "", (0.25, 0.5, 0.75, 1.0)
     for pairing in Pairing:
         for game in _GAMES:

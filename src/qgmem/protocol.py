@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import check_range, cos, dagger, sin
+from .qmat import check_range, dagger
 
 _IMAG_RESIDUE_TOL = 1e-10
 
@@ -71,8 +71,8 @@ def initial_state(gamma: float) -> np.ndarray:
     """Arbiter's initial state cos(gamma/2)|00> + i sin(gamma/2)|11>."""
     check_range("gamma", gamma, 0.0, math.pi / 2, "[0, pi/2]")
     psi = np.zeros(np.shape(gamma) + (4,), dtype=complex)
-    psi[..., 0] = cos(gamma / 2)
-    psi[..., 3] = 1j * sin(gamma / 2)
+    psi[..., 0] = np.cos(gamma / 2)
+    psi[..., 3] = 1j * np.sin(gamma / 2)
     return psi
 
 
@@ -83,7 +83,7 @@ def initial_density(gamma: float) -> np.ndarray:
 
 def strategy_unitary(s: StrategyParams) -> np.ndarray:
     """2x2 unitary for one player's move, global phase taken literally."""
-    c, t = cos(s.theta / 2), sin(s.theta / 2)
+    c, t = np.cos(s.theta / 2), np.sin(s.theta / 2)
     u = np.empty(np.broadcast_shapes(*map(np.shape, s.angles)) + (2, 2), dtype=complex)
     u[..., 0, 0] = c * np.exp(1j * s.alpha)
     u[..., 0, 1] = t * np.exp(1j * (math.pi / 2 + s.beta))
@@ -99,8 +99,8 @@ def measurement_basis(delta: float) -> np.ndarray:
     |v_01> = cos(d/2)|01> - i sin(d/2)|10>     |v_10> = cos(d/2)|10> - i sin(d/2)|01>
     """
     check_range("delta", delta, 0.0, math.pi / 2, "[0, pi/2]")
-    return np.multiply.outer(cos(delta / 2), np.eye(4)) + np.multiply.outer(
-        1j * sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
+    return np.multiply.outer(np.cos(delta / 2), np.eye(4)) + np.multiply.outer(
+        1j * np.sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
 
 
 def payoff_projectors(delta: float) -> list[np.ndarray]:
@@ -147,4 +147,4 @@ def measure_payoff(payoff_op: np.ndarray, rho: np.ndarray) -> float:
             f"payoff trace has imaginary residue {residue:.3e}; "
             "inputs are not a Hermitian observable and a density matrix"
         )
-    return value.real if value.ndim else float(value.real)
+    return value.real

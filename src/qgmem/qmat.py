@@ -4,12 +4,11 @@ Everything in this package carries states, unitaries, Kraus elements and
 observables as plain ``numpy`` arrays of dtype ``complex128``, row-major,
 with the two-qubit basis ordered |00>, |01>, |10>, |11>.  The helpers here
 are written for any dimension but are only exercised at dims 2 and 4; they
-act on the last two axes, so they also take stacks of matrices.
+act on the last two axes, so they also take stacks of matrices.  Scalar
+functions are numpy's, called directly on floats and arrays alike.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,15 +22,6 @@ PAULI = (
 
 SIGMA_X = PAULI[1]
 SIGMA_Z = PAULI[3]
-
-
-def _float_or_array(name: str):
-    """``math.<name>`` on a float, which keeps libm's bits, numpy's on an ndarray."""
-    np_fn, math_fn = getattr(np, name), getattr(math, name)
-    return lambda x: np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
-
-
-sqrt, cos, sin = (_float_or_array(name) for name in ("sqrt", "cos", "sin"))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

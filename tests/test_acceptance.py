@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printed as a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` (or
-``python scripts/run_acceptance.py``) to see the per-criterion lines.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
+lines.
 
 Three criteria assert qualitative scenario claims that do not survive the
 exact dynamics (the closed forms are pinned to the Kraus oracle at 1e-9 by

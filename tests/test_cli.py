@@ -5,13 +5,40 @@ import numpy as np
 import pytest
 
 from qgmem.channels import ChannelKind
-from qgmem.cli import (CSV_HEADER, VERIFY_BLOCK, main, parse_angle,
+from qgmem.cli import (CSV_HEADER, VERIFY_BLOCK, build_parser, main, parse_angle,
                        parse_sweep_config, run_sweep, verify_blocks)
 from qgmem.closedform import Pairing
 
 
 def run(args):
     return main(args)
+
+
+class TestParserReuse:
+    # main builds its parser once per process; what ran before must not
+    # change what an argv prints or returns.
+    ARGVS = [
+        ["payoff", "--game", "bos", "--pairing", "ad-d", "--gamma", "pi/3",
+         "--delta", "pi/5", "--theta1", "pi/4", "--theta2", "pi/2", "--alpha2", "-pi/2",
+         "--p1", "0.3", "--mu1", "0.2", "--p2", "0.6", "--mu2", "0.5"],
+        ["verify", "--pairing", "d-ad", "--samples", "7", "--mu-zero"],
+        ["verify", "--pairing", "ph-ph", "--samples", "5", "--seed", "3"],
+        ["nash", "--case", "ii-c"],
+        ["nash", "--case", "ii-b", "--grid", "bogus"],
+        ["figure", "--id", "9"],
+        ["payoff", "--game", "pd"],
+        ["sweep"],
+        ["--help"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:3]))
+    def test_same_output_after_other_commands(self, argv, capsys):
+        build_parser.cache_clear()
+        first = run(argv), capsys.readouterr().out
+        for other in self.ARGVS:
+            run(other)
+        capsys.readouterr()
+        assert (run(argv), capsys.readouterr().out) == first
 
 
 class TestParseAngle:

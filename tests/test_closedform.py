@@ -249,7 +249,9 @@ class TestPayoffSurface:
         game = builtin_game("chicken")
         points = [(0.0, 0.0, 1.0, 1.0), (1.0, 0.5, 0.0, 0.25)]
         points += [tuple(rng.random() for _ in range(4)) for _ in range(300)]
-        # p where libm pow(p, 2) and p*p round apart (about 1 in 1000 draws).
+        # p where pow(p, 2) and p*p round apart (about 1 in 1000 draws): a
+        # square written as ``** 2`` would take pow on a float, a product on
+        # an array.
         split = list(itertools.islice(
             (p for p in iter(rng.random, None)
              if p**2 != p * p or (1 - p) ** 2 != (1 - p) * (1 - p)), 40))
@@ -263,6 +265,33 @@ class TestPayoffSurface:
         for i, (a, b, c, d) in enumerate(points):
             assert (pa[i], pb[i]) == closed_payoff_pair(
                 pairing, game, ent, s1, s2, (a, b), (c, d))
+
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_angle_arrays_match_float_points_bit_for_bit(self, pairing, rng):
+        # gamma, delta and theta where pow(c, 2) and c*c round apart for
+        # c = cos(x/2) or sin(x/2), the split points of the half-angle squares.
+        n = 30
+
+        def split(hi):
+            return list(itertools.islice(
+                (x for x in (hi * u for u in iter(rng.random, None))
+                 if any(c**2 != c * c for c in (math.cos(x / 2), math.sin(x / 2)))), n))
+
+        def uniform(lo, hi):
+            return [rng.uniform(lo, hi) for _ in range(n)]
+
+        game = builtin_game("pd")
+        cols = np.array([split(PI / 2), split(PI / 2),
+                         split(PI), uniform(-PI, PI), uniform(-PI, PI),
+                         split(PI), uniform(-PI, PI), uniform(-PI, PI),
+                         *(uniform(0.0, 1.0) for _ in range(4))])
+        ent, ch1, ch2 = EntanglementParams(*cols[:2]), tuple(cols[8:10]), tuple(cols[10:])
+        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *cols[2:8])
+                  for e in (game.a, game.b))
+        for i, c in enumerate(cols.T.tolist()):
+            assert (pa[i], pb[i]) == closed_payoff_pair(
+                pairing, game, EntanglementParams(*c[:2]), StrategyParams(*c[2:5]),
+                StrategyParams(*c[5:8]), tuple(c[8:10]), tuple(c[10:]))
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_precomputed_terms_bit_for_bit(self, pairing, rng):
@@ -291,7 +320,7 @@ class TestPayoffSurface:
     def test_sample_arrays_match_float_calls(self, pairing, rng):
         # One call over per-sample gamma, delta, channels, angles and a
         # (4, N) entry array, as verify makes it, against one float call per
-        # sample; arrays take numpy's trigonometry, floats libm's.
+        # sample; both take the same numpy arithmetic, so the bits agree.
         n = 80
         cols = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in
                 [(-2.0, 5.0)] * 4 + [(0.0, PI / 2)] * 2
@@ -308,7 +337,7 @@ class TestPayoffSurface:
                                (c[12], c[13]), (c[14], c[15]), *c[6:12])
                 for c in cols.T.tolist()]
         assert got.shape == (n,)
-        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.array_equal(got, want)
 
     def test_channel_arrays_broadcast(self):
         p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)
