@@ -331,8 +331,10 @@ def _advantage_claim(report, pairings, fig):
 
 
 def _case_ii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, (Pairing.AD_AD,), FIGURES[4])
-    worst = _nash_rows(report, Pairing.AD_AD, _BOS, *FIGURES[4][:3], quantum_space)
+    fig = FIGURES[4]
+    _advantage_claim(report, (Pairing.AD_AD,), fig)
+    worst = _nash_rows(report, Pairing.AD_AD, _BOS, fig.ent, fig.s1, fig.s2,
+                       quantum_space)
     _nash_claim(report, "nash: nominal profile", worst,
                 " (the quantum player's best response to theta1=0 is the theta2=0 "
                 "family; the nominal profile is not an equilibrium)")
@@ -371,8 +373,10 @@ def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
 
 
 def _case_iii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, (Pairing.D_D,), FIGURES[5])
-    worst = _nash_rows(report, Pairing.D_D, _BOS, *FIGURES[5][:3], quantum_space)
+    fig = FIGURES[5]
+    _advantage_claim(report, (Pairing.D_D,), fig)
+    worst = _nash_rows(report, Pairing.D_D, _BOS, fig.ent, fig.s1, fig.s2,
+                       quantum_space)
     _nash_claim(report, "nash: nominal profile", worst,
                 " (with theta1=0 and gamma=0 every interference term vanishes; "
                 "the payoffs at the profile are equal and the profile is not an "
