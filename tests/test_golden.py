@@ -3,9 +3,12 @@
 The files under ``tests/golden/`` were written by the per-point
 implementation of ``sweep``, ``figure`` and ``nash``.  Any refactor of those
 paths must reproduce them exactly: same rows, same order, same 12-digit
-values.  The figure CSVs and the 7x9x9 gain tables of the cases ``i``,
-``iii-a`` and ``iv`` are pinned by SHA-256 digest (``sha256sum`` format),
-the others in full.
+values.  The figure CSVs, the 7x9x9 gain tables of the cases ``i``,
+``iii-a`` and ``iv`` and the 5x7x3 gain tables of ``i``, ``ii-b``, ``iii-a``
+and ``iv`` are pinned by SHA-256 digest (``sha256sum`` format), the others
+in full.  The 5x7x3 grid gives theta, alpha and beta different sizes, so a
+deviation scan that swaps two axes cannot reproduce it.  (Case ``iii-a``'s
+gains do not depend on the grid; its 5x7x3 table equals its 7x9x9 one.)
 """
 
 import hashlib
@@ -25,6 +28,7 @@ def digests(name):
 
 FIGURE_DIGESTS = digests("figures.sha256")
 NASH_DIGESTS = digests("nash_7x9x9.sha256")
+NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -53,6 +57,15 @@ def test_nash_gain_digest(tmp_path, capsys, case):
                  "--csv", str(tmp_path / name)]) == 4
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == NASH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", ["i", "ii-b", "iii-a", "iv"])
+def test_nash_gain_digest_three_axis_sizes(tmp_path, capsys, case):
+    name = f"nash_{case}_5x7x3.csv"
+    assert main(["nash", "--case", case, "--grid", "5x7x3",
+                 "--csv", str(tmp_path / name)]) == 4
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == NASH_3AXIS_DIGESTS[name]
 
 
 @pytest.mark.parametrize("fid", range(2, 8))
