@@ -1,9 +1,10 @@
 """Command-line front end: single payoffs, oracle-vs-closed-form checks,
 parameter sweeps, figure-data CSVs, and equilibrium case studies.
 
-Exit codes: 0 success, 2 usage or range error, 3 unsupported configuration,
-4 verification or certificate failure.  All output is deterministic: CSV
-files are byte-identical across runs for the same inputs.
+Exit codes: 0 success, 2 usage or range error, 3 unsupported configuration
+(an input too large to allocate), 4 verification or certificate failure.
+All output is deterministic: CSV files are byte-identical across runs for
+the same inputs.
 """
 
 from __future__ import annotations
@@ -373,9 +374,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return UNSUPPORTED if isinstance(exc, MemoryError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -24,7 +24,11 @@ float points: a float is a 0-d input to the same numpy arithmetic, and every
 square is written as a product, since ``** 2`` rounds through libm's pow on a
 scalar but multiplies on an array.
 The other factors (the sector products and the trigonometric terms) do not
-depend on the channels; ``angle_terms`` builds them once for many channel points.
+depend on the channels; ``angle_terms`` builds them once for many channel
+points.  ``payoff_coeffs`` contracts the entries with the weights into the
+nine factors (per channel point and player) that multiply them, and
+``assemble`` sums the products left to right, one numpy call a step, into
+caller buffers if given, so a repeated grid scan allocates no full-size array.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -498,27 +502,41 @@ def payoff_surface(
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    e00, e01, e10, e11 = np.asarray(entries, dtype=float)
     w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
     t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2) \
         if terms is None else terms
-    xi = 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
+    return assemble(t, payoff_coeffs(w, entries, ent))
 
-    def sector(weights: Sector):
-        w00, w11, w01, w10 = weights
+
+def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
+                  ent: EntanglementParams) -> tuple:
+    """The nine factors that multiply the angle terms in ``assemble``: the four
+    sector sums, the f_diag and f_off factors, the gamma bracket and the
+    h_diag and h_off factors of the delta sines, broadcast like the weights."""
+    e00, e01, e10, e11 = np.asarray(entries, dtype=float)
+    w, xi = weights, 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
+
+    def sector(sw: Sector):
+        w00, w11, w01, w10 = sw
         return w00 * e00 + w11 * e11 + w01 * e01 + w10 * e10
 
-    return (
-        t.cc * sector(w.cc)
-        + t.ss * sector(w.ss)
-        + t.sc * sector(w.sc)
-        + t.cs * sector(w.cs)
-        + xi * w.f_diag * (e00 - e11) * t.f_diag
-        + xi * w.f_off * (e01 - e10) * t.f_off
-        + t.gamma * (-(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10))
-        + t.delta * (w.h_diag * (e00 - e11) * t.sin_diag
-                     + w.h_off * (e01 - e10) * t.sin_off)
-    )
+    return (sector(w.cc), sector(w.ss), sector(w.sc), sector(w.cs),
+            xi * w.f_diag * (e00 - e11), xi * w.f_off * (e01 - e10),
+            -(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10),
+            w.h_diag * (e00 - e11), w.h_off * (e01 - e10))
+
+
+def assemble(t: AngleTerms, coeffs: tuple, out=None):
+    """The payoff from its angle terms and ``payoff_coeffs`` (see module doc).
+    ``out``, if given, is two float arrays of the full broadcast shape: the
+    full-size products go to the second and the sum to the first (returned)."""
+    cc, ss, sc, cs, f_diag, f_off, gamma, h_diag, h_off = coeffs
+    acc, tmp = (None, None) if out is None else out
+    total = t.cc * cc + t.ss * ss + t.sc * sc + t.cs * cs
+    for term, k in ((t.f_diag, f_diag), (t.f_off, f_off), (t.gamma, gamma),
+                    (t.delta, h_diag * t.sin_diag + h_off * t.sin_off)):
+        total = np.add(total, np.multiply(term, k, out=tmp), out=acc)
+    return total
 
 
 def closed_payoff(

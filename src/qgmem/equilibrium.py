@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
-                         payoff_surface)
+from .closedform import (Pairing, angle_terms, assemble, batch_weights,
+                         closed_payoff_pair, payoff_coeffs, payoff_surface)
 from .games import Bimatrix, builtin_game
 from .protocol import EntanglementParams, StrategyParams
 
@@ -80,16 +80,15 @@ class PayoffEvaluator:
                                   self.ch1, self.ch2)
 
     def own_surface(self, responder: int, opponent: StrategyParams,
-                    theta, alpha, beta, **cached) -> np.ndarray:
-        """Responder's payoff over their own strategy arrays; ``cached`` may
-        hold ``payoff_surface``'s ``weights`` and ``terms``."""
+                    theta, alpha, beta) -> np.ndarray:
+        """Responder's payoff over their own strategy arrays."""
         if responder not in (1, 2):
             raise ValueError(f"responder must be 1 or 2, got {responder}")
         own, other = (theta, alpha, beta), opponent.angles
         entries, angles = ((self.game.a, own + other) if responder == 1
                            else (self.game.b, other + own))
         return payoff_surface(self.pairing, entries, self.ent, self.ch1, self.ch2,
-                              *angles, **cached)
+                              *angles)
 
 
 @dataclass(frozen=True)
@@ -137,30 +136,29 @@ def check_profile(
     is reported as gain 0 rather than negative.
     """
     space_b = space_a if space_b is None else space_b
-    return _certify(evaluator, profile,
-                    _profile_scans(evaluator.ent, profile, space_a, space_b), epsilon)
+    return _certificates(evaluator, profile, space_a, space_b, epsilon)[0]
 
 
-def _profile_scans(ent, profile, space_a, space_b):
-    """Alice's and Bob's deviation grids and the angle terms of the profile
-    point and of each grid: what a certificate shares across channel points."""
+def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
+    """``check_profile`` at every channel point of ``ev`` (whose p and mu may
+    be arrays), in C order.  One weight evaluation and one ``payoff_surface``
+    call per player give the profile payoffs at all points; each point then
+    scans both deviation grids with ``assemble`` into two buffers per grid."""
+    pairing, game, ent, ch1, ch2 = ev.pairing, ev.game, ev.ent, ev.ch1, ev.ch2
+    w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)
-    grid_a, grid_b = space_a.mesh(), space_b.mesh()
-    return grid_a, grid_b, [angle_terms(ent, *angles) for angles in
-                            (one + two, (*grid_a, *two), (*one, *grid_b))]
-
-
-def _certify(ev, profile, scans, epsilon) -> EquilibriumReport:
-    """``check_profile`` from ``_profile_scans``; one weight evaluation serves
-    both players' payoffs and gains."""
-    (s1, s2), (grid_a, grid_b, (t, t_a, t_b)) = profile, scans
-    w = batch_weights(ev.pairing, ev.ent, ev.ch1, ev.ch2)
-    pa = float(ev.own_surface(1, s2, *s1.angles, weights=w, terms=t))
-    pb = float(ev.own_surface(2, s1, *s2.angles, weights=w, terms=t))
-    best_a = ev.own_surface(1, s2, *grid_a, weights=w, terms=t_a).max()
-    best_b = ev.own_surface(2, s1, *grid_b, weights=w, terms=t_b).max()
-    return EquilibriumReport(profile, (pa, pb), max(0.0, float(best_a) - pa),
-                             max(0.0, float(best_b) - pb), epsilon)
+    shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
+    payoffs, best = [], []
+    for entries, grid in ((game.a, (*space_a.mesh(), *two)),
+                          (game.b, (*one, *space_b.mesh()))):
+        own = payoff_surface(pairing, entries, ent, ch1, ch2, *one, *two, weights=w)
+        payoffs.append(np.broadcast_to(own, shape).ravel().tolist())
+        terms = angle_terms(ent, *grid)
+        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
+        table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
+        best.append([float(assemble(terms, k, bufs).max()) for k in zip(*table)])
+    return [EquilibriumReport(profile, (pa, pb), max(0.0, ba - pa), max(0.0, bb - pb),
+                              epsilon) for pa, pb, ba, bb in zip(*payoffs, *best)]
 
 
 # --------------------------------------------------------------------------
@@ -237,20 +235,17 @@ def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
 
 def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
     """Certify a profile at every (p, mu) of PM_GRID and append the gain rows;
-    returns the worst gain.  The angle terms are computed once per profile."""
-    scans = _profile_scans(ent, (s1, s2), space_a, space_b)
-    worst = 0.0
-    for p in PM_GRID:
-        for m in PM_GRID:
-            ev = PayoffEvaluator(pairing, game, ent, (p, m), (p, m))
-            rep = _certify(ev, (s1, s2), scans, DEFAULT_EPSILON)
-            worst = max(worst, rep.max_unilateral_gain_a, rep.max_unilateral_gain_b)
-            report.gain_rows.append(dict(
-                case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
-                payoff_a=rep.payoffs[0], payoff_b=rep.payoffs[1],
-                gain_a=rep.max_unilateral_gain_a, gain_b=rep.max_unilateral_gain_b,
-            ))
-    return worst
+    returns the worst gain."""
+    points = [(p, m) for p in PM_GRID for m in PM_GRID]
+    ch = tuple(np.array(axis) for axis in zip(*points))
+    reps = _certificates(PayoffEvaluator(pairing, game, ent, ch, ch), (s1, s2),
+                         space_a, space_b)
+    report.gain_rows += [dict(
+        case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
+        payoff_a=r.payoffs[0], payoff_b=r.payoffs[1],
+        gain_a=r.max_unilateral_gain_a, gain_b=r.max_unilateral_gain_b,
+    ) for (p, m), r in zip(points, reps)]
+    return max(max(r.max_unilateral_gain_a, r.max_unilateral_gain_b) for r in reps)
 
 
 def _nash_claim(report, label, worst, why="", over=""):

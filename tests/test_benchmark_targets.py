@@ -8,6 +8,7 @@ self-test.  The benchmark files are only parsed here, never imported.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,25 @@ def test_tracer_target_resolves(target):
 def test_benchmark_import_resolves(where, module, name):
     owner = importlib.import_module(module)
     assert hasattr(owner, name) or importlib.import_module(f"{module}.{name}"), where
+
+
+def test_nash_certificates_see_a_shifted_payoff_surface(tmp_path, monkeypatch, capsys):
+    # The benchmark's self-test rebinds closedform.payoff_surface in every
+    # qgmem module to a copy off by 1e-6 and expects nash outputs to change.
+    # A certificate path that went around the function would hide the shift.
+    from qgmem import closedform
+    from qgmem.cli import main
+
+    def table(name):
+        assert main(["nash", "--case", "ii-b", "--grid", "3x3x3",
+                     "--csv", str(tmp_path / name)]) == 4
+        return (tmp_path / name).read_bytes()
+
+    before, orig = table("before.csv"), closedform.payoff_surface
+    owners = [m for name, m in list(sys.modules.items())
+              if name.startswith("qgmem") and getattr(m, "payoff_surface", None) is orig]
+    assert closedform in owners
+    for module in owners:
+        monkeypatch.setattr(module, "payoff_surface",
+                            lambda *args, **kwargs: orig(*args, **kwargs) + 1e-6)
+    assert table("after.csv") != before

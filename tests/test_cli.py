@@ -354,3 +354,14 @@ class TestNashCommand:
 
     def test_bad_grid_spec(self):
         assert run(["nash", "--case", "ii-b", "--grid", "bogus"]) == 2
+
+    # 10**17 points of float64 (711 PiB) exceed any address space, so numpy
+    # refuses the axis up front on every host; nothing is ever allocated.
+    @pytest.mark.parametrize("grid", ["2x2x100000000000000000",
+                                      "2x100000000000000000x2",
+                                      "100000000000000000x2x2"])
+    def test_unallocatable_grid_is_unsupported(self, grid, capsys):
+        assert run(["nash", "--case", "ii-b", "--grid", grid]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "PiB" in err
+        assert "Traceback" not in err

@@ -14,6 +14,7 @@ from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               batch_weights, closed_payoff, closed_payoff_pair,
                               dephasing_coeff, depol_coeffs, pairing_weights,
                               payoff_surface)
+from qgmem.closedform import assemble, payoff_coeffs
 from qgmem.games import builtin_game, classical_expected
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams,
@@ -360,6 +361,69 @@ class TestPayoffSurface:
         with pytest.raises(ValueError):
             payoff_surface(Pairing.PH_PH, (1, 2, 3), EntanglementParams(0, 0),
                            (0, 0), (0, 0), 0, 0, 0, 0, 0, 0)
+
+
+def unsplit_payoff(w, entries, ent, t):
+    """The payoff as one expression, as written before ``payoff_coeffs`` and
+    ``assemble`` split it."""
+    e00, e01, e10, e11 = np.asarray(entries, dtype=float)
+    xi = 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
+
+    def sector(weights):
+        w00, w11, w01, w10 = weights
+        return w00 * e00 + w11 * e11 + w01 * e01 + w10 * e10
+
+    return (
+        t.cc * sector(w.cc)
+        + t.ss * sector(w.ss)
+        + t.sc * sector(w.sc)
+        + t.cs * sector(w.cs)
+        + xi * w.f_diag * (e00 - e11) * t.f_diag
+        + xi * w.f_off * (e01 - e10) * t.f_off
+        + t.gamma * (-(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10))
+        + t.delta * (w.h_diag * (e00 - e11) * t.sin_diag
+                     + w.h_off * (e01 - e10) * t.sin_off)
+    )
+
+
+class TestCoefficientAssembly:
+    # A deviation scan assembles one player's payoff from the coefficient
+    # table into two reused buffers.  It must give the bits of a fresh
+    # evaluation and of the unsplit expression; the theta, alpha and beta
+    # axes have different sizes, so a transposed buffer cannot pass.
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_buffers_match_fresh_arrays_and_unsplit_expression(self, pairing, rng):
+        ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        w = batch_weights(pairing, ent, ch1, ch2)
+        grid = np.meshgrid(np.linspace(0, PI, 5), np.linspace(-PI, PI, 7),
+                           np.linspace(-PI, PI, 3), indexing="ij", sparse=True)
+        game = builtin_game("chicken")
+        for angles in ((*grid, *s2.angles), (*s1.angles, *grid)):
+            t = angle_terms(ent, *angles)
+            for entries in (game.a, game.b, random_entries(rng)):
+                k = payoff_coeffs(w, entries, ent)
+                bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
+                got, fresh = assemble(t, k, out=bufs), assemble(t, k)
+                assert got is bufs[0] and fresh.shape == (5, 7, 3)
+                assert np.array_equal(got, fresh)
+                assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, t))
+
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_profile_point_and_channel_arrays_match_unsplit_expression(
+            self, pairing, rng):
+        # The profile payoffs of a certificate: one point of strategy angles
+        # against arrays of channel points, as nash evaluates them.
+        ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+        ch = (np.array([rng.random() for _ in range(6)] + [0.0, 1.0]),
+              np.array([rng.random() for _ in range(6)] + [1.0, 0.0]))
+        w = batch_weights(pairing, ent, ch, ch)
+        t = angle_terms(ent, *s1.angles, *s2.angles)
+        entries = random_entries(rng)
+        got = payoff_surface(pairing, entries, ent, ch, ch, *s1.angles, *s2.angles)
+        assert got.shape == (8,)
+        assert np.array_equal(got, assemble(t, payoff_coeffs(w, entries, ent)))
+        assert np.array_equal(got, unsplit_payoff(w, entries, ent, t))
 
 
 class TestPairingEnum:

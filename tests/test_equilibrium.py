@@ -10,6 +10,7 @@ from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, PM_GRID, QUANTUM_SPACE
                                CaseReport, PayoffEvaluator, StrategySpace,
                                _nash_rows, best_response, case_study,
                                check_profile)
+from qgmem.equilibrium import FIGURES
 from qgmem.games import Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
 
@@ -148,6 +149,26 @@ class TestCertificatePath:
             assert rep.payoffs == (pa, pb)
             assert rep.max_unilateral_gain_a == max(0.0, float(best_a) - pa)
             assert rep.max_unilateral_gain_b == max(0.0, float(best_b) - pb)
+
+
+class TestScanBuffers:
+    # Each profile's deviation scans reuse two buffers over its (p, mu)
+    # points.  Certifying a case's profile again, after other profiles on
+    # other grids ran, must give the same rows: no buffer carries state.
+    def test_nash_rows_repeat_after_other_profiles(self, rng):
+        bos, fig = builtin_game("bos"), FIGURES[4]  # case ii-b's profile
+
+        def rows(pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
+            report = CaseReport("t")
+            _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
+            return report.gain_rows
+
+        first = rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE)
+        assert max(r["gain_b"] for r in first) > 0.5
+        for pairing in Pairing:
+            rows(pairing, builtin_game("pd"), random_ent(rng), random_strategy(rng),
+                 random_strategy(rng), StrategySpace(4, 3, 6), StrategySpace(2, 5, 3))
+        assert rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE) == first
 
 
 class TestCaseStudies:
