@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
+from .closedform import Pairing, closed_payoff_pair, payoff_surface
 from .equilibrium import CASE_IDS, FIGURES, QUANTUM_SPACE, StrategySpace, case_study
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
@@ -67,11 +67,8 @@ def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
                 s1: StrategyParams, s2: StrategyParams, ch1, ch2) -> list[str]:
     """CSV rows of one array evaluation.  Channel parameters and angles may be
     arrays; rows run over their broadcast shape, last axis fastest."""
-    w = batch_weights(pairing, ent, ch1, ch2)
-    angles = (*s1.angles, *s2.angles)
-    pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles, weights=w)
-              for e in (game.a, game.b))
-    values = (*ch1, *ch2, ent.gamma, ent.delta, *angles, pa, pb)
+    pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2)
+    values = (*ch1, *ch2, ent.gamma, ent.delta, *s1.angles, *s2.angles, pa, pb)
     shape = np.broadcast_shapes(*(np.shape(v) for v in values))
     columns = [np.broadcast_to(v, shape).ravel().tolist()
                for v in values if isinstance(v, np.ndarray)]
@@ -129,8 +126,7 @@ def cmd_verify(args) -> int:
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
         entries, ent = cols[:4], EntanglementParams(*cols[4:6])
         s1, s2, ch1, ch2 = cols[6:9], cols[9:12], tuple(cols[12:14]), tuple(cols[14:])
-        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1, *s2,
-                                weights=batch_weights(pairing, ent, ch1, ch2))
+        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1, *s2)
         rho = two_pass_state(ent, StrategyParams(*s1), StrategyParams(*s2),
                              ChannelSpec(pairing.first, *ch1),
                              ChannelSpec(pairing.second, *ch2))
@@ -187,6 +183,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
         entries_b = [float(x) for x in values.pop("entries_b").split(",")]
         if len(entries_a) != 4 or len(entries_b) != 4:
             raise ValueError("custom game needs 4 entries per player")
+        if not all(map(math.isfinite, entries_a + entries_b)):
+            raise ValueError("custom game entries must be finite")
         game = Bimatrix("custom", tuple(entries_a), tuple(entries_b))
     else:
         game = builtin_game(values["game"])
@@ -199,6 +197,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
             axis = key[len("sweep."):]
             if axis not in SWEEPABLE:
                 raise ValueError(f"cannot sweep {axis!r}; choose from {SWEEPABLE}")
+            if axis in values:
+                raise ValueError(f"{axis!r} is both fixed and swept ({key!r})")
             parts = val.split(":")
             if len(parts) != 3:
                 raise ValueError(f"axis {axis}: expected start:stop:steps, got {val!r}")

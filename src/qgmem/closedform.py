@@ -29,6 +29,8 @@ points.  ``payoff_coeffs`` contracts the entries with the weights into the
 nine factors (per channel point and player) that multiply them, and
 ``assemble`` sums the products left to right, one numpy call a step, into
 caller buffers if given, so a repeated grid scan allocates no full-size array.
+``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
+with their entry columns stacked on a leading axis of the entries.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -151,7 +153,6 @@ class DepolCoeffs:
     d3: float
     d4: float
     eta1dp: float
-    slot: int
     mu_times_p: float
 
 
@@ -167,8 +168,8 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
     base_d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
     eta1dp = 2 * base_d - base_a - base_b
     if slot == 1:
-        return DepolCoeffs(base_a, base_b, base_c3, base_d, eta1dp, 1, mu * p)
-    return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp, 2, mu * p)
+        return DepolCoeffs(base_a, base_b, base_c3, base_d, eta1dp, mu * p)
+    return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp, mu * p)
 
 
 @dataclass(frozen=True)
@@ -436,8 +437,9 @@ def batch_weights(
 
 
 def pairing_weights(pairing, ent, ch1, ch2) -> PairingWeights:
-    """``batch_weights`` at one channel point, floats only.  A separate function
-    so that per-call profiling can key calls on their (hashable) arguments."""
+    """``batch_weights`` at one channel point, floats only.  Nothing in the
+    package calls it; it stays because the benchmark tracer wraps it by name,
+    keying calls on their (hashable) arguments."""
     return batch_weights(pairing, ent, ch1, ch2)
 
 
@@ -488,23 +490,16 @@ def payoff_surface(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
     theta1, alpha1, beta1, theta2, alpha2, beta2,
-    weights: PairingWeights | None = None,
-    terms: AngleTerms | None = None,
 ):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
     of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
-    array.
-
-    ``weights`` and ``terms``, if given, are ``batch_weights(pairing, ent, ch1,
-    ch2)`` and ``angle_terms(ent, theta1, ..., beta2)``, shared between calls.
+    array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
     No range validation on the angle arrays; grid scans are expected to stay
-    inside the strategy domain by construction.
-    """
+    inside the strategy domain by construction."""
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    w = pairing_weights(pairing, ent, ch1, ch2) if weights is None else weights
-    t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2) \
-        if terms is None else terms
+    w = batch_weights(pairing, ent, ch1, ch2)
+    t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
     return assemble(t, payoff_coeffs(w, entries, ent))
 
 
@@ -562,9 +557,10 @@ def closed_payoff_pair(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
 ) -> tuple[float, float]:
-    """(Alice, Bob) closed-form payoffs for a bimatrix game, from one
-    evaluation of the weights and of the angle terms."""
+    """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
+    one call of it, with the two entry columns on a leading axis, shares the
+    weights and angle terms, and each payoff has the bits of its own call."""
     angles = (*s1.angles, *s2.angles)
-    w, t = pairing_weights(pairing, ent, ch1, ch2), angle_terms(ent, *angles)
-    return tuple(float(payoff_surface(pairing, e, ent, ch1, ch2, *angles,
-                                      weights=w, terms=t)) for e in (game.a, game.b))
+    nd = max(map(np.ndim, (ent.gamma, ent.delta, *ch1, *ch2, *angles)))
+    entries = np.reshape(np.transpose([game.a, game.b]), (4, 2) + (1,) * nd)
+    return tuple(payoff_surface(pairing, entries, ent, ch1, ch2, *angles))

@@ -25,8 +25,6 @@ PI = math.pi
 TIE_TOL = 1e-9
 DEFAULT_EPSILON = 1e-6
 
-CASE_IDS = ("i", "ii-a", "ii-b", "ii-c", "ii-d", "iii-a", "iii-b", "iii-c", "iv")
-
 # (p, mu) sample grid used by the equilibrium certificates.
 PM_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 MU_GRID_11 = tuple(i / 10 for i in range(11))
@@ -67,28 +65,13 @@ QUANTUM_SPACE = StrategySpace()
 
 @dataclass(frozen=True)
 class PayoffEvaluator:
-    """Closed-form payoff pair for a fixed game point; vectorized per player."""
+    """A fixed game point: pairing, game, entanglement and channels."""
 
     pairing: Pairing
     game: Bimatrix
     ent: EntanglementParams
     ch1: tuple[float, float]
     ch2: tuple[float, float]
-
-    def pair(self, s1: StrategyParams, s2: StrategyParams) -> tuple[float, float]:
-        return closed_payoff_pair(self.pairing, self.game, self.ent, s1, s2,
-                                  self.ch1, self.ch2)
-
-    def own_surface(self, responder: int, opponent: StrategyParams,
-                    theta, alpha, beta) -> np.ndarray:
-        """Responder's payoff over their own strategy arrays."""
-        if responder not in (1, 2):
-            raise ValueError(f"responder must be 1 or 2, got {responder}")
-        own, other = (theta, alpha, beta), opponent.angles
-        entries, angles = ((self.game.a, own + other) if responder == 1
-                           else (self.game.b, other + own))
-        return payoff_surface(self.pairing, entries, self.ent, self.ch1, self.ch2,
-                              *angles)
 
 
 @dataclass(frozen=True)
@@ -112,8 +95,14 @@ def best_response(
     tie_tol: float = TIE_TOL,
 ) -> list[StrategyParams]:
     """Argmax set over the responder's grid, ties kept, lexicographic order."""
+    if responder not in (1, 2):
+        raise ValueError(f"responder must be 1 or 2, got {responder}")
+    ev = evaluator
     theta, alpha, beta = np.broadcast_arrays(*space.mesh())
-    values = evaluator.own_surface(responder, opponent, theta, alpha, beta)
+    own, other = (theta, alpha, beta), opponent.angles
+    entries, angles = ((ev.game.a, own + other) if responder == 1
+                       else (ev.game.b, other + own))
+    values = payoff_surface(ev.pairing, entries, ev.ent, ev.ch1, ev.ch2, *angles)
     cutoff = float(values.max()) - tie_tol
     idx = np.argwhere(values >= cutoff)
     return [
@@ -141,18 +130,19 @@ def check_profile(
 
 def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
     """``check_profile`` at every channel point of ``ev`` (whose p and mu may
-    be arrays), in C order.  One weight evaluation and one ``payoff_surface``
-    call per player give the profile payoffs at all points; each point then
-    scans both deviation grids with ``assemble`` into two buffers per grid."""
+    be arrays), in C order.  One ``closed_payoff_pair`` call gives the profile
+    payoffs at all points, and one weight evaluation the coefficient table;
+    each point then scans both deviation grids with ``assemble`` into two
+    buffers per grid."""
     pairing, game, ent, ch1, ch2 = ev.pairing, ev.game, ev.ent, ev.ch1, ev.ch2
     w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)
     shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
-    payoffs, best = [], []
+    payoffs = [np.broadcast_to(own, shape).ravel().tolist()
+               for own in closed_payoff_pair(pairing, game, ent, *profile, ch1, ch2)]
+    best = []
     for entries, grid in ((game.a, (*space_a.mesh(), *two)),
                           (game.b, (*one, *space_b.mesh()))):
-        own = payoff_surface(pairing, entries, ent, ch1, ch2, *one, *two, weights=w)
-        payoffs.append(np.broadcast_to(own, shape).ravel().tolist())
         terms = angle_terms(ent, *grid)
         bufs = [np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
         table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
@@ -226,11 +216,10 @@ def _monotone(values, sign=1, tol=1e-12) -> bool:
 
 
 def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
-    """(Alice, Bob) payoffs over mu = mu1 = mu2 at p = p1 = p2, one call each."""
+    """(Alice, Bob) payoffs over mu = mu1 = mu2 at p = p1 = p2."""
     ch = (p, np.array(mus, dtype=float))
-    w = batch_weights(pairing, ent, ch, ch)
-    return tuple(payoff_surface(pairing, e, ent, ch, ch, *s1.angles, *s2.angles,
-                                weights=w).tolist() for e in (game.a, game.b))
+    return tuple(v.tolist()
+                 for v in closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch))
 
 
 def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
@@ -442,6 +431,7 @@ _CASES = {
     "iii-c": _case_iii_c,
     "iv": _case_iv,
 }
+CASE_IDS = tuple(_CASES)
 
 
 def case_study(case_id: str,

@@ -210,7 +210,6 @@ pairing = ad-d
 gamma = pi/4
 delta = pi/4
 theta1 = pi/2
-theta2 = pi/2
 alpha1 = pi/2
 beta2 = pi/4
 p1 = 0.3
@@ -292,6 +291,32 @@ class TestSweepCommand:
                         f"{axis}\noutput = {out}\n")
         assert run(["sweep", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixed,swept", [
+        ("p1 = 5", "sweep.p1 = 0:1:3"),
+        ("theta2 = 9", "sweep.theta2 = 0:pi:3"),
+        ("mu2 = 0.5", "sweep.mu2 = 0:1:3"),
+    ])
+    def test_key_both_fixed_and_swept(self, tmp_path, capsys, fixed, swept):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"game = pd\npairing = ad-d\n{fixed}\n{swept}\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        key = fixed.split()[0]
+        assert capsys.readouterr().err.strip() == \
+            f"error: {key!r} is both fixed and swept ('sweep.{key}')"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", ["nan,0,0,1", "1,0,0,inf", "1,-inf,0,0"])
+    def test_non_finite_custom_entries(self, tmp_path, capsys, entries):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"game = custom\nentries_a = 1,1,1,1\nentries_b = {entries}\n"
+                        f"pairing = ad-d\nsweep.p1 = 0:1:3\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: custom game entries must be finite"
         assert not out.exists()
 
     def test_axis_order_canonical(self):

@@ -15,6 +15,7 @@ from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               dephasing_coeff, depol_coeffs, pairing_weights,
                               payoff_surface)
 from qgmem.closedform import assemble, payoff_coeffs
+from qgmem.equilibrium import StrategySpace
 from qgmem.games import builtin_game, classical_expected
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams,
@@ -259,9 +260,8 @@ class TestPayoffSurface:
         points += [(a, rng.random(), b, rng.random()) for a, b in zip(split, split[::-1])]
         p1, mu1, p2, mu2 = np.array(points).T
         ch1, ch2 = (p1, mu1), (p2, mu2)
-        w = batch_weights(pairing, ent, ch1, ch2)
         angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
-        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles, weights=w)
+        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles)
                   for e in (game.a, game.b))
         for i, (a, b, c, d) in enumerate(points):
             assert (pa[i], pb[i]) == closed_payoff_pair(
@@ -296,24 +296,21 @@ class TestPayoffSurface:
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_precomputed_terms_bit_for_bit(self, pairing, rng):
-        # Precomputed angle terms, on open grids of either player or at one
-        # point, must give the exact bits of the call that computes them.
+        # closed_payoff_pair shares one weight and angle-term evaluation
+        # between the players; on open grids of either player or at one
+        # point, each payoff must give the exact bits of that player's call.
         ent = random_ent(rng)
         s1, s2 = random_strategy(rng), random_strategy(rng)
         game = builtin_game("bos")
         ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
         grid = np.meshgrid(np.linspace(0, PI, 7), np.linspace(-PI, PI, 9),
                            np.linspace(-PI, PI, 5), indexing="ij", sparse=True)
-        one, two = (s1.theta, s1.alpha, s1.beta), (s2.theta, s2.alpha, s2.beta)
-        w = batch_weights(pairing, ent, ch1, ch2)
-        for angles in ((*grid, *two), (*one, *grid), one + two):
-            t = angle_terms(ent, *angles)
-            for e in (game.a, game.b):
-                direct = payoff_surface(pairing, e, ent, ch1, ch2, *angles)
-                cached = payoff_surface(pairing, e, ent, ch1, ch2, *angles,
-                                        weights=w, terms=t)
-                assert np.shape(cached) == np.shape(direct)
-                assert np.array_equal(cached, direct)
+        for a, b in ((StrategyParams(*grid), s2), (s1, StrategyParams(*grid)), (s1, s2)):
+            pair = closed_payoff_pair(pairing, game, ent, a, b, ch1, ch2)
+            for got, e in zip(pair, (game.a, game.b)):
+                direct = payoff_surface(pairing, e, ent, ch1, ch2, *a.angles, *b.angles)
+                assert np.shape(got) == np.shape(direct)
+                assert np.array_equal(got, direct)
         assert closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2) == tuple(
             closed_payoff(pairing, e, ent, s1, s2, ch1, ch2) for e in (game.a, game.b))
 
@@ -331,14 +328,50 @@ class TestPayoffSurface:
         entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
         ch1, ch2 = (cols[12], cols[13]), (cols[14], cols[15])
         got = payoff_surface(pairing, entries, ent, ch1, ch2, *cols[6:12])
-        cached = payoff_surface(pairing, entries, ent, ch1, ch2, *cols[6:12],
-                                weights=batch_weights(pairing, ent, ch1, ch2))
-        assert np.array_equal(got, cached)
         want = [payoff_surface(pairing, tuple(c[:4]), EntanglementParams(c[4], c[5]),
                                (c[12], c[13]), (c[14], c[15]), *c[6:12])
                 for c in cols.T.tolist()]
         assert got.shape == (n,)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_pair_over_arrays_matches_float_and_per_player_calls(self, pairing, rng):
+        # closed_payoff_pair over channel arrays, either player's open
+        # strategy mesh, or per-sample angle arrays: each player's payoff has
+        # the broadcast shape and the bits of that player's payoff_surface
+        # call and of a float call at every point.
+        game = builtin_game("chicken")
+        ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        n = 12
+
+        def column(lo, hi):
+            return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+        mesh = StrategySpace(4, 5, 3).mesh()
+        samples = [column(lo, hi) for lo, hi in [(0.0, PI / 2)] * 2
+                   + [(0.0, PI), (-PI, PI), (-PI, PI)] * 2 + [(0.0, 1.0)] * 4]
+        cases = [
+            (ent, s1, s2, (column(0, 1), column(0, 1)), (column(0, 1), column(0, 1)), (n,)),
+            (ent, StrategyParams(*mesh), s2, ch1, ch2, (4, 5, 3)),
+            (ent, s1, StrategyParams(*mesh), ch1, ch2, (4, 5, 3)),
+            (EntanglementParams(*samples[:2]), StrategyParams(*samples[2:5]),
+             StrategyParams(*samples[5:8]), tuple(samples[8:10]), tuple(samples[10:]),
+             (n,)),
+        ]
+        for e, a, b, c1, c2, shape in cases:
+            pair = closed_payoff_pair(pairing, game, e, a, b, c1, c2)
+            for got, entries in zip(pair, (game.a, game.b)):
+                own = payoff_surface(pairing, entries, e, c1, c2, *a.angles, *b.angles)
+                assert got.shape == own.shape == shape
+                assert np.array_equal(got, own)
+            params = [np.broadcast_to(x, shape) for x in
+                      (e.gamma, e.delta, *a.angles, *b.angles, *c1, *c2)]
+            for idx in np.ndindex(shape):
+                x = [float(v[idx]) for v in params]
+                assert (pair[0][idx], pair[1][idx]) == closed_payoff_pair(
+                    pairing, game, EntanglementParams(*x[:2]), StrategyParams(*x[2:5]),
+                    StrategyParams(*x[5:8]), tuple(x[8:10]), tuple(x[10:]))
 
     def test_channel_arrays_broadcast(self):
         p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)

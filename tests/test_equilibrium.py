@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,10 +51,15 @@ class TestStrategySpace:
 class TestBestResponse:
     def test_defection_dominates_classical_pd(self):
         ev = classical_pd_evaluator()
-        for theta1 in (0.0, PI / 3, PI):
-            moves = best_response(ev, CLASSICAL_SPACE, StrategyParams(theta1),
-                                  responder=2)
+        for theta, responder in itertools.product((0.0, PI / 3, PI), (1, 2)):
+            moves = best_response(ev, CLASSICAL_SPACE, StrategyParams(theta),
+                                  responder=responder)
             assert all(m.theta == pytest.approx(PI) for m in moves)
+
+    def test_responder_validated(self):
+        with pytest.raises(ValueError, match="^responder must be 1 or 2, got 3$"):
+            best_response(classical_pd_evaluator(), CLASSICAL_SPACE,
+                          StrategyParams(0.0), responder=3)
 
     def test_constant_evaluator_keeps_whole_grid(self):
         ones = Bimatrix("ones", (1, 1, 1, 1), (1, 1, 1, 1))
