@@ -122,6 +122,8 @@ def cmd_verify(args) -> int:
     pairing = Pairing.from_string(args.pairing)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     worst = 0.0
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
         entries, ent = cols[:4], EntanglementParams(*cols[4:6])
@@ -178,21 +180,25 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
         values[key] = val
 
-    if values.get("game", "") == "custom":
-        entries_a = [float(x) for x in values.pop("entries_a").split(",")]
-        entries_b = [float(x) for x in values.pop("entries_b").split(",")]
+    def take(key: str) -> str:
+        if key not in values:
+            raise ValueError(f"missing required key {key!r}")
+        return values.pop(key)
+
+    name = take("game")
+    if name == "custom":
+        entries_a = [float(x) for x in take("entries_a").split(",")]
+        entries_b = [float(x) for x in take("entries_b").split(",")]
         if len(entries_a) != 4 or len(entries_b) != 4:
             raise ValueError("custom game needs 4 entries per player")
         if not all(map(math.isfinite, entries_a + entries_b)):
             raise ValueError("custom game entries must be finite")
         game = Bimatrix("custom", tuple(entries_a), tuple(entries_b))
     else:
-        game = builtin_game(values["game"])
-    cfg = SweepConfig(game=game, pairing=Pairing.from_string(values["pairing"]))
+        game = builtin_game(name)
+    cfg = SweepConfig(game=game, pairing=Pairing.from_string(take("pairing")))
 
     for key, val in values.items():
-        if key in ("game", "pairing"):
-            continue
         if key.startswith("sweep."):
             axis = key[len("sweep."):]
             if axis not in SWEEPABLE:

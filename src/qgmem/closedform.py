@@ -27,8 +27,11 @@ The other factors (the sector products and the trigonometric terms) do not
 depend on the channels; ``angle_terms`` builds them once for many channel
 points.  ``payoff_coeffs`` contracts the entries with the weights into the
 nine factors (per channel point and player) that multiply them, and
-``assemble`` sums the products left to right, one numpy call a step, into
-caller buffers if given, so a repeated grid scan allocates no full-size array.
+``assemble`` sums the products left to right, one numpy call a step.  It is
+``sum_products`` over all four ``phase_products`` (the f_diag, f_off, gamma
+and delta terms, the ones of full grid size); a grid scan passes its own
+buffers, so a repeated scan allocates no full-size array, and leaves out the
+products that are +-0 everywhere (see ``equilibrium._certificates``).
 ``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
 with their entry columns stacked on a leading axis of the entries.
 
@@ -521,17 +524,34 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
             w.h_diag * (e00 - e11), w.h_off * (e01 - e10))
 
 
-def assemble(t: AngleTerms, coeffs: tuple, out=None):
-    """The payoff from its angle terms and ``payoff_coeffs`` (see module doc).
-    ``out``, if given, is two float arrays of the full broadcast shape: the
-    full-size products go to the second and the sum to the first (returned)."""
-    cc, ss, sc, cs, f_diag, f_off, gamma, h_diag, h_off = coeffs
+def phase_products(t: AngleTerms, coeffs: tuple) -> tuple:
+    """The four full-size products that ``assemble`` adds to the sector sum,
+    in its order, as (angle term, coefficients, factor) triples: a product is
+    ``term * factor()`` and linear in its coefficients, so it is +-0 wherever
+    the term is 0 or all its coefficients are."""
+    *_, f_diag, f_off, gamma, h_diag, h_off = coeffs
+    return ((t.f_diag, (f_diag,), lambda: f_diag),
+            (t.f_off, (f_off,), lambda: f_off),
+            (t.gamma, (gamma,), lambda: gamma),
+            (t.delta, (h_diag, h_off), lambda: h_diag * t.sin_diag + h_off * t.sin_off))
+
+
+def sum_products(t: AngleTerms, coeffs: tuple, products, out=None):
+    """The sector sum of ``t`` and ``coeffs`` plus the given ``phase_products``,
+    left to right.  ``out``, if given, is two float arrays of the full
+    broadcast shape: the products go to the second and the sum to the first
+    (returned).  With no product the sum keeps the sectors' small shape."""
+    cc, ss, sc, cs = coeffs[:4]
     acc, tmp = (None, None) if out is None else out
     total = t.cc * cc + t.ss * ss + t.sc * sc + t.cs * cs
-    for term, k in ((t.f_diag, f_diag), (t.f_off, f_off), (t.gamma, gamma),
-                    (t.delta, h_diag * t.sin_diag + h_off * t.sin_off)):
-        total = np.add(total, np.multiply(term, k, out=tmp), out=acc)
+    for term, _, factor in products:
+        total = np.add(total, np.multiply(term, factor(), out=tmp), out=acc)
     return total
+
+
+def assemble(t: AngleTerms, coeffs: tuple):
+    """The payoff from its angle terms and ``payoff_coeffs`` (see module doc)."""
+    return sum_products(t, coeffs, phase_products(t, coeffs))
 
 
 def closed_payoff(

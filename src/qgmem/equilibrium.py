@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import (Pairing, angle_terms, assemble, batch_weights,
-                         closed_payoff_pair, payoff_coeffs, payoff_surface)
+from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
+                         payoff_coeffs, payoff_surface, phase_products, sum_products)
 from .games import Bimatrix, builtin_game
 from .protocol import EntanglementParams, StrategyParams
 
@@ -132,8 +132,19 @@ def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
     """``check_profile`` at every channel point of ``ev`` (whose p and mu may
     be arrays), in C order.  One ``closed_payoff_pair`` call gives the profile
     payoffs at all points, and one weight evaluation the coefficient table;
-    each point then scans both deviation grids with ``assemble`` into two
-    buffers per grid."""
+    each point then scans both deviation grids with ``sum_products`` into two
+    buffers per grid.
+
+    A scan adds only the phase products that can be non-zero.  It skips one
+    whose angle term is zero over the whole grid (gamma = 0 zeroes the gamma
+    term, delta = 0 the delta term, a fixed theta = 0 both) and one whose
+    coefficients are all 0 at the point (gamma = 0 or delta = 0 zero the f
+    factors; weight factors vanish at some p = 0 or mu = 0 points).  A grid
+    with no product left at any point gets no buffers, and a point with none
+    left takes its maximum over the small sector sum.  A skipped product is
+    +-0 everywhere, so the sum keeps its bits but for the sign of a zero, and
+    ``max(0.0, best - payoff)`` gives the same gain for either sign of a zero
+    maximum."""
     pairing, game, ent, ch1, ch2 = ev.pairing, ev.game, ev.ent, ev.ch1, ev.ch2
     w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)
@@ -144,11 +155,22 @@ def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
     for entries, grid in ((game.a, (*space_a.mesh(), *two)),
                           (game.b, (*one, *space_b.mesh()))):
         terms = angle_terms(ent, *grid)
-        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
         table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
-        best.append([float(assemble(terms, k, bufs).max()) for k in zip(*table)])
+        live = [np.any(term) and any(map(np.any, ks))
+                for term, ks, _ in phase_products(terms, table)]
+        bufs = ([np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
+                if any(live) else None)
+        best.append([_scan_max(terms, k, live, bufs) for k in zip(*table)])
     return [EquilibriumReport(profile, (pa, pb), max(0.0, ba - pa), max(0.0, bb - pb),
                               epsilon) for pa, pb, ba, bb in zip(*payoffs, *best)]
+
+
+def _scan_max(terms, k, live, bufs):
+    """The grid maximum at coefficients ``k``, summing the phase products that
+    are ``live`` on the grid and have a non-zero coefficient at ``k``."""
+    products = [prod for prod, on in zip(phase_products(terms, k), live)
+                if on and any(prod[1])]
+    return float(sum_products(terms, k, products, bufs).max())
 
 
 # --------------------------------------------------------------------------

@@ -139,6 +139,15 @@ class TestVerifyCommand:
         assert "max_abs_diff" not in captured.out
         assert "--samples must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tol, capsys):
+        # No sample passes a NaN or negative tolerance, and every one passes inf.
+        assert run(["verify", "--pairing", "d-d", "--samples", "3", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "max_abs_diff" not in captured.out
+        assert captured.err.strip() == \
+            f"error: --tol must be finite and >= 0, got {float(tol)}"
+
     def test_impossible_tolerance_fails(self):
         assert run(["verify", "--pairing", "ph-ph", "--samples", "10",
                     "--seed", "1", "--tol", "1e-18"]) == 4
@@ -306,6 +315,20 @@ class TestSweepCommand:
         key = fixed.split()[0]
         assert capsys.readouterr().err.strip() == \
             f"error: {key!r} is both fixed and swept ('sweep.{key}')"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,key", [
+        ("pairing = ad-d\n", "game"),
+        ("game = pd\n", "pairing"),
+        ("game = custom\nentries_b = 1,1,1,1\npairing = ad-d\n", "entries_a"),
+        ("game = custom\nentries_a = 1,1,1,1\npairing = ad-d\n", "entries_b"),
+    ], ids=["game", "pairing", "entries_a", "entries_b"])
+    def test_missing_required_key(self, tmp_path, capsys, text, key):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"{text}sweep.p1 = 0:1:3\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: missing required key {key!r}"
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", ["nan,0,0,1", "1,0,0,inf", "1,-inf,0,0"])

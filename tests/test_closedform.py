@@ -14,7 +14,7 @@ from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               batch_weights, closed_payoff, closed_payoff_pair,
                               dephasing_coeff, depol_coeffs, pairing_weights,
                               payoff_surface)
-from qgmem.closedform import assemble, payoff_coeffs
+from qgmem.closedform import assemble, payoff_coeffs, phase_products, sum_products
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import builtin_game, classical_expected
 from qgmem.oracle import two_pass_state
@@ -437,7 +437,8 @@ class TestCoefficientAssembly:
             for entries in (game.a, game.b, random_entries(rng)):
                 k = payoff_coeffs(w, entries, ent)
                 bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
-                got, fresh = assemble(t, k, out=bufs), assemble(t, k)
+                got = sum_products(t, k, phase_products(t, k), bufs)
+                fresh = assemble(t, k)
                 assert got is bufs[0] and fresh.shape == (5, 7, 3)
                 assert np.array_equal(got, fresh)
                 assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, t))

@@ -125,12 +125,32 @@ class TestCheckProfile:
 
 
 class TestCertificatePath:
-    # One profile per pairing; the (p, mu) loop shares the angle terms of the
-    # profile and of both grids across all its channel points.
+    # One profile per pairing and input; the (p, mu) loop shares the angle
+    # terms of the profile and of both grids across all its channel points.
+    # The scans skip phase products that vanish, so the inputs make them
+    # vanish: gamma = 0 or delta = 0 zeroes angle terms and the f
+    # coefficients, theta1 = 0 zeroes the gamma and delta terms of Bob's grid
+    # (theta1 = pi leaves them at about 1e-16, which must not be skipped),
+    # and the custom game zeroes the f and h coefficient columns of Alice and
+    # only the diagonal ones of Bob.  (gamma, delta, theta1); None is random.
     @pytest.mark.parametrize("pairing", list(Pairing))
-    def test_nash_rows_match_per_point_certificates(self, pairing, rng):
-        game = builtin_game("chicken")
+    @pytest.mark.parametrize("game,gamma,delta,theta1", [
+        ("chicken", None, None, None),
+        ("chicken", 0.0, 0.0, None),
+        ("chicken", PI / 2, 0.0, None),
+        ("chicken", 0.0, PI / 2, None),
+        ("chicken", None, None, 0.0),
+        ("chicken", None, None, PI),
+        ("custom", None, None, None),
+    ])
+    def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
+                                                    delta, theta1, rng):
+        game = (Bimatrix("custom", (2.0, -1.0, -1.0, 2.0), (1.5, 3.0, 0.0, 1.5))
+                if game == "custom" else builtin_game(game))
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+        ent = EntanglementParams(ent.gamma if gamma is None else gamma,
+                                 ent.delta if delta is None else delta)
+        s1 = s1 if theta1 is None else StrategyParams(theta1, s1.alpha, s1.beta)
         space_a, space_b = StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
         report = CaseReport("t")
         _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
