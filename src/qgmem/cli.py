@@ -110,7 +110,8 @@ def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
     rng = random.Random(seed)
     for start in range(0, samples, VERIFY_BLOCK):
         n = min(VERIFY_BLOCK, samples - start)
-        u = np.array([rng.random() for _ in range(16 * n)]).reshape(n, 16)
+        # random() < 1 never hits the 2.0 sentinel; fromiter reads exactly 16n draws.
+        u = np.fromiter(iter(rng.random, 2.0), float, 16 * n).reshape(n, 16)
         cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[[*range(12), 13, 12, 15, 14]]
         for row, kind in ((13, pairing.first), (15, pairing.second)):
             if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:

@@ -140,7 +140,7 @@ def measure_payoff(payoff_op: np.ndarray, rho: np.ndarray) -> float:
     to round-off; an imaginary residue beyond 1e-10 signals an invalid input
     and raises instead of being silently discarded.
     """
-    value = np.trace(payoff_op @ rho, axis1=-2, axis2=-1)
+    value = (payoff_op * np.swapaxes(rho, -1, -2)).sum((-2, -1))
     residue = np.max(np.abs(value.imag))
     if residue > _IMAG_RESIDUE_TOL:
         raise ArithmeticError(

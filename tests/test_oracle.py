@@ -9,10 +9,12 @@ import pytest
 from conftest import random_ent, random_strategy
 
 import qgmem
-from qgmem.channels import ChannelKind, ChannelSpec, apply_channel, two_use_kraus
+from qgmem.channels import (ChannelKind, ChannelSpec, apply_channel, kraus_stack,
+                            two_use_kraus)
 from qgmem.closedform import Pairing, dephasing_coeff
 from qgmem.games import Bimatrix, builtin_game
-from qgmem.oracle import GameConfig, liouville, oracle_payoffs, two_pass_state
+from qgmem.oracle import (_CHI, GameConfig, _cross, liouville, oracle_payoffs,
+                          two_pass_state)
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
                             measure_payoff, noiseless_final_state,
                             payoff_operator, strategy_unitary)
@@ -203,6 +205,75 @@ class TestLiouvilleOracle:
         choi = lv.reshape(11, 11, 4, 4, 4, 4).swapaxes(-3, -2)
         assert np.linalg.eigvalsh(choi.reshape(11, 11, 16, 16)).min() >= -1e-12
         assert np.max(np.abs(np.einsum("...acad->...cd", choi) - np.eye(4))) <= 1e-12
+
+
+def _matrices(rng, *shape):
+    """Complex Gaussian 4x4 matrices, shape (*shape, 4, 4): a crossing is
+    linear, so general matrices test it beyond Hermitian inputs."""
+    n = math.prod(shape) * 32
+    z = np.array([rng.gauss(0.0, 1.0) for _ in range(n)]).view(complex)
+    return z.reshape(*shape, 4, 4)
+
+
+# (p, mu) at every corner of {0, 1}^2, at mu = 0 and 1 with p inside, and inside.
+CHANNEL_POINTS = list(itertools.product((0.0, 1.0), repeat=2)) + [
+    (0.37, 0.0), (0.81, 1.0), (0.0, 0.44), (1.0, 0.59), (0.23, 0.71), (0.66, 0.18)]
+
+
+class TestCrossing:
+    """Each crossing form against the operator-sum route of its Kraus family."""
+
+    @staticmethod
+    def _want(kind, p, mu, rho):
+        return apply_channel(two_use_kraus(ChannelSpec(kind, p, mu)), rho)
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_float_points(self, kind, rng):
+        for p, mu in CHANNEL_POINTS:
+            rho = _matrices(rng)
+            got = _cross(ChannelSpec(kind, p, mu), rho)
+            assert got.shape == (4, 4)
+            assert np.max(np.abs(got - self._want(kind, p, mu, rho))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_array_points(self, kind, rng):
+        p, mu = np.array(CHANNEL_POINTS).T
+        rho = _matrices(rng, len(p))
+        got = _cross(ChannelSpec(kind, p, mu), rho)
+        assert got.shape == (len(p), 4, 4)
+        for i in range(len(p)):
+            want = self._want(kind, p[i], mu[i], rho[i])
+            assert np.max(np.abs(got[i] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_mesh_broadcasts_one_state(self, kind, rng):
+        grid = np.linspace(0.0, 1.0, 11)
+        p, mu = np.meshgrid(grid, grid, indexing="ij")
+        rho = _matrices(rng)
+        got = _cross(ChannelSpec(kind, p, mu), rho)
+        assert got.shape == (11, 11, 4, 4)
+        for i, j in itertools.product(range(11), repeat=2):
+            want = self._want(kind, p[i, j], mu[i, j], rho)
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_two_pass_state_at_float_points(self, pairing, rng):
+        for (p1, mu1), (p2, mu2) in itertools.product(CHANNEL_POINTS[:4], repeat=2):
+            ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
+            ch1 = ChannelSpec(pairing.first, p1, mu1)
+            ch2 = ChannelSpec(pairing.second, p2, mu2)
+            got = two_pass_state(ent, s1, s2, ch1, ch2)
+            want = operator_sum_state(ent, s1, s2, ch1, ch2)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING])
+    def test_pauli_signs_and_identity_at_zero_p(self, kind):
+        chi = _CHI[kind]
+        assert chi.shape == (len(kraus_stack(kind, 0.0, 0.0)[1]), 16)
+        assert set(np.unique(chi)) == {-1.0, 1.0}
+        mu = np.linspace(0.0, 1.0, 11)
+        lam = kraus_stack(kind, np.zeros_like(mu), mu)[0] ** 2 @ chi
+        assert np.max(np.abs(lam - 1.0)) <= 1e-15
 
 
 SRC = Path(qgmem.__file__).parent
