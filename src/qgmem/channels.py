@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import PAULI, check_range, dagger, max_abs, tensor
+from .qmat import PAULI, check_range, dagger, max_abs
 
 
 class ChannelKind(enum.Enum):
@@ -49,8 +49,9 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-def _pauli_probs(kind: ChannelKind, p: float) -> dict[int, float]:
-    """Single-use Pauli error distribution for the Pauli-type channels."""
+def _pauli_probs(kind: ChannelKind, p) -> dict:
+    """Single-use Pauli error distribution of the Pauli-type channels, as
+    {Pauli index: probability over p} on the family's error support."""
     if kind is ChannelKind.DEPHASING:
         return {0: 1.0 - p / 2.0, 3: p / 2.0}
     if kind is ChannelKind.DEPOLARIZING:
@@ -80,13 +81,15 @@ def single_use_kraus(kind: ChannelKind, p: float) -> KrausSet:
     return KrausSet(tuple(np.sqrt(w) * PAULI[i] for i, w in sorted(probs.items())))
 
 
-def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int], float]:
-    """Joint Pauli-error weights for the channel's two consecutive uses.
+def pair_weights(kind: ChannelKind, p, mu) -> np.ndarray:
+    """Joint Pauli-error weights of the channel's two consecutive uses, shape
+    (..., 4, 4) over Pauli indices (I, X, Y, Z), broadcast over p and mu, and
+    zero off the family's error support.
 
     w_ij = p_i * [(1 - mu) p_j + mu * delta_ij]: with probability 1-mu the
-    two qubits draw independent errors, with probability mu identical ones.
-    Only the Pauli-type channels admit this form; the correlated
-    amplitude-damping pair is not a weighted product of single-use elements.
+    two qubits draw independent errors, with probability mu identical ones
+    (Macchiavello and Palma, PRA 65, 050301(R)).  The correlated
+    amplitude-damping pair has no such form.
     """
     check_range("p", p, 0.0, 1.0, "[0, 1]")
     check_range("mu", mu, 0.0, 1.0, "[0, 1]")
@@ -95,60 +98,31 @@ def pair_weights(kind: ChannelKind, p: float, mu: float) -> dict[tuple[int, int]
             "amplitude damping has no Pauli pair weights; "
             "use two_use_kraus for its correlated form"
         )
-    probs = _pauli_probs(kind, p)
-    return {
-        (i, j): pi * ((1.0 - mu) * pj + (mu if i == j else 0.0))
-        for i, pi in sorted(probs.items())
-        for j, pj in sorted(probs.items())
-    }
-
-
-# kron(P_i, P_j) for every pair of Pauli indices, shape (4, 4, 4, 4).
-_PAULI_PAIRS = tensor(np.array(PAULI)[:, None], np.array(PAULI)[None, :])
-# Operators in the uncorrelated group of each family's two-use stack.
-_UNCORRELATED = {ChannelKind.DEPHASING: 4, ChannelKind.DEPOLARIZING: 16,
-                 ChannelKind.AMPLITUDE_DAMPING: 4}
-
-
-def kraus_stack(kind: ChannelKind, p, mu) -> tuple[np.ndarray, np.ndarray]:
-    """4x4 Kraus operators of one crossing over arrays p and mu, as (scales,
-    ops): operator k is scales[..., k] * ops[..., k, :, :].  The Pauli families
-    share constant ops, shape (K, 4, 4); amplitude damping's depend on p.
-
-    Convex mixture: weight (1-mu) on tensor products of single-use elements
-    (independent errors on the two qubits), then weight mu on the correlated
-    set (identical Pauli pairs, or the joint amplitude-damping pair that damps
-    |00> to |11>).  Each scale is the square root of its operator's weight.
-    """
-    sq_unc, sq_cor = np.sqrt(1.0 - mu), np.sqrt(mu)
-    if kind is ChannelKind.AMPLITUDE_DAMPING:
-        single = _ad_elements(p)
-        unc = tensor(single[..., :, None, :, :], single[..., None, :, :, :])
-        cor = np.zeros(np.shape(p) + (2, 4, 4), dtype=complex)
-        cor[..., 0, :, :] = np.eye(4)
-        cor[..., 0, 0, 0], cor[..., 1, 3, 0] = single[..., 0, 0, 0], single[..., 1, 1, 0]
-        ops = np.concatenate([unc.reshape(*unc.shape[:-4], 4, 4, 4), cor], axis=-3)
-        scales = [sq_unc] * 4 + [sq_cor] * 2
-    else:
-        probs = sorted(_pauli_probs(kind, p).items())
-        idx = [i for i, _ in probs]
-        # The correlated sum must run over the channel's full error index
-        # set; anything less is not trace-preserving.
-        ops = np.concatenate([_PAULI_PAIRS[np.ix_(idx, idx)].reshape(-1, 4, 4),
-                              _PAULI_PAIRS[idx, idx]])
-        scales = [sq_unc * np.sqrt(pi * pj) for _, pi in probs for _, pj in probs] \
-            + [sq_cor * np.sqrt(pi) for _, pi in probs]
-    return np.stack(np.broadcast_arrays(*scales), axis=-1), ops
+    probs = np.zeros(np.broadcast(p, mu).shape + (4,))
+    for i, w in _pauli_probs(kind, p).items():
+        probs[..., i] = w
+    mu = np.asarray(mu)[..., None, None]
+    return probs[..., :, None] * ((1.0 - mu) * probs[..., None, :] + mu * np.eye(4))
 
 
 def two_use_kraus(spec: ChannelSpec) -> KrausSet:
-    """``kraus_stack`` at one channel point, with the operators of a group
-    whose weight is zero dropped."""
-    scales, ops = kraus_stack(spec.kind, spec.p, spec.mu)
-    ops = scales[..., None, None] * ops
-    n = _UNCORRELATED[spec.kind]
-    groups = ((ops[:n], spec.mu < 1.0), (ops[n:], spec.mu > 0.0))
-    return KrausSet(tuple(op for group, weighted in groups if weighted for op in group))
+    """Kraus family of one crossing at one channel point, as the literal
+    mixture: weight 1-mu on the tensor products of single-use elements
+    (independent errors on the two qubits), then weight mu on the correlated
+    set (identical Pauli pairs sqrt(p_i) P_i (x) P_i, or the joint
+    amplitude-damping pair that damps |00> to |11>).  The operators of a
+    group whose weight is zero are dropped."""
+    single = single_use_kraus(spec.kind, spec.p).operators
+    if spec.kind is ChannelKind.AMPLITUDE_DAMPING:
+        (e0, e1), cor = single, np.zeros((2, 4, 4), dtype=complex)
+        cor[0], cor[1, 3, 0] = np.diag([e0[0, 0], 1, 1, 1]), e1[1, 0]
+    else:
+        cor = [np.sqrt(w) * np.kron(PAULI[i], PAULI[i])
+               for i, w in sorted(_pauli_probs(spec.kind, spec.p).items())]
+    groups = ((1.0 - spec.mu, [np.kron(a, b) for a in single for b in single]),
+              (spec.mu, cor))
+    return KrausSet(tuple(np.sqrt(w) * op for w, group in groups if w > 0.0
+                          for op in group))
 
 
 def verify_completeness(ks: KrausSet, tol: float = 1e-12) -> tuple[bool, float]:

@@ -164,7 +164,7 @@ class SweepConfig:
     p2: float = 0.0
     mu2: float = 0.0
     output: str = "sweep.csv"
-    axes: list[tuple[str, list[float]]] = field(default_factory=list)
+    axes: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -213,7 +213,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             steps = int(parts[2])
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")
-            grid = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+            grid = start + (stop - start) * np.arange(steps) / (steps - 1)
             cfg.axes.append((axis, grid))
         elif key == "output":
             cfg.output = val

@@ -17,7 +17,7 @@ import numpy as np
 
 from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
                          payoff_coeffs, payoff_surface, phase_products, sum_products)
-from .games import Bimatrix, builtin_game
+from .games import Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
 PI = math.pi
@@ -297,7 +297,7 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
     # Classical equilibria under noise, certified on the (p, mu) grid.
     worst = 0.0
     for game in _GAMES:
-        for cell in _CLASSICAL_NE[game.name]:
+        for cell in sorted(classical_pure_nash(game)):
             t1, t2 = (0.0 if cell[0] == 0 else PI), (0.0 if cell[1] == 0 else PI)
             for pairing in (Pairing.PH_PH, Pairing.AD_AD, Pairing.D_D):
                 worst = max(worst, _nash_rows(report, pairing, game, ent,
@@ -439,8 +439,6 @@ _PD = builtin_game("pd")
 _BOS = builtin_game("bos")
 _CHICKEN = builtin_game("chicken")
 _GAMES = (_PD, _BOS, _CHICKEN)
-_CLASSICAL_NE = {"pd": [(1, 1)], "bos": [(0, 0), (1, 1)],
-                 "chicken": [(0, 1), (1, 0)]}
 
 _CASES = {
     "i": _case_i,

@@ -10,9 +10,10 @@ the Kraus families themselves.
 
 Crossings take two cheap forms (Wood, Biamonte and Cory, arXiv:1111.6950):
 a Pauli channel scales the Pauli coefficients of rho by lambda = w @ chi
-(joint weights w, sign table chi[k, ab] = Tr(K_k P_ab K_k^dag P_ab) / 4),
-and amplitude damping acts entrywise.  The tests hold both to the Kraus
-families through the operator-sum route and the Choi matrix of ``liouville``.
+(joint weights w from ``channels.pair_weights``, sign table chi over the 16
+fixed Pauli pairs), and amplitude damping acts entrywise.  The tests hold
+both to the literal Kraus mixtures through the operator-sum route and the
+Choi matrix of ``liouville``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _PAULI_PAIRS, ChannelKind, ChannelSpec, _ad_elements, kraus_stack
+from .channels import ChannelKind, ChannelSpec, _ad_elements, pair_weights
 from .games import Bimatrix
 from .protocol import (EntanglementParams, StrategyParams, initial_density,
                        measure_payoff, payoff_operator, strategy_unitary)
-from .qmat import dagger, tensor
+from .qmat import PAULI, dagger, tensor
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,11 @@ class GameConfig:
     s2: StrategyParams
 
 
+_PAULI_PAIRS = tensor(np.array(PAULI)[:, None], np.array(PAULI)[None, :]).reshape(16, 4, 4)
 _PAULI_VEC = _PAULI_PAIRS.reshape(16, 16)  # row ab is vec(kron(P_a, P_b))
-# chi[k, ab] = Tr(K_k P_ab K_k^dag P_ab) / 4 = +-1 over a Pauli family's fixed operators.
-_CHI = {kind: np.einsum("kij,abjl,kml,abmi->kab", ops, _PAULI_PAIRS, ops.conj(),
-                        _PAULI_PAIRS).real.reshape(len(ops), 16) / 4
-        for kind in (ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING)
-        for ops in [kraus_stack(kind, 0.0, 0.0)[1]]}
+# chi[ij, ab] = Tr(P_ij P_ab P_ij^dag P_ab) / 4 = +-1, with P_ij = kron(P_i, P_j).
+_CHI = np.einsum("kij,ajl,kml,ami->ka", _PAULI_PAIRS, _PAULI_PAIRS, _PAULI_PAIRS.conj(),
+                 _PAULI_PAIRS).real / 4
 
 
 def _damp(p, mu, rho: np.ndarray) -> np.ndarray:
@@ -71,7 +71,8 @@ def _cross(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
     """rho (..., 4, 4) after one crossing, broadcast over the channel's p, mu."""
     if spec.kind is ChannelKind.AMPLITUDE_DAMPING:
         return _damp(spec.p, spec.mu, rho)
-    lam = kraus_stack(spec.kind, spec.p, spec.mu)[0] ** 2 @ _CHI[spec.kind]
+    w = pair_weights(spec.kind, spec.p, spec.mu)
+    lam = w.reshape(*w.shape[:-2], 16) @ _CHI
     coeff = rho.reshape(*rho.shape[:-2], 16) @ _PAULI_VEC.conj().T / 4  # Tr(P_ab rho) / 4
     out = (lam * coeff) @ _PAULI_VEC
     return out.reshape(*out.shape[:-1], 4, 4)

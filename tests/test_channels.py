@@ -62,8 +62,18 @@ class TestPairWeights:
     @settings(max_examples=100, deadline=None)
     def test_depolarizing_normalized(self, p, mu):
         w = pair_weights(ChannelKind.DEPOLARIZING, p, mu)
-        assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(v >= -1e-15 for v in w.values())
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w.min() >= -1e-15
+
+    @pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING])
+    def test_arrays_match_points(self, kind):
+        p = np.linspace(0.0, 1.0, 7)[:, None]
+        mu = np.linspace(0.0, 1.0, 5)
+        w = pair_weights(kind, p, mu)
+        assert w.shape == (7, 5, 4, 4)
+        for i, j in np.ndindex(7, 5):
+            assert np.array_equal(w[i, j], pair_weights(kind, p[i, 0], mu[j]))
+        assert np.max(np.abs(w.sum(axis=(-2, -1)) - 1.0)) <= 1e-15
 
     def test_amplitude_damping_unsupported(self):
         with pytest.raises(ValueError):

@@ -342,6 +342,18 @@ class TestSweepCommand:
             "error: custom game entries must be finite"
         assert not out.exists()
 
+    # As for ``nash --grid``: 10**17 float64 steps (711 PiB) exceed any
+    # address space, so numpy refuses the axis before anything is allocated.
+    def test_unallocatable_axis_is_unsupported(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text("game = pd\npairing = ph-ph\nsweep.p1 = 0:1:100000000000000000\n"
+                        f"output = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_axis_order_canonical(self):
         cfg = parse_sweep_config(
             "game = pd\npairing = ph-ph\nsweep.theta2 = 0:pi:3\n"

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_ent, random_strategy
 
 import qgmem
-from qgmem.channels import (ChannelKind, ChannelSpec, apply_channel, kraus_stack,
+from qgmem.channels import (ChannelKind, ChannelSpec, apply_channel, pair_weights,
                             two_use_kraus)
 from qgmem.closedform import Pairing, dephasing_coeff
 from qgmem.games import Bimatrix, builtin_game
@@ -18,7 +18,7 @@ from qgmem.oracle import (_CHI, GameConfig, _cross, liouville, oracle_payoffs,
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
                             measure_payoff, noiseless_final_state,
                             payoff_operator, strategy_unitary)
-from qgmem.qmat import is_density, mat_trace
+from qgmem.qmat import PAULI, is_density, mat_trace
 
 PI = math.pi
 NOISELESS = ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.0)
@@ -268,12 +268,18 @@ class TestCrossing:
 
     @pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING])
     def test_pauli_signs_and_identity_at_zero_p(self, kind):
-        chi = _CHI[kind]
-        assert chi.shape == (len(kraus_stack(kind, 0.0, 0.0)[1]), 16)
-        assert set(np.unique(chi)) == {-1.0, 1.0}
+        assert _CHI.shape == (16, 16)
+        assert set(np.unique(_CHI)) == {-1.0, 1.0}
         mu = np.linspace(0.0, 1.0, 11)
-        lam = kraus_stack(kind, np.zeros_like(mu), mu)[0] ** 2 @ chi
+        lam = pair_weights(kind, np.zeros_like(mu), mu).reshape(11, 16) @ _CHI
         assert np.max(np.abs(lam - 1.0)) <= 1e-15
+
+    def test_chi_is_product_of_single_qubit_commutation_signs(self):
+        # s[i, a] = +1 if P_i and P_a commute, -1 if they anticommute.
+        s = np.array([[1.0 if np.allclose(pi @ pa, pa @ pi) else -1.0 for pa in PAULI]
+                      for pi in PAULI])
+        for i, j, a, b in itertools.product(range(4), repeat=4):
+            assert _CHI[4 * i + j, 4 * a + b] == s[i, a] * s[j, b]
 
 
 SRC = Path(qgmem.__file__).parent
