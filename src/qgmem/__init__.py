@@ -10,10 +10,9 @@ from .closedform import (Pairing, ad_coeffs, closed_payoff, closed_payoff_pair,
                          dephasing_coeff, depol_coeffs, pairing_weights,
                          payoff_surface)
 from .equilibrium import (CASE_IDS, EquilibriumReport, PayoffEvaluator,
-                          StrategySpace, best_response, case_study,
-                          check_profile)
-from .games import Bimatrix, builtin_game, classical_expected, classical_pure_nash
-from .oracle import GameConfig, oracle_payoffs, two_pass_state
+                          StrategySpace, case_study, check_profile)
+from .games import Bimatrix, builtin_game, classical_pure_nash
+from .oracle import two_pass_state
 from .protocol import EntanglementParams, StrategyParams
 
 __all__ = [
@@ -23,24 +22,20 @@ __all__ = [
     "ChannelSpec",
     "EntanglementParams",
     "EquilibriumReport",
-    "GameConfig",
     "KrausSet",
     "Pairing",
     "PayoffEvaluator",
     "StrategyParams",
     "StrategySpace",
     "ad_coeffs",
-    "best_response",
     "builtin_game",
     "case_study",
     "check_profile",
-    "classical_expected",
     "classical_pure_nash",
     "closed_payoff",
     "closed_payoff_pair",
     "dephasing_coeff",
     "depol_coeffs",
-    "oracle_payoffs",
     "pairing_weights",
     "payoff_surface",
     "two_pass_state",

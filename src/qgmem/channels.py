@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import PAULI, check_range, dagger, max_abs
+from .qmat import PAULI, check_range, dagger
 
 
 class ChannelKind(enum.Enum):
@@ -128,7 +128,7 @@ def two_use_kraus(spec: ChannelSpec) -> KrausSet:
 def verify_completeness(ks: KrausSet, tol: float = 1e-12) -> tuple[bool, float]:
     """Check sum_k K^dag K = I; returns (ok, max entrywise deviation)."""
     acc = sum(dagger(k) @ k for k in ks.operators)
-    deviation = max_abs(acc - np.eye(ks.dim))
+    deviation = float(np.max(np.abs(acc - np.eye(ks.dim))))
     return deviation <= tol, deviation
 
 

@@ -267,6 +267,11 @@ def cmd_sweep(args) -> int:
 FIGURE_MU_STEPS = 101
 
 
+def parse_figure_id(text: str):
+    """A ``figure --id`` value: an integer, or ``all``."""
+    return text if text == "all" else int(text)
+
+
 def figure_rows(figure_id: int) -> list[str]:
     ent, s1, s2, groups = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
@@ -276,14 +281,15 @@ def figure_rows(figure_id: int) -> list[str]:
 
 
 def cmd_figure(args) -> int:
-    if args.id not in FIGURES:
-        print(f"unknown figure id {args.id}; choose from {sorted(FIGURES)}",
+    if args.id != "all" and args.id not in FIGURES:
+        print(f"unknown figure id {args.id}; choose from {sorted(FIGURES)} or all",
               file=sys.stderr)
         return USAGE_ERROR
-    path = f"{args.outdir}/figure{args.id}.csv"
-    rows = figure_rows(args.id)
-    write_csv(path, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    for fid in sorted(FIGURES) if args.id == "all" else [args.id]:
+        path = f"{args.outdir}/figure{fid}.csv"
+        rows = figure_rows(fid)
+        write_csv(path, rows)
+        print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
@@ -291,8 +297,8 @@ def cmd_figure(args) -> int:
 # nash
 # --------------------------------------------------------------------------
 def cmd_nash(args) -> int:
-    if args.case not in CASE_IDS:
-        print(f"unknown case id {args.case!r}; choose from {CASE_IDS}",
+    if args.case != "all" and args.case not in CASE_IDS:
+        print(f"unknown case id {args.case!r}; choose from {CASE_IDS} or 'all'",
               file=sys.stderr)
         return USAGE_ERROR
     space = QUANTUM_SPACE
@@ -303,12 +309,16 @@ def cmd_nash(args) -> int:
             print(f"bad grid spec {args.grid!r}; expected TxAxB", file=sys.stderr)
             return USAGE_ERROR
         space = StrategySpace(t, a, b)
-    report = case_study(args.case, space)
-    print("\n".join(report.lines()))
+    rows, certified = [], True
+    for case_id in CASE_IDS if args.case == "all" else [args.case]:
+        report = case_study(case_id, space)
+        print("\n".join(report.lines()))
+        rows += report.gain_rows
+        certified &= report.nash_certified
     if args.csv:
-        write_gains(args.csv, report.gain_rows)
-        print(f"wrote {len(report.gain_rows)} gain rows to {args.csv}")
-    return 0 if report.nash_certified else VERIFY_FAIL
+        write_gains(args.csv, rows)
+        print(f"wrote {len(rows)} gain rows to {args.csv}")
+    return 0 if certified else VERIFY_FAIL
 
 
 # --------------------------------------------------------------------------
@@ -346,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True)
     swp.set_defaults(func=cmd_sweep)
 
-    fig = sub.add_parser("figure", help="emit one figure's data as CSV")
-    fig.add_argument("--id", type=int, required=True)
+    fig = sub.add_parser("figure", help="emit one figure's data as CSV, or all six")
+    fig.add_argument("--id", type=parse_figure_id, required=True, help="2..7, or all")
     fig.add_argument("--outdir", default=".")
     fig.set_defaults(func=cmd_figure)
 
     nsh = sub.add_parser("nash", help="equilibrium case study and certificates")
-    nsh.add_argument("--case", required=True)
+    nsh.add_argument("--case", required=True, help="a case id, or all")
     nsh.add_argument("--grid", default=None, help="quantum grid as TxAxB")
     nsh.add_argument("--csv", default=None, help="write gain rows to CSV")
     nsh.set_defaults(func=cmd_nash)

@@ -87,10 +87,6 @@ class Pairing(enum.Enum):
                 f"{', '.join(p.value for p in cls)}"
             ) from None
 
-    @classmethod
-    def of(cls, first: ChannelKind, second: ChannelKind) -> "Pairing":
-        return cls(f"{first.value}-{second.value}")
-
 
 _KIND = {"ph": ChannelKind.DEPHASING, "ad": ChannelKind.AMPLITUDE_DAMPING,
          "d": ChannelKind.DEPOLARIZING}
@@ -563,7 +559,9 @@ def closed_payoff(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
 ) -> float:
-    """One player's closed-form payoff for their entry column."""
+    """One player's closed-form payoff for their entry column, at one point.
+    Nothing in the package calls it; it stays because the benchmark tracer
+    wraps it by name."""
     return float(payoff_surface(pairing, entries, ent, ch1, ch2,
                                 *s1.angles, *s2.angles))
 

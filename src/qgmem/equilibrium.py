@@ -1,5 +1,5 @@
-"""Grid best-response search, epsilon-Nash certificates, and the named case
-studies over the quantum strategy space.
+"""Grid epsilon-Nash certificates and the named case studies over the
+quantum strategy space.
 
 A "classical" player is restricted to alpha = beta = 0; the quantum player
 searches the full (theta, alpha, beta) grid.  All claims reported by
@@ -22,7 +22,6 @@ from .protocol import EntanglementParams, StrategyParams
 
 PI = math.pi
 
-TIE_TOL = 1e-9
 DEFAULT_EPSILON = 1e-6
 
 # (p, mu) sample grid used by the equilibrium certificates.
@@ -80,36 +79,6 @@ class EquilibriumReport:
     payoffs: tuple[float, float]
     max_unilateral_gain_a: float
     max_unilateral_gain_b: float
-    epsilon: float = DEFAULT_EPSILON
-
-    @property
-    def is_epsilon_nash(self) -> bool:
-        return max(self.max_unilateral_gain_a, self.max_unilateral_gain_b) <= self.epsilon
-
-
-def best_response(
-    evaluator: PayoffEvaluator,
-    space: StrategySpace,
-    opponent: StrategyParams,
-    responder: int,
-    tie_tol: float = TIE_TOL,
-) -> list[StrategyParams]:
-    """Argmax set over the responder's grid, ties kept, lexicographic order."""
-    if responder not in (1, 2):
-        raise ValueError(f"responder must be 1 or 2, got {responder}")
-    ev = evaluator
-    theta, alpha, beta = np.broadcast_arrays(*space.mesh())
-    own, other = (theta, alpha, beta), opponent.angles
-    entries, angles = ((ev.game.a, own + other) if responder == 1
-                       else (ev.game.b, other + own))
-    values = payoff_surface(ev.pairing, entries, ev.ent, ev.ch1, ev.ch2, *angles)
-    cutoff = float(values.max()) - tie_tol
-    idx = np.argwhere(values >= cutoff)
-    return [
-        StrategyParams(float(theta[i, j, k]), float(alpha[i, j, k]),
-                       float(beta[i, j, k]))
-        for i, j, k in idx
-    ]
 
 
 def check_profile(
@@ -117,7 +86,6 @@ def check_profile(
     profile: tuple[StrategyParams, StrategyParams],
     space_a: StrategySpace,
     space_b: StrategySpace | None = None,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> EquilibriumReport:
     """Exhaustive grid scan of both players' unilateral deviations.
 
@@ -125,10 +93,10 @@ def check_profile(
     is reported as gain 0 rather than negative.
     """
     space_b = space_a if space_b is None else space_b
-    return _certificates(evaluator, profile, space_a, space_b, epsilon)[0]
+    return _certificates(evaluator, profile, space_a, space_b)[0]
 
 
-def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
+def _certificates(ev, profile, space_a, space_b):
     """``check_profile`` at every channel point of ``ev`` (whose p and mu may
     be arrays), in C order.  One ``closed_payoff_pair`` call gives the profile
     payoffs at all points, and one weight evaluation the coefficient table;
@@ -161,8 +129,8 @@ def _certificates(ev, profile, space_a, space_b, epsilon=DEFAULT_EPSILON):
         bufs = ([np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
                 if any(live) else None)
         best.append([_scan_max(terms, k, live, bufs) for k in zip(*table)])
-    return [EquilibriumReport(profile, (pa, pb), max(0.0, ba - pa), max(0.0, bb - pb),
-                              epsilon) for pa, pb, ba, bb in zip(*payoffs, *best)]
+    return [EquilibriumReport(profile, (pa, pb), max(0.0, ba - pa), max(0.0, bb - pb))
+            for pa, pb, ba, bb in zip(*payoffs, *best)]
 
 
 def _scan_max(terms, k, live, bufs):
@@ -188,10 +156,6 @@ class CaseReport:
     case_id: str
     claims: list[CaseClaim] = field(default_factory=list)
     gain_rows: list[dict] = field(default_factory=list)
-
-    @property
-    def all_claims_pass(self) -> bool:
-        return all(c.passed for c in self.claims)
 
     @property
     def nash_certified(self) -> bool:

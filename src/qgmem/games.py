@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -22,14 +21,6 @@ class Bimatrix:
     def cell(self, i: int, j: int) -> tuple[float, float]:
         k = 2 * i + j
         return self.a[k], self.b[k]
-
-    def swapped(self) -> "Bimatrix":
-        """The same game with the players' roles exchanged."""
-
-        def transpose(t):
-            return (t[0], t[2], t[1], t[3])
-
-        return Bimatrix(self.name + "-swapped", transpose(self.b), transpose(self.a))
 
 
 _BUILTIN = {
@@ -61,23 +52,3 @@ def classical_pure_nash(g: Bimatrix) -> set[tuple[int, int]]:
             if a_here >= a_flip and b_here >= b_flip:
                 out.add((i, j))
     return out
-
-
-def classical_expected(g: Bimatrix, x: float, y: float) -> tuple[float, float]:
-    """Expected payoffs when Alice plays row 0 with probability x and Bob
-    column 0 with probability y."""
-    if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
-        raise ValueError(f"x and y must be probabilities, got {x}, {y}")
-    pa = 0.0
-    pb = 0.0
-    for i, wi in ((0, x), (1, 1.0 - x)):
-        for j, wj in ((0, y), (1, 1.0 - y)):
-            va, vb = g.cell(i, j)
-            pa += wi * wj * va
-            pb += wi * wj * vb
-    return pa, pb
-
-
-def theta_weight(theta: float) -> float:
-    """Probability of move 0 for a classical player at angle theta."""
-    return math.cos(theta / 2) ** 2

@@ -3,7 +3,8 @@ ground truth against the closed-form payoffs.
 
 The round is: arbiter prepares the entangled pair, the pair crosses channel
 1 (its two qubits are that channel's two correlated uses), the players apply
-their local unitaries, the pair crosses channel 2, the arbiter measures.
+their local unitaries, the pair crosses channel 2.  ``two_pass_state`` gives
+the final state; the arbiter's measurement is ``protocol.measure_payoff``.
 Nothing here shares code with the closed-form expressions; the only common
 ground is the protocol primitives (state, unitaries, payoff operators) and
 the Kraus families themselves.
@@ -12,34 +13,19 @@ Crossings take two cheap forms (Wood, Biamonte and Cory, arXiv:1111.6950):
 a Pauli channel scales the Pauli coefficients of rho by lambda = w @ chi
 (joint weights w from ``channels.pair_weights``, sign table chi over the 16
 fixed Pauli pairs), and amplitude damping acts entrywise.  The tests hold
-both to the literal Kraus mixtures through the operator-sum route and the
-Choi matrix of ``liouville``.
+both to the literal Kraus mixtures through the operator-sum route and, as
+maps, through the Choi matrix of the Liouville matrix that
+``tests/reference.py`` builds from ``_cross``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, _ad_elements, pair_weights
-from .games import Bimatrix
 from .protocol import (EntanglementParams, StrategyParams, initial_density,
-                       measure_payoff, payoff_operator, strategy_unitary)
+                       strategy_unitary)
 from .qmat import PAULI, dagger, tensor
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """One fully specified experiment point."""
-
-    game: Bimatrix
-    ch1: ChannelSpec
-    ch2: ChannelSpec
-    ent: EntanglementParams
-    s1: StrategyParams
-    s2: StrategyParams
-
 
 _PAULI_PAIRS = tensor(np.array(PAULI)[:, None], np.array(PAULI)[None, :]).reshape(16, 4, 4)
 _PAULI_VEC = _PAULI_PAIRS.reshape(16, 16)  # row ab is vec(kron(P_a, P_b))
@@ -78,15 +64,6 @@ def _cross(spec: ChannelSpec, rho: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-1], 4, 4)
 
 
-def liouville(spec: ChannelSpec) -> np.ndarray:
-    """Liouville matrix sum_k K (x) conj(K) of a crossing, shape (..., 16, 16)
-    over array p and mu, built as ``_cross`` of the 16 matrix units |c><d|:
-    entry [(a, b), (c, d)] is sum_k K_ac conj(K_bd)."""
-    units = np.eye(16).reshape(16, *[1] * np.broadcast(spec.p, spec.mu).ndim, 4, 4)
-    lv = _cross(spec, units)
-    return np.moveaxis(lv.reshape(*lv.shape[:-2], 16), 0, -1)
-
-
 def two_pass_state(ent: EntanglementParams, s1: StrategyParams, s2: StrategyParams,
                    ch1: ChannelSpec, ch2: ChannelSpec) -> np.ndarray:
     """Final 4x4 density matrix after channel 1, the strategies, channel 2.
@@ -97,11 +74,3 @@ def two_pass_state(ent: EntanglementParams, s1: StrategyParams, s2: StrategyPara
     rho = _cross(ch1, initial_density(ent.gamma))
     u = tensor(strategy_unitary(s1), strategy_unitary(s2))
     return _cross(ch2, u @ rho @ dagger(u))
-
-
-def oracle_payoffs(cfg: GameConfig) -> tuple[float, float]:
-    """(Alice, Bob) payoffs of the simulated round."""
-    rho = two_pass_state(cfg.ent, cfg.s1, cfg.s2, cfg.ch1, cfg.ch2)
-    pa = measure_payoff(payoff_operator(cfg.ent.delta, cfg.game.a), rho)
-    pb = measure_payoff(payoff_operator(cfg.ent.delta, cfg.game.b), rho)
-    return pa, pb

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmat import check_range, dagger
+from .qmat import check_range
 
 _IMAG_RESIDUE_TOL = 1e-10
 
@@ -47,11 +47,6 @@ class StrategyParams:
     @property
     def angles(self) -> tuple[float, float, float]:
         return self.theta, self.alpha, self.beta
-
-    @classmethod
-    def classical(cls, theta: float) -> "StrategyParams":
-        """A player restricted to the classical mixture axis (alpha=beta=0)."""
-        return cls(theta, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,14 +118,6 @@ def payoff_operator(delta: float, entries: Sequence[float]) -> np.ndarray:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     return sum(np.asarray(value)[..., None, None] * proj
                for value, proj in zip(entries, payoff_projectors(delta)))
-
-
-def noiseless_final_state(
-    gamma: float, s1: StrategyParams, s2: StrategyParams
-) -> np.ndarray:
-    """Density matrix after both strategies, with no channel noise."""
-    u = np.kron(strategy_unitary(s1), strategy_unitary(s2))
-    return u @ initial_density(gamma) @ dagger(u)
 
 
 def measure_payoff(payoff_op: np.ndarray, rho: np.ndarray) -> float:

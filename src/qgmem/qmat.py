@@ -20,9 +20,6 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-SIGMA_X = PAULI[1]
-SIGMA_Z = PAULI[3]
-
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor on the slow (left) index."""
@@ -34,47 +31,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
-
-
-def mat_trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries, returned as a Python complex."""
-    return complex(np.trace(np.asarray(a, dtype=complex)))
-
-
-def max_abs(a: np.ndarray) -> float:
-    """Entrywise max-modulus, the norm used for completeness checks."""
-    return float(np.max(np.abs(a)))
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    The input is symmetrized only through the solver's own convention
-    (the lower triangle is read); callers are expected to pass matrices
-    that are Hermitian up to round-off.
-    """
-    return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-9) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return max_abs(m - dagger(m)) <= tol
-
-
-def is_density(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff ``m`` is Hermitian, unit-trace and positive within ``tol``.
-
-    Positivity is decided by an explicit Hermitian eigenvalue solve so the
-    spectrum is available for diagnostics, not by determinant tests.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
-        return False
-    if abs(mat_trace(m) - 1.0) > tol:
-        return False
-    return bool(hermitian_eigenvalues(m).min() >= -tol)
 
 
 def check_range(name: str, value, lo: float, hi: float, span: str) -> None:

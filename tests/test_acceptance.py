@@ -17,13 +17,15 @@ import time
 import numpy as np
 import pytest
 
+from reference import classical_expected
+
 from qgmem.channels import (ChannelKind, ChannelSpec, single_use_kraus,
                             two_use_kraus, verify_completeness)
 from qgmem.cli import CSV_HEADER, figure_rows, fmt, main
 from qgmem.closedform import (Pairing, closed_payoff, closed_payoff_pair,
                               payoff_surface)
 from qgmem.equilibrium import CASE_IDS
-from qgmem.games import builtin_game, classical_expected
+from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import EntanglementParams, StrategyParams, measure_payoff, \
     measurement_basis, payoff_operator, strategy_unitary

@@ -1,13 +1,17 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from test_golden import FIGURE_DIGESTS
+
 from qgmem.channels import ChannelKind
-from qgmem.cli import (CSV_HEADER, VERIFY_BLOCK, build_parser, main, parse_angle,
-                       parse_sweep_config, run_sweep, verify_blocks)
+from qgmem.cli import (CSV_HEADER, GAIN_HEADER, VERIFY_BLOCK, build_parser, main,
+                       parse_angle, parse_sweep_config, run_sweep, verify_blocks)
 from qgmem.closedform import Pairing
+from qgmem.equilibrium import CASE_IDS
 
 
 def run(args):
@@ -391,6 +395,12 @@ class TestFigureCommand:
         assert float(row["alpha2"]) == 0.0
         assert float(row["beta2"]) == pytest.approx(math.pi / 2, rel=1e-11)
 
+    def test_all_writes_golden_csvs(self, tmp_path, capsys):
+        assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == FIGURE_DIGESTS
+
 
 class TestNashCommand:
     def test_unknown_case(self):
@@ -411,6 +421,17 @@ class TestNashCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("case,pairing,game")
         assert len(lines) == 1 + 25
+
+    def test_all_writes_gain_table(self, tmp_path, capsys):
+        out = tmp_path / "gains.csv"
+        assert run(["nash", "--case", "all", "--csv", str(out)]) == 4
+        header, *rows = out.read_text().splitlines()
+        assert header == GAIN_HEADER
+        assert len(rows) == 450
+        printed = capsys.readouterr().out
+        assert printed.endswith(f"wrote 450 gain rows to {out}\n")
+        assert [line for line in printed.splitlines() if line.startswith("case ")] == \
+            [f"case {case_id}:" for case_id in CASE_IDS]
 
     def test_bad_grid_spec(self):
         assert run(["nash", "--case", "ii-b", "--grid", "bogus"]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ent, random_entries, random_strategy
+from reference import classical_expected
 
 from qgmem.channels import ChannelSpec
 from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
@@ -16,7 +17,7 @@ from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               payoff_surface)
 from qgmem.closedform import assemble, payoff_coeffs, phase_products, sum_products
 from qgmem.equilibrium import StrategySpace
-from qgmem.games import builtin_game, classical_expected
+from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams,
                             measure_payoff, payoff_operator)
@@ -464,7 +465,6 @@ class TestPairingEnum:
     def test_round_trip(self):
         for pairing in ALL_PAIRINGS:
             assert Pairing.from_string(pairing.value) is pairing
-            assert Pairing.of(pairing.first, pairing.second) is pairing
 
     def test_unknown_token(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 Whatever its arguments, ``main`` returns 0, 2, 3 or 4 and prints no
 traceback; whatever its text, ``parse_sweep_config`` returns a config or
 raises the ``ValueError`` or ``KeyError`` that ``main`` reports as a usage
-error.
+error (exit 2), or the ``MemoryError`` of an axis too large to allocate,
+which ``main`` reports as unsupported (exit 3).
 
 Arguments and config lines are drawn from their valid domains, and then a
 few of them are broken: left out, given without a value, or given junk.  So
@@ -18,7 +19,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qgmem.cli import SWEEPABLE, SweepConfig, main, parse_sweep_config
@@ -142,10 +143,13 @@ def test_sweep_keeps_exit_code_contract(text):
 
 
 @given(config_text() | st.text(max_size=200))
+# 10**17 float64 steps exceed any address space: numpy refuses the axis
+# before allocating anything.
+@example("game = pd\npairing = ph-ph\nsweep.p1 = 0:1:100000000000000000\n")
 @settings(max_examples=200, deadline=None)
 def test_parse_sweep_config_raises_only_usage_errors(text):
     try:
         cfg = parse_sweep_config(text)
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, MemoryError):
         return
     assert isinstance(cfg, SweepConfig) and cfg.axes

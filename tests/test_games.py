@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from qgmem.games import (Bimatrix, builtin_game, classical_expected,
-                         classical_pure_nash, theta_weight)
+from reference import classical_expected, swapped
+
+from qgmem.games import Bimatrix, builtin_game, classical_pure_nash
 
 
 class TestBuiltins:
@@ -77,15 +78,9 @@ class TestExpected:
         assert pb == pytest.approx(pb, abs=1e-12)
 
 
-def test_theta_weight_endpoints():
-    import math
-    assert theta_weight(0.0) == 1.0
-    assert theta_weight(math.pi) == pytest.approx(0.0, abs=1e-30)
-
-
 def test_swapped_reverses_roles():
     g = builtin_game("chicken")
-    s = g.swapped()
+    s = swapped(g)
     for i in (0, 1):
         for j in (0, 1):
             a, b = g.cell(i, j)

