@@ -4,7 +4,7 @@ None of this runs in the program.  Each function is a direct, unoptimised
 statement of what some part of ``qgmem`` computes another way: a density
 check by explicit spectrum, the noiseless round by ``np.kron``, the oracle's
 payoffs by trace rule, a crossing's Liouville matrix, classical mixed payoffs
-by summing cells, and a grid best response by brute force.
+by summing cells at cos^2(theta/2), and a grid best response by brute force.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def classical_expected(g: Bimatrix, x: float, y: float) -> tuple[float, float]:
             pa += wi * wj * va
             pb += wi * wj * vb
     return pa, pb
+
+
+def theta_weight(theta: float) -> float:
+    """Probability of move 0 for a classical player at angle theta."""
+    return np.cos(theta / 2) ** 2
 
 
 def swapped(g: Bimatrix) -> Bimatrix:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import classical_expected
+from reference import classical_expected, theta_weight
 
 from qgmem.channels import (ChannelKind, ChannelSpec, single_use_kraus,
                             two_use_kraus, verify_completeness)
@@ -113,8 +113,8 @@ def test_criterion_4_classical_reduction():
     for game in GAMES.values():
         for t1 in thetas:
             for t2 in thetas:
-                ca, cb = classical_expected(game, math.cos(t1 / 2) ** 2,
-                                            math.cos(t2 / 2) ** 2)
+                ca, cb = classical_expected(game, theta_weight(t1),
+                                            theta_weight(t2))
                 for pairing in Pairing:
                     pa, pb = closed_payoff_pair(
                         pairing, game, ent, StrategyParams(float(t1)),

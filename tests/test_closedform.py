@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ent, random_entries, random_strategy
-from reference import classical_expected
+from reference import classical_expected, theta_weight
 
 from qgmem.channels import ChannelSpec
 from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
@@ -160,8 +160,8 @@ class TestClosedPayoff:
                     pa, pb = closed_payoff_pair(
                         Pairing.AD_AD, game, ent, StrategyParams(t1),
                         StrategyParams(t2), (0.0, 0.0), (0.0, 0.0))
-                    ca, cb = classical_expected(game, math.cos(t1 / 2) ** 2,
-                                                math.cos(t2 / 2) ** 2)
+                    ca, cb = classical_expected(game, theta_weight(t1),
+                                                theta_weight(t2))
                     assert (pa, pb) == pytest.approx((ca, cb), abs=1e-12)
 
     def test_phase_independence_unentangled(self, rng):

@@ -143,8 +143,7 @@ def test_sweep_keeps_exit_code_contract(text):
 
 
 @given(config_text() | st.text(max_size=200))
-# 10**17 float64 steps exceed any address space: numpy refuses the axis
-# before allocating anything.
+# 10**17 float64 steps: numpy refuses the axis before allocating it.
 @example("game = pd\npairing = ph-ph\nsweep.p1 = 0:1:100000000000000000\n")
 @settings(max_examples=200, deadline=None)
 def test_parse_sweep_config_raises_only_usage_errors(text):

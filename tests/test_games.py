@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reference import classical_expected, swapped
+from reference import classical_expected, swapped, theta_weight
 
 from qgmem.games import Bimatrix, builtin_game, classical_pure_nash
 
@@ -76,6 +76,12 @@ class TestExpected:
                        for j, wj in ((0, y), (1, 1 - y)))
         assert pa == pytest.approx(manual_a, abs=1e-12)
         assert pb == pytest.approx(pb, abs=1e-12)
+
+
+def test_theta_weight_endpoints():
+    import math
+    assert theta_weight(0.0) == 1.0
+    assert theta_weight(math.pi) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_swapped_reverses_roles():

@@ -30,6 +30,10 @@ class TestParams:
         with pytest.raises(ValueError):
             StrategyParams(**kwargs)
 
+    def test_classical_constructor(self):
+        s = StrategyParams(1.2)
+        assert (s.alpha, s.beta) == (0.0, 0.0)
+
     def test_entanglement_range(self):
         with pytest.raises(ValueError):
             EntanglementParams(PI, 0.0)
