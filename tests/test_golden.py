@@ -9,14 +9,23 @@ and ``iv`` are pinned by SHA-256 digest (``sha256sum`` format), the others
 in full.  The 5x7x3 grid gives theta, alpha and beta different sizes, so a
 deviation scan that swaps two axes cannot reproduce it.  (Case ``iii-a``'s
 gains do not depend on the grid; its 5x7x3 table equals its 7x9x9 one.)
+
+``weights.sha256`` pins the bits of every ``PairingWeights`` field, one
+digest per pairing, so a rewrite of the weight builders keeps each float.
 """
 
+import dataclasses
 import hashlib
+import itertools
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgmem.cli import main
+from qgmem.closedform import Pairing, PairingWeights, batch_weights
+from qgmem.protocol import EntanglementParams
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +38,7 @@ def digests(name):
 FIGURE_DIGESTS = digests("figures.sha256")
 NASH_DIGESTS = digests("nash_7x9x9.sha256")
 NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
+WEIGHT_DIGESTS = digests("weights.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -74,3 +84,42 @@ def test_figure_digest(tmp_path, capsys, fid):
     name = f"figure{fid}.csv"
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == FIGURE_DIGESTS[name]
+
+
+# p and mu at both ends and inside, gamma and delta at 0, pi/2 and inside;
+# crossing them gives the mixed (0, pi/2) and (pi/2, 0) angle pairs too.
+# The float points are the corners, and the channel axes at inner angles.
+CHANNEL_AXIS = (0.0, 0.35, 1.0)
+ANGLE_AXIS = (0.0, 0.6, math.pi / 2)
+FLOAT_POINTS = (*itertools.product(*[(0.0, 1.0)] * 4, *[(0.0, math.pi / 2)] * 2),
+                *itertools.product(*[CHANNEL_AXIS] * 4, (0.6,), (0.6,)))
+
+
+def weight_bytes(w: PairingWeights, shape=()):
+    """The 11 fields of ``w`` (sectors entry by entry) as float64 bytes,
+    each broadcast to ``shape``."""
+    for field in dataclasses.fields(w):
+        value = getattr(w, field.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            yield np.ascontiguousarray(np.broadcast_to(v, shape), dtype=float).tobytes()
+
+
+def weights_digest(pairing: Pairing) -> str:
+    """SHA-256 over one array call on the crossed axes, then one call per
+    float point."""
+    digest, axes = hashlib.sha256(), (CHANNEL_AXIS,) * 4 + (ANGLE_AXIS,) * 2
+    grid = np.meshgrid(*map(np.array, axes), indexing="ij", sparse=True)
+    p1, mu1, p2, mu2, gamma, delta = grid
+    w = batch_weights(pairing, EntanglementParams(gamma, delta), (p1, mu1), (p2, mu2))
+    for chunk in weight_bytes(w, tuple(map(len, axes))):
+        digest.update(chunk)
+    for p1, mu1, p2, mu2, gamma, delta in FLOAT_POINTS:
+        w = batch_weights(pairing, EntanglementParams(gamma, delta), (p1, mu1), (p2, mu2))
+        for chunk in weight_bytes(w):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+def test_weights_digest(pairing):
+    assert weights_digest(pairing) == WEIGHT_DIGESTS[pairing.value]
