@@ -73,8 +73,8 @@ def _ad_elements(p) -> np.ndarray:
 
 
 def single_use_kraus(kind: ChannelKind, p: float) -> KrausSet:
-    """Kraus operators for one qubit crossing the channel once."""
-    check_range("p", p, 0.0, 1.0, "[0, 1]")
+    """Kraus operators for one qubit crossing the channel once; p is trusted
+    (``ChannelSpec`` validates it)."""
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         return KrausSet(tuple(_ad_elements(p)))
     probs = _pauli_probs(kind, p)
@@ -89,10 +89,9 @@ def pair_weights(kind: ChannelKind, p, mu) -> np.ndarray:
     w_ij = p_i * [(1 - mu) p_j + mu * delta_ij]: with probability 1-mu the
     two qubits draw independent errors, with probability mu identical ones
     (Macchiavello and Palma, PRA 65, 050301(R)).  The correlated
-    amplitude-damping pair has no such form.
+    amplitude-damping pair has no such form.  p and mu are trusted
+    (``ChannelSpec`` validates them).
     """
-    check_range("p", p, 0.0, 1.0, "[0, 1]")
-    check_range("mu", mu, 0.0, 1.0, "[0, 1]")
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         raise ValueError(
             "amplitude damping has no Pauli pair weights; "

@@ -15,14 +15,22 @@ xi = (1/2) sin(delta) sin(gamma):
                    + h_off  (e01 - e10) sin(a1-a2+b1-b2) )
 
 The sector weights and interference factors depend only on the channel
-parameters and the entanglement angles; ``batch_weights`` builds them per
-pairing.  Each factor follows a single rule: the delta-interference terms
-carry channel 2's coherence factor times channel 1's population factor, and
-the gamma terms mirror that with the channel roles reflected.  Coefficients
-and weights broadcast over arrays of p, mu, gamma and delta, bit for bit as at
-float points: a float is a 0-d input to the same numpy arithmetic, and every
-square is written as a product, since ``** 2`` rounds through libm's pow on a
-scalar but multiplies on an array.
+parameters and the entanglement angles.  Each pairing's builder gives its
+four sectors; ``batch_weights`` forms the seven factors by one rule from the
+channels' slot factors: channel 1 gives a coherence factor coh1 and a
+population factor pop1, channel 2 diagonal and off-diagonal coherence
+factors fd2, fo2 and measurement weights m00, m11, moff, and
+
+    f_diag = coh1 fd2,  f_off = coh1 fo2,  gXX = coh1 mXX,
+    h_diag = fd2 pop1,  h_off = fo2 pop1.
+
+So the delta-interference terms carry channel 2's coherence factor times
+channel 1's population factor, and the gamma terms mirror that with the
+channel roles reflected.  Coefficients and weights broadcast over arrays of
+p, mu, gamma and delta, bit for bit as at float points: a float is a 0-d
+input to the same numpy arithmetic, and every square is written as a
+product, since ``** 2`` rounds through libm's pow on a scalar but multiplies
+on an array.
 The other factors (the sector products and the trigonometric terms) do not
 depend on the channels; ``angle_terms`` builds them once for many channel
 points.  ``payoff_coeffs`` contracts the entries with the weights into the
@@ -187,6 +195,7 @@ def dephasing_coeff(p: float, mu: float) -> DephasingCoeff:
 # per-pairing sector weights
 # --------------------------------------------------------------------------
 Sector = tuple[float, float, float, float]  # weights of (e00, e11, e01, e10)
+Sectors = tuple[Sector, Sector, Sector, Sector]  # (cc, ss, sc, cs)
 
 
 @dataclass(frozen=True)
@@ -206,18 +215,14 @@ class PairingWeights:
     h_off: float
 
 
-def _ad_pop(x: AdCoeffs, cg: float, sg: float) -> float:
-    """Population-interference survival of one AD crossing (1 at p=0)."""
-    return (x.chi00 + x.chi11 - 2 * x.chi01) * cg + sg
+def _unital(et, ch, de) -> Sectors:
+    """The (cc, ss, sc, cs) layout of every pairing but ad-ad, ph-ad and
+    d-ad: ss swaps cc's et and ch, sc and cs carry them on e01 and e10, and
+    de fills the other slots."""
+    return (et, ch, de, de), (ch, et, de, de), (de, de, ch, et), (de, de, et, ch)
 
 
-def _ad_meas(x: AdCoeffs, cd: float, sd: float) -> tuple[float, float]:
-    """Measurement-side weights (g00, g11) of one AD crossing."""
-    k = 1 + x.chi11 - 2 * x.chi_a
-    return x.chi00 * cd + k * sd, x.chi00 * sd + k * cd
-
-
-def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> PairingWeights:
+def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> Sectors:
     band1 = sg + x1.chi11 * cg
     et1 = x1.chi00 * x2.chi00 * cg * cd + band1 * sd \
         + (x1.chi00 * x2.chi11 + 2 * x1.chi01 * x2.chi_a) * sd * cg
@@ -235,59 +240,25 @@ def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> PairingWeights:
     de2 = x1.chi01 * x2.chi_b * cg + x2.chi01 * band1
     de3 = x2.chi_b * band1 * cd + (x1.chi01 * x2.chi01 + x1.chi00 * x2.chi_b * sd) * cg
     de4 = x2.chi_b * band1 * sd + (x1.chi01 * x2.chi01 + x1.chi00 * x2.chi_b * cd) * cg
-    g00_2, g11_2 = _ad_meas(x2, cd, sd)
-    pop1 = _ad_pop(x1, cg, sg)
-    return PairingWeights(
-        cc=(et1, ch1, de1, de1),
-        ss=(et2, ch2, de2, de2),
-        sc=(et3, ch3, de3, de4),
-        cs=(et3, ch3, de4, de3),
-        f_diag=x1.chi10 * x2.chi10,
-        f_off=x1.chi10 * x2.chi_b,
-        g00=x1.chi10 * g00_2,
-        g11=x1.chi10 * g11_2,
-        g_off=x1.chi10 * (x2.chi_b - x2.chi01),
-        h_diag=x2.chi10 * pop1,
-        h_off=x2.chi_b * pop1,
-    )
+    return (et1, ch1, de1, de1), (et2, ch2, de2, de2), (et3, ch3, de3, de4), \
+        (et3, ch3, de4, de3)
 
 
-def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> PairingWeights:
+def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> Sectors:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
     et = (v.d1 * d11 + v.d3 * d21) * cd + (v.d1 * d21 + v.d3 * d11) * sd \
         + 2 * v.d2 * u.d4
     ch = (v.d1 * d21 + v.d3 * d11) * cd + (v.d1 * d11 + v.d3 * d21) * sd \
         + 2 * v.d2 * u.d4
-    de = v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4
-    f = (v.d4 - (2 / 3) * v.mu_times_p) * u.d3
-    g = u.d3 * (v.d1 - 2 * v.d2 + v.d3)
-    h = -(v.d4 - (2 / 3) * v.mu_times_p) * u.eta1dp
-    return PairingWeights(
-        cc=(et, ch, de, de),
-        ss=(ch, et, de, de),
-        sc=(de, de, ch, et),
-        cs=(de, de, et, ch),
-        f_diag=f, f_off=f, g00=g, g11=g, g_off=g, h_diag=h, h_off=h,
-    )
+    return _unital(et, ch, v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4)
 
 
-def _w_ph_ph(cg, sg, cd, sd, z1: DephasingCoeff, z2: DephasingCoeff) -> PairingWeights:
-    et = cg * cd + sg * sd
-    ch = sg * cd + cg * sd
-    f = z1.mu_p * z2.mu_p
-    return PairingWeights(
-        cc=(et, ch, 0.0, 0.0),
-        ss=(ch, et, 0.0, 0.0),
-        sc=(0.0, 0.0, ch, et),
-        cs=(0.0, 0.0, et, ch),
-        f_diag=f, f_off=f,
-        g00=z1.mu_p, g11=z1.mu_p, g_off=z1.mu_p,
-        h_diag=z2.mu_p, h_off=z2.mu_p,
-    )
+def _w_ph_ph(cg, sg, cd, sd, z1: DephasingCoeff, z2: DephasingCoeff) -> Sectors:
+    return _unital(cg * cd + sg * sd, sg * cd + cg * sd, 0.0)
 
 
-def _w_ph_ad(cg, sg, cd, sd, z1: DephasingCoeff, x2: AdCoeffs) -> PairingWeights:
+def _w_ph_ad(cg, sg, cd, sd, z1: DephasingCoeff, x2: AdCoeffs) -> Sectors:
     et1 = x2.chi00 * cg * cd + (sg + x2.chi11 * cg) * sd
     ch1 = (sg + x2.chi11 * cg) * cd + x2.chi00 * cg * sd
     et2 = (cg + x2.chi11 * sg) * sd + x2.chi00 * sg * cd
@@ -295,62 +266,27 @@ def _w_ph_ad(cg, sg, cd, sd, z1: DephasingCoeff, x2: AdCoeffs) -> PairingWeights
     et3, ch3 = x2.chi_a * sd, x2.chi_a * cd
     de3 = x2.chi_b * (sg * cd + cg * sd)
     de4 = x2.chi_b * (cg * cd + sg * sd)
-    g00_2, g11_2 = _ad_meas(x2, cd, sd)
-    return PairingWeights(
-        cc=(et1, ch1, x2.chi01 * cg, x2.chi01 * cg),
-        ss=(et2, ch2, x2.chi01 * sg, x2.chi01 * sg),
-        sc=(et3, ch3, de3, de4),
-        cs=(et3, ch3, de4, de3),
-        f_diag=z1.mu_p * x2.chi10,
-        f_off=z1.mu_p * x2.chi_b,
-        g00=z1.mu_p * g00_2,
-        g11=z1.mu_p * g11_2,
-        g_off=z1.mu_p * (x2.chi_b - x2.chi01),
-        h_diag=x2.chi10,
-        h_off=x2.chi_b,
-    )
+    return (et1, ch1, x2.chi01 * cg, x2.chi01 * cg), \
+        (et2, ch2, x2.chi01 * sg, x2.chi01 * sg), (et3, ch3, de3, de4), (et3, ch3, de4, de3)
 
 
-def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: DephasingCoeff) -> PairingWeights:
+def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: DephasingCoeff) -> Sectors:
     band1 = sg + x1.chi11 * cg
-    et = x1.chi00 * cg * cd + band1 * sd
-    ch = band1 * cd + x1.chi00 * cg * sd
-    de = x1.chi01 * cg
-    pop1 = _ad_pop(x1, cg, sg)
-    return PairingWeights(
-        cc=(et, ch, de, de),
-        ss=(ch, et, de, de),
-        sc=(de, de, ch, et),
-        cs=(de, de, et, ch),
-        f_diag=z2.mu_p * x1.chi10,
-        f_off=z2.mu_p * x1.chi10,
-        g00=x1.chi10, g11=x1.chi10, g_off=x1.chi10,
-        h_diag=z2.mu_p * pop1,
-        h_off=z2.mu_p * pop1,
-    )
+    return _unital(x1.chi00 * cg * cd + band1 * sd, band1 * cd + x1.chi00 * cg * sd,
+                   x1.chi01 * cg)
 
 
-def _w_ad_d(cg, sg, cd, sd, x1: AdCoeffs, v: DepolCoeffs) -> PairingWeights:
+def _w_ad_d(cg, sg, cd, sd, x1: AdCoeffs, v: DepolCoeffs) -> Sectors:
     band1 = sg + x1.chi11 * cg
     et = (x1.chi00 * v.d1 * cg + v.d3 * band1) * cd \
         + (v.d1 * band1 + x1.chi00 * v.d3 * cg) * sd + 2 * x1.chi01 * v.d2 * cg
     ch = (x1.chi00 * v.d1 * cg + v.d3 * band1) * sd \
         + (v.d1 * band1 + x1.chi00 * v.d3 * cg) * cd + 2 * x1.chi01 * v.d2 * cg
-    de = x1.chi01 * (v.d1 + v.d3) * cg + v.d2 * band1 + x1.chi00 * v.d2 * cg
-    pop1 = _ad_pop(x1, cg, sg)
-    f = (v.d4 - (2 / 3) * v.mu_times_p) * x1.chi10
-    g = x1.chi10 * (v.d1 - 2 * v.d2 + v.d3)
-    h = (v.d4 - (2 / 3) * v.mu_times_p) * pop1
-    return PairingWeights(
-        cc=(et, ch, de, de),
-        ss=(ch, et, de, de),
-        sc=(de, de, ch, et),
-        cs=(de, de, et, ch),
-        f_diag=f, f_off=f, g00=g, g11=g, g_off=g, h_diag=h, h_off=h,
-    )
+    return _unital(et, ch, x1.chi01 * (v.d1 + v.d3) * cg + v.d2 * band1
+                   + x1.chi00 * v.d2 * cg)
 
 
-def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> PairingWeights:
+def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> Sectors:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
     et1 = d11 * (x2.chi00 * cd + x2.chi11 * sd) + d21 * sd + 2 * u.d4 * x2.chi_a * sd
@@ -363,51 +299,19 @@ def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> PairingWeights:
     de1s = d21 * x2.chi01 + u.d4 * x2.chi_b
     de2 = d11 * x2.chi_b * sd + d21 * x2.chi_b * cd + u.d4 * x2.chi01
     de3 = d11 * x2.chi_b * cd + d21 * x2.chi_b * sd + u.d4 * x2.chi01
-    g00_2, g11_2 = _ad_meas(x2, cd, sd)
-    return PairingWeights(
-        cc=(et1, ch1, de1, de1),
-        ss=(et2, ch2, de1s, de1s),
-        sc=(et3, ch3, de2, de3),
-        cs=(et3, ch3, de3, de2),
-        f_diag=u.d3 * x2.chi10,
-        f_off=u.d3 * x2.chi_b,
-        g00=u.d3 * g00_2,
-        g11=u.d3 * g11_2,
-        g_off=u.d3 * (x2.chi_b - x2.chi01),
-        h_diag=-u.eta1dp * x2.chi10,
-        h_off=-u.eta1dp * x2.chi_b,
-    )
+    return (et1, ch1, de1, de1), (et2, ch2, de1s, de1s), (et3, ch3, de2, de3), \
+        (et3, ch3, de3, de2)
 
 
-def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: DephasingCoeff) -> PairingWeights:
+def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: DephasingCoeff) -> Sectors:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
-    et = d11 * cd + d21 * sd
-    ch = d11 * sd + d21 * cd
-    return PairingWeights(
-        cc=(et, ch, u.d4, u.d4),
-        ss=(ch, et, u.d4, u.d4),
-        sc=(u.d4, u.d4, ch, et),
-        cs=(u.d4, u.d4, et, ch),
-        f_diag=u.d3 * z2.mu_p, f_off=u.d3 * z2.mu_p,
-        g00=u.d3, g11=u.d3, g_off=u.d3,
-        h_diag=-u.eta1dp * z2.mu_p, h_off=-u.eta1dp * z2.mu_p,
-    )
+    return _unital(d11 * cd + d21 * sd, d11 * sd + d21 * cd, u.d4)
 
 
-def _w_ph_d(cg, sg, cd, sd, z1: DephasingCoeff, v: DepolCoeffs) -> PairingWeights:
-    et = (v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd
-    ch = (v.d1 * sg + v.d3 * cg) * cd + (v.d1 * cg + v.d3 * sg) * sd
-    f = (v.d4 - (2 / 3) * v.mu_times_p) * z1.mu_p
-    g = z1.mu_p * (v.d1 - 2 * v.d2 + v.d3)
-    h = v.d4 - (2 / 3) * v.mu_times_p
-    return PairingWeights(
-        cc=(et, ch, v.d2, v.d2),
-        ss=(ch, et, v.d2, v.d2),
-        sc=(v.d2, v.d2, ch, et),
-        cs=(v.d2, v.d2, et, ch),
-        f_diag=f, f_off=f, g00=g, g11=g, g_off=g, h_diag=h, h_off=h,
-    )
+def _w_ph_d(cg, sg, cd, sd, z1: DephasingCoeff, v: DepolCoeffs) -> Sectors:
+    return _unital((v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd,
+                   (v.d1 * sg + v.d3 * cg) * cd + (v.d1 * cg + v.d3 * sg) * sd, v.d2)
 
 
 def batch_weights(
@@ -416,23 +320,38 @@ def batch_weights(
     ch1: tuple[float, float],
     ch2: tuple[float, float],
 ) -> PairingWeights:
-    """Build the sector weights for one pairing.  The p and mu in ``ch1`` and
-    ``ch2``, and gamma and delta, may be arrays; they broadcast, and so does
-    every weight."""
+    """Build the weights for one pairing: its builder gives the sectors, and
+    the interference factors follow the module doc's rule from the two
+    channels' slot factors.  The p and mu in ``ch1`` and ``ch2``, and gamma
+    and delta, may be arrays; they broadcast, and so does every weight."""
     (cg, sg), (cd, sd) = _half_angle_squares(ent.gamma), _half_angle_squares(ent.delta)
 
     def coeff(kind: ChannelKind, pm: tuple[float, float], slot: int):
+        """The coefficients and slot factors of one crossing: (coh1, pop1)
+        in slot 1, (fd2, fo2, m00, m11, moff) in slot 2."""
         p, mu = pm
         if kind is ChannelKind.AMPLITUDE_DAMPING:
-            return ad_coeffs(p, mu)
+            x = ad_coeffs(p, mu)
+            if slot == 1:
+                return x, (x.chi10, (x.chi00 + x.chi11 - 2 * x.chi01) * cg + sg)
+            k = 1 + x.chi11 - 2 * x.chi_a
+            return x, (x.chi10, x.chi_b, x.chi00 * cd + k * sd, x.chi00 * sd + k * cd,
+                       x.chi_b - x.chi01)
         if kind is ChannelKind.DEPOLARIZING:
-            return depol_coeffs(p, mu, slot)
-        return dephasing_coeff(p, mu)
+            u = depol_coeffs(p, mu, slot)
+            if slot == 1:
+                return u, (u.d3, -u.eta1dp)
+            f, g = u.d4 - (2 / 3) * u.mu_times_p, u.d1 - 2 * u.d2 + u.d3
+            return u, (f, f, g, g, g)
+        z = dephasing_coeff(p, mu)
+        return z, (z.mu_p, 1.0) if slot == 1 else (z.mu_p, z.mu_p, 1.0, 1.0, 1.0)
 
-    a = coeff(pairing.first, ch1, 1)
-    b = coeff(pairing.second, ch2, 2)
-    builder = _BUILDERS[pairing]
-    return builder(cg, sg, cd, sd, a, b)
+    a, (coh1, pop1) = coeff(pairing.first, ch1, 1)
+    b, (fd2, fo2, m00, m11, moff) = coeff(pairing.second, ch2, 2)
+    return PairingWeights(*_BUILDERS[pairing](cg, sg, cd, sd, a, b),
+                          f_diag=coh1 * fd2, f_off=coh1 * fo2, g00=coh1 * m00,
+                          g11=coh1 * m11, g_off=coh1 * moff,
+                          h_diag=fd2 * pop1, h_off=fo2 * pop1)
 
 
 def pairing_weights(pairing, ent, ch1, ch2) -> PairingWeights:

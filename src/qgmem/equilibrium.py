@@ -112,7 +112,12 @@ def _certificates(ev, profile, space_a, space_b):
     left takes its maximum over the small sector sum.  A skipped product is
     +-0 everywhere, so the sum keeps its bits but for the sign of a zero, and
     ``max(0.0, best - payoff)`` gives the same gain for either sign of a zero
-    maximum."""
+    maximum.
+
+    At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
+    payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
+    lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
+    such a certificate is a proof over the continuum of strategies."""
     pairing, game, ent, ch1, ch2 = ev.pairing, ev.game, ev.ent, ev.ch1, ev.ch2
     w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)

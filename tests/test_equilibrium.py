@@ -180,6 +180,28 @@ class TestCertificatePath:
             assert rep.max_unilateral_gain_b == max(0.0, float(best_b) - pb)
 
 
+class TestUnentangledCertificatesAreExact:
+    # At gamma = delta = 0 every phase product is zero, so a responder's
+    # payoff is K + M cos(theta) whatever their alpha and beta.  Its maximum
+    # over the continuum lies at theta in {0, pi}, which every StrategySpace
+    # grid contains: case i's grid certificates are continuum proofs.
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("game", ["pd", "bos", "chicken"])
+    def test_no_deviation_beats_the_theta_ends(self, pairing, game, rng):
+        game, ent = builtin_game(game), EntanglementParams(0.0, 0.0)
+        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        fixed = {0: random_strategy(rng).angles, 1: random_strategy(rng).angles}
+        deviations = [np.array([rng.uniform(lo, hi) for _ in range(200)])
+                      for lo, hi in ((0.0, PI), (-PI, PI), (-PI, PI))]
+        ends = (np.array([0.0, PI]), 0.0, 0.0)
+        for responder, entries in enumerate((game.a, game.b)):
+            def payoff(own):
+                angles = (*own, *fixed[1]) if responder == 0 else (*fixed[0], *own)
+                return payoff_surface(pairing, entries, ent, ch1, ch2, *angles)
+
+            assert payoff(deviations).max() <= payoff(ends).max() + 1e-12
+
+
 class TestScanBuffers:
     # Each profile's deviation scans reuse two buffers over its (p, mu)
     # points.  Certifying a case's profile again, after other profiles on
