@@ -190,16 +190,16 @@ class TestUnentangledCertificatesAreExact:
     def test_no_deviation_beats_the_theta_ends(self, pairing, game, rng):
         game, ent = builtin_game(game), EntanglementParams(0.0, 0.0)
         ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
-        fixed = {0: random_strategy(rng).angles, 1: random_strategy(rng).angles}
+        s1, s2 = random_strategy(rng).angles, random_strategy(rng).angles
         deviations = [np.array([rng.uniform(lo, hi) for _ in range(200)])
                       for lo, hi in ((0.0, PI), (-PI, PI), (-PI, PI))]
         ends = (np.array([0.0, PI]), 0.0, 0.0)
-        for responder, entries in enumerate((game.a, game.b)):
-            def payoff(own):
-                angles = (*own, *fixed[1]) if responder == 0 else (*fixed[0], *own)
-                return payoff_surface(pairing, entries, ent, ch1, ch2, *angles)
-
-            assert payoff(deviations).max() <= payoff(ends).max() + 1e-12
+        for entries, angles in ((game.a, lambda own: (*own, *s2)),
+                                (game.b, lambda own: (*s1, *own))):
+            best, deviated = (payoff_surface(pairing, entries, ent, ch1, ch2,
+                                             *angles(own)).max()
+                              for own in (ends, deviations))
+            assert deviated <= best + 1e-12
 
 
 class TestScanBuffers:
