@@ -14,7 +14,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +26,16 @@ from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
                        payoff_operator)
 
-CSV_HEADER = ("game,pairing,p1,mu1,p2,mu2,gamma,delta,"
-              "theta1,alpha1,beta1,theta2,alpha2,beta2,payoff_a,payoff_b")
+# The twelve parameters of a game point, in CSV column order.
+POINT = ("p1", "mu1", "p2", "mu2", "gamma", "delta",
+         "theta1", "alpha1", "beta1", "theta2", "alpha2", "beta2")
+CSV_HEADER = ",".join(("game", "pairing", *POINT, "payoff_a", "payoff_b"))
 
 GAIN_HEADER = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
 
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
 
-ANGLES = ("gamma", "delta", "theta1", "alpha1", "beta1", "theta2", "alpha2", "beta2")
+ANGLES = POINT[4:]
 ANGLE_FLAGS = {f"--{name}" for name in ANGLES}
 
 
@@ -63,6 +65,13 @@ def make_row(game_name: str, pairing: Pairing, values) -> str:
         "%.12g" if isinstance(v, np.ndarray) else fmt(v) for v in values])
 
 
+def game_point(values):
+    """(ent, s1, s2, ch1, ch2) from a mapping of the POINT names."""
+    p1, mu1, p2, mu2, *angles = (values[name] for name in POINT)
+    return (EntanglementParams(*angles[:2]), StrategyParams(*angles[2:5]),
+            StrategyParams(*angles[5:]), (p1, mu1), (p2, mu2))
+
+
 def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
                 s1: StrategyParams, s2: StrategyParams, ch1, ch2) -> list[str]:
     """CSV rows of one array evaluation.  Channel parameters and angles may be
@@ -82,11 +91,7 @@ def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
 def cmd_payoff(args) -> int:
     game = builtin_game(args.game)
     pairing = Pairing.from_string(args.pairing)
-    ent = EntanglementParams(args.gamma, args.delta)
-    s1 = StrategyParams(args.theta1, args.alpha1, args.beta1)
-    s2 = StrategyParams(args.theta2, args.alpha2, args.beta2)
-    pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2,
-                                (args.p1, args.mu1), (args.p2, args.mu2))
+    pa, pb = closed_payoff_pair(pairing, game, *game_point(vars(args)))
     print(f"payoff_a={fmt(pa)} payoff_b={fmt(pb)}")
     return 0
 
@@ -151,18 +156,7 @@ SWEEPABLE = ("p1", "mu1", "p2", "mu2", "theta2", "alpha2", "beta2")
 class SweepConfig:
     game: Bimatrix
     pairing: Pairing
-    gamma: float = 0.0
-    delta: float = 0.0
-    theta1: float = 0.0
-    alpha1: float = 0.0
-    beta1: float = 0.0
-    theta2: float = 0.0
-    alpha2: float = 0.0
-    beta2: float = 0.0
-    p1: float = 0.0
-    mu1: float = 0.0
-    p2: float = 0.0
-    mu2: float = 0.0
+    point: dict[str, float] = field(default_factory=lambda: dict.fromkeys(POINT, 0.0))
     output: str = "sweep.csv"
     axes: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
@@ -217,10 +211,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
             cfg.axes.append((axis, grid))
         elif key == "output":
             cfg.output = val
-        elif key in ANGLES:
-            setattr(cfg, key, parse_angle(val))
-        elif key in ("p1", "mu1", "p2", "mu2"):
-            setattr(cfg, key, float(val))
+        elif key in POINT:
+            cfg.point[key] = (parse_angle if key in ANGLES else float)(val)
         else:
             raise ValueError(f"unknown config key {key!r}")
     if not cfg.axes:
@@ -233,11 +225,8 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
     """Rows in lexicographic axis order (canonical axis order, last fastest)."""
     grids = np.meshgrid(*(np.array(grid) for _, grid in cfg.axes),
                         indexing="ij", sparse=True)
-    c = replace(cfg, **{name: g for (name, _), g in zip(cfg.axes, grids)})
-    return payoff_rows(c.game, c.pairing, EntanglementParams(c.gamma, c.delta),
-                       StrategyParams(c.theta1, c.alpha1, c.beta1),
-                       StrategyParams(c.theta2, c.alpha2, c.beta2),
-                       (c.p1, c.mu1), (c.p2, c.mu2))
+    point = {**cfg.point, **{name: g for (name, _), g in zip(cfg.axes, grids)}}
+    return payoff_rows(cfg.game, cfg.pairing, *game_point(point))
 
 
 def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
@@ -335,12 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     pay = sub.add_parser("payoff", help="closed-form payoff at one point")
     pay.add_argument("--game", required=True, choices=("pd", "bos", "chicken"))
     pay.add_argument("--pairing", required=True)
-    for name in ANGLES:
-        required = name in ("gamma", "delta", "theta1", "theta2")
-        pay.add_argument(f"--{name}", type=parse_angle,
-                         required=required, default=0.0)
-    for name in ("p1", "mu1", "p2", "mu2"):
-        pay.add_argument(f"--{name}", type=float, required=True)
+    for name in ANGLES + POINT[:4]:
+        pay.add_argument(f"--{name}", type=parse_angle if name in ANGLES else float,
+                         required=not name.startswith(("alpha", "beta")), default=0.0)
     pay.set_defaults(func=cmd_payoff)
 
     ver = sub.add_parser("verify", help="closed form vs Kraus-oracle check")

@@ -39,7 +39,7 @@ nine factors (per channel point and player) that multiply them, and
 ``sum_products`` over all four ``phase_products`` (the f_diag, f_off, gamma
 and delta terms, the ones of full grid size); a grid scan passes its own
 buffers, so a repeated scan allocates no full-size array, and leaves out the
-products that are +-0 everywhere (see ``equilibrium._certificates``).
+products that are +-0 everywhere (see ``equilibrium.check_profile``).
 ``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
 with their entry columns stacked on a leading axis of the entries.
 
@@ -79,11 +79,11 @@ class Pairing(enum.Enum):
 
     @property
     def first(self) -> ChannelKind:
-        return _KIND[self.value.split("-")[0]]
+        return ChannelKind(self.value.split("-")[0])
 
     @property
     def second(self) -> ChannelKind:
-        return _KIND[self.value.split("-")[1]]
+        return ChannelKind(self.value.split("-")[1])
 
     @classmethod
     def from_string(cls, token: str) -> "Pairing":
@@ -94,10 +94,6 @@ class Pairing(enum.Enum):
                 f"unknown pairing {token!r}; choose from "
                 f"{', '.join(p.value for p in cls)}"
             ) from None
-
-
-_KIND = {"ph": ChannelKind.DEPHASING, "ad": ChannelKind.AMPLITUDE_DAMPING,
-         "d": ChannelKind.DEPOLARIZING}
 
 
 # --------------------------------------------------------------------------

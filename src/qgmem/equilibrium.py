@@ -86,22 +86,15 @@ def check_profile(
     profile: tuple[StrategyParams, StrategyParams],
     space_a: StrategySpace,
     space_b: StrategySpace | None = None,
-) -> EquilibriumReport:
-    """Exhaustive grid scan of both players' unilateral deviations.
-
-    Gains are clamped at zero, so an off-grid profile that beats its own grid
-    is reported as gain 0 rather than negative.
-    """
-    space_b = space_a if space_b is None else space_b
-    return _certificates(evaluator, profile, space_a, space_b)[0]
-
-
-def _certificates(ev, profile, space_a, space_b):
-    """``check_profile`` at every channel point of ``ev`` (whose p and mu may
-    be arrays), in C order.  One ``closed_payoff_pair`` call gives the profile
-    payoffs at all points, and one weight evaluation the coefficient table;
-    each point then scans both deviation grids with ``sum_products`` into two
-    buffers per grid.
+) -> list[EquilibriumReport]:
+    """Exhaustive grid scan of both players' unilateral deviations, at every
+    channel point of ``evaluator`` (whose p and mu may be arrays), in C order;
+    a float point gives a one-element list.  One ``closed_payoff_pair`` call
+    gives the profile payoffs at all points, and one weight evaluation the
+    coefficient table; each point then scans both deviation grids with
+    ``sum_products`` into two buffers per grid.  Gains are clamped at zero, so
+    an off-grid profile that beats its own grid is reported as gain 0 rather
+    than negative.
 
     A scan adds only the phase products that can be non-zero.  It skips one
     whose angle term is zero over the whole grid (gamma = 0 zeroes the gamma
@@ -118,7 +111,9 @@ def _certificates(ev, profile, space_a, space_b):
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
     lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
     such a certificate is a proof over the continuum of strategies."""
-    pairing, game, ent, ch1, ch2 = ev.pairing, ev.game, ev.ent, ev.ch1, ev.ch2
+    space_b = space_a if space_b is None else space_b
+    pairing, game, ent = evaluator.pairing, evaluator.game, evaluator.ent
+    ch1, ch2 = evaluator.ch1, evaluator.ch2
     w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)
     shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
@@ -218,7 +213,7 @@ def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SP
     returns the worst gain."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
-    reps = _certificates(PayoffEvaluator(pairing, game, ent, ch, ch), (s1, s2),
+    reps = check_profile(PayoffEvaluator(pairing, game, ent, ch, ch), (s1, s2),
                          space_a, space_b)
     report.gain_rows += [dict(
         case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,

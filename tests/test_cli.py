@@ -7,11 +7,15 @@ import pytest
 
 from test_golden import FIGURE_DIGESTS
 
-from qgmem.channels import ChannelKind
+from qgmem.channels import ChannelKind, ChannelSpec
 from qgmem.cli import (CSV_HEADER, GAIN_HEADER, VERIFY_BLOCK, build_parser, main,
                        parse_angle, parse_sweep_config, run_sweep, verify_blocks)
 from qgmem.closedform import Pairing
 from qgmem.equilibrium import CASE_IDS
+from qgmem.games import builtin_game
+from qgmem.oracle import two_pass_state
+from qgmem.protocol import (EntanglementParams, StrategyParams, measure_payoff,
+                            payoff_operator)
 
 
 def run(args):
@@ -120,6 +124,28 @@ class TestPayoffCommand:
     def test_flag_without_value_is_still_usage_error(self, capsys):
         assert run(self.PAYOFF + ["--alpha2", "--beta1", "0"]) == 2
         assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_every_flag_reaches_its_parameter(self, pairing, capsys):
+        # Twelve distinct in-domain values: a flag routed to another
+        # parameter moves the payoffs away from the Kraus oracle's.
+        point = dict(p1=0.31, mu1=0.72, p2=0.58, mu2=0.17, gamma=0.43, delta=1.21,
+                     theta1=0.77, alpha1=-1.9, beta1=0.52, theta2=2.35,
+                     alpha2=1.13, beta2=-0.66)
+        assert run(["payoff", "--game", "chicken", "--pairing", pairing.value]
+                   + [f"--{name}={value}" for name, value in point.items()]) == 0
+        printed = [float(field.partition("=")[2])
+                   for field in capsys.readouterr().out.split()]
+        ent = EntanglementParams(point["gamma"], point["delta"])
+        rho = two_pass_state(
+            ent, StrategyParams(point["theta1"], point["alpha1"], point["beta1"]),
+            StrategyParams(point["theta2"], point["alpha2"], point["beta2"]),
+            ChannelSpec(pairing.first, point["p1"], point["mu1"]),
+            ChannelSpec(pairing.second, point["p2"], point["mu2"]))
+        game = builtin_game("chicken")
+        oracle = [measure_payoff(payoff_operator(ent.delta, entries), rho)
+                  for entries in (game.a, game.b)]
+        assert printed == pytest.approx(oracle, abs=1e-9)
 
 
 class TestVerifyCommand:

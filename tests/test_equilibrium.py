@@ -102,16 +102,16 @@ class TestBestResponse:
 class TestCheckProfile:
     def test_classical_pd_defection_is_nash(self):
         ev = classical_pd_evaluator()
-        report = check_profile(ev, (StrategyParams(PI), StrategyParams(PI)),
-                               CLASSICAL_SPACE)
+        [report] = check_profile(ev, (StrategyParams(PI), StrategyParams(PI)),
+                                 CLASSICAL_SPACE)
         assert max(report.max_unilateral_gain_a,
                    report.max_unilateral_gain_b) <= DEFAULT_EPSILON
         assert report.payoffs == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_classical_pd_cooperation_is_not(self):
         ev = classical_pd_evaluator()
-        report = check_profile(ev, (StrategyParams(0.0), StrategyParams(0.0)),
-                               CLASSICAL_SPACE)
+        [report] = check_profile(ev, (StrategyParams(0.0), StrategyParams(0.0)),
+                                 CLASSICAL_SPACE)
         assert not max(report.max_unilateral_gain_a,
                        report.max_unilateral_gain_b) <= DEFAULT_EPSILON
         assert report.max_unilateral_gain_a == pytest.approx(2.0, abs=1e-12)
@@ -120,7 +120,7 @@ class TestCheckProfile:
     def test_gains_nonnegative(self):
         ev = PayoffEvaluator(Pairing.D_D, builtin_game("bos"),
                              EntanglementParams(0.4, 0.9), (0.6, 0.2), (0.6, 0.2))
-        report = check_profile(
+        [report] = check_profile(
             ev, (StrategyParams(1.0, 0.5, 0.5), StrategyParams(2.0, -1.0, 1.0)),
             CLASSICAL_SPACE, QUANTUM_SPACE)
         assert report.max_unilateral_gain_a >= 0
@@ -163,7 +163,7 @@ class TestCertificatePath:
         for r in rows:
             ch = (r["p"], r["mu"])
             ev = PayoffEvaluator(pairing, game, ent, ch, ch)
-            rep = check_profile(ev, (s1, s2), space_a, space_b)
+            [rep] = check_profile(ev, (s1, s2), space_a, space_b)
             assert (r["payoff_a"], r["payoff_b"]) == rep.payoffs
             assert (r["gain_a"], r["gain_b"]) == \
                 (rep.max_unilateral_gain_a, rep.max_unilateral_gain_b)
