@@ -9,8 +9,7 @@ from .channels import ChannelKind, ChannelSpec, KrausSet
 from .closedform import (Pairing, ad_coeffs, closed_payoff, closed_payoff_pair,
                          dephasing_coeff, depol_coeffs, pairing_weights,
                          payoff_surface)
-from .equilibrium import (CASE_IDS, EquilibriumReport, PayoffEvaluator,
-                          StrategySpace, case_study, check_profile)
+from .equilibrium import CASE_IDS, StrategySpace, case_study, check_profile
 from .games import Bimatrix, builtin_game, classical_pure_nash
 from .oracle import two_pass_state
 from .protocol import EntanglementParams, StrategyParams
@@ -21,10 +20,8 @@ __all__ = [
     "ChannelKind",
     "ChannelSpec",
     "EntanglementParams",
-    "EquilibriumReport",
     "KrausSet",
     "Pairing",
-    "PayoffEvaluator",
     "StrategyParams",
     "StrategySpace",
     "ad_coeffs",

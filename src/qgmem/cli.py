@@ -270,10 +270,6 @@ def figure_rows(figure_id: int) -> list[str]:
 
 
 def cmd_figure(args) -> int:
-    if args.id != "all" and args.id not in FIGURES:
-        print(f"unknown figure id {args.id}; choose from {sorted(FIGURES)} or all",
-              file=sys.stderr)
-        return USAGE_ERROR
     for fid in sorted(FIGURES) if args.id == "all" else [args.id]:
         path = f"{args.outdir}/figure{fid}.csv"
         rows = figure_rows(fid)
@@ -286,10 +282,6 @@ def cmd_figure(args) -> int:
 # nash
 # --------------------------------------------------------------------------
 def cmd_nash(args) -> int:
-    if args.case != "all" and args.case not in CASE_IDS:
-        print(f"unknown case id {args.case!r}; choose from {CASE_IDS} or 'all'",
-              file=sys.stderr)
-        return USAGE_ERROR
     space = QUANTUM_SPACE
     if args.grid:
         try:
@@ -343,12 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=cmd_sweep)
 
     fig = sub.add_parser("figure", help="emit one figure's data as CSV, or all six")
-    fig.add_argument("--id", type=parse_figure_id, required=True, help="2..7, or all")
+    fig.add_argument("--id", type=parse_figure_id, choices=(*FIGURES, "all"),
+                     required=True)
     fig.add_argument("--outdir", default=".")
     fig.set_defaults(func=cmd_figure)
 
     nsh = sub.add_parser("nash", help="equilibrium case study and certificates")
-    nsh.add_argument("--case", required=True, help="a case id, or all")
+    nsh.add_argument("--case", choices=(*CASE_IDS, "all"), required=True,
+                     help="a case id, or all")
     nsh.add_argument("--grid", default=None, help="quantum grid as TxAxB")
     nsh.add_argument("--csv", default=None, help="write gain rows to CSV")
     nsh.set_defaults(func=cmd_nash)

@@ -35,11 +35,11 @@ The other factors (the sector products and the trigonometric terms) do not
 depend on the channels; ``angle_terms`` builds them once for many channel
 points.  ``payoff_coeffs`` contracts the entries with the weights into the
 nine factors (per channel point and player) that multiply them, and
-``assemble`` sums the products left to right, one numpy call a step.  It is
-``sum_products`` over all four ``phase_products`` (the f_diag, f_off, gamma
-and delta terms, the ones of full grid size); a grid scan passes its own
-buffers, so a repeated scan allocates no full-size array, and leaves out the
-products that are +-0 everywhere (see ``equilibrium.check_profile``).
+``payoff_surface`` sums the products left to right, one numpy call a step,
+as ``sum_products`` over all four ``phase_products`` (the f_diag, f_off,
+gamma and delta terms, the ones of full grid size); a grid scan passes its
+own buffers, so a repeated scan allocates no full-size array, and leaves out
+the products that are +-0 everywhere (see ``equilibrium.check_profile``).
 ``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
 with their entry columns stacked on a leading axis of the entries.
 
@@ -414,14 +414,16 @@ def payoff_surface(
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     w = batch_weights(pairing, ent, ch1, ch2)
     t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
-    return assemble(t, payoff_coeffs(w, entries, ent))
+    k = payoff_coeffs(w, entries, ent)
+    return sum_products(t, k, phase_products(t, k))
 
 
 def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
                   ent: EntanglementParams) -> tuple:
-    """The nine factors that multiply the angle terms in ``assemble``: the four
-    sector sums, the f_diag and f_off factors, the gamma bracket and the
-    h_diag and h_off factors of the delta sines, broadcast like the weights."""
+    """The nine factors that multiply the angle terms in ``payoff_surface``:
+    the four sector sums, the f_diag and f_off factors, the gamma bracket and
+    the h_diag and h_off factors of the delta sines, broadcast like the
+    weights."""
     e00, e01, e10, e11 = np.asarray(entries, dtype=float)
     w, xi = weights, 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
 
@@ -436,10 +438,10 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
 
 
 def phase_products(t: AngleTerms, coeffs: tuple) -> tuple:
-    """The four full-size products that ``assemble`` adds to the sector sum,
-    in its order, as (angle term, coefficients, factor) triples: a product is
-    ``term * factor()`` and linear in its coefficients, so it is +-0 wherever
-    the term is 0 or all its coefficients are."""
+    """The four full-size products that ``payoff_surface`` adds to the sector
+    sum, in its order, as (angle term, coefficients, factor) triples: a
+    product is ``term * factor()`` and linear in its coefficients, so it is
+    +-0 wherever the term is 0 or all its coefficients are."""
     *_, f_diag, f_off, gamma, h_diag, h_off = coeffs
     return ((t.f_diag, (f_diag,), lambda: f_diag),
             (t.f_off, (f_off,), lambda: f_off),
@@ -458,11 +460,6 @@ def sum_products(t: AngleTerms, coeffs: tuple, products, out=None):
     for term, _, factor in products:
         total = np.add(total, np.multiply(term, factor(), out=tmp), out=acc)
     return total
-
-
-def assemble(t: AngleTerms, coeffs: tuple):
-    """The payoff from its angle terms and ``payoff_coeffs`` (see module doc)."""
-    return sum_products(t, coeffs, phase_products(t, coeffs))
 
 
 def closed_payoff(

@@ -62,34 +62,20 @@ CLASSICAL_SPACE = StrategySpace(classical_only=True)
 QUANTUM_SPACE = StrategySpace()
 
 
-@dataclass(frozen=True)
-class PayoffEvaluator:
-    """A fixed game point: pairing, game, entanglement and channels."""
-
-    pairing: Pairing
-    game: Bimatrix
-    ent: EntanglementParams
-    ch1: tuple[float, float]
-    ch2: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class EquilibriumReport:
-    profile: tuple[StrategyParams, StrategyParams]
-    payoffs: tuple[float, float]
-    max_unilateral_gain_a: float
-    max_unilateral_gain_b: float
-
-
 def check_profile(
-    evaluator: PayoffEvaluator,
+    pairing: Pairing,
+    game: Bimatrix,
+    ent: EntanglementParams,
+    ch1: tuple[float, float],
+    ch2: tuple[float, float],
     profile: tuple[StrategyParams, StrategyParams],
     space_a: StrategySpace,
-    space_b: StrategySpace | None = None,
-) -> list[EquilibriumReport]:
+    space_b: StrategySpace,
+) -> list[tuple[float, float, float, float]]:
     """Exhaustive grid scan of both players' unilateral deviations, at every
-    channel point of ``evaluator`` (whose p and mu may be arrays), in C order;
-    a float point gives a one-element list.  One ``closed_payoff_pair`` call
+    channel point of ``ch1`` and ``ch2`` (whose p and mu may be arrays), in C
+    order, as one (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a
+    float point gives a one-element list.  One ``closed_payoff_pair`` call
     gives the profile payoffs at all points, and one weight evaluation the
     coefficient table; each point then scans both deviation grids with
     ``sum_products`` into two buffers per grid.  Gains are clamped at zero, so
@@ -111,9 +97,6 @@ def check_profile(
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
     lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
     such a certificate is a proof over the continuum of strategies."""
-    space_b = space_a if space_b is None else space_b
-    pairing, game, ent = evaluator.pairing, evaluator.game, evaluator.ent
-    ch1, ch2 = evaluator.ch1, evaluator.ch2
     w = batch_weights(pairing, ent, ch1, ch2)
     one, two = (s.angles for s in profile)
     shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
@@ -128,17 +111,14 @@ def check_profile(
                 for term, ks, _ in phase_products(terms, table)]
         bufs = ([np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
                 if any(live) else None)
-        best.append([_scan_max(terms, k, live, bufs) for k in zip(*table)])
-    return [EquilibriumReport(profile, (pa, pb), max(0.0, ba - pa), max(0.0, bb - pb))
+        maxima = []
+        for k in zip(*table):
+            products = [prod for prod, on in zip(phase_products(terms, k), live)
+                        if on and any(prod[1])]
+            maxima.append(float(sum_products(terms, k, products, bufs).max()))
+        best.append(maxima)
+    return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
             for pa, pb, ba, bb in zip(*payoffs, *best)]
-
-
-def _scan_max(terms, k, live, bufs):
-    """The grid maximum at coefficients ``k``, summing the phase products that
-    are ``live`` on the grid and have a non-zero coefficient at ``k``."""
-    products = [prod for prod, on in zip(phase_products(terms, k), live)
-                if on and any(prod[1])]
-    return float(sum_products(terms, k, products, bufs).max())
 
 
 # --------------------------------------------------------------------------
@@ -195,10 +175,10 @@ FIGURES = {
 }
 
 
-def _monotone(values, sign=1, tol=1e-12) -> bool:
+def _monotone(values, sign=1) -> bool:
     """Consecutive values never fall (sign 1) or never rise (sign -1) by more
-    than tol."""
-    return all(sign * b >= sign * a - tol for a, b in zip(values, values[1:]))
+    than 1e-12."""
+    return all(sign * b >= sign * a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
@@ -213,14 +193,12 @@ def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SP
     returns the worst gain."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
-    reps = check_profile(PayoffEvaluator(pairing, game, ent, ch, ch), (s1, s2),
-                         space_a, space_b)
+    certs = check_profile(pairing, game, ent, ch, ch, (s1, s2), space_a, space_b)
     report.gain_rows += [dict(
         case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
-        payoff_a=r.payoffs[0], payoff_b=r.payoffs[1],
-        gain_a=r.max_unilateral_gain_a, gain_b=r.max_unilateral_gain_b,
-    ) for (p, m), r in zip(points, reps)]
-    return max(max(r.max_unilateral_gain_a, r.max_unilateral_gain_b) for r in reps)
+        payoff_a=pa, payoff_b=pb, gain_a=ga, gain_b=gb,
+    ) for (p, m), (pa, pb, ga, gb) in zip(points, certs)]
+    return max(max(ga, gb) for _, _, ga, gb in certs)
 
 
 def _nash_claim(report, label, worst, why="", over=""):

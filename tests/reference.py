@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgmem.channels import ChannelSpec
-from qgmem.closedform import payoff_surface
-from qgmem.equilibrium import PayoffEvaluator, StrategySpace
+from qgmem.closedform import Pairing, payoff_surface
+from qgmem.equilibrium import StrategySpace
 from qgmem.games import Bimatrix
 from qgmem.oracle import _cross, two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
@@ -107,7 +107,11 @@ def swapped(g: Bimatrix) -> Bimatrix:
 
 
 def best_response(
-    evaluator: PayoffEvaluator,
+    pairing: Pairing,
+    game: Bimatrix,
+    ent: EntanglementParams,
+    ch1: tuple[float, float],
+    ch2: tuple[float, float],
     space: StrategySpace,
     opponent: StrategyParams,
     responder: int,
@@ -116,12 +120,11 @@ def best_response(
     """Argmax set over the responder's grid, ties kept, lexicographic order."""
     if responder not in (1, 2):
         raise ValueError(f"responder must be 1 or 2, got {responder}")
-    ev = evaluator
     theta, alpha, beta = np.broadcast_arrays(*space.mesh())
     own, other = (theta, alpha, beta), opponent.angles
-    entries, angles = ((ev.game.a, own + other) if responder == 1
-                       else (ev.game.b, other + own))
-    values = payoff_surface(ev.pairing, entries, ev.ent, ev.ch1, ev.ch2, *angles)
+    entries, angles = ((game.a, own + other) if responder == 1
+                       else (game.b, other + own))
+    values = payoff_surface(pairing, entries, ent, ch1, ch2, *angles)
     cutoff = float(values.max()) - tie_tol
     idx = np.argwhere(values >= cutoff)
     return [

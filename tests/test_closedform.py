@@ -15,7 +15,7 @@ from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               batch_weights, closed_payoff, closed_payoff_pair,
                               dephasing_coeff, depol_coeffs, pairing_weights,
                               payoff_surface)
-from qgmem.closedform import assemble, payoff_coeffs, phase_products, sum_products
+from qgmem.closedform import payoff_coeffs, phase_products, sum_products
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
@@ -399,7 +399,7 @@ class TestPayoffSurface:
 
 def unsplit_payoff(w, entries, ent, t):
     """The payoff as one expression, as written before ``payoff_coeffs`` and
-    ``assemble`` split it."""
+    ``sum_products`` split it."""
     e00, e01, e10, e11 = np.asarray(entries, dtype=float)
     xi = 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
 
@@ -439,7 +439,7 @@ class TestCoefficientAssembly:
                 k = payoff_coeffs(w, entries, ent)
                 bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
                 got = sum_products(t, k, phase_products(t, k), bufs)
-                fresh = assemble(t, k)
+                fresh = sum_products(t, k, phase_products(t, k))
                 assert got is bufs[0] and fresh.shape == (5, 7, 3)
                 assert np.array_equal(got, fresh)
                 assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, t))
@@ -457,7 +457,8 @@ class TestCoefficientAssembly:
         entries = random_entries(rng)
         got = payoff_surface(pairing, entries, ent, ch, ch, *s1.angles, *s2.angles)
         assert got.shape == (8,)
-        assert np.array_equal(got, assemble(t, payoff_coeffs(w, entries, ent)))
+        k = payoff_coeffs(w, entries, ent)
+        assert np.array_equal(got, sum_products(t, k, phase_products(t, k)))
         assert np.array_equal(got, unsplit_payoff(w, entries, ent, t))
 
 

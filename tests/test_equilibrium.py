@@ -9,9 +9,8 @@ from reference import best_response
 
 from qgmem.closedform import Pairing, closed_payoff_pair, payoff_surface
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, PM_GRID,
-                               QUANTUM_SPACE, CaseReport, PayoffEvaluator,
-                               StrategySpace, _nash_rows, case_study,
-                               check_profile)
+                               QUANTUM_SPACE, CaseReport, StrategySpace,
+                               _nash_rows, case_study, check_profile)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
@@ -21,9 +20,9 @@ CLASSICAL_POINT = EntanglementParams(0.0, 0.0)
 NOISELESS = (0.0, 0.0)
 
 
-def classical_pd_evaluator():
-    return PayoffEvaluator(Pairing.PH_PH, builtin_game("pd"), CLASSICAL_POINT,
-                           NOISELESS, NOISELESS)
+# (pairing, game, ent, ch1, ch2) of the noiseless classical prisoner's dilemma.
+CLASSICAL_PD = (Pairing.PH_PH, builtin_game("pd"), CLASSICAL_POINT,
+                NOISELESS, NOISELESS)
 
 
 class TestStrategySpace:
@@ -51,23 +50,21 @@ class TestStrategySpace:
 
 class TestBestResponse:
     def test_defection_dominates_classical_pd(self):
-        ev = classical_pd_evaluator()
         for theta, responder in itertools.product((0.0, PI / 3, PI), (1, 2)):
-            moves = best_response(ev, CLASSICAL_SPACE, StrategyParams(theta),
+            moves = best_response(*CLASSICAL_PD, CLASSICAL_SPACE, StrategyParams(theta),
                                   responder=responder)
             assert all(m.theta == pytest.approx(PI) for m in moves)
 
     def test_responder_validated(self):
         with pytest.raises(ValueError, match="^responder must be 1 or 2, got 3$"):
-            best_response(classical_pd_evaluator(), CLASSICAL_SPACE,
+            best_response(*CLASSICAL_PD, CLASSICAL_SPACE,
                           StrategyParams(0.0), responder=3)
 
     def test_constant_evaluator_keeps_whole_grid(self):
         ones = Bimatrix("ones", (1, 1, 1, 1), (1, 1, 1, 1))
-        ev = PayoffEvaluator(Pairing.PH_PH, ones, CLASSICAL_POINT,
-                             NOISELESS, NOISELESS)
         space = StrategySpace(3, 3, 3)
-        moves = best_response(ev, space, StrategyParams(0.0), responder=2)
+        moves = best_response(Pairing.PH_PH, ones, CLASSICAL_POINT, NOISELESS,
+                              NOISELESS, space, StrategyParams(0.0), responder=2)
         assert len(moves) == 27
 
     def test_affine_invariance(self):
@@ -75,12 +72,11 @@ class TestBestResponse:
         scaled = Bimatrix("scaled", game.a,
                           tuple(2.5 * v + 7 for v in game.b))
         ent = EntanglementParams(PI / 2, PI / 4)
-        ev1 = PayoffEvaluator(Pairing.AD_AD, game, ent, (0.3, 0.6), (0.3, 0.6))
-        ev2 = PayoffEvaluator(Pairing.AD_AD, scaled, ent, (0.3, 0.6), (0.3, 0.6))
+        ch = (0.3, 0.6)
         space = StrategySpace(5, 5, 5)
         opp = StrategyParams(0.7, 0.2, -1.0)
-        br1 = best_response(ev1, space, opp, responder=2)
-        br2 = best_response(ev2, space, opp, responder=2)
+        br1 = best_response(Pairing.AD_AD, game, ent, ch, ch, space, opp, responder=2)
+        br2 = best_response(Pairing.AD_AD, scaled, ent, ch, ch, space, opp, responder=2)
         assert [(m.theta, m.alpha, m.beta) for m in br1] == \
             [(m.theta, m.alpha, m.beta) for m in br2]
 
@@ -89,11 +85,9 @@ class TestBestResponse:
         "not in the quantum player's best-response set; the best response "
         "to theta1=0 is the theta2=0 family"))
     def test_nominal_ii_b_optimum_is_best_response(self):
-        ev = PayoffEvaluator(Pairing.AD_AD, builtin_game("bos"),
-                             EntanglementParams(PI / 2, 0.0),
-                             (0.5, 0.5), (0.5, 0.5))
-        moves = best_response(ev, QUANTUM_SPACE, StrategyParams(0.0),
-                              responder=2)
+        moves = best_response(Pairing.AD_AD, builtin_game("bos"),
+                              EntanglementParams(PI / 2, 0.0), (0.5, 0.5), (0.5, 0.5),
+                              QUANTUM_SPACE, StrategyParams(0.0), responder=2)
         assert any(m.theta == pytest.approx(PI / 2)
                    and m.alpha == pytest.approx(PI / 2)
                    and m.beta == pytest.approx(0.0) for m in moves)
@@ -101,30 +95,28 @@ class TestBestResponse:
 
 class TestCheckProfile:
     def test_classical_pd_defection_is_nash(self):
-        ev = classical_pd_evaluator()
-        [report] = check_profile(ev, (StrategyParams(PI), StrategyParams(PI)),
-                                 CLASSICAL_SPACE)
-        assert max(report.max_unilateral_gain_a,
-                   report.max_unilateral_gain_b) <= DEFAULT_EPSILON
-        assert report.payoffs == pytest.approx((1.0, 1.0), abs=1e-12)
+        [(pa, pb, gain_a, gain_b)] = check_profile(
+            *CLASSICAL_PD, (StrategyParams(PI), StrategyParams(PI)),
+            CLASSICAL_SPACE, CLASSICAL_SPACE)
+        assert max(gain_a, gain_b) <= DEFAULT_EPSILON
+        assert (pa, pb) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_classical_pd_cooperation_is_not(self):
-        ev = classical_pd_evaluator()
-        [report] = check_profile(ev, (StrategyParams(0.0), StrategyParams(0.0)),
-                                 CLASSICAL_SPACE)
-        assert not max(report.max_unilateral_gain_a,
-                       report.max_unilateral_gain_b) <= DEFAULT_EPSILON
-        assert report.max_unilateral_gain_a == pytest.approx(2.0, abs=1e-12)
-        assert report.max_unilateral_gain_b == pytest.approx(2.0, abs=1e-12)
+        [(_, _, gain_a, gain_b)] = check_profile(
+            *CLASSICAL_PD, (StrategyParams(0.0), StrategyParams(0.0)),
+            CLASSICAL_SPACE, CLASSICAL_SPACE)
+        assert not max(gain_a, gain_b) <= DEFAULT_EPSILON
+        assert gain_a == pytest.approx(2.0, abs=1e-12)
+        assert gain_b == pytest.approx(2.0, abs=1e-12)
 
     def test_gains_nonnegative(self):
-        ev = PayoffEvaluator(Pairing.D_D, builtin_game("bos"),
-                             EntanglementParams(0.4, 0.9), (0.6, 0.2), (0.6, 0.2))
-        [report] = check_profile(
-            ev, (StrategyParams(1.0, 0.5, 0.5), StrategyParams(2.0, -1.0, 1.0)),
+        [(_, _, gain_a, gain_b)] = check_profile(
+            Pairing.D_D, builtin_game("bos"), EntanglementParams(0.4, 0.9),
+            (0.6, 0.2), (0.6, 0.2),
+            (StrategyParams(1.0, 0.5, 0.5), StrategyParams(2.0, -1.0, 1.0)),
             CLASSICAL_SPACE, QUANTUM_SPACE)
-        assert report.max_unilateral_gain_a >= 0
-        assert report.max_unilateral_gain_b >= 0
+        assert gain_a >= 0
+        assert gain_b >= 0
 
 
 class TestCertificatePath:
@@ -162,11 +154,10 @@ class TestCertificatePath:
             [(p, m) for p in PM_GRID for m in PM_GRID]
         for r in rows:
             ch = (r["p"], r["mu"])
-            ev = PayoffEvaluator(pairing, game, ent, ch, ch)
-            [rep] = check_profile(ev, (s1, s2), space_a, space_b)
-            assert (r["payoff_a"], r["payoff_b"]) == rep.payoffs
-            assert (r["gain_a"], r["gain_b"]) == \
-                (rep.max_unilateral_gain_a, rep.max_unilateral_gain_b)
+            [(pay_a, pay_b, gain_a, gain_b)] = check_profile(
+                pairing, game, ent, ch, ch, (s1, s2), space_a, space_b)
+            assert (r["payoff_a"], r["payoff_b"]) == (pay_a, pay_b)
+            assert (r["gain_a"], r["gain_b"]) == (gain_a, gain_b)
             # ... and those are the gains over the dense meshes.
             pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
             dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
@@ -175,9 +166,9 @@ class TestCertificatePath:
                                     s2.theta, s2.alpha, s2.beta).max()
             best_b = payoff_surface(pairing, game.b, ent, ch, ch, s1.theta,
                                     s1.alpha, s1.beta, *dense_b).max()
-            assert rep.payoffs == (pa, pb)
-            assert rep.max_unilateral_gain_a == max(0.0, float(best_a) - pa)
-            assert rep.max_unilateral_gain_b == max(0.0, float(best_b) - pb)
+            assert (pay_a, pay_b) == (pa, pb)
+            assert gain_a == max(0.0, float(best_a) - pa)
+            assert gain_b == max(0.0, float(best_b) - pb)
 
 
 class TestUnentangledCertificatesAreExact:

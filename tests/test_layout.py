@@ -13,6 +13,8 @@ from pathlib import Path
 
 from test_benchmark_targets import _layers, _qgmem_imports
 
+import qgmem
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgmem"
 
 ALLOWED = {
@@ -57,3 +59,10 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
     unused = [f"{module}.{name}" for module, name in _definitions()
               if name.rpartition(".")[2] not in kept]
     assert not unused, unused
+
+
+def test_every_exported_name_resolves():
+    # ``from qgmem import *`` fails on a name in ``__all__`` that the package
+    # no longer defines.
+    missing = [name for name in qgmem.__all__ if not hasattr(qgmem, name)]
+    assert not missing, missing
