@@ -12,6 +12,8 @@ gains do not depend on the grid; its 5x7x3 table equals its 7x9x9 one.)
 
 ``weights.sha256`` pins the bits of every ``PairingWeights`` field, one
 digest per pairing, so a rewrite of the weight builders keeps each float.
+``nash_stdout.sha256`` pins the whole report of ``nash --case all`` (every
+claim line with its printed margins) at the default grid and at 5x7x3.
 """
 
 import dataclasses
@@ -39,6 +41,7 @@ FIGURE_DIGESTS = digests("figures.sha256")
 NASH_DIGESTS = digests("nash_7x9x9.sha256")
 NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
 WEIGHT_DIGESTS = digests("weights.sha256")
+STDOUT_DIGESTS = digests("nash_stdout.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -76,6 +79,15 @@ def test_nash_gain_digest_three_axis_sizes(tmp_path, capsys, case):
                  "--csv", str(tmp_path / name)]) == 4
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == NASH_3AXIS_DIGESTS[name]
+
+
+# Some claim of every certified case fails, so ``all`` exits 4.
+@pytest.mark.parametrize("grid", ["13x17x17", "5x7x3"])
+def test_nash_report_digest(capsys, grid):
+    argv = ["nash", "--case", "all"]
+    assert main(argv if grid == "13x17x17" else argv + ["--grid", grid]) == 4
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STDOUT_DIGESTS[f"nash_all_{grid}.txt"]
 
 
 @pytest.mark.parametrize("fid", range(2, 8))
