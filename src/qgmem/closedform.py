@@ -32,14 +32,19 @@ input to the same numpy arithmetic, and every square is written as a
 product, since ``** 2`` rounds through libm's pow on a scalar but multiplies
 on an array.
 The other factors (the sector products and the trigonometric terms) do not
-depend on the channels; ``angle_terms`` builds them once for many channel
-points.  ``payoff_coeffs`` contracts the entries with the weights into the
-nine factors (per channel point and player) that multiply them, and
+depend on the channels, and come in two parts: ``sector_terms``, the
+theta-only sector products and the amplitudes 0.25 n sin(gamma) and
+0.25 n sin(delta), of the small shape of the theta axes; and ``phase_terms``,
+builders of the full-size terms (the f brackets, the gamma term and the
+delta sines) that build nothing until called.  ``angle_terms`` builds both
+parts whole.  ``payoff_coeffs`` contracts the entries with the weights into
+the nine factors (per channel point and player) that multiply them, and
 ``payoff_surface`` sums the products left to right, one numpy call a step,
 as ``sum_products`` over all four ``phase_products`` (the f_diag, f_off,
-gamma and delta terms, the ones of full grid size); a grid scan passes its
-own buffers, so a repeated scan allocates no full-size array, and leaves out
-the products that are +-0 everywhere (see ``equilibrium.check_profile``).
+gamma and delta terms, the ones of full grid size).  A grid scan builds
+only the phase terms it can need (``scan_terms``), passes its own buffers,
+so a repeated scan allocates no full-size array, and leaves out the
+products that are +-0 everywhere (see ``equilibrium.check_profile``).
 ``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
 with their entry columns stacked on a leading axis of the entries.
 
@@ -379,22 +384,37 @@ AngleTerms = namedtuple("AngleTerms", "cc ss sc cs f_diag f_off gamma delta "
                                       "sin_diag sin_off")
 
 
+def sector_terms(ent: EntanglementParams, theta1, theta2) -> tuple:
+    """The theta-only angle factors, of the small shape: the sector products
+    cc, ss, sc, cs and the amplitudes 0.25 n sin(gamma) and 0.25 n sin(delta)
+    of the gamma and delta terms."""
+    (c1, s1), (c2, s2) = _half_angle_squares(theta1), _half_angle_squares(theta2)
+    n = np.sin(theta1) * np.sin(theta2)
+    return (c1 * c2, s1 * s2, s1 * c2, c1 * s2,
+            0.25 * n * np.sin(ent.gamma), 0.25 * n * np.sin(ent.delta))
+
+
+def phase_terms(sectors: tuple, alpha1, beta1, alpha2, beta2) -> tuple:
+    """Builders of the full-size angle factors of the four phase products, in
+    ``phase_products`` order, from ``sector_terms``: the f_diag and f_off
+    brackets, the gamma term and the pair of delta sines.  Nothing is built
+    until a builder is called."""
+    cc, ss, sc, cs, gamma, _ = sectors
+    a1, b1, a2, b2 = alpha1, beta1, alpha2, beta2
+    return (lambda: cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
+            lambda: sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
+            lambda: gamma * np.sin(a1 + a2 - b1 - b2),
+            lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2)))
+
+
 def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
                 theta2, alpha2, beta2) -> AngleTerms:
     """The angle factors of ``payoff_surface``, broadcasting like it."""
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
-    (c1, s1), (c2, s2) = _half_angle_squares(th1), _half_angle_squares(th2)
-    n = np.sin(th1) * np.sin(th2)
-    cc, ss, sc, cs = c1 * c2, s1 * s2, s1 * c2, c1 * s2
-    return AngleTerms(
-        cc, ss, sc, cs,
-        cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
-        sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
-        0.25 * n * np.sin(ent.gamma) * np.sin(a1 + a2 - b1 - b2),
-        0.25 * n * np.sin(ent.delta),
-        np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2),
-    )
+    s = sector_terms(ent, th1, th2)
+    f_diag, f_off, gamma, sines = (build() for build in phase_terms(s, a1, b1, a2, b2))
+    return AngleTerms(*s[:4], f_diag, f_off, gamma, s[5], *sines)
 
 
 def payoff_surface(
@@ -407,7 +427,9 @@ def payoff_surface(
 ):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
     of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
-    array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
+    array, from one ``batch_weights`` and one ``angle_terms`` evaluation,
+    which builds every phase term whole, live or not (a grid scan builds
+    only the live ones, through ``scan_terms``).
     No range validation on the angle arrays; grid scans are expected to stay
     inside the strategy domain by construction."""
     if len(entries) != 4:
@@ -449,6 +471,30 @@ def phase_products(t: AngleTerms, coeffs: tuple) -> tuple:
             (t.delta, (h_diag, h_off), lambda: h_diag * t.sin_diag + h_off * t.sin_off))
 
 
+def scan_terms(ent: EntanglementParams, table: Sequence, theta1, alpha1, beta1,
+               theta2, alpha2, beta2) -> tuple[AngleTerms, list[bool]]:
+    """``angle_terms`` for a grid scan over the coefficient ``table`` (the
+    ``payoff_coeffs`` columns over channel points), with only the live phase
+    products' full-size terms built (the others are None), and each
+    product's liveness.  A product whose coefficient columns are all 0, or
+    whose small amplitude (0.25 n sin of gamma or delta) is, is dead before
+    anything is built; otherwise its term is built and it is live iff the
+    term is non-zero somewhere."""
+    th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
+    th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
+    s = sector_terms(ent, th1, th2)
+    # Each product's coefficient columns, as in ``phase_products``, and its
+    # amplitude; the f brackets have none.
+    columns = (table[4:5], table[5:6], table[6:7], table[7:])
+    f_diag, f_off, gamma, sines = (
+        build() if any(map(np.any, ks)) and np.any(amp) else None
+        for ks, amp, build in zip(columns, (1.0, 1.0, s[4], s[5]),
+                                  phase_terms(s, a1, b1, a2, b2)))
+    live = [t is not None and bool(np.any(t)) for t in (f_diag, f_off, gamma)]
+    return (AngleTerms(*s[:4], f_diag, f_off, gamma, s[5], *(sines or (None, None))),
+            live + [sines is not None])
+
+
 def sum_products(t: AngleTerms, coeffs: tuple, products, out=None):
     """The sector sum of ``t`` and ``coeffs`` plus the given ``phase_products``,
     left to right.  ``out``, if given, is two float arrays of the full
@@ -486,10 +532,12 @@ def closed_payoff_pair(
     s2: StrategyParams,
     ch1: tuple[float, float],
     ch2: tuple[float, float],
-) -> tuple[float, float]:
+) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
     """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
     one call of it, with the two entry columns on a leading axis, shares the
-    weights and angle terms, and each payoff has the bits of its own call."""
+    weights and angle terms, and each payoff has the bits of its own call.
+    The payoffs are numpy scalars at a float point, else arrays of the
+    broadcast parameter shape."""
     angles = (*s1.angles, *s2.angles)
     nd = max(map(np.ndim, (ent.gamma, ent.delta, *ch1, *ch2, *angles)))
     entries = np.reshape(np.transpose([game.a, game.b]), (4, 2) + (1,) * nd)

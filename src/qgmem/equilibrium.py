@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
-                         payoff_coeffs, payoff_surface, phase_products, sum_products)
+from .closedform import (Pairing, batch_weights, closed_payoff_pair, payoff_coeffs,
+                         payoff_surface, phase_products, scan_terms, sum_products)
 from .games import Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
@@ -27,6 +27,8 @@ DEFAULT_EPSILON = 1e-6
 # (p, mu) sample grid used by the equilibrium certificates.
 PM_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 MU_GRID_11 = tuple(i / 10 for i in range(11))
+# Where mu = 0, 0.5 and 1 sit in MU_GRID_11.
+_MU_SUBSET = tuple(MU_GRID_11.index(m) for m in (0.0, 0.5, 1.0))
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,25 @@ def check_profile(
     order, as one (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a
     float point gives a one-element list.  One ``closed_payoff_pair`` call
     gives the profile payoffs at all points, and one weight evaluation the
-    coefficient table; each point then scans both deviation grids with
-    ``sum_products`` into two buffers per grid.  Gains are clamped at zero, so
-    an off-grid profile that beats its own grid is reported as gain 0 rather
-    than negative.
+    coefficient table.  Per deviation grid, one broadcast gives the sector
+    sums of all points (points by theta) and one ``max`` their maxima; a
+    point with a live phase product is then scanned whole with
+    ``sum_products`` into two buffers per grid.  Gains are clamped at zero,
+    so an off-grid profile that beats its own grid is reported as gain 0
+    rather than negative.
 
-    A scan adds only the phase products that can be non-zero.  It skips one
-    whose angle term is zero over the whole grid (gamma = 0 zeroes the gamma
-    term, delta = 0 the delta term, a fixed theta = 0 both) and one whose
-    coefficients are all 0 at the point (gamma = 0 or delta = 0 zero the f
-    factors; weight factors vanish at some p = 0 or mu = 0 points).  A grid
-    with no product left at any point gets no buffers, and a point with none
-    left takes its maximum over the small sector sum.  A skipped product is
-    +-0 everywhere, so the sum keeps its bits but for the sign of a zero, and
+    A scan adds only the phase products that can be non-zero, and builds
+    only their full-size terms.  A product is dead over the grid when its
+    coefficient columns are all 0 (gamma = 0 or delta = 0 zero the f
+    factors) or its small amplitude 0.25 n sin(gamma) or 0.25 n sin(delta)
+    is (gamma = 0 zeroes the gamma term, delta = 0 the delta term, a fixed
+    theta = 0 both); only then is its term built, and it is live iff the
+    term is non-zero somewhere, so underflow decides as in the built term.
+    At a point, a live product whose coefficients are all 0 there is skipped
+    too (weight factors vanish at some p = 0 or mu = 0 points).  A grid with
+    no live product gets no full-size array at all, and a point with none
+    keeps the maximum of its sector sum.  A skipped product is +-0
+    everywhere, so the sum keeps its bits but for the sign of a zero, and
     ``max(0.0, best - payoff)`` gives the same gain for either sign of a zero
     maximum.
 
@@ -105,18 +113,20 @@ def check_profile(
     best = []
     for entries, grid in ((game.a, (*space_a.mesh(), *two)),
                           (game.b, (*one, *space_b.mesh()))):
-        terms = angle_terms(ent, *grid)
         table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
-        live = [np.any(term) and any(map(np.any, ks))
-                for term, ks, _ in phase_products(terms, table)]
-        bufs = ([np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
-                if any(live) else None)
-        maxima = []
-        for k in zip(*table):
-            products = [prod for prod, on in zip(phase_products(terms, k), live)
-                        if on and any(prod[1])]
-            maxima.append(float(sum_products(terms, k, products, bufs).max()))
-        best.append(maxima)
+        terms, live = scan_terms(ent, table, *grid)
+        # The sector sums of all points in one broadcast, points first.
+        sums = sum_products(terms, [np.reshape(c, (-1,) + (1,) * terms.cc.ndim)
+                                    for c in table[:4]], ())
+        maxima = sums.max(axis=tuple(range(1, sums.ndim)))
+        if any(live):
+            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
+            for i, k in enumerate(zip(*table)):
+                products = [prod for prod, on in zip(phase_products(terms, k), live)
+                            if on and any(prod[1])]
+                if products:
+                    maxima[i] = sum_products(terms, k, products, bufs).max()
+        best.append(maxima.tolist())
     return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
             for pa, pb, ba, bb in zip(*payoffs, *best)]
 
@@ -181,11 +191,13 @@ def _monotone(values, sign=1) -> bool:
     return all(sign * b >= sign * a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def _mu_curves(pairing, game, ent, s1, s2, p, mus=MU_GRID_11):
-    """(Alice, Bob) payoffs over mu = mu1 = mu2 at p = p1 = p2."""
-    ch = (p, np.array(mus, dtype=float))
-    return tuple(v.tolist()
-                 for v in closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch))
+def _mu_curves(pairing, game, ent, s1, s2, ps, mus=MU_GRID_11):
+    """(Alice, Bob) payoffs over mu = mu1 = mu2, one row per p = p1 = p2 of
+    ``ps``, from one ``closed_payoff_pair`` call; each value has the bits of
+    a call at its float p."""
+    ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
+    pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+    return list(zip(pa.tolist(), pb.tolist()))
 
 
 def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
@@ -226,9 +238,9 @@ def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
 
     # Memory compensation in the Fig-2 configuration, reported per curve.
     detail = []
+    ps = (0.2, 0.8)
     for game in _GAMES:
-        for p in (0.2, 0.8):
-            curves = _mu_curves(Pairing.AD_AD, game, ent, s1, s2, p)
+        for p, curves in zip(ps, _mu_curves(Pairing.AD_AD, game, ent, s1, s2, ps)):
             detail += [f"{game.name}/{tag}/p={p}" for tag, curve in zip("AB", curves)
                        if not _monotone(curve)]
     report.claims.append(CaseClaim(
@@ -254,12 +266,9 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
     ent, s1, s2, _ = FIGURES[3]
     ok_mono, ok_p = True, True
     for game in (_PD, _CHICKEN):
-        for p in (0.2, 0.8):
-            curve = _mu_curves(Pairing.AD_AD, game, ent, s1, s2, p)[1]
-            ok_mono &= _monotone(curve)
-        lo, hi = (_mu_curves(Pairing.AD_AD, game, ent, s1, s2, p, (0.0, 0.5, 1.0))[1]
-                  for p in (0.2, 0.8))
-        ok_p &= all(_monotone(pair, -1) for pair in zip(lo, hi))
+        lo, hi = (b for _, b in _mu_curves(Pairing.AD_AD, game, ent, s1, s2, (0.2, 0.8)))
+        ok_mono &= _monotone(lo) and _monotone(hi)
+        ok_p &= all(_monotone((lo[i], hi[i]), -1) for i in _MU_SUBSET)
     report.claims.append(CaseClaim(
         "mu-monotonicity", ok_mono,
         "quantum player's payoff nondecreasing in mu at p in {0.2, 0.8}"))
@@ -270,7 +279,7 @@ def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
 def _advantage_claim(report, pairings, fig):
     ok, details = True, []
     for pairing in pairings:
-        pa, pb = _mu_curves(pairing, _BOS, fig.ent, fig.s1, fig.s2, 0.5)
+        [(pa, pb)] = _mu_curves(pairing, _BOS, fig.ent, fig.s1, fig.s2, (0.5,))
         diffs = [b - a for a, b in zip(pa, pb)]
         ok &= min(diffs) > 0
         details.append(f"{pairing.value}: min margin {min(diffs):+.4f}")
@@ -296,9 +305,8 @@ def _equal_payoffs_claim(report, pairings, fig, label):
     worst = 0.0
     for pairing in pairings:
         for game in _GAMES:
-            for p in (0.3, 0.7):
-                pa, pb = _mu_curves(pairing, game, fig.ent, fig.s1, fig.s2, p,
-                                    (0.0, 0.5, 1.0))
+            for pa, pb in _mu_curves(pairing, game, fig.ent, fig.s1, fig.s2,
+                                     (0.3, 0.7), (0.0, 0.5, 1.0)):
                 worst = max(worst, *(abs(a - b) for a, b in zip(pa, pb)))
     report.claims.append(CaseClaim(
         label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
@@ -311,9 +319,9 @@ def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
     # payoff shrinks as mu grows (exact for dephasing).  Checked at the
     # theta1 = theta2 = pi/2 profile, where the noise actually acts.
     s1, s2 = FIGURES[3].s1, FIGURES[3].s2
-    ref = _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2, 0.0, (0.0,))[1][0]
-    dist = [abs(v - ref)
-            for v in _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2, 0.6)[1]]
+    (_, noiseless), (_, noisy) = _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2,
+                                            (0.0, 0.6))
+    dist = [abs(v - noiseless[0]) for v in noisy]
     ok = dist[0] > 1e-3 and dist[-1] < 1e-12 and _monotone(dist, -1)
     report.claims.append(CaseClaim(
         "memory moderates decoherence (dephasing)", ok,
@@ -342,9 +350,9 @@ def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
                          (Pairing.AD_AD, "amplitude damping")):
         ok, spread = True, 0.0
         for game in (_PD, _CHICKEN):
-            ref = _mu_curves(pairing, game, ent, s1, s2, 0.0, (0.0,))[1][0]
-            for p in (0.2, 0.8):
-                dist = [abs(v - ref) for v in _mu_curves(pairing, game, ent, s1, s2, p)[1]]
+            (_, noiseless), *rows = _mu_curves(pairing, game, ent, s1, s2, (0.0, 0.2, 0.8))
+            for _, curve in rows:
+                dist = [abs(v - noiseless[0]) for v in curve]
                 ok &= _monotone(dist, -1)
                 spread = max(spread, dist[-1])
         report.claims.append(CaseClaim(
@@ -365,7 +373,8 @@ def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
     worst_margin, where, mus = math.inf, "", (0.25, 0.5, 0.75, 1.0)
     for pairing in Pairing:
         for game in _GAMES:
-            for m, pa, pb in zip(mus, *_mu_curves(pairing, game, ent, s1, s2, 1.0, mus)):
+            [(curve_a, curve_b)] = _mu_curves(pairing, game, ent, s1, s2, (1.0,), mus)
+            for m, pa, pb in zip(mus, curve_a, curve_b):
                 if pb - pa < worst_margin:
                     worst_margin, where = pb - pa, f"{pairing.value}/{game.name}/mu={m}"
     report.claims.append(CaseClaim(

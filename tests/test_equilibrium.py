@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from conftest import random_ent, random_strategy
 from reference import best_response
 
-from qgmem.closedform import Pairing, closed_payoff_pair, payoff_surface
-from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, PM_GRID,
-                               QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _nash_rows, case_study, check_profile)
+from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
+                               payoff_coeffs, payoff_surface, phase_products, scan_terms)
+from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, MU_GRID_11,
+                               PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
+                               _MU_SUBSET, _mu_curves, _nash_rows, case_study,
+                               check_profile)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
@@ -127,9 +130,13 @@ class TestCertificatePath:
     # coefficients, theta1 = 0 zeroes the gamma and delta terms of Bob's grid
     # (theta1 = pi leaves them at about 1e-16, which must not be skipped),
     # and the custom game zeroes the f and h coefficient columns of Alice and
-    # only the diagonal ones of Bob.  (gamma, delta, theta1); None is random.
-    @pytest.mark.parametrize("pairing", list(Pairing))
-    @pytest.mark.parametrize("game,gamma,delta,theta1", [
+    # only the diagonal ones of Bob.  At gamma or delta = 5e-324 the
+    # amplitude 0.25 n sin and the f factor xi underflow to 0, so the scan
+    # drops those products before building them; at 1e-310 both are
+    # subnormal but not 0, so the terms are built and kept, and with
+    # theta1 = pi Bob's amplitude underflows through n.  (gamma, delta,
+    # theta1); None is random.
+    INPUTS = [
         ("chicken", None, None, None),
         ("chicken", 0.0, 0.0, None),
         ("chicken", PI / 2, 0.0, None),
@@ -137,15 +144,27 @@ class TestCertificatePath:
         ("chicken", None, None, 0.0),
         ("chicken", None, None, PI),
         ("custom", None, None, None),
-    ])
-    def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
-                                                    delta, theta1, rng):
+        ("chicken", 5e-324, None, None),
+        ("chicken", 1e-310, None, None),
+        ("chicken", None, 5e-324, None),
+        ("chicken", None, 1e-310, PI),
+    ]
+
+    @staticmethod
+    def inputs(game, gamma, delta, theta1, rng):
         game = (Bimatrix("custom", (2.0, -1.0, -1.0, 2.0), (1.5, 3.0, 0.0, 1.5))
                 if game == "custom" else builtin_game(game))
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
         ent = EntanglementParams(ent.gamma if gamma is None else gamma,
                                  ent.delta if delta is None else delta)
         s1 = s1 if theta1 is None else StrategyParams(theta1, s1.alpha, s1.beta)
+        return game, ent, s1, s2
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
+    def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
+                                                    delta, theta1, rng):
+        game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
         space_a, space_b = StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
         report = CaseReport("t")
         _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
@@ -170,6 +189,30 @@ class TestCertificatePath:
             assert gain_a == max(0.0, float(best_a) - pa)
             assert gain_b == max(0.0, float(best_b) - pb)
 
+    # A subnormal product cannot move an O(1) maximum, so the gains above
+    # cannot see a wrong skip there; the liveness itself is compared with
+    # the rule on fully built terms: a product is live iff its term and
+    # some coefficient are non-zero.  Built terms have the bits of
+    # ``angle_terms``.
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
+    def test_scan_liveness_matches_built_terms(self, pairing, game, gamma, delta,
+                                               theta1, rng):
+        game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
+        ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
+        w = batch_weights(pairing, ent, ch, ch)
+        for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *s2.angles)),
+                              (game.b, (*s1.angles, *StrategySpace(5, 6, 4).mesh()))):
+            table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
+            terms, live = scan_terms(ent, table, *grid)
+            full = angle_terms(ent, *grid)
+            assert live == [bool(np.any(term)) and any(map(np.any, ks))
+                            for term, ks, _ in phase_products(full, table)]
+            for got, want in zip(terms, full):
+                assert got is None or np.array_equal(got, want)
+            assert terms.f_diag is not None or not live[0]
+            assert terms.sin_diag is not None or not live[3]
+
 
 class TestUnentangledCertificatesAreExact:
     # At gamma = delta = 0 every phase product is zero, so a responder's
@@ -191,6 +234,46 @@ class TestUnentangledCertificatesAreExact:
                                              *angles(own)).max()
                               for own in (ends, deviations))
             assert deviated <= best + 1e-12
+
+
+class TestUnentangledScanBuildsNoGrid:
+    # At gamma = delta = 0 every phase product is dead by its coefficients or
+    # its amplitude, so a scan needs no full-size term and no buffer.
+    def test_peak_below_one_full_grid_array(self):
+        space = StrategySpace(2, 1001, 1001)
+        ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
+        fig = FIGURES[2]
+        args = (Pairing.AD_AD, builtin_game("bos"), fig.ent, ch, ch, (fig.s1, fig.s2),
+                space, space)
+        check_profile(*args)
+        tracemalloc.start()
+        try:
+            check_profile(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1001 * 1001 * np.dtype(float).itemsize
+
+
+class TestMuCurves:
+    # One batched call per (pairing, game) gives each p's row the bits of a
+    # call at that float p, and the (0, 0.5, 1) subset of a row the bits of a
+    # call over those mu alone.
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("game", ["pd", "bos", "chicken"])
+    def test_rows_have_the_bits_of_float_p_calls(self, pairing, game, rng):
+        game, ps = builtin_game(game), (0.0, 0.2, rng.random(), 1.0)
+        configs = [(f.ent, f.s1, f.s2) for f in FIGURES.values()]
+        configs.append((random_ent(rng), random_strategy(rng), random_strategy(rng)))
+        for ent, s1, s2 in configs:
+            rows = _mu_curves(pairing, game, ent, s1, s2, ps)
+            assert len(rows) == len(ps)
+            for p, row in zip(ps, rows):
+                for mus, got in ((MU_GRID_11, row),
+                                 ((0.0, 0.5, 1.0), [[c[i] for i in _MU_SUBSET] for c in row])):
+                    ch = (p, np.array(mus))
+                    want = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestScanBuffers:
