@@ -210,8 +210,8 @@ class TestCertificatePath:
                             for term, ks, _ in phase_products(full, table)]
             for got, want in zip(terms, full):
                 assert got is None or np.array_equal(got, want)
-            assert terms.f_diag is not None or not live[0]
-            assert terms.sin_diag is not None or not live[3]
+            built = (terms.f_diag, terms.f_off, terms.gamma, terms.sin_diag)
+            assert all(term is not None for term, on in zip(built, live) if on)
 
 
 class TestUnentangledCertificatesAreExact:
