@@ -45,8 +45,10 @@ gamma and delta terms, the ones of full grid size).  A grid scan builds
 only the phase terms it can need (``scan_terms``), passes its own buffers,
 so a repeated scan allocates no full-size array, and leaves out the
 products that are +-0 everywhere (see ``equilibrium.check_profile``).
-``closed_payoff_pair`` gives both players from one ``payoff_surface`` call,
-with their entry columns stacked on a leading axis of the entries.
+``stacked_entries`` puts entry columns (players, or games by players) on
+leading axes of the entries, so one ``payoff_surface`` call, with one weight
+evaluation, gives every column's payoffs; ``closed_payoff_pair`` gives both
+players that way.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -534,11 +536,23 @@ def closed_payoff_pair(
     ch2: tuple[float, float],
 ) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
     """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
-    one call of it, with the two entry columns on a leading axis, shares the
-    weights and angle terms, and each payoff has the bits of its own call.
+    one call of it, with the two entry columns stacked (``stacked_entries``),
+    shares the weights and angle terms, and each payoff has the bits of its
+    own call.
     The payoffs are numpy scalars at a float point, else arrays of the
     broadcast parameter shape."""
     angles = (*s1.angles, *s2.angles)
     nd = max(map(np.ndim, (ent.gamma, ent.delta, *ch1, *ch2, *angles)))
-    entries = np.reshape(np.transpose([game.a, game.b]), (4, 2) + (1,) * nd)
-    return tuple(payoff_surface(pairing, entries, ent, ch1, ch2, *angles))
+    return tuple(payoff_surface(pairing, stacked_entries([game.a, game.b], nd),
+                                ent, ch1, ch2, *angles))
+
+
+def stacked_entries(columns, nd: int) -> np.ndarray:
+    """Entry columns of shape (..., 4), e.g. players or games by players, as
+    the (4, ...) ``entries`` of ``payoff_surface``: the columns' leading axes
+    follow the entry axis, ahead of ``nd`` unit axes that the parameters
+    broadcast along, so the surface has those leading axes first.  Entries
+    only multiply and add, so each column's payoffs have the bits of its own
+    call."""
+    e = np.moveaxis(np.asarray(columns, dtype=float), -1, 0)
+    return e.reshape(e.shape + (1,) * nd)

@@ -4,7 +4,10 @@ quantum strategy space.
 A "classical" player is restricted to alpha = beta = 0; the quantum player
 searches the full (theta, alpha, beta) grid.  All claims reported by
 ``case_study`` are computed, never assumed: where a scenario's nominal
-claim does not survive the exact dynamics, the report says so.
+claim does not survive the exact dynamics, the report says so.  Each case
+is a list of (claim kind, configuration) rows in ``_CASES``, one evaluator
+per kind; a claim's payoff curves come from one weight evaluation per
+pairing for all its games, stacked on the entries.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closedform import (Pairing, batch_weights, closed_payoff_pair, payoff_coeffs,
-                         payoff_surface, phase_products, scan_terms, sum_products)
+                         payoff_surface, phase_products, scan_terms, stacked_entries,
+                         sum_products)
 from .games import Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
@@ -149,8 +153,8 @@ class CaseReport:
 
     @property
     def nash_certified(self) -> bool:
-        """True iff every equilibrium certificate in this case passed."""
-        return all(c.passed for c in self.claims if c.label.startswith("nash"))
+        """True iff no gain row has a gain above DEFAULT_EPSILON."""
+        return all(max(r["gain_a"], r["gain_b"]) <= DEFAULT_EPSILON for r in self.gain_rows)
 
     def lines(self) -> list[str]:
         out = [f"case {self.case_id}:"]
@@ -191,13 +195,16 @@ def _monotone(values, sign=1) -> bool:
     return all(sign * b >= sign * a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def _mu_curves(pairing, game, ent, s1, s2, ps, mus=MU_GRID_11):
-    """(Alice, Bob) payoffs over mu = mu1 = mu2, one row per p = p1 = p2 of
-    ``ps``, from one ``closed_payoff_pair`` call; each value has the bits of
-    a call at its float p."""
+def _mu_curves(pairing, games, ent, s1, s2, ps, mus=MU_GRID_11):
+    """Per game of ``games``, the (Alice, Bob) payoffs over mu = mu1 = mu2,
+    one row per p = p1 = p2 of ``ps``, from one ``payoff_surface`` call with
+    games by players stacked on the entries (``ent``, ``s1`` and ``s2`` at
+    float values); each value has the bits of its game's
+    ``closed_payoff_pair`` call at its float p."""
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
-    pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
-    return list(zip(pa.tolist(), pb.tolist()))
+    entries = stacked_entries([(g.a, g.b) for g in games], 2)
+    return [list(zip(pa.tolist(), pb.tolist())) for pa, pb in
+            payoff_surface(pairing, entries, ent, ch, ch, *s1.angles, *s2.angles)]
 
 
 def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
@@ -213,194 +220,166 @@ def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SP
     return max(max(ga, gb) for _, _, ga, gb in certs)
 
 
-def _nash_claim(report, label, worst, why="", over=""):
+def _nash(report, space, label, ent, profiles, why="", over=""):
+    """Certify each (pairing, game, s1, s2) profile, in order."""
+    worst = max(_nash_rows(report, pairing, game, ent, s1, s2, space)
+                for pairing, game, s1, s2 in profiles)
     ok = worst <= DEFAULT_EPSILON
     report.claims.append(CaseClaim(
         label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))
 
 
-def _case_i(report: CaseReport, quantum_space: StrategySpace) -> None:
-    # Phase independence: at gamma = delta = 0 the payoff cannot depend on
-    # the quantum phases, for any pairing.
-    ent, s1, s2, _ = FIGURES[2]
-    worst = 0.0
-    alpha = np.linspace(-PI, PI, 9)
-    beta = np.linspace(-PI, PI, 9)
-    a2, b2 = np.meshgrid(alpha, beta, indexing="ij")
-    for pairing in Pairing:
-        for game in _GAMES:
-            vals = payoff_surface(pairing, game.b, ent, (0.35, 0.6), (0.35, 0.6),
-                                  0.0, 0.0, 0.0, PI / 2, a2, b2)
-            worst = max(worst, float(vals.max() - vals.min()))
+def _phase_independence(report, space, ent):
+    """At gamma = delta = 0 Bob's payoff cannot depend on the quantum phases,
+    for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
+    a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
+    entries = stacked_entries([g.b for g in _GAMES], 2)
+    worst = max(float(np.ptp(payoff_surface(pairing, entries, ent, (0.35, 0.6), (0.35, 0.6),
+                                            0.0, 0.0, 0.0, PI / 2, a2, b2),
+                             axis=(1, 2)).max()) for pairing in Pairing)
     report.claims.append(CaseClaim(
         "phase-independence", worst < 1e-12,
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))
 
-    # Memory compensation in the Fig-2 configuration, reported per curve.
-    detail = []
-    ps = (0.2, 0.8)
-    for game in _GAMES:
-        for p, curves in zip(ps, _mu_curves(Pairing.AD_AD, game, ent, s1, s2, ps)):
-            detail += [f"{game.name}/{tag}/p={p}" for tag, curve in zip("AB", curves)
-                       if not _monotone(curve)]
+
+def _nondecreasing(report, space, fig, games, ps):
+    """Memory compensation, reported per ad-ad curve of both players."""
+    detail = [f"{game.name}/{tag}/p={p}"
+              for game, rows in zip(games, _mu_curves(Pairing.AD_AD, games, *fig[:3], ps))
+              for p, curves in zip(ps, rows)
+              for tag, curve in zip("AB", curves) if not _monotone(curve)]
     report.claims.append(CaseClaim(
         "memory-compensation (informational)", not detail,
         "payoff nondecreasing in mu for every curve" if not detail
         else "decreasing curves: " + ", ".join(detail)))
 
-    # Classical equilibria under noise, certified on the (p, mu) grid.
-    worst = 0.0
-    for game in _GAMES:
-        for cell in sorted(classical_pure_nash(game)):
-            t1, t2 = (0.0 if cell[0] == 0 else PI), (0.0 if cell[1] == 0 else PI)
-            for pairing in (Pairing.PH_PH, Pairing.AD_AD, Pairing.D_D):
-                worst = max(worst, _nash_rows(report, pairing, game, ent,
-                                              StrategyParams(t1), StrategyParams(t2),
-                                              quantum_space))
-    _nash_claim(report, "nash: classical equilibria unchanged", worst,
-                " (fails at extreme noise, e.g. amplitude damping at p=mu=1 "
-                "inverts the effective moves)", over=" over games/pairings/grid")
 
-
-def _case_ii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
-    ent, s1, s2, _ = FIGURES[3]
-    ok_mono, ok_p = True, True
-    for game in (_PD, _CHICKEN):
-        lo, hi = (b for _, b in _mu_curves(Pairing.AD_AD, game, ent, s1, s2, (0.2, 0.8)))
-        ok_mono &= _monotone(lo) and _monotone(hi)
-        ok_p &= all(_monotone((lo[i], hi[i]), -1) for i in _MU_SUBSET)
+def _mu_ordering(report, space, fig, games, ps):
+    """Bob's ad-ad payoff is nondecreasing in mu at both p of ``ps`` = (lo,
+    hi), and no larger at hi than at lo for mu in (0, 0.5, 1)."""
+    curves = [[b for _, b in rows] for rows in _mu_curves(Pairing.AD_AD, games, *fig[:3], ps)]
     report.claims.append(CaseClaim(
-        "mu-monotonicity", ok_mono,
-        "quantum player's payoff nondecreasing in mu at p in {0.2, 0.8}"))
+        "mu-monotonicity", all(map(_monotone, sum(curves, []))),
+        f"quantum player's payoff nondecreasing in mu at p in {{{ps[0]}, {ps[1]}}}"))
     report.claims.append(CaseClaim(
-        "decoherence hurts", ok_p, "payoff at p=0.8 <= payoff at p=0.2"))
+        "decoherence hurts",
+        all(_monotone((lo[i], hi[i]), -1) for lo, hi in curves for i in _MU_SUBSET),
+        f"payoff at p={ps[1]} <= payoff at p={ps[0]}"))
 
 
-def _advantage_claim(report, pairings, fig):
-    ok, details = True, []
-    for pairing in pairings:
-        [(pa, pb)] = _mu_curves(pairing, _BOS, fig.ent, fig.s1, fig.s2, (0.5,))
-        diffs = [b - a for a, b in zip(pa, pb)]
-        ok &= min(diffs) > 0
-        details.append(f"{pairing.value}: min margin {min(diffs):+.4f}")
-    report.claims.append(CaseClaim("quantum advantage (bos, p=0.5)", ok,
-                                   "; ".join(details)))
+def _advantage(report, space, fig, pairings):
+    """Bob's least margin over Alice in bos at p = 0.5, per pairing."""
+    margins = [min(b - a for a, b in zip(*_mu_curves(pairing, [_BOS], *fig[:3], (0.5,))[0][0]))
+               for pairing in pairings]
+    report.claims.append(CaseClaim(
+        "quantum advantage (bos, p=0.5)", min(margins) > 0,
+        "; ".join(f"{pr.value}: min margin {m:+.4f}" for pr, m in zip(pairings, margins))))
 
 
-def _case_ii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
-    fig = FIGURES[4]
-    _advantage_claim(report, (Pairing.AD_AD,), fig)
-    worst = _nash_rows(report, Pairing.AD_AD, _BOS, fig.ent, fig.s1, fig.s2,
-                       quantum_space)
-    _nash_claim(report, "nash: nominal profile", worst,
-                " (the quantum player's best response to theta1=0 is the theta2=0 "
-                "family; the nominal profile is not an equilibrium)")
-
-
-def _case_ii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, (Pairing.PH_AD, Pairing.D_AD), FIGURES[4])
-
-
-def _equal_payoffs_claim(report, pairings, fig, label):
-    worst = 0.0
-    for pairing in pairings:
-        for game in _GAMES:
-            for pa, pb in _mu_curves(pairing, game, fig.ent, fig.s1, fig.s2,
-                                     (0.3, 0.7), (0.0, 0.5, 1.0)):
-                worst = max(worst, *(abs(a - b) for a, b in zip(pa, pb)))
+def _equal_payoffs(report, space, label, fig, pairings):
+    worst = max(abs(a - b) for pairing in pairings
+                for rows in _mu_curves(pairing, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
+                for pa, pb in rows for a, b in zip(pa, pb))
     report.claims.append(CaseClaim(
         label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
 
 
-def _case_ii_d(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.D_D), FIGURES[4],
-                         "equal payoffs (unital pairings)")
-    # Memory moderates decoherence: at fixed p, distance from the noiseless
-    # payoff shrinks as mu grows (exact for dephasing).  Checked at the
-    # theta1 = theta2 = pi/2 profile, where the noise actually acts.
-    s1, s2 = FIGURES[3].s1, FIGURES[3].s2
-    (_, noiseless), (_, noisy) = _mu_curves(Pairing.PH_PH, _PD, FIGURES[4].ent, s1, s2,
-                                            (0.0, 0.6))
-    dist = [abs(v - noiseless[0]) for v in noisy]
-    ok = dist[0] > 1e-3 and dist[-1] < 1e-12 and _monotone(dist, -1)
-    report.claims.append(CaseClaim(
-        "memory moderates decoherence (dephasing)", ok,
-        f"distance to noiseless payoff falls from {dist[0]:.4f} to {dist[-1]:.1e}"))
-
-
-def _case_iii_a(report: CaseReport, quantum_space: StrategySpace) -> None:
-    fig = FIGURES[5]
-    _advantage_claim(report, (Pairing.D_D,), fig)
-    worst = _nash_rows(report, Pairing.D_D, _BOS, fig.ent, fig.s1, fig.s2,
-                       quantum_space)
-    _nash_claim(report, "nash: nominal profile", worst,
-                " (with theta1=0 and gamma=0 every interference term vanishes; "
-                "the payoffs at the profile are equal and the profile is not an "
-                "equilibrium)")
-
-
-def _case_iii_b(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _equal_payoffs_claim(report, (Pairing.PH_PH, Pairing.AD_AD), FIGURES[5],
-                         "equal payoffs (ph-ph, ad-ad)")
-    # Memory compensation, measured as the distance from the noiseless payoff
-    # over mu, at the theta1 = theta2 = pi/2 profile where the noise acts
-    # (with theta1 = 0 these payoffs are noise-independent).
-    s1, s2, ent = StrategyParams(PI / 2), FIGURES[5].s2, FIGURES[5].ent
-    for pairing, tag in ((Pairing.PH_PH, "dephasing"),
-                         (Pairing.AD_AD, "amplitude damping")):
-        ok, spread = True, 0.0
-        for game in (_PD, _CHICKEN):
-            (_, noiseless), *rows = _mu_curves(pairing, game, ent, s1, s2, (0.0, 0.2, 0.8))
-            for _, curve in rows:
-                dist = [abs(v - noiseless[0]) for v in curve]
-                ok &= _monotone(dist, -1)
-                spread = max(spread, dist[-1])
+def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=False):
+    """Bob's distance over mu from his noiseless payoff (p = ps[0] = 0, mu = 0),
+    per game and later p, never grows; an ``exact`` claim's one curve also
+    falls from above 1e-3 to 0.  Checked at theta1 = theta2 = pi/2, where the
+    noise acts (at theta1 = 0 these payoffs are noise-independent)."""
+    dists = [[abs(v - noiseless[0]) for v in curve]
+             for (_, noiseless), *rows in _mu_curves(pairing, games, *fig[:3], ps)
+             for _, curve in rows]
+    ok = all(_monotone(d, -1) for d in dists)
+    if exact:
+        [d] = dists
         report.claims.append(CaseClaim(
-            f"memory compensation ({tag})", ok,
-            ("distance to the noiseless payoff shrinks with mu"
-             + (f"; residual at mu=1: {spread:.4f}" if spread > 1e-12 else ", to zero"))
-            if ok else
-            "distance to the noiseless payoff is not monotone in mu "
-            "(grows with mu for chicken)"))
+            label, ok and d[0] > 1e-3 and d[-1] < 1e-12,
+            f"distance to noiseless payoff falls from {d[0]:.4f} to {d[-1]:.1e}"))
+        return
+    spread = max(d[-1] for d in dists)
+    report.claims.append(CaseClaim(label, ok, (
+        "distance to the noiseless payoff shrinks with mu"
+        + (f"; residual at mu=1: {spread:.4f}" if spread > 1e-12 else ", to zero"))
+        if ok else "distance to the noiseless payoff is not monotone in mu "
+                   "(grows with mu for chicken)"))
 
 
-def _case_iii_c(report: CaseReport, quantum_space: StrategySpace) -> None:
-    _advantage_claim(report, (Pairing.PH_AD, Pairing.D_AD), FIGURES[5])
-
-
-def _case_iv(report: CaseReport, quantum_space: StrategySpace) -> None:
-    ent, s1, s2, _ = FIGURES[6]
-    worst_margin, where, mus = math.inf, "", (0.25, 0.5, 0.75, 1.0)
-    for pairing in Pairing:
-        for game in _GAMES:
-            [(curve_a, curve_b)] = _mu_curves(pairing, game, ent, s1, s2, (1.0,), mus)
-            for m, pa, pb in zip(mus, curve_a, curve_b):
-                if pb - pa < worst_margin:
-                    worst_margin, where = pb - pa, f"{pairing.value}/{game.name}/mu={m}"
+def _max_noise_advantage(report, space, fig, mus):
+    """Bob's least margin over Alice at p = 1 over every pairing, game and mu
+    of ``mus``, and the first place it occurs."""
+    worst, where = min(((pb - pa, f"{pairing.value}/{game.name}/mu={m}")
+                        for pairing in Pairing
+                        for game, [(curve_a, curve_b)] in zip(
+                            _GAMES, _mu_curves(pairing, _GAMES, *fig[:3], (1.0,), mus))
+                        for m, pa, pb in zip(mus, curve_a, curve_b)), key=lambda t: t[0])
     report.claims.append(CaseClaim(
-        "advantage at maximum noise (p=1)", worst_margin > 0,
-        f"min Bob-Alice margin = {worst_margin:+.4f} at {where}"
-        + ("" if worst_margin > 0 else
+        "advantage at maximum noise (p=1)", worst > 0,
+        f"min Bob-Alice margin = {worst:+.4f} at {where}"
+        + ("" if worst > 0 else
            " (zero for the AD-slotted pairings, negative for the rest)")))
-    _nash_claim(report, "nash: figure profile (bos, ad-ad)",
-                _nash_rows(report, Pairing.AD_AD, _BOS, ent, s1, s2, quantum_space))
 
 
-_PD = builtin_game("pd")
-_BOS = builtin_game("bos")
-_CHICKEN = builtin_game("chicken")
-_GAMES = (_PD, _BOS, _CHICKEN)
+_GAMES = _PD, _BOS, _CHICKEN = tuple(map(builtin_game, ("pd", "bos", "chicken")))
+_AD, _D, _PH = Pairing.AD_AD, Pairing.D_D, Pairing.PH_PH
 
+# Each case's claims, in report order, as (claim kind, configuration) rows: a
+# kind is an evaluator that appends its claim(s) to the report, given the
+# configuration and the quantum player's grid.
 _CASES = {
-    "i": _case_i,
-    "ii-a": _case_ii_a,
-    "ii-b": _case_ii_b,
-    "ii-c": _case_ii_c,
-    "ii-d": _case_ii_d,
-    "iii-a": _case_iii_a,
-    "iii-b": _case_iii_b,
-    "iii-c": _case_iii_c,
-    "iv": _case_iv,
+    "i": [
+        (_phase_independence, dict(ent=FIGURES[2].ent)),
+        (_nondecreasing, dict(fig=FIGURES[2], games=_GAMES, ps=(0.2, 0.8))),
+        # Classical equilibria under noise, certified on the (p, mu) grid.
+        (_nash, dict(
+            label="nash: classical equilibria unchanged", ent=FIGURES[2].ent,
+            profiles=[(pairing, game, StrategyParams(PI * i), StrategyParams(PI * j))
+                      for game in _GAMES for i, j in sorted(classical_pure_nash(game))
+                      for pairing in (_PH, _AD, _D)],
+            why=" (fails at extreme noise, e.g. amplitude damping at p=mu=1 "
+                "inverts the effective moves)", over=" over games/pairings/grid")),
+    ],
+    "ii-a": [(_mu_ordering, dict(fig=FIGURES[3], games=(_PD, _CHICKEN), ps=(0.2, 0.8)))],
+    "ii-b": [
+        (_advantage, dict(fig=FIGURES[4], pairings=(_AD,))),
+        (_nash, dict(
+            label="nash: nominal profile", ent=FIGURES[4].ent,
+            profiles=[(_AD, _BOS, FIGURES[4].s1, FIGURES[4].s2)],
+            why=" (the quantum player's best response to theta1=0 is the theta2=0 "
+                "family; the nominal profile is not an equilibrium)")),
+    ],
+    "ii-c": [(_advantage, dict(fig=FIGURES[4], pairings=(Pairing.PH_AD, Pairing.D_AD)))],
+    "ii-d": [
+        (_equal_payoffs, dict(label="equal payoffs (unital pairings)", fig=FIGURES[4],
+                              pairings=(_PH, _D))),
+        (_noiseless_distance, dict(
+            label="memory moderates decoherence (dephasing)", pairing=_PH, fig=FIGURES[3],
+            games=(_PD,), ps=(0.0, 0.6), exact=True)),
+    ],
+    "iii-a": [
+        (_advantage, dict(fig=FIGURES[5], pairings=(_D,))),
+        (_nash, dict(
+            label="nash: nominal profile", ent=FIGURES[5].ent,
+            profiles=[(_D, _BOS, FIGURES[5].s1, FIGURES[5].s2)],
+            why=" (with theta1=0 and gamma=0 every interference term vanishes; "
+                "the payoffs at the profile are equal and the profile is not an "
+                "equilibrium)")),
+    ],
+    "iii-b": [(_equal_payoffs, dict(label="equal payoffs (ph-ph, ad-ad)", fig=FIGURES[5],
+                                    pairings=(_PH, _AD)))] + [
+        (_noiseless_distance, dict(
+            label=f"memory compensation ({tag})", pairing=pairing,
+            fig=FIGURES[5]._replace(s1=StrategyParams(PI / 2)), games=(_PD, _CHICKEN),
+            ps=(0.0, 0.2, 0.8)))
+        for pairing, tag in ((_PH, "dephasing"), (_AD, "amplitude damping"))],
+    "iii-c": [(_advantage, dict(fig=FIGURES[5], pairings=(Pairing.PH_AD, Pairing.D_AD)))],
+    "iv": [
+        (_max_noise_advantage, dict(fig=FIGURES[6], mus=(0.25, 0.5, 0.75, 1.0))),
+        (_nash, dict(label="nash: figure profile (bos, ad-ad)", ent=FIGURES[6].ent,
+                     profiles=[(_AD, _BOS, FIGURES[6].s1, FIGURES[6].s2)])),
+    ],
 }
 CASE_IDS = tuple(_CASES)
 
@@ -411,5 +390,6 @@ def case_study(case_id: str,
     if case_id not in _CASES:
         raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
     report = CaseReport(case_id)
-    _CASES[case_id](report, quantum_space)
+    for kind, config in _CASES[case_id]:
+        kind(report, quantum_space, **config)
     return report

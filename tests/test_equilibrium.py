@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -256,24 +257,29 @@ class TestUnentangledScanBuildsNoGrid:
 
 
 class TestMuCurves:
-    # One batched call per (pairing, game) gives each p's row the bits of a
-    # call at that float p, and the (0, 0.5, 1) subset of a row the bits of a
-    # call over those mu alone.
+    # One call over all three games, and one over a single game, give each
+    # game's p row the bits of that game's call at that float p, and the
+    # (0, 0.5, 1) subset of a row the bits of a call over those mu alone.
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("game", ["pd", "bos", "chicken"])
     def test_rows_have_the_bits_of_float_p_calls(self, pairing, game, rng):
         game, ps = builtin_game(game), (0.0, 0.2, rng.random(), 1.0)
+        games = [builtin_game(g) for g in ("pd", "bos", "chicken")]
         configs = [(f.ent, f.s1, f.s2) for f in FIGURES.values()]
         configs.append((random_ent(rng), random_strategy(rng), random_strategy(rng)))
         for ent, s1, s2 in configs:
-            rows = _mu_curves(pairing, game, ent, s1, s2, ps)
-            assert len(rows) == len(ps)
-            for p, row in zip(ps, rows):
-                for mus, got in ((MU_GRID_11, row),
-                                 ((0.0, 0.5, 1.0), [[c[i] for i in _MU_SUBSET] for c in row])):
-                    ch = (p, np.array(mus))
-                    want = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
-                    assert np.array(got).tobytes() == np.array(want).tobytes()
+            stacked = _mu_curves(pairing, games, ent, s1, s2, ps)
+            single = _mu_curves(pairing, [game], ent, s1, s2, ps)
+            assert len(stacked) == 3 and len(single) == 1
+            for rows in (stacked[games.index(game)], single[0]):
+                assert len(rows) == len(ps)
+                for p, row in zip(ps, rows):
+                    for mus, got in ((MU_GRID_11, row),
+                                     ((0.0, 0.5, 1.0),
+                                      [[c[i] for i in _MU_SUBSET] for c in row])):
+                        ch = (p, np.array(mus))
+                        want = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+                        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestScanBuffers:
@@ -294,6 +300,41 @@ class TestScanBuffers:
             rows(pairing, builtin_game("pd"), random_ent(rng), random_strategy(rng),
                  random_strategy(rng), StrategySpace(4, 3, 6), StrategySpace(2, 5, 3))
         assert rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE) == first
+
+
+class TestWeightEvaluations:
+    # The weights do not depend on the game, so a claim evaluates them once
+    # per pairing for all its games; each certified profile takes two (its
+    # payoffs and its coefficient table).  Counted through every qgmem
+    # module's name for ``batch_weights``.
+    BUDGET = {"i": 40, "ii-a": 1, "ii-b": 3, "ii-c": 2, "ii-d": 3, "iii-a": 3,
+              "iii-b": 4, "iii-c": 2, "iv": 11}
+
+    def test_nash_all_evaluates_the_weights_at_most_69_times(self, monkeypatch, capsys):
+        from qgmem import cli, closedform
+
+        calls = []
+        orig = closedform.batch_weights
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return orig(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "qgmem" or name.startswith("qgmem."):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+        per_case = {}
+        for case_id in CASE_IDS:
+            start = len(calls)
+            case_study(case_id, StrategySpace(5, 7, 3))
+            per_case[case_id] = len(calls) - start
+        assert {c: n for c, n in per_case.items() if n > self.BUDGET[c]} == {}
+        calls.clear()
+        assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
+        capsys.readouterr()
+        assert 0 < len(calls) <= sum(self.BUDGET.values()) == 69
 
 
 class TestCaseStudies:
