@@ -44,10 +44,6 @@ class KrausSet:
 
     operators: tuple[np.ndarray, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
 
 def _pauli_probs(kind: ChannelKind, p) -> dict:
     """Single-use Pauli error distribution of the Pauli-type channels, as
@@ -122,13 +118,6 @@ def two_use_kraus(spec: ChannelSpec) -> KrausSet:
               (spec.mu, cor))
     return KrausSet(tuple(np.sqrt(w) * op for w, group in groups if w > 0.0
                           for op in group))
-
-
-def verify_completeness(ks: KrausSet, tol: float = 1e-12) -> tuple[bool, float]:
-    """Check sum_k K^dag K = I; returns (ok, max entrywise deviation)."""
-    acc = sum(dagger(k) @ k for k in ks.operators)
-    deviation = float(np.max(np.abs(acc - np.eye(ks.dim))))
-    return deviation <= tol, deviation
 
 
 def apply_channel(ks: KrausSet, rho: np.ndarray) -> np.ndarray:

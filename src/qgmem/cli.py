@@ -150,6 +150,9 @@ def cmd_verify(args) -> int:
 # sweep
 # --------------------------------------------------------------------------
 SWEEPABLE = ("p1", "mu1", "p2", "mu2", "theta2", "alpha2", "beta2")
+# Largest |entry| of a custom game: a payoff sums a few entries times weights
+# of at most 1, so it stays far below the float range.
+ENTRY_BOUND = 1e300
 
 
 @dataclass
@@ -188,6 +191,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError("custom game needs 4 entries per player")
         if not all(map(math.isfinite, entries_a + entries_b)):
             raise ValueError("custom game entries must be finite")
+        if max(map(abs, entries_a + entries_b)) > ENTRY_BOUND:
+            raise ValueError(f"custom game entries must be at most {ENTRY_BOUND:g} "
+                             "in magnitude")
         game = Bimatrix("custom", tuple(entries_a), tuple(entries_b))
     else:
         game = builtin_game(name)

@@ -31,20 +31,17 @@ p, mu, gamma and delta, bit for bit as at float points: a float is a 0-d
 input to the same numpy arithmetic, and every square is written as a
 product, since ``** 2`` rounds through libm's pow on a scalar but multiplies
 on an array.
-The other factors (the sector products and the trigonometric terms) do not
-depend on the channels, and come in two parts: ``sector_terms``, the
-theta-only sector products and the amplitudes 0.25 n sin(gamma) and
-0.25 n sin(delta), of the small shape of the theta axes; and ``phase_terms``,
-builders of the full-size terms (the f brackets, the gamma term and the
-delta sines) that build nothing until called.  ``angle_terms`` builds both
-parts whole.  ``payoff_coeffs`` contracts the entries with the weights into
-the nine factors (per channel point and player) that multiply them, and
-``payoff_surface`` sums the products left to right, one numpy call a step,
-as ``sum_products`` over all four ``phase_products`` (the f_diag, f_off,
-gamma and delta terms, the ones of full grid size).  A grid scan builds
-only the phase terms it can need (``scan_terms``), passes its own buffers,
-so a repeated scan allocates no full-size array, and leaves out the
-products that are +-0 everywhere (see ``equilibrium.check_profile``).
+The other factors do not depend on the channels.  ``angle_terms`` states
+them once: the theta-only sector products, of the small shape of the theta
+axes, and one row per phase product (the f_diag and f_off brackets, the
+gamma term and the delta sines) of its coefficient indices, its amplitude
+and a builder of its full-size term.  ``payoff_coeffs`` contracts the
+entries with the weights into the nine factors (per channel point and
+player) that multiply them.  ``payoff_surface`` builds every phase product
+and sums them left to right, one numpy call a step (``sum_products``).  A
+grid scan builds only the ``live_products``, passes its own buffers, so a
+repeated scan allocates no full-size array, and leaves out the products
+that are +-0 everywhere (see ``equilibrium.check_profile``).
 ``stacked_entries`` puts entry columns (players, or games by players) on
 leading axes of the entries, so one ``payoff_surface`` call, with one weight
 evaluation, gives every column's payoffs; ``closed_payoff_pair`` gives both
@@ -59,7 +56,6 @@ machine precision).
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -380,43 +376,36 @@ _BUILDERS = {
 # --------------------------------------------------------------------------
 # payoff assembly
 # --------------------------------------------------------------------------
-# Weight-free factors of ``payoff_surface`` (see module doc): the sector
-# products, the f brackets, the gamma term, the delta prefactor and its sines.
-AngleTerms = namedtuple("AngleTerms", "cc ss sc cs f_diag f_off gamma delta "
-                                      "sin_diag sin_off")
-
-
-def sector_terms(ent: EntanglementParams, theta1, theta2) -> tuple:
-    """The theta-only angle factors, of the small shape: the sector products
-    cc, ss, sc, cs and the amplitudes 0.25 n sin(gamma) and 0.25 n sin(delta)
-    of the gamma and delta terms."""
-    (c1, s1), (c2, s2) = _half_angle_squares(theta1), _half_angle_squares(theta2)
-    n = np.sin(theta1) * np.sin(theta2)
-    return (c1 * c2, s1 * s2, s1 * c2, c1 * s2,
-            0.25 * n * np.sin(ent.gamma), 0.25 * n * np.sin(ent.delta))
-
-
-def phase_terms(sectors: tuple, alpha1, beta1, alpha2, beta2) -> tuple:
-    """Builders of the full-size angle factors of the four phase products, in
-    ``phase_products`` order, from ``sector_terms``: the f_diag and f_off
-    brackets, the gamma term and the pair of delta sines.  Nothing is built
-    until a builder is called."""
-    cc, ss, sc, cs, gamma, _ = sectors
-    a1, b1, a2, b2 = alpha1, beta1, alpha2, beta2
-    return (lambda: cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
-            lambda: sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
-            lambda: gamma * np.sin(a1 + a2 - b1 - b2),
-            lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2)))
-
-
 def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
-                theta2, alpha2, beta2) -> AngleTerms:
-    """The angle factors of ``payoff_surface``, broadcasting like it."""
+                theta2, alpha2, beta2) -> tuple[tuple, tuple]:
+    """The weight-free factors of ``payoff_surface``, broadcasting like it, as
+    (sectors, phases).  ``sectors`` are the theta-only products cc, ss, sc
+    and cs, of the small shape of the theta axes.  ``phases`` are the f_diag,
+    f_off, gamma and delta products, in the payoff's order, as rows of
+    (indices of their ``payoff_coeffs`` factors, amplitude, build): build()
+    returns (term, factor), and the product is ``term * factor(k)`` for a
+    coefficient tuple k.  The amplitudes are 0.25 n sin(gamma) and
+    0.25 n sin(delta), of the small shape (1 for the f brackets); the delta
+    product's term is its amplitude, and its factor combines the two sines.
+    Nothing full-size is built until a row's build() is called."""
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
-    s = sector_terms(ent, th1, th2)
-    f_diag, f_off, gamma, sines = (build() for build in phase_terms(s, a1, b1, a2, b2))
-    return AngleTerms(*s[:4], f_diag, f_off, gamma, s[5], *sines)
+    (c1, s1), (c2, s2) = _half_angle_squares(th1), _half_angle_squares(th2)
+    cc, ss, sc, cs = c1 * c2, s1 * s2, s1 * c2, c1 * s2
+    n = np.sin(th1) * np.sin(th2)
+    gamma, delta = 0.25 * n * np.sin(ent.gamma), 0.25 * n * np.sin(ent.delta)
+
+    def delta_sines():
+        sin_diag, sin_off = np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2)
+        return delta, lambda k: k[7] * sin_diag + k[8] * sin_off
+
+    return (cc, ss, sc, cs), (
+        ((4,), 1.0, lambda: (cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
+                             lambda k: k[4])),
+        ((5,), 1.0, lambda: (sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
+                             lambda k: k[5])),
+        ((6,), gamma, lambda: (gamma * np.sin(a1 + a2 - b1 - b2), lambda k: k[6])),
+        ((7, 8), delta, delta_sines))
 
 
 def payoff_surface(
@@ -429,17 +418,20 @@ def payoff_surface(
 ):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
     of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
-    array, from one ``batch_weights`` and one ``angle_terms`` evaluation,
-    which builds every phase term whole, live or not (a grid scan builds
-    only the live ones, through ``scan_terms``).
+    array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
+    Every phase product is built whole, live or not (a grid scan builds only
+    the ``live_products``), so a CSV keeps the sign of each zero and the
+    surface the full broadcast shape: at gamma = delta = 0 the sector sum
+    alone has only the theta axes, over which case ``i``'s
+    phase-independence check would pass vacuously.
     No range validation on the angle arrays; grid scans are expected to stay
     inside the strategy domain by construction."""
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     w = batch_weights(pairing, ent, ch1, ch2)
-    t = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
-    k = payoff_coeffs(w, entries, ent)
-    return sum_products(t, k, phase_products(t, k))
+    sectors, phases = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
+    return sum_products(sectors, payoff_coeffs(w, entries, ent),
+                        [build() for *_, build in phases])
 
 
 def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
@@ -461,52 +453,33 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
             w.h_diag * (e00 - e11), w.h_off * (e01 - e10))
 
 
-def phase_products(t: AngleTerms, coeffs: tuple) -> tuple:
-    """The four full-size products that ``payoff_surface`` adds to the sector
-    sum, in its order, as (angle term, coefficients, factor) triples: a
-    product is ``term * factor()`` and linear in its coefficients, so it is
-    +-0 wherever the term is 0 or all its coefficients are."""
-    *_, f_diag, f_off, gamma, h_diag, h_off = coeffs
-    return ((t.f_diag, (f_diag,), lambda: f_diag),
-            (t.f_off, (f_off,), lambda: f_off),
-            (t.gamma, (gamma,), lambda: gamma),
-            (t.delta, (h_diag, h_off), lambda: h_diag * t.sin_diag + h_off * t.sin_off))
+def live_products(phases: tuple, table: Sequence) -> list:
+    """The phase products that a grid scan over the coefficient ``table`` (the
+    ``payoff_coeffs`` columns over channel points) must add, as (indices,
+    (term, factor)) of the ``angle_terms`` rows ``phases``.  A row whose
+    coefficient columns are all 0, or whose amplitude is, is dead before
+    anything is built; otherwise it is built, and it is live iff its term is
+    non-zero somewhere."""
+    live = []
+    for idx, amp, build in phases:
+        if any(np.any(table[j]) for j in idx) and np.any(amp):
+            term, factor = build()
+            if np.any(term):
+                live.append((idx, (term, factor)))
+    return live
 
 
-def scan_terms(ent: EntanglementParams, table: Sequence, theta1, alpha1, beta1,
-               theta2, alpha2, beta2) -> tuple[AngleTerms, list[bool]]:
-    """``angle_terms`` for a grid scan over the coefficient ``table`` (the
-    ``payoff_coeffs`` columns over channel points), with only the live phase
-    products' full-size terms built (the others are None), and each
-    product's liveness.  A product whose coefficient columns are all 0, or
-    whose small amplitude (0.25 n sin of gamma or delta) is, is dead before
-    anything is built; otherwise its term is built and it is live iff the
-    term is non-zero somewhere."""
-    th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
-    th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
-    s = sector_terms(ent, th1, th2)
-    # Each product's coefficient columns, as in ``phase_products``, and its
-    # amplitude; the f brackets have none.
-    columns = (table[4:5], table[5:6], table[6:7], table[7:])
-    f_diag, f_off, gamma, sines = (
-        build() if any(map(np.any, ks)) and np.any(amp) else None
-        for ks, amp, build in zip(columns, (1.0, 1.0, s[4], s[5]),
-                                  phase_terms(s, a1, b1, a2, b2)))
-    live = [t is not None and bool(np.any(t)) for t in (f_diag, f_off, gamma)]
-    return (AngleTerms(*s[:4], f_diag, f_off, gamma, s[5], *(sines or (None, None))),
-            live + [sines is not None])
-
-
-def sum_products(t: AngleTerms, coeffs: tuple, products, out=None):
-    """The sector sum of ``t`` and ``coeffs`` plus the given ``phase_products``,
-    left to right.  ``out``, if given, is two float arrays of the full
-    broadcast shape: the products go to the second and the sum to the first
-    (returned).  With no product the sum keeps the sectors' small shape."""
-    cc, ss, sc, cs = coeffs[:4]
+def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
+    """The sector sum of ``sectors`` and ``coeffs`` plus the given built
+    (term, factor) products, left to right, one numpy call a step.  ``out``,
+    if given, is two float arrays of the full broadcast shape: the products
+    go to the second and the sum to the first (returned).  With no product
+    the sum keeps the sectors' small shape."""
+    cc, ss, sc, cs = sectors
     acc, tmp = (None, None) if out is None else out
-    total = t.cc * cc + t.ss * ss + t.sc * sc + t.cs * cs
-    for term, _, factor in products:
-        total = np.add(total, np.multiply(term, factor(), out=tmp), out=acc)
+    total = cc * coeffs[0] + ss * coeffs[1] + sc * coeffs[2] + cs * coeffs[3]
+    for term, factor in products:
+        total = np.add(total, np.multiply(term, factor(coeffs), out=tmp), out=acc)
     return total
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import (Pairing, batch_weights, closed_payoff_pair, payoff_coeffs,
-                         payoff_surface, phase_products, scan_terms, stacked_entries,
+from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
+                         live_products, payoff_coeffs, payoff_surface, stacked_entries,
                          sum_products)
 from .games import Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
@@ -86,24 +86,24 @@ def check_profile(
     coefficient table.  Per deviation grid, one broadcast gives the sector
     sums of all points (points by theta) and one ``max`` their maxima; a
     point with a live phase product is then scanned whole with
-    ``sum_products`` into two buffers per grid.  Gains are clamped at zero,
-    so an off-grid profile that beats its own grid is reported as gain 0
-    rather than negative.
+    ``sum_products`` into two buffers per grid, of the broadcast shape of
+    the grid's angles.  Gains are clamped at zero, so an off-grid profile
+    that beats its own grid is reported as gain 0 rather than negative.
 
-    A scan adds only the phase products that can be non-zero, and builds
-    only their full-size terms.  A product is dead over the grid when its
-    coefficient columns are all 0 (gamma = 0 or delta = 0 zero the f
-    factors) or its small amplitude 0.25 n sin(gamma) or 0.25 n sin(delta)
-    is (gamma = 0 zeroes the gamma term, delta = 0 the delta term, a fixed
-    theta = 0 both); only then is its term built, and it is live iff the
-    term is non-zero somewhere, so underflow decides as in the built term.
-    At a point, a live product whose coefficients are all 0 there is skipped
-    too (weight factors vanish at some p = 0 or mu = 0 points).  A grid with
-    no live product gets no full-size array at all, and a point with none
-    keeps the maximum of its sector sum.  A skipped product is +-0
-    everywhere, so the sum keeps its bits but for the sign of a zero, and
-    ``max(0.0, best - payoff)`` gives the same gain for either sign of a zero
-    maximum.
+    A scan adds only the phase products that can be non-zero
+    (``closedform.live_products``), and builds only their full-size terms.
+    A product is dead over the grid when its coefficient columns are all 0
+    (gamma = 0 or delta = 0 zero the f factors) or its amplitude
+    0.25 n sin(gamma) or 0.25 n sin(delta) is (gamma = 0 zeroes the gamma
+    term, delta = 0 the delta term, a fixed theta = 0 both); only then is
+    its term built, and it is live iff the term is non-zero somewhere, so
+    underflow decides as in the built term.  At a point, a live product
+    whose coefficients are all 0 there is skipped too (weight factors
+    vanish at some p = 0 or mu = 0 points).  A grid with no live product
+    gets no full-size array at all, and a point with none keeps the maximum
+    of its sector sum.  A skipped product is +-0 everywhere, so the sum
+    keeps its bits but for the sign of a zero, and ``max(0.0, best -
+    payoff)`` gives the same gain for either sign of a zero maximum.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
@@ -118,18 +118,18 @@ def check_profile(
     for entries, grid in ((game.a, (*space_a.mesh(), *two)),
                           (game.b, (*one, *space_b.mesh()))):
         table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
-        terms, live = scan_terms(ent, table, *grid)
+        sectors, phases = angle_terms(ent, *grid)
+        live = live_products(phases, table)
         # The sector sums of all points in one broadcast, points first.
-        sums = sum_products(terms, [np.reshape(c, (-1,) + (1,) * terms.cc.ndim)
-                                    for c in table[:4]], ())
+        sums = sum_products(sectors, [np.reshape(c, (-1,) + (1,) * np.ndim(sectors[0]))
+                                      for c in table[:4]], ())
         maxima = sums.max(axis=tuple(range(1, sums.ndim)))
-        if any(live):
-            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, terms))) for _ in range(2)]
+        if live:
+            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
             for i, k in enumerate(zip(*table)):
-                products = [prod for prod, on in zip(phase_products(terms, k), live)
-                            if on and any(prod[1])]
+                products = [prod for idx, prod in live if any(k[j] for j in idx)]
                 if products:
-                    maxima[i] = sum_products(terms, k, products, bufs).max()
+                    maxima[i] = sum_products(sectors, k, products, bufs).max()
         best.append(maxima.tolist())
     return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
             for pa, pb, ba, bb in zip(*payoffs, *best)]

@@ -3,8 +3,10 @@
 None of this runs in the program.  Each function is a direct, unoptimised
 statement of what some part of ``qgmem`` computes another way: a density
 check by explicit spectrum, the noiseless round by ``np.kron``, the oracle's
-payoffs by trace rule, a crossing's Liouville matrix, classical mixed payoffs
-by summing cells at cos^2(theta/2), and a grid best response by brute force.
+payoffs by trace rule, a crossing's Liouville matrix, a Kraus set's
+completeness, the closed form's angle factors by name from raw angles,
+classical mixed payoffs by summing cells at cos^2(theta/2), and a grid best
+response by brute force.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgmem.channels import ChannelSpec
+from qgmem.channels import ChannelSpec, KrausSet
 from qgmem.closedform import Pairing, payoff_surface
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import Bimatrix
@@ -75,6 +77,32 @@ def liouville(spec: ChannelSpec) -> np.ndarray:
     units = np.eye(16).reshape(16, *[1] * np.broadcast(spec.p, spec.mu).ndim, 4, 4)
     lv = _cross(spec, units)
     return np.moveaxis(lv.reshape(*lv.shape[:-2], 16), 0, -1)
+
+
+def verify_completeness(ks: KrausSet, tol: float = 1e-12) -> tuple[bool, float]:
+    """Check sum_k K^dag K = I; returns (ok, max entrywise deviation)."""
+    acc = sum(dagger(k) @ k for k in ks.operators)
+    deviation = float(np.max(np.abs(acc - np.eye(ks.operators[0].shape[0]))))
+    return deviation <= tol, deviation
+
+
+def raw_angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
+                    theta2, alpha2, beta2) -> dict:
+    """The angle factors of the closed-form payoff by name, as the
+    ``closedform`` module doc writes them, each built whole from the raw
+    angles with the numpy calls of the package (so with its bits)."""
+    th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
+    th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
+    c1, s1 = np.cos(th1 / 2) * np.cos(th1 / 2), np.sin(th1 / 2) * np.sin(th1 / 2)
+    c2, s2 = np.cos(th2 / 2) * np.cos(th2 / 2), np.sin(th2 / 2) * np.sin(th2 / 2)
+    n = np.sin(th1) * np.sin(th2)
+    t = dict(cc=c1 * c2, ss=s1 * s2, sc=s1 * c2, cs=c1 * s2,
+             gamma_amp=0.25 * n * np.sin(ent.gamma), delta=0.25 * n * np.sin(ent.delta),
+             sin_diag=np.sin(a1 + a2 + b1 + b2), sin_off=np.sin(a1 - a2 + b1 - b2))
+    t["f_diag"] = t["cc"] * np.cos(2 * (a1 + a2)) - t["ss"] * np.cos(2 * (b1 + b2))
+    t["f_off"] = t["sc"] * np.cos(2 * (a2 - b1)) - t["cs"] * np.cos(2 * (a1 - b2))
+    t["gamma"] = t["gamma_amp"] * np.sin(a1 + a2 - b1 - b2)
+    return t
 
 
 def classical_expected(g: Bimatrix, x: float, y: float) -> tuple[float, float]:

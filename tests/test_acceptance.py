@@ -17,10 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from reference import classical_expected, theta_weight
+from reference import classical_expected, theta_weight, verify_completeness
 
-from qgmem.channels import (ChannelKind, ChannelSpec, single_use_kraus,
-                            two_use_kraus, verify_completeness)
+from qgmem.channels import ChannelKind, ChannelSpec, single_use_kraus, two_use_kraus
 from qgmem.cli import CSV_HEADER, figure_rows, fmt, main
 from qgmem.closedform import (Pairing, closed_payoff, closed_payoff_pair,
                               payoff_surface)

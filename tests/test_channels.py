@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import is_density
+from reference import is_density, verify_completeness
 
 from qgmem.channels import (ChannelKind, ChannelSpec, apply_channel,
-                            pair_weights, single_use_kraus, two_use_kraus,
-                            verify_completeness)
+                            pair_weights, single_use_kraus, two_use_kraus)
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

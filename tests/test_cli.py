@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from test_golden import FIGURE_DIGESTS
 
 from qgmem.channels import ChannelKind, ChannelSpec
-from qgmem.cli import (CSV_HEADER, GAIN_HEADER, VERIFY_BLOCK, build_parser, main,
-                       parse_angle, parse_sweep_config, run_sweep, verify_blocks)
+from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, VERIFY_BLOCK, build_parser,
+                       main, parse_angle, parse_sweep_config, run_sweep, verify_blocks)
 from qgmem.closedform import Pairing
 from qgmem.equilibrium import CASE_IDS
 from qgmem.games import builtin_game
@@ -371,6 +372,41 @@ class TestSweepCommand:
         assert capsys.readouterr().err.strip() == \
             "error: custom game entries must be finite"
         assert not out.exists()
+
+    # Finite but huge entries overflow the payoff sums: 1e308 entries gave
+    # nan and inf payoffs with numpy RuntimeWarnings and exit 0.  At the
+    # bound every payoff is finite; just above it the config is refused
+    # before anything is computed or written.
+    @pytest.mark.parametrize("pairing", [p.value for p in Pairing])
+    def test_custom_entries_are_bounded(self, tmp_path, capsys, pairing):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        big, above = ENTRY_BOUND, float(np.nextafter(ENTRY_BOUND, np.inf))
+
+        def sweep(entries_a, entries_b):
+            conf.write_text(
+                f"game = custom\nentries_a = {entries_a}\nentries_b = {entries_b}\n"
+                f"pairing = {pairing}\ngamma = pi/3\ndelta = pi/5\ntheta1 = pi/3\n"
+                "alpha1 = 0.4\nbeta1 = -0.7\nsweep.p1 = 0:1:3\nsweep.mu2 = 0:1:3\n"
+                f"sweep.theta2 = 0:pi:4\nsweep.alpha2 = -pi:pi:5\noutput = {out}\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(["sweep", "--config", str(conf)])
+            assert caught == []
+            return code
+
+        assert sweep(f"{big!r},{-big!r},{big!r},{big!r}", f"{-big!r},{big!r},0,{-big!r}") == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 * 3 * 4 * 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[-2:])
+        out.unlink()
+        capsys.readouterr()
+        for entries_a, entries_b in ((f"{above!r},0,0,1", "1,1,1,1"),
+                                     ("1,1,1,1", f"0,{-above!r},0,0")):
+            assert sweep(entries_a, entries_b) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: custom game entries must be at most 1e+300 in magnitude"]
+            assert not out.exists()
 
     # As for ``nash --grid``: 10**17 float64 steps (711 PiB) exceed any
     # address space, so numpy refuses the axis before anything is allocated.

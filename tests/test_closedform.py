@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ent, random_entries, random_strategy
-from reference import classical_expected, theta_weight
+from reference import classical_expected, raw_angle_terms, theta_weight
 
 from qgmem.channels import ChannelSpec
 from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               batch_weights, closed_payoff, closed_payoff_pair,
                               dephasing_coeff, depol_coeffs, pairing_weights,
                               payoff_surface)
-from qgmem.closedform import payoff_coeffs, phase_products, sum_products
+from qgmem.closedform import payoff_coeffs, sum_products
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
@@ -397,10 +398,12 @@ class TestPayoffSurface:
                            (0, 0), (0, 0), 0, 0, 0, 0, 0, 0)
 
 
-def unsplit_payoff(w, entries, ent, t):
-    """The payoff as one expression, as written before ``payoff_coeffs`` and
-    ``sum_products`` split it."""
+def unsplit_payoff(w, entries, ent, angles):
+    """The payoff as one expression, as written before ``payoff_coeffs``,
+    ``angle_terms`` and ``sum_products`` split it, with the angle factors
+    from the raw angles."""
     e00, e01, e10, e11 = np.asarray(entries, dtype=float)
+    t = SimpleNamespace(**raw_angle_terms(ent, *angles))
     xi = 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
 
     def sector(weights):
@@ -434,15 +437,16 @@ class TestCoefficientAssembly:
                            np.linspace(-PI, PI, 3), indexing="ij", sparse=True)
         game = builtin_game("chicken")
         for angles in ((*grid, *s2.angles), (*s1.angles, *grid)):
-            t = angle_terms(ent, *angles)
+            sectors, phases = angle_terms(ent, *angles)
+            products = [build() for *_, build in phases]
             for entries in (game.a, game.b, random_entries(rng)):
                 k = payoff_coeffs(w, entries, ent)
                 bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
-                got = sum_products(t, k, phase_products(t, k), bufs)
-                fresh = sum_products(t, k, phase_products(t, k))
+                got = sum_products(sectors, k, products, bufs)
+                fresh = sum_products(sectors, k, products)
                 assert got is bufs[0] and fresh.shape == (5, 7, 3)
                 assert np.array_equal(got, fresh)
-                assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, t))
+                assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, angles))
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_profile_point_and_channel_arrays_match_unsplit_expression(
@@ -453,13 +457,14 @@ class TestCoefficientAssembly:
         ch = (np.array([rng.random() for _ in range(6)] + [0.0, 1.0]),
               np.array([rng.random() for _ in range(6)] + [1.0, 0.0]))
         w = batch_weights(pairing, ent, ch, ch)
-        t = angle_terms(ent, *s1.angles, *s2.angles)
+        angles = (*s1.angles, *s2.angles)
+        sectors, phases = angle_terms(ent, *angles)
         entries = random_entries(rng)
-        got = payoff_surface(pairing, entries, ent, ch, ch, *s1.angles, *s2.angles)
+        got = payoff_surface(pairing, entries, ent, ch, ch, *angles)
         assert got.shape == (8,)
         k = payoff_coeffs(w, entries, ent)
-        assert np.array_equal(got, sum_products(t, k, phase_products(t, k)))
-        assert np.array_equal(got, unsplit_payoff(w, entries, ent, t))
+        assert np.array_equal(got, sum_products(sectors, k, [b() for *_, b in phases]))
+        assert np.array_equal(got, unsplit_payoff(w, entries, ent, angles))
 
 
 class TestPairingEnum:

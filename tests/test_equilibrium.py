@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_ent, random_strategy
-from reference import best_response
+from reference import best_response, raw_angle_terms
 
 from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
-                               payoff_coeffs, payoff_surface, phase_products, scan_terms)
+                               live_products, payoff_coeffs, payoff_surface)
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, MU_GRID_11,
                                PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
                                _MU_SUBSET, _mu_curves, _nash_rows, case_study,
@@ -192,9 +192,13 @@ class TestCertificatePath:
 
     # A subnormal product cannot move an O(1) maximum, so the gains above
     # cannot see a wrong skip there; the liveness itself is compared with
-    # the rule on fully built terms: a product is live iff its term and
-    # some coefficient are non-zero.  Built terms have the bits of
-    # ``angle_terms``.
+    # the rule on terms built whole from the raw angles: a product is live
+    # iff its term and some coefficient column are non-zero.  The third
+    # grid is classical against alpha2 = beta2, where the gamma term is its
+    # amplitude times sin(0): zero although the amplitude is not.  The built
+    # terms and factors have the bits of a full build of ``angle_terms``.
+    COLUMNS = {"f_diag": (4,), "f_off": (5,), "gamma": (6,), "delta": (7, 8)}
+
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
     def test_scan_liveness_matches_built_terms(self, pairing, game, gamma, delta,
@@ -203,16 +207,23 @@ class TestCertificatePath:
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         w = batch_weights(pairing, ent, ch, ch)
         for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *s2.angles)),
-                              (game.b, (*s1.angles, *StrategySpace(5, 6, 4).mesh()))):
+                              (game.b, (*s1.angles, *StrategySpace(5, 6, 4).mesh())),
+                              (game.a, (*CLASSICAL_SPACE.mesh(), s2.theta, s2.alpha,
+                                        s2.alpha))):
             table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
-            terms, live = scan_terms(ent, table, *grid)
-            full = angle_terms(ent, *grid)
-            assert live == [bool(np.any(term)) and any(map(np.any, ks))
-                            for term, ks, _ in phase_products(full, table)]
-            for got, want in zip(terms, full):
-                assert got is None or np.array_equal(got, want)
-            built = (terms.f_diag, terms.f_off, terms.gamma, terms.sin_diag)
-            assert all(term is not None for term, on in zip(built, live) if on)
+            raw = raw_angle_terms(ent, *grid)
+            want = [cols for name, cols in self.COLUMNS.items()
+                    if np.any(raw[name]) and any(np.any(table[j]) for j in cols)]
+            live = live_products(angle_terms(ent, *grid)[1], table)
+            assert [idx for idx, _ in live] == want
+            full = {idx: build() for idx, _, build in angle_terms(ent, *grid)[1]}
+            names = {cols: name for name, cols in self.COLUMNS.items()}
+            points = list(zip(*table))
+            for idx, (term, factor) in live:
+                assert np.array_equal(term, full[idx][0])
+                assert np.array_equal(term, raw[names[idx]])
+                for k in (points[0], points[-1]):
+                    assert np.array_equal(factor(k), full[idx][1](k))
 
 
 class TestUnentangledCertificatesAreExact:

@@ -1,26 +1,25 @@
 """``src/qgmem`` holds only code that the program or the benchmark runs.
 
 Every function, class and public method defined there must be named
-somewhere else in the package, be a benchmark hook (a ``LAYERS`` target of
-``benchmark/tracing.py`` or a ``from qgmem... import`` in ``benchmark/``), or
-be on ``ALLOWED`` with its reason.  The package's ``__init__`` does not
-count as a use: re-exporting a name runs nothing.  References that only the
-tests compare against live in ``tests/reference.py``.
+somewhere else in the package, or be a benchmark hook (a ``LAYERS`` target
+of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
+``benchmark/``).  The package's ``__init__`` does not count as a use:
+re-exporting a name runs nothing.  References that only the tests compare
+against live in ``tests/reference.py``.  Every qualified name that README.md
+cites resolves.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 from test_benchmark_targets import _layers, _qgmem_imports
 
 import qgmem
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qgmem"
-
-ALLOWED = {
-    "verify_completeness": "checks sum K^dag K = I of the operator-sum route's "
-                           "Kraus sets, which the oracle's crossings are held to",
-}
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qgmem"
 
 
 def _definitions():
@@ -55,7 +54,7 @@ def _benchmark_hooks():
 
 
 def test_every_definition_is_used_by_the_program_or_the_benchmark():
-    kept = _names_used() | _benchmark_hooks() | set(ALLOWED)
+    kept = _names_used() | _benchmark_hooks()
     unused = [f"{module}.{name}" for module, name in _definitions()
               if name.rpartition(".")[2] not in kept]
     assert not unused, unused
@@ -65,4 +64,25 @@ def test_every_exported_name_resolves():
     # ``from qgmem import *`` fails on a name in ``__all__`` that the package
     # no longer defines.
     missing = [name for name in qgmem.__all__ if not hasattr(qgmem, name)]
+    assert not missing, missing
+
+
+def _readme_citations():
+    """Every ``module.name`` (optionally ``qgmem.``-prefixed) that README.md
+    cites in backticks, for the package's modules."""
+    modules = "|".join(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    pattern = rf"`(?:qgmem\.)?({modules})\.([A-Za-z_][\w.]*)`"
+    return sorted(set(re.findall(pattern, (ROOT / "README.md").read_text())))
+
+
+def test_readme_citations_resolve():
+    cited = _readme_citations()
+    assert len(cited) >= 8, cited
+    missing = []
+    for module, attr in cited:
+        owner = importlib.import_module(f"qgmem.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
     assert not missing, missing
