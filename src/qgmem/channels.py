@@ -85,14 +85,9 @@ def pair_weights(kind: ChannelKind, p, mu) -> np.ndarray:
     w_ij = p_i * [(1 - mu) p_j + mu * delta_ij]: with probability 1-mu the
     two qubits draw independent errors, with probability mu identical ones
     (Macchiavello and Palma, PRA 65, 050301(R)).  The correlated
-    amplitude-damping pair has no such form.  p and mu are trusted
-    (``ChannelSpec`` validates them).
+    amplitude-damping pair has no such form, and ``_pauli_probs`` rejects
+    it.  p and mu are trusted (``ChannelSpec`` validates them).
     """
-    if kind is ChannelKind.AMPLITUDE_DAMPING:
-        raise ValueError(
-            "amplitude damping has no Pauli pair weights; "
-            "use two_use_kraus for its correlated form"
-        )
     probs = np.zeros(np.broadcast(p, mu).shape + (4,))
     for i, w in _pauli_probs(kind, p).items():
         probs[..., i] = w

@@ -20,7 +20,8 @@ import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
 from .closedform import Pairing, closed_payoff_pair, payoff_surface
-from .equilibrium import CASE_IDS, FIGURES, QUANTUM_SPACE, StrategySpace, case_study
+from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
+                          case_study)
 from .games import Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -31,7 +32,7 @@ POINT = ("p1", "mu1", "p2", "mu2", "gamma", "delta",
          "theta1", "alpha1", "beta1", "theta2", "alpha2", "beta2")
 CSV_HEADER = ",".join(("game", "pairing", *POINT, "payoff_a", "payoff_b"))
 
-GAIN_HEADER = "case,pairing,game,p,mu,payoff_a,payoff_b,gain_a,gain_b"
+GAIN_HEADER = ",".join(GAIN_COLUMNS)
 
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
 
@@ -242,8 +243,8 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
 
 def write_gains(path: str, gain_rows: list[dict]) -> None:
     """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns."""
-    keys = GAIN_HEADER.split(",")
-    write_csv(path, [",".join([r[k] for k in keys[:3]] + [fmt(r[k]) for k in keys[3:]])
+    text, numbers = GAIN_COLUMNS[:3], GAIN_COLUMNS[3:]
+    write_csv(path, [",".join([r[k] for k in text] + [fmt(r[k]) for k in numbers])
                      for r in gain_rows], GAIN_HEADER)
 
 
@@ -293,8 +294,7 @@ def cmd_nash(args) -> int:
         try:
             t, a, b = (int(x) for x in args.grid.lower().split("x"))
         except ValueError:
-            print(f"bad grid spec {args.grid!r}; expected TxAxB", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"bad grid spec {args.grid!r}; expected TxAxB") from None
         space = StrategySpace(t, a, b)
     rows, certified = [], True
     for case_id in CASE_IDS if args.case == "all" else [args.case]:

@@ -159,7 +159,6 @@ class DepolCoeffs:
     d3: float
     d4: float
     eta1dp: float
-    mu_times_p: float
 
 
 def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
@@ -174,8 +173,8 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
     base_d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
     eta1dp = 2 * base_d - base_a - base_b
     if slot == 1:
-        return DepolCoeffs(base_a, base_b, base_c3, base_d, eta1dp, mu * p)
-    return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp, mu * p)
+        return DepolCoeffs(base_a, base_b, base_c3, base_d, eta1dp)
+    return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp)
 
 
 @dataclass(frozen=True)
@@ -340,7 +339,7 @@ def batch_weights(
             u = depol_coeffs(p, mu, slot)
             if slot == 1:
                 return u, (u.d3, -u.eta1dp)
-            f, g = u.d4 - (2 / 3) * u.mu_times_p, u.d1 - 2 * u.d2 + u.d3
+            f, g = u.d4 - (2 / 3) * (mu * p), u.d1 - 2 * u.d2 + u.d3
             return u, (f, f, g, g, g)
         z = dephasing_coeff(p, mu)
         return z, (z.mu_p, 1.0) if slot == 1 else (z.mu_p, z.mu_p, 1.0, 1.0, 1.0)

@@ -27,6 +27,9 @@ from .protocol import EntanglementParams, StrategyParams
 PI = math.pi
 
 DEFAULT_EPSILON = 1e-6
+# The keys of one certificate's gain row, in ``nash --csv`` column order.
+GAIN_COLUMNS = ("case", "pairing", "game", "p", "mu",
+                "payoff_a", "payoff_b", "gain_a", "gain_b")
 
 # (p, mu) sample grid used by the equilibrium certificates.
 PM_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -213,10 +216,9 @@ def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SP
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
     certs = check_profile(pairing, game, ent, ch, ch, (s1, s2), space_a, space_b)
-    report.gain_rows += [dict(
-        case=report.case_id, pairing=pairing.value, game=game.name, p=p, mu=m,
-        payoff_a=pa, payoff_b=pb, gain_a=ga, gain_b=gb,
-    ) for (p, m), (pa, pb, ga, gb) in zip(points, certs)]
+    report.gain_rows += [
+        dict(zip(GAIN_COLUMNS, (report.case_id, pairing.value, game.name, p, m, *cert)))
+        for (p, m), cert in zip(points, certs)]
     return max(max(ga, gb) for _, _, ga, gb in certs)
 
 

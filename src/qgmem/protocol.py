@@ -98,17 +98,9 @@ def measurement_basis(delta: float) -> np.ndarray:
         1j * np.sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
 
 
-def payoff_projectors(delta: float) -> list[np.ndarray]:
-    """Rank-1 projectors onto the measurement basis, ordered 00,01,10,11.
-
-    They are mutually orthogonal and sum to the identity for every delta.
-    """
-    return [v[..., :, None] * v.conj()[..., None, :]
-            for v in np.moveaxis(measurement_basis(delta), -2, 0)]
-
-
 def payoff_operator(delta: float, entries: Sequence[float]) -> np.ndarray:
-    """Hermitian observable sum_ij $_ij |v_ij><v_ij| for one player.
+    """Hermitian observable sum_ij $_ij |v_ij><v_ij| for one player, formed
+    as V^T diag($) conj(V) from the rows V of ``measurement_basis(delta)``.
 
     ``entries`` is the player's payoff column ($_00, $_01, $_10, $_11), four
     floats or four arrays; the operator's eigenvalues are exactly these
@@ -116,8 +108,8 @@ def payoff_operator(delta: float, entries: Sequence[float]) -> np.ndarray:
     """
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    return sum(np.asarray(value)[..., None, None] * proj
-               for value, proj in zip(entries, payoff_projectors(delta)))
+    v, e = measurement_basis(delta), np.moveaxis(np.asarray(entries), 0, -1)
+    return np.swapaxes(v, -1, -2) * e[..., None, :] @ v.conj()
 
 
 def measure_payoff(payoff_op: np.ndarray, rho: np.ndarray) -> float:

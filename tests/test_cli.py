@@ -495,8 +495,10 @@ class TestNashCommand:
         assert [line for line in printed.splitlines() if line.startswith("case ")] == \
             [f"case {case_id}:" for case_id in CASE_IDS]
 
-    def test_bad_grid_spec(self):
-        assert run(["nash", "--case", "ii-b", "--grid", "bogus"]) == 2
+    @pytest.mark.parametrize("grid", ["bogus", "3x3", "3x3x3x3"])
+    def test_bad_grid_spec(self, grid, capsys):
+        assert run(["nash", "--case", "ii-b", "--grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: bad grid spec {grid!r}; expected TxAxB\n"
 
     # 10**17 points of float64 (711 PiB) exceed any address space, so numpy
     # refuses the axis up front on every host; nothing is ever allocated.

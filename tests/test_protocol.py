@@ -9,7 +9,7 @@ from reference import is_density, noiseless_final_state
 
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
                             initial_state, measure_payoff, measurement_basis,
-                            payoff_operator, payoff_projectors, strategy_unitary)
+                            payoff_operator, strategy_unitary)
 from qgmem.qmat import dagger
 
 PI = math.pi
@@ -80,19 +80,24 @@ class TestStrategyUnitary:
         assert np.allclose(dagger(u) @ u, np.eye(2), atol=1e-12)
 
 
+def outcome_projectors(delta):
+    """Rank-1 projectors |v_ij><v_ij|, as the observables of one-hot payoffs."""
+    return [payoff_operator(delta, tuple(row)) for row in np.eye(4)]
+
+
 class TestMeasurement:
     def test_delta_zero_projectors(self):
-        projs = payoff_projectors(0.0)
+        projs = outcome_projectors(0.0)
         for k, proj in enumerate(projs):
             expected = np.zeros((4, 4), dtype=complex)
             expected[k, k] = 1
             assert np.allclose(proj, expected, atol=1e-15)
 
     def test_completeness(self):
-        assert np.allclose(sum(payoff_projectors(0.9)), I4, atol=1e-15)
+        assert np.allclose(sum(outcome_projectors(0.9)), I4, atol=1e-15)
 
     def test_orthogonality_by_multiplication(self):
-        projs = payoff_projectors(PI / 3)
+        projs = outcome_projectors(PI / 3)
         assert np.allclose(projs[0] @ projs[3], 0, atol=1e-15)
         assert np.allclose(projs[1] @ projs[2], 0, atol=1e-15)
 
@@ -104,7 +109,7 @@ class TestMeasurement:
 
     def test_range_error(self):
         with pytest.raises(ValueError):
-            payoff_projectors(PI)
+            payoff_operator(PI, (1, 0, 0, 0))
 
 
 class TestPayoffOperator:
