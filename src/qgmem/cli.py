@@ -100,7 +100,7 @@ def cmd_payoff(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
-VERIFY_BLOCK = 128  # samples evaluated per array call
+VERIFY_BLOCK = 512  # samples evaluated per array call
 # Bounds of a verify tuple's 16 draws: entries, gamma, delta, angles, (mu, p) x 2.
 _DRAW_LO, _DRAW_HI = np.array(
     [(-2.0, 5.0)] * 4 + [(0.0, math.pi / 2)] * 2

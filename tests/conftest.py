@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,23 @@ def random_ent(rng: random.Random) -> EntanglementParams:
 
 def random_entries(rng: random.Random, lo=-2.0, hi=5.0):
     return tuple(rng.uniform(lo, hi) for _ in range(4))
+
+
+def count_calls(monkeypatch, func):
+    """Replace ``func`` under every qgmem module's name for it by a wrapper
+    that counts its calls; returns the list the calls are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qgmem" or name.startswith("qgmem."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 @pytest.fixture

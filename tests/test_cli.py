@@ -1,17 +1,20 @@
 import hashlib
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from test_golden import FIGURE_DIGESTS
 
+from qgmem import cli
 from qgmem.channels import ChannelKind, ChannelSpec
 from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, VERIFY_BLOCK, build_parser,
                        main, parse_angle, parse_sweep_config, run_sweep, verify_blocks)
-from qgmem.closedform import Pairing
+from qgmem.closedform import Pairing, payoff_surface
 from qgmem.equilibrium import CASE_IDS
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
@@ -224,6 +227,69 @@ class TestVerifyCommand:
     def test_full_scale_runs(self, pairing, seed):
         assert run(["verify", "--pairing", pairing, "--samples", "200",
                     "--seed", str(seed), "--tol", "1e-9"]) == 0
+
+
+class TestVerifyBlocks:
+    # VERIFY_BLOCK only cuts the draw stream into array calls: it changes
+    # neither what verify prints nor what it keeps in memory per sample.
+    @pytest.mark.parametrize("mu_zero", [False, True])
+    def test_block_size_only_chunks(self, mu_zero, monkeypatch, capsys):
+        # 300 samples is a multiple of none of the blocks.
+        results = {}
+        for block in (7, 128, 512):
+            monkeypatch.setattr(cli, "VERIFY_BLOCK", block)
+            for pairing in Pairing:
+                code = run(["verify", "--pairing", pairing.value, "--samples", "300",
+                            "--seed", "3"] + ["--mu-zero"] * mu_zero)
+                results.setdefault(pairing, set()).add((code, capsys.readouterr().out))
+        assert all(len(seen) == 1 for seen in results.values()), results
+
+    @pytest.mark.parametrize("nan_at", ["first", "later", "last"])
+    def test_nan_difference_in_any_block_fails(self, nan_at, monkeypatch, capsys):
+        block = cli.VERIFY_BLOCK
+        index = {"first": 3, "later": block + 3, "last": 2 * block + 4}[nan_at]
+        orig, done = cli.payoff_surface, [0]
+
+        def surface(*args):
+            closed = np.array(orig(*args))
+            if 0 <= index - done[0] < closed.size:
+                closed[index - done[0]] = np.nan
+            done[0] += closed.size
+            return closed
+
+        monkeypatch.setattr(cli, "payoff_surface", surface)
+        assert run(["verify", "--pairing", "ad-d", "--samples", str(2 * block + 5)]) == 4
+        assert done[0] == 2 * block + 5
+        assert "max_abs_diff=nan " in capsys.readouterr().out
+
+    def test_memory_is_bounded_by_the_block(self, capsys):
+        # ad-ad: amplitude-damping crossings hold the largest per-sample arrays.
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert run(["verify", "--pairing", "ad-ad", "--samples", str(samples)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = cli.VERIFY_BLOCK
+        peak(block)
+        one, four = peak(block), peak(4 * block)
+        capsys.readouterr()
+        assert four <= 1.25 * one
+        assert four < 4 * 2**20
+
+    @pytest.mark.parametrize("samples,blocks", [(None, 1), (2 * VERIFY_BLOCK + 1, 3)])
+    def test_one_oracle_and_closed_form_call_per_block(self, samples, blocks,
+                                                       monkeypatch, capsys):
+        oracle = count_calls(monkeypatch, two_pass_state)
+        closed = count_calls(monkeypatch, payoff_surface)
+        argv = ["verify", "--pairing", "d-ad"]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert (len(oracle), len(closed)) == (blocks, blocks)
 
 
 SWEEP_CONF = """

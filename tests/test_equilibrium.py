@@ -1,12 +1,11 @@
 import itertools
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_ent, random_strategy
+from conftest import count_calls, random_ent, random_strategy
 from reference import best_response, raw_angle_terms
 
 from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
@@ -322,20 +321,9 @@ class TestWeightEvaluations:
               "iii-b": 4, "iii-c": 2, "iv": 11}
 
     def test_nash_all_evaluates_the_weights_at_most_69_times(self, monkeypatch, capsys):
-        from qgmem import cli, closedform
+        from qgmem import cli
 
-        calls = []
-        orig = closedform.batch_weights
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return orig(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name == "qgmem" or name.startswith("qgmem."):
-                for attr, value in list(vars(mod).items()):
-                    if value is orig:
-                        monkeypatch.setattr(mod, attr, counted)
+        calls = count_calls(monkeypatch, batch_weights)
         per_case = {}
         for case_id in CASE_IDS:
             start = len(calls)
