@@ -152,6 +152,28 @@ class TestPayoffCommand:
         assert printed == pytest.approx(oracle, abs=1e-9)
 
 
+class TestRangeMessages:
+    # Exact texts for float and int inputs; the array texts are held by
+    # test_swept_axis_out_of_range and test_array_range_error_names_first_bad_value.
+    @pytest.mark.parametrize("make,message", [
+        (lambda: StrategyParams(4), "theta must be in [0, pi], got 4"),
+        (lambda: StrategyParams(1.0, 3.5), "alpha must be in [-pi, pi], got 3.5"),
+        (lambda: EntanglementParams(math.nan, 0), "gamma must be in [0, pi/2], got nan"),
+        (lambda: ChannelSpec(ChannelKind.DEPHASING, 0.2, -0.5),
+         "mu must be in [0, 1], got -0.5"),
+        (TestPayoffCommand.PAYOFF[:-8] + ["--p1", "1.5", "--mu1", "0", "--p2", "0",
+                                          "--mu2", "0"], "p must be in [0, 1], got 1.5"),
+    ])
+    def test_scalar_message_text(self, make, message, capsys):
+        if callable(make):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == message
+        else:
+            assert run(make) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("pairing", ["ph-ph", "d-d", "ad-ad", "ph-d"])
     def test_pairings_verify(self, pairing, capsys):

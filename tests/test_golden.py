@@ -14,6 +14,9 @@ gains do not depend on the grid; its 5x7x3 table equals its 7x9x9 one.)
 digest per pairing, so a rewrite of the weight builders keeps each float.
 ``nash_stdout.sha256`` pins the whole report of ``nash --case all`` (every
 claim line with its printed margins) at the default grid and at 5x7x3.
+``verify_stdout.sha256`` pins, per pairing, the stdout and exit codes of
+``verify`` over seeds, sample counts and ``--mu-zero``: a draw routed to the
+wrong parameter passes both routes alike but moves the printed residual.
 """
 
 import dataclasses
@@ -42,6 +45,7 @@ NASH_DIGESTS = digests("nash_7x9x9.sha256")
 NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
 WEIGHT_DIGESTS = digests("weights.sha256")
 STDOUT_DIGESTS = digests("nash_stdout.sha256")
+VERIFY_DIGESTS = digests("verify_stdout.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -88,6 +92,23 @@ def test_nash_report_digest(capsys, grid):
     assert main(argv if grid == "13x17x17" else argv + ["--grid", grid]) == 4
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == STDOUT_DIGESTS[f"nash_all_{grid}.txt"]
+
+
+def verify_digest(pairing: Pairing, capsys) -> str:
+    """SHA-256 over the exit code and stdout of each ``verify`` run for seeds
+    1 and 2, ``--samples`` 1 and 1037 (three blocks, the last partial), and
+    ``--mu-zero`` off and on."""
+    digest = hashlib.sha256()
+    for seed, samples, mu_zero in itertools.product((1, 2), (1, 1037), (False, True)):
+        code = main(["verify", "--pairing", pairing.value, "--seed", str(seed),
+                     "--samples", str(samples), *["--mu-zero"] * mu_zero])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+def test_verify_report_digest(capsys, pairing):
+    assert verify_digest(pairing, capsys) == VERIFY_DIGESTS[pairing.value]
 
 
 @pytest.mark.parametrize("fid", range(2, 8))
