@@ -22,7 +22,7 @@ from .channels import ChannelKind, ChannelSpec
 from .closedform import Pairing, closed_payoff_pair, payoff_surface
 from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
                           case_study)
-from .games import Bimatrix, builtin_game
+from .games import GAME_NAMES, Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
                        payoff_operator)
@@ -109,7 +109,7 @@ _DRAW_LO, _DRAW_HI = np.array(
 
 def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
     """The ``verify`` tuples, VERIFY_BLOCK at a time, as (16, n) arrays with
-    rows e00, e01, e10, e11, gamma, delta, theta1 .. beta2, p1, mu1, p2, mu2.
+    rows e00, e01, e10, e11 and then the game point in POINT order.
     Each draw is lo + (hi - lo) * random(), as in ``random.uniform``; the
     Mersenne Twister stream is stable across Python versions for a fixed
     integer seed.  ``mu_zero`` zeroes amplitude-damping memories once drawn."""
@@ -118,8 +118,9 @@ def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
         n = min(VERIFY_BLOCK, samples - start)
         # random() < 1 never hits the 2.0 sentinel; fromiter reads exactly 16n draws.
         u = np.fromiter(iter(rng.random, 2.0), float, 16 * n).reshape(n, 16)
-        cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[[*range(12), 13, 12, 15, 14]]
-        for row, kind in ((13, pairing.first), (15, pairing.second)):
+        cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[
+            [*range(4), 13, 12, 15, 14, *range(4, 12)]]
+        for row, kind in ((5, pairing.first), (7, pairing.second)):
             if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
                 cols[row] = 0.0
         yield cols
@@ -133,11 +134,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     worst = 0.0
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
-        entries, ent = cols[:4], EntanglementParams(*cols[4:6])
-        s1, s2, ch1, ch2 = cols[6:9], cols[9:12], tuple(cols[12:14]), tuple(cols[14:])
-        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1, *s2)
-        rho = two_pass_state(ent, StrategyParams(*s1), StrategyParams(*s2),
-                             ChannelSpec(pairing.first, *ch1),
+        entries, (ent, s1, s2, ch1, ch2) = cols[:4], game_point(dict(zip(POINT, cols[4:])))
+        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1.angles, *s2.angles)
+        rho = two_pass_state(ent, s1, s2, ChannelSpec(pairing.first, *ch1),
                              ChannelSpec(pairing.second, *ch2))
         simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
         # np.max keeps a NaN difference, which then fails the tolerance.
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pay = sub.add_parser("payoff", help="closed-form payoff at one point")
-    pay.add_argument("--game", required=True, choices=("pd", "bos", "chicken"))
+    pay.add_argument("--game", required=True, choices=GAME_NAMES)
     pay.add_argument("--pairing", required=True)
     for name in ANGLES + POINT[:4]:
         pay.add_argument(f"--{name}", type=parse_angle if name in ANGLES else float,

@@ -177,16 +177,10 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
     return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp)
 
 
-@dataclass(frozen=True)
-class DephasingCoeff:
+def dephasing_coeff(p: float, mu: float) -> float:
     """Dephasing two-use coherence factor; 1 at p=0 and at mu=1."""
-
-    mu_p: float
-
-
-def dephasing_coeff(p: float, mu: float) -> DephasingCoeff:
     _check_pm(p, mu)
-    return DephasingCoeff(mu_p=(1 - mu) * ((1 - p) * (1 - p)) + mu)
+    return (1 - mu) * ((1 - p) * (1 - p)) + mu
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +246,11 @@ def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> Sectors:
     return _unital(et, ch, v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4)
 
 
-def _w_ph_ph(cg, sg, cd, sd, z1: DephasingCoeff, z2: DephasingCoeff) -> Sectors:
+def _w_ph_ph(cg, sg, cd, sd, z1: float, z2: float) -> Sectors:
     return _unital(cg * cd + sg * sd, sg * cd + cg * sd, 0.0)
 
 
-def _w_ph_ad(cg, sg, cd, sd, z1: DephasingCoeff, x2: AdCoeffs) -> Sectors:
+def _w_ph_ad(cg, sg, cd, sd, z1: float, x2: AdCoeffs) -> Sectors:
     et1 = x2.chi00 * cg * cd + (sg + x2.chi11 * cg) * sd
     ch1 = (sg + x2.chi11 * cg) * cd + x2.chi00 * cg * sd
     et2 = (cg + x2.chi11 * sg) * sd + x2.chi00 * sg * cd
@@ -268,7 +262,7 @@ def _w_ph_ad(cg, sg, cd, sd, z1: DephasingCoeff, x2: AdCoeffs) -> Sectors:
         (et2, ch2, x2.chi01 * sg, x2.chi01 * sg), (et3, ch3, de3, de4), (et3, ch3, de4, de3)
 
 
-def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: DephasingCoeff) -> Sectors:
+def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: float) -> Sectors:
     band1 = sg + x1.chi11 * cg
     return _unital(x1.chi00 * cg * cd + band1 * sd, band1 * cd + x1.chi00 * cg * sd,
                    x1.chi01 * cg)
@@ -301,13 +295,13 @@ def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> Sectors:
         (et3, ch3, de3, de2)
 
 
-def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: DephasingCoeff) -> Sectors:
+def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: float) -> Sectors:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
     return _unital(d11 * cd + d21 * sd, d11 * sd + d21 * cd, u.d4)
 
 
-def _w_ph_d(cg, sg, cd, sd, z1: DephasingCoeff, v: DepolCoeffs) -> Sectors:
+def _w_ph_d(cg, sg, cd, sd, z1: float, v: DepolCoeffs) -> Sectors:
     return _unital((v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd,
                    (v.d1 * sg + v.d3 * cg) * cd + (v.d1 * cg + v.d3 * sg) * sd, v.d2)
 
@@ -342,7 +336,7 @@ def batch_weights(
             f, g = u.d4 - (2 / 3) * (mu * p), u.d1 - 2 * u.d2 + u.d3
             return u, (f, f, g, g, g)
         z = dephasing_coeff(p, mu)
-        return z, (z.mu_p, 1.0) if slot == 1 else (z.mu_p, z.mu_p, 1.0, 1.0, 1.0)
+        return z, (z, 1.0) if slot == 1 else (z, z, 1.0, 1.0, 1.0)
 
     a, (coh1, pop1) = coeff(pairing.first, ch1, 1)
     b, (fd2, fo2, m00, m11, moff) = coeff(pairing.second, ch2, 2)

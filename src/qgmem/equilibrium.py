@@ -21,7 +21,7 @@ import numpy as np
 from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
                          live_products, payoff_coeffs, payoff_surface, stacked_entries,
                          sum_products)
-from .games import Bimatrix, builtin_game, classical_pure_nash
+from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
 PI = math.pi
@@ -173,7 +173,7 @@ Figure = namedtuple("Figure", "ent s1 s2 groups")
 FIGURES = {
     2: Figure(EntanglementParams(0.0, 0.0), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "ad-ad", p) for g in ("pd", "bos", "chicken") for p in (0.8, 0.2)]),
+              [(g, "ad-ad", p) for g in GAME_NAMES for p in (0.8, 0.2)]),
     3: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(PI / 2),
               StrategyParams(PI / 2, PI / 2, 0.0),
               [(g, "ad-ad", p) for g in ("pd", "chicken") for p in (0.8, 0.2)]),
@@ -185,10 +185,10 @@ FIGURES = {
               [("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
     6: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "ad-ad", 0.5) for g in ("pd", "bos", "chicken")]),
+              [(g, "ad-ad", 0.5) for g in GAME_NAMES]),
     7: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "d-d", 0.5) for g in ("pd", "bos", "chicken")]),
+              [(g, "d-d", 0.5) for g in GAME_NAMES]),
 }
 
 
@@ -324,7 +324,7 @@ def _max_noise_advantage(report, space, fig, mus):
            " (zero for the AD-slotted pairings, negative for the rest)")))
 
 
-_GAMES = _PD, _BOS, _CHICKEN = tuple(map(builtin_game, ("pd", "bos", "chicken")))
+_GAMES = _PD, _BOS, _CHICKEN = tuple(map(builtin_game, GAME_NAMES))
 _AD, _D, _PH = Pairing.AD_AD, Pairing.D_D, Pairing.PH_PH
 
 # Each case's claims, in report order, as (claim kind, configuration) rows: a

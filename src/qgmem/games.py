@@ -28,6 +28,7 @@ _BUILTIN = {
     "bos": Bimatrix("bos", (2, 0, 0, 1), (1, 0, 0, 2)),
     "chicken": Bimatrix("chicken", (3, 1, 4, 0), (3, 4, 1, 0)),
 }
+GAME_NAMES = tuple(_BUILTIN)
 
 
 def builtin_game(name: str) -> Bimatrix:
@@ -36,8 +37,8 @@ def builtin_game(name: str) -> Bimatrix:
     try:
         return _BUILTIN[name]
     except KeyError:
-        raise KeyError(
-            f"unknown game {name!r}; choose from {sorted(_BUILTIN)}"
+        raise ValueError(
+            f"unknown game {name!r}; choose from {', '.join(GAME_NAMES)}"
         ) from None
 
 

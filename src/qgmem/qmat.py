@@ -34,13 +34,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def check_range(name: str, value, lo: float, hi: float, span: str) -> None:
-    """Raise ``ValueError`` unless lo <= value <= hi (NaN fails).  For an
-    ndarray the message names its first offending element."""
-    if isinstance(value, np.ndarray):
-        bad = value[~((value >= lo) & (value <= hi))]
-        if not bad.size:
-            return
-        value = bad[0]
-    elif lo <= value <= hi:
-        return
-    raise ValueError(f"{name} must be in {span}, got {value}")
+    """Raise ``ValueError`` unless lo <= value <= hi (NaN fails) for a float
+    or every element of an array; the message names the first offending one."""
+    v = np.asarray(value)
+    bad = v[~((v >= lo) & (v <= hi))]
+    if bad.size:
+        raise ValueError(f"{name} must be in {span}, got {bad[0]}")

@@ -233,7 +233,7 @@ class TestVerifyCommand:
                 if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
                     mu = 0.0
                 cps += [rng.random(), mu]
-            rows.append(entries + ent + s1 + s2 + cps)
+            rows.append(entries + cps + ent + s1 + s2)
         return np.array(rows).T
 
     @pytest.mark.parametrize("pairing", ["ad-d", "ph-ad", "d-ph"])
@@ -434,6 +434,17 @@ class TestSweepCommand:
         key = fixed.split()[0]
         assert capsys.readouterr().err.strip() == \
             f"error: {key!r} is both fixed and swept ('sweep.{key}')"
+        assert not out.exists()
+
+    def test_unknown_game_is_one_clean_line(self, tmp_path, capsys):
+        # As for an unknown pairing: the choices in plain text, no quotes
+        # around the message.
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"game = foo\npairing = ad-d\nsweep.p1 = 0:1:3\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown game 'foo'; choose from pd, bos, chicken\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text,key", [

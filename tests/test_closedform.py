@@ -89,13 +89,13 @@ class TestDepolCoeffs:
 class TestDephasingCoeff:
     def test_full_memory(self):
         for p in (0.0, 0.5, 1.0):
-            assert dephasing_coeff(p, 1.0).mu_p == 1.0
+            assert dephasing_coeff(p, 1.0) == 1.0
 
     def test_noiseless(self):
-        assert dephasing_coeff(0.0, 0.3).mu_p == 1.0
+        assert dephasing_coeff(0.0, 0.3) == 1.0
 
     def test_example_point(self):
-        assert dephasing_coeff(0.5, 0.2).mu_p == pytest.approx(0.4, abs=1e-15)
+        assert dephasing_coeff(0.5, 0.2) == pytest.approx(0.4, abs=1e-15)
 
 
 class TestPairingWeightsSpotChecks:
@@ -106,7 +106,7 @@ class TestPairingWeightsSpotChecks:
         assert w.cc[0] == pytest.approx(0.5)
         assert w.cc[1] == pytest.approx(0.5)
         assert w.f_diag == pytest.approx(
-            dephasing_coeff(0.5, 0.2).mu_p * dephasing_coeff(0.3, 0.7).mu_p)
+            dephasing_coeff(0.5, 0.2) * dephasing_coeff(0.3, 0.7))
 
     def test_ad_ad_noiseless_reduces_to_ph_ph(self):
         ent = EntanglementParams(0.9, 0.7)

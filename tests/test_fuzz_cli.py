@@ -2,9 +2,9 @@
 
 Whatever its arguments, ``main`` returns 0, 2, 3 or 4 and prints no
 traceback; whatever its text, ``parse_sweep_config`` returns a config or
-raises the ``ValueError`` or ``KeyError`` that ``main`` reports as a usage
-error (exit 2), or the ``MemoryError`` of an axis too large to allocate,
-which ``main`` reports as unsupported (exit 3).
+raises the ``ValueError`` that ``main`` reports as a usage error (exit 2),
+or the ``MemoryError`` of an axis too large to allocate, which ``main``
+reports as unsupported (exit 3).
 
 Arguments and config lines are drawn from their valid domains, and then a
 few of them are broken: left out, given without a value, or given junk.  So
@@ -149,6 +149,6 @@ def test_sweep_keeps_exit_code_contract(text):
 def test_parse_sweep_config_raises_only_usage_errors(text):
     try:
         cfg = parse_sweep_config(text)
-    except (ValueError, KeyError, MemoryError):
+    except (ValueError, MemoryError):
         return
     assert isinstance(cfg, SweepConfig) and cfg.axes

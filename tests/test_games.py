@@ -25,7 +25,7 @@ class TestBuiltins:
         assert g.cell(1, 0) == (4, 1)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown game 'matching-pennies'"):
             builtin_game("matching-pennies")
 
 

@@ -4,7 +4,7 @@ Every function, class and public method defined there must be named
 somewhere else in the package, or be a benchmark hook (a ``LAYERS`` target
 of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
 ``benchmark/``).  The package's ``__init__`` does not count as a use:
-re-exporting a name runs nothing.  References that only the tests compare
+it re-exports nothing, and a test holds it so.  References that only the tests compare
 against live in ``tests/reference.py``.  Every qualified name that README.md
 cites resolves.
 """
@@ -13,6 +13,7 @@ import ast
 import importlib
 import re
 from pathlib import Path
+from types import ModuleType
 
 from test_benchmark_targets import _layers, _qgmem_imports
 
@@ -60,11 +61,14 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
     assert not unused, unused
 
 
-def test_every_exported_name_resolves():
-    # ``from qgmem import *`` fails on a name in ``__all__`` that the package
-    # no longer defines.
-    missing = [name for name in qgmem.__all__ if not hasattr(qgmem, name)]
-    assert not missing, missing
+def test_package_root_reexports_nothing():
+    # Every name is imported from the module that defines it, so the package
+    # root holds only its submodules, which importing them binds there.
+    for path in SRC.glob("*.py"):
+        importlib.import_module(f"qgmem.{path.stem}")
+    reexported = [name for name, value in vars(qgmem).items()
+                  if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert not reexported, reexported
 
 
 def _readme_citations():

@@ -60,8 +60,7 @@ class TestTwoPassState:
                 ent, StrategyParams(0.0), StrategyParams(0.0),
                 ChannelSpec(ChannelKind.DEPHASING, p1, m1),
                 ChannelSpec(ChannelKind.DEPHASING, p2, m2))
-            factor = (dephasing_coeff(p1, m1).mu_p
-                      * dephasing_coeff(p2, m2).mu_p)
+            factor = dephasing_coeff(p1, m1) * dephasing_coeff(p2, m2)
             expected = initial_density(PI / 2)[0, 3] * factor
             assert rho[0, 3] == pytest.approx(expected, abs=1e-12)
 
