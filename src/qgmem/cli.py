@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -277,7 +278,7 @@ def figure_rows(figure_id: int) -> list[str]:
 
 def cmd_figure(args) -> int:
     for fid in sorted(FIGURES) if args.id == "all" else [args.id]:
-        path = f"{args.outdir}/figure{fid}.csv"
+        path = os.path.join(args.outdir, f"figure{fid}.csv")
         rows = figure_rows(fid)
         write_csv(path, rows)
         print(f"wrote {len(rows)} rows to {path}")

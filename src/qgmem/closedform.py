@@ -61,10 +61,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelKind
+from .channels import ChannelKind, ChannelSpec
 from .games import Bimatrix
 from .protocol import EntanglementParams, StrategyParams
-from .qmat import check_range
 
 
 class Pairing(enum.Enum):
@@ -102,11 +101,6 @@ class Pairing(enum.Enum):
 # --------------------------------------------------------------------------
 # per-channel coefficient families
 # --------------------------------------------------------------------------
-def _check_pm(p, mu) -> None:
-    check_range("p", p, 0.0, 1.0, "[0, 1]")
-    check_range("mu", mu, 0.0, 1.0, "[0, 1]")
-
-
 def _half_angle_squares(x):
     """(cos^2(x/2), sin^2(x/2)), squared as products (see module doc)."""
     c, s = np.cos(x / 2), np.sin(x / 2)
@@ -133,7 +127,7 @@ class AdCoeffs:
 
 
 def ad_coeffs(p: float, mu: float) -> AdCoeffs:
-    _check_pm(p, mu)
+    """p and mu are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
     return AdCoeffs(
         chi00=(1 - p) * (1 - p) + mu * (1 - p) * p,
         chi11=p * p + mu * (1 - p) * p,
@@ -162,7 +156,7 @@ class DepolCoeffs:
 
 
 def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
-    _check_pm(p, mu)
+    """p and mu are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot}")
     base_a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
@@ -178,8 +172,8 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
 
 
 def dephasing_coeff(p: float, mu: float) -> float:
-    """Dephasing two-use coherence factor; 1 at p=0 and at mu=1."""
-    _check_pm(p, mu)
+    """Dephasing two-use coherence factor; 1 at p=0 and at mu=1.  p and mu
+    are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
     return (1 - mu) * ((1 - p) * (1 - p)) + mu
 
 
@@ -315,13 +309,15 @@ def batch_weights(
     """Build the weights for one pairing: its builder gives the sectors, and
     the interference factors follow the module doc's rule from the two
     channels' slot factors.  The p and mu in ``ch1`` and ``ch2``, and gamma
-    and delta, may be arrays; they broadcast, and so does every weight."""
+    and delta, may be arrays; they broadcast, and so does every weight.
+    Each (p, mu) is range-checked here as a ``ChannelSpec`` of its slot's
+    kind, in the order p1, mu1, p2, mu2."""
     (cg, sg), (cd, sd) = _half_angle_squares(ent.gamma), _half_angle_squares(ent.delta)
 
-    def coeff(kind: ChannelKind, pm: tuple[float, float], slot: int):
+    def coeff(spec: ChannelSpec, slot: int):
         """The coefficients and slot factors of one crossing: (coh1, pop1)
         in slot 1, (fd2, fo2, m00, m11, moff) in slot 2."""
-        p, mu = pm
+        kind, p, mu = spec.kind, spec.p, spec.mu
         if kind is ChannelKind.AMPLITUDE_DAMPING:
             x = ad_coeffs(p, mu)
             if slot == 1:
@@ -338,8 +334,8 @@ def batch_weights(
         z = dephasing_coeff(p, mu)
         return z, (z, 1.0) if slot == 1 else (z, z, 1.0, 1.0, 1.0)
 
-    a, (coh1, pop1) = coeff(pairing.first, ch1, 1)
-    b, (fd2, fo2, m00, m11, moff) = coeff(pairing.second, ch2, 2)
+    a, (coh1, pop1) = coeff(ChannelSpec(pairing.first, *ch1), 1)
+    b, (fd2, fo2, m00, m11, moff) = coeff(ChannelSpec(pairing.second, *ch2), 2)
     return PairingWeights(*_BUILDERS[pairing](cg, sg, cd, sd, a, b),
                           f_diag=coh1 * fd2, f_off=coh1 * fo2, g00=coh1 * m00,
                           g11=coh1 * m11, g_off=coh1 * moff,

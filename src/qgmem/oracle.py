@@ -6,8 +6,9 @@ The round is: arbiter prepares the entangled pair, the pair crosses channel
 their local unitaries, the pair crosses channel 2.  ``two_pass_state`` gives
 the final state; the arbiter's measurement is ``protocol.measure_payoff``.
 Nothing here shares code with the closed-form expressions; the only common
-ground is the protocol primitives (state, unitaries, payoff operators) and
-the Kraus families themselves.
+ground is the protocol primitives (the measurement vectors, whose first
+gives the initial state, the unitaries and the payoff operators), the
+Kraus families themselves and the range checks of the parameter types.
 
 Crossings take two cheap forms (Wood, Biamonte and Cory, arXiv:1111.6950):
 a Pauli channel scales the Pauli coefficients of rho by lambda = w @ chi

@@ -8,7 +8,8 @@ Conventions (fixed package-wide):
 * payoff-table entries are always passed in the order
   ($_00, $_01, $_10, $_11);
 * angles are radians; gamma and delta live in [0, pi/2], theta in [0, pi],
-  alpha and beta in [-pi, pi].
+  alpha and beta in [-pi, pi].  ``EntanglementParams`` and
+  ``StrategyParams`` check these ranges once; the functions trust them.
 
 Parameters may be arrays of matching shapes; states, unitaries and operators
 then come as stacks, shape (..., 4, 4) or (..., 2, 2).
@@ -62,17 +63,10 @@ class EntanglementParams:
         check_range("delta", self.delta, 0.0, math.pi / 2, "[0, pi/2]")
 
 
-def initial_state(gamma: float) -> np.ndarray:
-    """Arbiter's initial state cos(gamma/2)|00> + i sin(gamma/2)|11>."""
-    check_range("gamma", gamma, 0.0, math.pi / 2, "[0, pi/2]")
-    psi = np.zeros(np.shape(gamma) + (4,), dtype=complex)
-    psi[..., 0] = np.cos(gamma / 2)
-    psi[..., 3] = 1j * np.sin(gamma / 2)
-    return psi
-
-
 def initial_density(gamma: float) -> np.ndarray:
-    psi = initial_state(gamma)
+    """The arbiter's state cos(gamma/2)|00> + i sin(gamma/2)|11>, the first
+    measurement vector |v_00> at delta = gamma, as a density matrix."""
+    psi = measurement_basis(gamma)[..., 0, :]
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
@@ -88,12 +82,12 @@ def strategy_unitary(s: StrategyParams) -> np.ndarray:
 
 
 def measurement_basis(delta: float) -> np.ndarray:
-    """The four entangled measurement vectors as rows, ordered 00,01,10,11.
+    """The four entangled measurement vectors as rows, ordered 00,01,10,11;
+    ``initial_density`` takes the first at gamma.
 
     |v_00> = cos(d/2)|00> + i sin(d/2)|11>     |v_11> = cos(d/2)|11> + i sin(d/2)|00>
     |v_01> = cos(d/2)|01> - i sin(d/2)|10>     |v_10> = cos(d/2)|10> - i sin(d/2)|01>
     """
-    check_range("delta", delta, 0.0, math.pi / 2, "[0, pi/2]")
     return np.multiply.outer(np.cos(delta / 2), np.eye(4)) + np.multiply.outer(
         1j * np.sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
 

@@ -152,6 +152,14 @@ class TestPayoffCommand:
         assert printed == pytest.approx(oracle, abs=1e-9)
 
 
+def payoff_with(**flags):
+    """``TestPayoffCommand.PAYOFF`` with the named flags' values replaced."""
+    argv = list(TestPayoffCommand.PAYOFF)
+    for name, value in flags.items():
+        argv[argv.index(f"--{name}") + 1] = value
+    return argv
+
+
 class TestRangeMessages:
     # Exact texts for float and int inputs; the array texts are held by
     # test_swept_axis_out_of_range and test_array_range_error_names_first_bad_value.
@@ -163,6 +171,12 @@ class TestRangeMessages:
          "mu must be in [0, 1], got -0.5"),
         (TestPayoffCommand.PAYOFF[:-8] + ["--p1", "1.5", "--mu1", "0", "--p2", "0",
                                           "--mu2", "0"], "p must be in [0, 1], got 1.5"),
+        # batch_weights checks each crossing as a ChannelSpec: p1, mu1, p2, mu2.
+        (payoff_with(mu1="1.25"), "mu must be in [0, 1], got 1.25"),
+        (payoff_with(p2="2"), "p must be in [0, 1], got 2.0"),
+        (payoff_with(mu2="nan"), "mu must be in [0, 1], got nan"),
+        (payoff_with(delta="2"), "delta must be in [0, pi/2], got 2.0"),
+        (payoff_with(p1="1.5", mu2="3"), "p must be in [0, 1], got 1.5"),
     ])
     def test_scalar_message_text(self, make, message, capsys):
         if callable(make):
@@ -555,6 +569,17 @@ class TestFigureCommand:
         assert float(row["delta"]) == pytest.approx(math.pi / 2, rel=1e-11)
         assert float(row["alpha2"]) == 0.0
         assert float(row["beta2"]) == pytest.approx(math.pi / 2, rel=1e-11)
+
+    def test_empty_outdir_writes_to_the_working_directory(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # An empty --outdir means the working directory, not the filesystem root.
+        monkeypatch.chdir(tmp_path)
+        paths = []
+        monkeypatch.setattr(cli, "write_csv", lambda path, rows: paths.append(path))
+        assert run(["figure", "--id", "2", "--outdir", ""]) == 0
+        assert paths == ["figure2.csv"]
+        assert capsys.readouterr().out == "wrote 606 rows to figure2.csv\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_writes_golden_csvs(self, tmp_path, capsys):
         assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0

@@ -51,8 +51,10 @@ class TestAdCoeffs:
             assert -1e-12 <= value <= 1 + 1e-12
 
     def test_range_error(self):
-        with pytest.raises(ValueError):
-            ad_coeffs(-0.1, 0.0)
+        # ad_coeffs trusts p and mu; batch_weights checks them as a ChannelSpec.
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got -0.1$"):
+            batch_weights(Pairing.AD_AD, EntanglementParams(0.0, 0.0), (-0.1, 0.0),
+                          (0.0, 0.0))
 
 
 class TestDepolCoeffs:
@@ -390,7 +392,8 @@ class TestPayoffSurface:
     ])
     def test_array_range_error_names_first_bad_value(self, name, p, mu, bad):
         with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
-            ad_coeffs(np.asarray(p), np.asarray(mu))
+            batch_weights(Pairing.AD_AD, EntanglementParams(0.0, 0.0),
+                          (np.asarray(p), np.asarray(mu)), (0.0, 0.0))
 
     def test_entry_count_validated(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
 ``benchmark/``).  The package's ``__init__`` does not count as a use, and
 it re-exports nothing.  References that only the tests compare against live
 in ``tests/reference.py``.  Every qualified name that README.md cites
-resolves.
+resolves.  Parameter ranges are checked only where the parameter types are
+built.
 """
 
 import ast
@@ -91,3 +92,31 @@ def test_readme_citations_resolve():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+CHECKED = ["channels.ChannelSpec.__post_init__",
+           "protocol.EntanglementParams.__post_init__",
+           "protocol.StrategyParams.__post_init__"]
+
+
+def _check_range_callers():
+    """``module.scope`` of every ``check_range`` call in the package."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and "check_range" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield ".".join(scope)
+            yield from visit(child, scope)
+
+    return {caller for path in SRC.glob("*.py")
+            for caller in visit(ast.parse(path.read_text()), [path.stem])}
+
+
+def test_ranges_are_checked_only_by_the_parameter_types():
+    callers = _check_range_callers()
+    stray = sorted(callers - set(CHECKED))
+    assert not stray, f"check_range called outside the parameter types: {stray}"
+    assert sorted(callers) == CHECKED

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from reference import is_density, noiseless_final_state
 
 from qgmem.protocol import (EntanglementParams, StrategyParams, initial_density,
-                            initial_state, measure_payoff, measurement_basis,
-                            payoff_operator, strategy_unitary)
+                            measure_payoff, measurement_basis, payoff_operator,
+                            strategy_unitary)
 from qgmem.qmat import dagger
 
 PI = math.pi
@@ -41,20 +41,27 @@ class TestParams:
             EntanglementParams(0.0, -0.01)
 
 
-class TestInitialState:
+class TestInitialDensity:
     def test_unentangled(self):
-        assert np.allclose(initial_state(0.0), [1, 0, 0, 0])
+        expected = np.zeros((4, 4))
+        expected[0, 0] = 1
+        assert np.array_equal(initial_density(0.0), expected)
 
     def test_maximally_entangled(self):
-        expected = np.array([1 / math.sqrt(2), 0, 0, 1j / math.sqrt(2)])
-        assert np.allclose(initial_state(PI / 2), expected, atol=1e-15)
+        psi = np.array([1, 0, 0, 1j]) / math.sqrt(2)
+        assert np.allclose(initial_density(PI / 2), np.outer(psi, psi.conj()), atol=1e-15)
 
-    def test_normalized(self):
-        assert np.linalg.norm(initial_state(0.7)) == pytest.approx(1.0, abs=1e-15)
+    def test_unit_trace_and_pure(self):
+        rho = initial_density(0.7)
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-15)
+        assert np.trace(rho @ rho) == pytest.approx(1.0, abs=1e-15)
 
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            initial_state(2.0)
+    def test_array_gamma_gives_a_stack(self):
+        gammas = np.array([0.0, 0.4, PI / 2])
+        stack = initial_density(gammas)
+        assert stack.shape == (3, 4, 4)
+        for rho, gamma in zip(stack, gammas):
+            assert np.allclose(rho, initial_density(float(gamma)), atol=1e-15)
 
 
 class TestStrategyUnitary:
@@ -106,10 +113,6 @@ class TestMeasurement:
         basis = measurement_basis(delta)
         gram = basis.conj() @ basis.T
         assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            payoff_operator(PI, (1, 0, 0, 0))
 
 
 class TestPayoffOperator:
