@@ -38,7 +38,7 @@ GAIN_HEADER = ",".join(GAIN_COLUMNS)
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
 
 ANGLES = POINT[4:]
-ANGLE_FLAGS = {f"--{name}" for name in ANGLES}
+NUMBER_FLAGS = {f"--{name}" for name in (*POINT, "tol")}
 
 
 def parse_angle(text: str) -> float:
@@ -355,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def attach_angle_values(argv: list[str]) -> list[str]:
+def attach_number_values(argv: list[str]) -> list[str]:
     """Rewrite ``--alpha2 -pi/2`` as ``--alpha2=-pi/2``: argparse takes a
-    separate token that starts with '-' and is not a plain number for an
-    option, so a negative angle literal would lose its flag."""
+    separate token that starts with '-' and is not a plain decimal (such as
+    ``-pi/2`` or ``-1e-3``) for an option, so the value would lose its flag."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in ANGLE_FLAGS and token[:1] == "-" and token[:2] != "--":
+        if out and out[-1] in NUMBER_FLAGS and token[:1] == "-" and token[:2] != "--":
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(
-            attach_angle_values(sys.argv[1:] if argv is None else argv))
+            attach_number_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

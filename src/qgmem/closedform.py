@@ -38,10 +38,9 @@ gamma term and the delta sines) of its coefficient indices, its amplitude
 and a builder of its full-size term.  ``payoff_coeffs`` contracts the
 entries with the weights into the nine factors (per channel point and
 player) that multiply them.  ``payoff_surface`` builds every phase product
-and sums them left to right, one numpy call a step (``sum_products``).  A
-grid scan builds only the ``live_products``, passes its own buffers, so a
-repeated scan allocates no full-size array, and leaves out the products
-that are +-0 everywhere (see ``equilibrium.check_profile``).
+and sums them left to right, one numpy call a step (``sum_products``).
+``grid_maxima`` scans a deviation grid at every channel point; its
+docstring states the scan rule.
 ``stacked_entries`` puts entry columns (players, or games by players) on
 leading axes of the entries, so one ``payoff_surface`` call, with one weight
 evaluation, gives every column's payoffs; ``closed_payoff_pair`` gives both
@@ -408,8 +407,8 @@ def payoff_surface(
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
     of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
     array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
-    Every phase product is built whole, live or not (a grid scan builds only
-    the ``live_products``), so a CSV keeps the sign of each zero and the
+    Every phase product is built whole, live or not (unlike a
+    ``grid_maxima`` scan), so a CSV keeps the sign of each zero and the
     surface the full broadcast shape: at gamma = delta = 0 the sector sum
     alone has only the theta axes, over which case ``i``'s
     phase-independence check would pass vacuously.
@@ -445,17 +444,10 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
 def live_products(phases: tuple, table: Sequence) -> list:
     """The phase products that a grid scan over the coefficient ``table`` (the
     ``payoff_coeffs`` columns over channel points) must add, as (indices,
-    (term, factor)) of the ``angle_terms`` rows ``phases``.  A row whose
-    coefficient columns are all 0, or whose amplitude is, is dead before
-    anything is built; otherwise it is built, and it is live iff its term is
-    non-zero somewhere."""
-    live = []
-    for idx, amp, build in phases:
-        if any(np.any(table[j]) for j in idx) and np.any(amp):
-            term, factor = build()
-            if np.any(term):
-                live.append((idx, (term, factor)))
-    return live
+    (term, factor)) of the ``angle_terms`` rows ``phases``, by the rule of
+    ``grid_maxima``: only live rows are built."""
+    return [(idx, build()) for idx, amp, build in phases
+            if any(np.any(table[j]) for j in idx) and np.any(amp)]
 
 
 def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
@@ -470,6 +462,44 @@ def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
     for term, factor in products:
         total = np.add(total, np.multiply(term, factor(coeffs), out=tmp), out=acc)
     return total
+
+
+def grid_maxima(weights: PairingWeights, entries: Sequence[float],
+                ent: EntanglementParams, shape: tuple, *grid) -> list[float]:
+    """The maximum of one player's payoff for ``entries`` over the open grid
+    ``grid`` of strategy angles (theta1 .. beta2, broadcasting as in
+    ``payoff_surface``) at every channel point of ``weights``, whose
+    broadcast shape is ``shape``, in C order.
+
+    The scan rule: one broadcast gives the sector sums of all points (points
+    by theta) and one ``max`` their maxima.  A phase product is dead over
+    the grid, and never built, when its ``payoff_coeffs`` columns are all 0
+    (gamma = 0 or delta = 0 zero the f factors) or its amplitude
+    0.25 n sin(gamma) or 0.25 n sin(delta) is (gamma = 0 zeroes the gamma
+    term, delta = 0 the delta term, a fixed theta = 0 both); a point skips
+    the live products whose coefficients are all 0 there (weight factors
+    vanish at some p = 0 or mu = 0 points).  A point with a live product left
+    is scanned whole with ``sum_products`` into two buffers per grid, of the
+    broadcast shape of the grid's angles, so a grid with no live product
+    gets no full-size array at all.  A skipped product is +-0 everywhere,
+    and so is a live one whose term is all 0 (a classical scan against
+    alpha2 = beta2 has a zero gamma term although its amplitude is not), so
+    skipping or adding it keeps the sum's bits but for the sign of a zero,
+    and ``max(0.0, best - payoff)`` gives the same gain for either sign of a
+    zero maximum."""
+    table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(weights, entries, ent)]
+    sectors, phases = angle_terms(ent, *grid)
+    live = live_products(phases, table)
+    sums = sum_products(sectors, [np.reshape(c, (-1,) + (1,) * np.ndim(sectors[0]))
+                                  for c in table[:4]], ())
+    maxima = sums.max(axis=tuple(range(1, sums.ndim)))
+    if live:
+        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
+        for i, k in enumerate(zip(*table)):
+            products = [prod for idx, prod in live if any(k[j] for j in idx)]
+            if products:
+                maxima[i] = sum_products(sectors, k, products, bufs).max()
+    return maxima.tolist()
 
 
 def closed_payoff(

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
-                         live_products, payoff_coeffs, payoff_surface, stacked_entries,
-                         sum_products)
+from .closedform import (Pairing, batch_weights, closed_payoff_pair, grid_maxima,
+                         payoff_surface, stacked_entries)
 from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
@@ -86,27 +85,10 @@ def check_profile(
     order, as one (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a
     float point gives a one-element list.  One ``closed_payoff_pair`` call
     gives the profile payoffs at all points, and one weight evaluation the
-    coefficient table.  Per deviation grid, one broadcast gives the sector
-    sums of all points (points by theta) and one ``max`` their maxima; a
-    point with a live phase product is then scanned whole with
-    ``sum_products`` into two buffers per grid, of the broadcast shape of
-    the grid's angles.  Gains are clamped at zero, so an off-grid profile
-    that beats its own grid is reported as gain 0 rather than negative.
-
-    A scan adds only the phase products that can be non-zero
-    (``closedform.live_products``), and builds only their full-size terms.
-    A product is dead over the grid when its coefficient columns are all 0
-    (gamma = 0 or delta = 0 zero the f factors) or its amplitude
-    0.25 n sin(gamma) or 0.25 n sin(delta) is (gamma = 0 zeroes the gamma
-    term, delta = 0 the delta term, a fixed theta = 0 both); only then is
-    its term built, and it is live iff the term is non-zero somewhere, so
-    underflow decides as in the built term.  At a point, a live product
-    whose coefficients are all 0 there is skipped too (weight factors
-    vanish at some p = 0 or mu = 0 points).  A grid with no live product
-    gets no full-size array at all, and a point with none keeps the maximum
-    of its sector sum.  A skipped product is +-0 everywhere, so the sum
-    keeps its bits but for the sign of a zero, and ``max(0.0, best -
-    payoff)`` gives the same gain for either sign of a zero maximum.
+    coefficients of both deviation grids, each scanned by
+    ``closedform.grid_maxima`` (whose docstring states the scan rule).
+    Gains are clamped at zero, so an off-grid profile that beats its own
+    grid is reported as gain 0 rather than negative.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
@@ -117,25 +99,10 @@ def check_profile(
     shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
     payoffs = [np.broadcast_to(own, shape).ravel().tolist()
                for own in closed_payoff_pair(pairing, game, ent, *profile, ch1, ch2)]
-    best = []
-    for entries, grid in ((game.a, (*space_a.mesh(), *two)),
-                          (game.b, (*one, *space_b.mesh()))):
-        table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(w, entries, ent)]
-        sectors, phases = angle_terms(ent, *grid)
-        live = live_products(phases, table)
-        # The sector sums of all points in one broadcast, points first.
-        sums = sum_products(sectors, [np.reshape(c, (-1,) + (1,) * np.ndim(sectors[0]))
-                                      for c in table[:4]], ())
-        maxima = sums.max(axis=tuple(range(1, sums.ndim)))
-        if live:
-            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
-            for i, k in enumerate(zip(*table)):
-                products = [prod for idx, prod in live if any(k[j] for j in idx)]
-                if products:
-                    maxima[i] = sum_products(sectors, k, products, bufs).max()
-        best.append(maxima.tolist())
+    best_a = grid_maxima(w, game.a, ent, shape, *space_a.mesh(), *two)
+    best_b = grid_maxima(w, game.b, ent, shape, *one, *space_b.mesh())
     return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
-            for pa, pb, ba, bb in zip(*payoffs, *best)]
+            for pa, pb, ba, bb in zip(*payoffs, best_a, best_b)]
 
 
 # --------------------------------------------------------------------------

@@ -177,6 +177,8 @@ class TestRangeMessages:
         (payoff_with(mu2="nan"), "mu must be in [0, 1], got nan"),
         (payoff_with(delta="2"), "delta must be in [0, pi/2], got 2.0"),
         (payoff_with(p1="1.5", mu2="3"), "p must be in [0, 1], got 1.5"),
+        # A negative number in exponent form, as its own token.
+        (payoff_with(p1="-1e-3"), "p must be in [0, 1], got -0.001"),
     ])
     def test_scalar_message_text(self, make, message, capsys):
         if callable(make):
@@ -209,7 +211,7 @@ class TestVerifyCommand:
         assert "max_abs_diff" not in captured.out
         assert "--samples must be >= 1" in captured.err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-9"])
     def test_bad_tolerance_is_usage_error(self, tol, capsys):
         # No sample passes a NaN or negative tolerance, and every one passes inf.
         assert run(["verify", "--pairing", "d-d", "--samples", "3", "--tol", tol]) == 2

@@ -161,11 +161,18 @@ class TestCertificatePath:
         return game, ent, s1, s2
 
     @pytest.mark.parametrize("pairing", list(Pairing))
-    @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
+    @pytest.mark.parametrize("game,gamma,delta,theta1,equal_phases", [
+        *((*row, False) for row in INPUTS),
+        # Classical Alice against a Bob with beta2 = alpha2: on Alice's grid
+        # the gamma term is its amplitude times sin(0), zero although the
+        # amplitude is not, so the scan adds a product that is +-0 everywhere.
+        ("chicken", None, None, None, True)])
     def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
-                                                    delta, theta1, rng):
+                                                    delta, theta1, equal_phases, rng):
         game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
         space_a, space_b = StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
+        if equal_phases:
+            space_a, s2 = CLASSICAL_SPACE, StrategyParams(s2.theta, s2.alpha, s2.alpha)
         report = CaseReport("t")
         _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
         rows = report.gain_rows
@@ -191,11 +198,12 @@ class TestCertificatePath:
 
     # A subnormal product cannot move an O(1) maximum, so the gains above
     # cannot see a wrong skip there; the liveness itself is compared with
-    # the rule on terms built whole from the raw angles: a product is live
-    # iff its term and some coefficient column are non-zero.  The third
+    # the rule on amplitudes built from the raw angles: a product is live
+    # iff its amplitude and some coefficient column are non-zero.  The third
     # grid is classical against alpha2 = beta2, where the gamma term is its
-    # amplitude times sin(0): zero although the amplitude is not.  The built
-    # terms and factors have the bits of a full build of ``angle_terms``.
+    # amplitude times sin(0): zero although the amplitude is not, so it is
+    # live.  The built terms and factors have the bits of a full build of
+    # ``angle_terms``.
     COLUMNS = {"f_diag": (4,), "f_off": (5,), "gamma": (6,), "delta": (7, 8)}
 
     @pytest.mark.parametrize("pairing", list(Pairing))
@@ -211,8 +219,9 @@ class TestCertificatePath:
                                         s2.alpha))):
             table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
             raw = raw_angle_terms(ent, *grid)
+            amps = dict(f_diag=1.0, f_off=1.0, gamma=raw["gamma_amp"], delta=raw["delta"])
             want = [cols for name, cols in self.COLUMNS.items()
-                    if np.any(raw[name]) and any(np.any(table[j]) for j in cols)]
+                    if np.any(amps[name]) and any(np.any(table[j]) for j in cols)]
             live = live_products(angle_terms(ent, *grid)[1], table)
             assert [idx for idx, _ in live] == want
             full = {idx: build() for idx, _, build in angle_terms(ent, *grid)[1]}

@@ -7,7 +7,7 @@ of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
 it re-exports nothing.  References that only the tests compare against live
 in ``tests/reference.py``.  Every qualified name that README.md cites
 resolves.  Parameter ranges are checked only where the parameter types are
-built.
+built.  A deviation grid's scan is known to ``closedform`` alone.
 """
 
 import ast
@@ -120,3 +120,17 @@ def test_ranges_are_checked_only_by_the_parameter_types():
     stray = sorted(callers - set(CHECKED))
     assert not stray, f"check_range called outside the parameter types: {stray}"
     assert sorted(callers) == CHECKED
+
+
+# The coefficient layout, liveness rule and buffers of a deviation scan.
+SCAN_INTERNALS = {"angle_terms", "payoff_coeffs", "live_products", "sum_products"}
+
+
+def test_equilibrium_leaves_the_scan_to_closedform():
+    imported = {alias.name
+                for node in ast.walk(ast.parse((SRC / "equilibrium.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "closedform" for alias in node.names}
+    leaked = sorted(imported & SCAN_INTERNALS)
+    assert not leaked, f"equilibrium imports closedform's scan internals: {leaked}"
+    assert "grid_maxima" in imported, imported
