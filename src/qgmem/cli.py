@@ -67,23 +67,25 @@ def make_row(game_name: str, pairing: Pairing, values) -> str:
         "%.12g" if isinstance(v, np.ndarray) else fmt(v) for v in values])
 
 
-def game_point(values):
-    """(ent, s1, s2, ch1, ch2) from a mapping of the POINT names."""
+def game_point(pairing: Pairing, values):
+    """(ent, s1, s2, ch1, ch2) of ``pairing`` from a mapping of the POINT
+    names, checked in POINT order from gamma on, then p1, mu1, p2, mu2."""
     p1, mu1, p2, mu2, *angles = (values[name] for name in POINT)
     return (EntanglementParams(*angles[:2]), StrategyParams(*angles[2:5]),
-            StrategyParams(*angles[5:]), (p1, mu1), (p2, mu2))
+            StrategyParams(*angles[5:]), *pairing.crossings((p1, mu1), (p2, mu2)))
 
 
-def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
-                s1: StrategyParams, s2: StrategyParams, ch1, ch2) -> list[str]:
+def payoff_rows(game: Bimatrix, ent: EntanglementParams, s1: StrategyParams,
+                s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec) -> list[str]:
     """CSV rows of one array evaluation.  Channel parameters and angles may be
     arrays; rows run over their broadcast shape, last axis fastest."""
-    pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2)
-    values = (*ch1, *ch2, ent.gamma, ent.delta, *s1.angles, *s2.angles, pa, pb)
+    pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
+    values = (ch1.p, ch1.mu, ch2.p, ch2.mu, ent.gamma, ent.delta, *s1.angles, *s2.angles,
+              pa, pb)
     shape = np.broadcast_shapes(*(np.shape(v) for v in values))
     columns = [np.broadcast_to(v, shape).ravel().tolist()
                for v in values if isinstance(v, np.ndarray)]
-    template = make_row(game.name, pairing, values)
+    template = make_row(game.name, Pairing.of(ch1, ch2), values)
     return [template % cells for cells in zip(*columns)]
 
 
@@ -91,9 +93,8 @@ def payoff_rows(game: Bimatrix, pairing: Pairing, ent: EntanglementParams,
 # payoff
 # --------------------------------------------------------------------------
 def cmd_payoff(args) -> int:
-    game = builtin_game(args.game)
     pairing = Pairing.from_string(args.pairing)
-    pa, pb = closed_payoff_pair(pairing, game, *game_point(vars(args)))
+    pa, pb = closed_payoff_pair(builtin_game(args.game), *game_point(pairing, vars(args)))
     print(f"payoff_a={fmt(pa)} payoff_b={fmt(pb)}")
     return 0
 
@@ -135,10 +136,10 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     worst = 0.0
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
-        entries, (ent, s1, s2, ch1, ch2) = cols[:4], game_point(dict(zip(POINT, cols[4:])))
-        closed = payoff_surface(pairing, entries, ent, ch1, ch2, *s1.angles, *s2.angles)
-        rho = two_pass_state(ent, s1, s2, ChannelSpec(pairing.first, *ch1),
-                             ChannelSpec(pairing.second, *ch2))
+        entries, point = cols[:4], game_point(pairing, dict(zip(POINT, cols[4:])))
+        ent, s1, s2, ch1, ch2 = point
+        closed = payoff_surface(entries, ent, ch1, ch2, *s1.angles, *s2.angles)
+        rho = two_pass_state(*point)
         simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
         # np.max keeps a NaN difference, which then fails the tolerance.
         worst = float(np.max(np.abs(closed - simulated), initial=worst))
@@ -233,7 +234,7 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
     grids = np.meshgrid(*(np.array(grid) for _, grid in cfg.axes),
                         indexing="ij", sparse=True)
     point = {**cfg.point, **{name: g for (name, _), g in zip(cfg.axes, grids)}}
-    return payoff_rows(cfg.game, cfg.pairing, *game_point(point))
+    return payoff_rows(cfg.game, *game_point(cfg.pairing, point))
 
 
 def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
@@ -272,8 +273,8 @@ def figure_rows(figure_id: int) -> list[str]:
     ent, s1, s2, groups = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
     return [row for game, pairing, p in groups
-            for row in payoff_rows(builtin_game(game), Pairing.from_string(pairing),
-                                   ent, s1, s2, (p, mu), (p, mu))]
+            for row in payoff_rows(builtin_game(game), ent, s1, s2,
+                                   *pairing.crossings((p, mu), (p, mu)))]
 
 
 def cmd_figure(args) -> int:

@@ -96,6 +96,17 @@ class Pairing(enum.Enum):
                 f"{', '.join(p.value for p in cls)}"
             ) from None
 
+    @classmethod
+    def of(cls, ch1: ChannelSpec, ch2: ChannelSpec) -> "Pairing":
+        """The pairing of two crossings' kinds."""
+        return cls(f"{ch1.kind.value}-{ch2.kind.value}")
+
+    def crossings(self, ch1: tuple, ch2: tuple) -> tuple[ChannelSpec, ChannelSpec]:
+        """The two crossings at (p1, mu1) and (p2, mu2): the package's one place
+        that builds ``ChannelSpec``s, so each is range-checked once, in the
+        order p1, mu1, p2, mu2, and shared by the closed form and the oracle."""
+        return ChannelSpec(self.first, *ch1), ChannelSpec(self.second, *ch2)
+
 
 # --------------------------------------------------------------------------
 # per-channel coefficient families
@@ -126,7 +137,7 @@ class AdCoeffs:
 
 
 def ad_coeffs(p: float, mu: float) -> AdCoeffs:
-    """p and mu are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
+    """p and mu are trusted: the caller's ``ChannelSpec`` checked them."""
     return AdCoeffs(
         chi00=(1 - p) * (1 - p) + mu * (1 - p) * p,
         chi11=p * p + mu * (1 - p) * p,
@@ -155,7 +166,7 @@ class DepolCoeffs:
 
 
 def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
-    """p and mu are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
+    """p and mu are trusted: the caller's ``ChannelSpec`` checked them."""
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot}")
     base_a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
@@ -172,7 +183,7 @@ def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
 
 def dephasing_coeff(p: float, mu: float) -> float:
     """Dephasing two-use coherence factor; 1 at p=0 and at mu=1.  p and mu
-    are trusted: ``batch_weights`` checks them as a ``ChannelSpec``."""
+    are trusted: the caller's ``ChannelSpec`` checked them."""
     return (1 - mu) * ((1 - p) * (1 - p)) + mu
 
 
@@ -299,18 +310,14 @@ def _w_ph_d(cg, sg, cd, sd, z1: float, v: DepolCoeffs) -> Sectors:
                    (v.d1 * sg + v.d3 * cg) * cd + (v.d1 * cg + v.d3 * sg) * sd, v.d2)
 
 
-def batch_weights(
-    pairing: Pairing,
-    ent: EntanglementParams,
-    ch1: tuple[float, float],
-    ch2: tuple[float, float],
-) -> PairingWeights:
-    """Build the weights for one pairing: its builder gives the sectors, and
-    the interference factors follow the module doc's rule from the two
-    channels' slot factors.  The p and mu in ``ch1`` and ``ch2``, and gamma
-    and delta, may be arrays; they broadcast, and so does every weight.
-    Each (p, mu) is range-checked here as a ``ChannelSpec`` of its slot's
-    kind, in the order p1, mu1, p2, mu2."""
+def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
+                  ch2: ChannelSpec) -> PairingWeights:
+    """Build the weights for the pairing of the two crossings' kinds: its
+    builder gives the sectors, and the interference factors follow the
+    module doc's rule from the two channels' slot factors.  The p and mu of
+    ``ch1`` and ``ch2``, and gamma and delta, may be arrays; they broadcast,
+    and so does every weight.  The specs checked their ranges when they were
+    built (``Pairing.crossings``)."""
     (cg, sg), (cd, sd) = _half_angle_squares(ent.gamma), _half_angle_squares(ent.delta)
 
     def coeff(spec: ChannelSpec, slot: int):
@@ -333,19 +340,19 @@ def batch_weights(
         z = dephasing_coeff(p, mu)
         return z, (z, 1.0) if slot == 1 else (z, z, 1.0, 1.0, 1.0)
 
-    a, (coh1, pop1) = coeff(ChannelSpec(pairing.first, *ch1), 1)
-    b, (fd2, fo2, m00, m11, moff) = coeff(ChannelSpec(pairing.second, *ch2), 2)
-    return PairingWeights(*_BUILDERS[pairing](cg, sg, cd, sd, a, b),
+    a, (coh1, pop1) = coeff(ch1, 1)
+    b, (fd2, fo2, m00, m11, moff) = coeff(ch2, 2)
+    return PairingWeights(*_BUILDERS[Pairing.of(ch1, ch2)](cg, sg, cd, sd, a, b),
                           f_diag=coh1 * fd2, f_off=coh1 * fo2, g00=coh1 * m00,
                           g11=coh1 * m11, g_off=coh1 * moff,
                           h_diag=fd2 * pop1, h_off=fo2 * pop1)
 
 
-def pairing_weights(pairing, ent, ch1, ch2) -> PairingWeights:
+def pairing_weights(ent, ch1, ch2) -> PairingWeights:
     """``batch_weights`` at one channel point, floats only.  Nothing in the
     package calls it; it stays because the benchmark tracer wraps it by name,
     keying calls on their (hashable) arguments."""
-    return batch_weights(pairing, ent, ch1, ch2)
+    return batch_weights(ent, ch1, ch2)
 
 
 _BUILDERS = {
@@ -396,14 +403,8 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
         ((7, 8), delta, delta_sines))
 
 
-def payoff_surface(
-    pairing: Pairing,
-    entries: Sequence[float],
-    ent: EntanglementParams,
-    ch1: tuple[float, float],
-    ch2: tuple[float, float],
-    theta1, alpha1, beta1, theta2, alpha2, beta2,
-):
+def payoff_surface(entries: Sequence[float], ent: EntanglementParams, ch1: ChannelSpec,
+                   ch2: ChannelSpec, theta1, alpha1, beta1, theta2, alpha2, beta2):
     """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
     of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
     array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
@@ -416,7 +417,7 @@ def payoff_surface(
     inside the strategy domain by construction."""
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    w = batch_weights(pairing, ent, ch1, ch2)
+    w = batch_weights(ent, ch1, ch2)
     sectors, phases = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
     return sum_products(sectors, payoff_coeffs(w, entries, ent),
                         [build() for *_, build in phases])
@@ -502,41 +503,27 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
     return maxima.tolist()
 
 
-def closed_payoff(
-    pairing: Pairing,
-    entries: Sequence[float],
-    ent: EntanglementParams,
-    s1: StrategyParams,
-    s2: StrategyParams,
-    ch1: tuple[float, float],
-    ch2: tuple[float, float],
-) -> float:
+def closed_payoff(entries: Sequence[float], ent: EntanglementParams, s1: StrategyParams,
+                  s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
     """One player's closed-form payoff for their entry column, at one point.
     Nothing in the package calls it; it stays because the benchmark tracer
     wraps it by name."""
-    return float(payoff_surface(pairing, entries, ent, ch1, ch2,
-                                *s1.angles, *s2.angles))
+    return float(payoff_surface(entries, ent, ch1, ch2, *s1.angles, *s2.angles))
 
 
-def closed_payoff_pair(
-    pairing: Pairing,
-    game: Bimatrix,
-    ent: EntanglementParams,
-    s1: StrategyParams,
-    s2: StrategyParams,
-    ch1: tuple[float, float],
-    ch2: tuple[float, float],
-) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
+def closed_payoff_pair(game: Bimatrix, ent: EntanglementParams, s1: StrategyParams,
+                       s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec,
+                       ) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
     """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
     one call of it, with the two entry columns stacked (``stacked_entries``),
     shares the weights and angle terms, and each payoff has the bits of its
-    own call.
+    own call.  It takes the game point of ``oracle.two_pass_state``.
     The payoffs are numpy scalars at a float point, else arrays of the
     broadcast parameter shape."""
     angles = (*s1.angles, *s2.angles)
-    nd = max(map(np.ndim, (ent.gamma, ent.delta, *ch1, *ch2, *angles)))
-    return tuple(payoff_surface(pairing, stacked_entries([game.a, game.b], nd),
-                                ent, ch1, ch2, *angles))
+    nd = max(map(np.ndim, (ent.gamma, ent.delta, ch1.p, ch1.mu, ch2.p, ch2.mu, *angles)))
+    return tuple(payoff_surface(stacked_entries([game.a, game.b], nd), ent, ch1, ch2,
+                                *angles))
 
 
 def stacked_entries(columns, nd: int) -> np.ndarray:

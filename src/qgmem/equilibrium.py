@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import ChannelSpec
 from .closedform import (Pairing, batch_weights, closed_payoff_pair, grid_maxima,
                          payoff_surface, stacked_entries)
 from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
@@ -70,16 +71,10 @@ CLASSICAL_SPACE = StrategySpace(classical_only=True)
 QUANTUM_SPACE = StrategySpace()
 
 
-def check_profile(
-    pairing: Pairing,
-    game: Bimatrix,
-    ent: EntanglementParams,
-    ch1: tuple[float, float],
-    ch2: tuple[float, float],
-    profile: tuple[StrategyParams, StrategyParams],
-    space_a: StrategySpace,
-    space_b: StrategySpace,
-) -> list[tuple[float, float, float, float]]:
+def check_profile(game: Bimatrix, ent: EntanglementParams, ch1: ChannelSpec,
+                  ch2: ChannelSpec, profile: tuple[StrategyParams, StrategyParams],
+                  space_a: StrategySpace, space_b: StrategySpace,
+                  ) -> list[tuple[float, float, float, float]]:
     """Exhaustive grid scan of both players' unilateral deviations, at every
     channel point of ``ch1`` and ``ch2`` (whose p and mu may be arrays), in C
     order, as one (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a
@@ -94,11 +89,11 @@ def check_profile(
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
     lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
     such a certificate is a proof over the continuum of strategies."""
-    w = batch_weights(pairing, ent, ch1, ch2)
+    w = batch_weights(ent, ch1, ch2)
     one, two = (s.angles for s in profile)
-    shape = np.broadcast_shapes(*map(np.shape, (*ch1, *ch2)))
+    shape = np.broadcast_shapes(*map(np.shape, (ch1.p, ch1.mu, ch2.p, ch2.mu)))
     payoffs = [np.broadcast_to(own, shape).ravel().tolist()
-               for own in closed_payoff_pair(pairing, game, ent, *profile, ch1, ch2)]
+               for own in closed_payoff_pair(game, ent, *profile, ch1, ch2)]
     best_a = grid_maxima(w, game.a, ent, shape, *space_a.mesh(), *two)
     best_b = grid_maxima(w, game.b, ent, shape, *one, *space_b.mesh())
     return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
@@ -137,25 +132,26 @@ class CaseReport:
 # throughout, Alice is classical) and the curve groups (game, pairing, p) in
 # plotting order; each curve runs over mu = mu1 = mu2 at p = p1 = p2.
 Figure = namedtuple("Figure", "ent s1 s2 groups")
+_AD, _D, _PH = Pairing.AD_AD, Pairing.D_D, Pairing.PH_PH
 FIGURES = {
     2: Figure(EntanglementParams(0.0, 0.0), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "ad-ad", p) for g in GAME_NAMES for p in (0.8, 0.2)]),
+              [(g, _AD, p) for g in GAME_NAMES for p in (0.8, 0.2)]),
     3: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(PI / 2),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "ad-ad", p) for g in ("pd", "chicken") for p in (0.8, 0.2)]),
+              [(g, _AD, p) for g in ("pd", "chicken") for p in (0.8, 0.2)]),
     4: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
+              [("bos", pr, 0.5) for pr in (_AD, Pairing.D_AD, Pairing.PH_AD)]),
     5: Figure(EntanglementParams(0.0, PI / 2), StrategyParams(0.0),
               StrategyParams(PI / 2, 0.0, PI / 2),
-              [("bos", pr, 0.5) for pr in ("ad-ad", "d-ad", "ph-ad")]),
+              [("bos", pr, 0.5) for pr in (_AD, Pairing.D_AD, Pairing.PH_AD)]),
     6: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "ad-ad", 0.5) for g in GAME_NAMES]),
+              [(g, _AD, 0.5) for g in GAME_NAMES]),
     7: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
               StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, "d-d", 0.5) for g in GAME_NAMES]),
+              [(g, _D, 0.5) for g in GAME_NAMES]),
 }
 
 
@@ -174,7 +170,7 @@ def _mu_curves(pairing, games, ent, s1, s2, ps, mus=MU_GRID_11):
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
     entries = stacked_entries([(g.a, g.b) for g in games], 2)
     return [list(zip(pa.tolist(), pb.tolist())) for pa, pb in
-            payoff_surface(pairing, entries, ent, ch, ch, *s1.angles, *s2.angles)]
+            payoff_surface(entries, ent, *pairing.crossings(ch, ch), *s1.angles, *s2.angles)]
 
 
 def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
@@ -182,7 +178,7 @@ def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SP
     returns the worst gain."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
-    certs = check_profile(pairing, game, ent, ch, ch, (s1, s2), space_a, space_b)
+    certs = check_profile(game, ent, *pairing.crossings(ch, ch), (s1, s2), space_a, space_b)
     report.gain_rows += [
         dict(zip(GAIN_COLUMNS, (report.case_id, pairing.value, game.name, p, m, *cert)))
         for (p, m), cert in zip(points, certs)]
@@ -202,8 +198,8 @@ def _phase_independence(report, space, ent):
     """At gamma = delta = 0 Bob's payoff cannot depend on the quantum phases,
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
     a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
-    entries = stacked_entries([g.b for g in _GAMES], 2)
-    worst = max(float(np.ptp(payoff_surface(pairing, entries, ent, (0.35, 0.6), (0.35, 0.6),
+    entries, ch = stacked_entries([g.b for g in _GAMES], 2), (0.35, 0.6)
+    worst = max(float(np.ptp(payoff_surface(entries, ent, *pairing.crossings(ch, ch),
                                             0.0, 0.0, 0.0, PI / 2, a2, b2),
                              axis=(1, 2)).max()) for pairing in Pairing)
     report.claims.append(CaseClaim(
@@ -292,7 +288,6 @@ def _max_noise_advantage(report, space, fig, mus):
 
 
 _GAMES = _PD, _BOS, _CHICKEN = tuple(map(builtin_game, GAME_NAMES))
-_AD, _D, _PH = Pairing.AD_AD, Pairing.D_D, Pairing.PH_PH
 
 # Each case's claims, in report order, as (claim kind, configuration) rows: a
 # kind is an evaluator that appends its claim(s) to the report, given the

@@ -95,9 +95,9 @@ def test_criterion_3_normalization():
     for pairing in Pairing:
         for _ in range(100):
             _, ent, s1, s2 = _random_tuple(rng)
-            v = closed_payoff(pairing, (1, 1, 1, 1), ent, s1, s2,
-                              (rng.random(), rng.random()),
-                              (rng.random(), rng.random()))
+            v = closed_payoff((1, 1, 1, 1), ent, s1, s2,
+                              *pairing.crossings((rng.random(), rng.random()),
+                                                 (rng.random(), rng.random())))
             worst = max(worst, abs(v - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -116,8 +116,8 @@ def test_criterion_4_classical_reduction():
                                             theta_weight(t2))
                 for pairing in Pairing:
                     pa, pb = closed_payoff_pair(
-                        pairing, game, ent, StrategyParams(float(t1)),
-                        StrategyParams(float(t2)), (0.0, 0.0), (0.0, 0.0))
+                        game, ent, StrategyParams(float(t1)), StrategyParams(float(t2)),
+                        *pairing.crossings((0.0, 0.0), (0.0, 0.0)))
                     worst = max(worst, abs(pa - ca), abs(pb - cb))
     ok = worst <= 1e-12
     assert report("4 classical-reduction", ok, f"max deviation {worst:.2e}")
@@ -128,20 +128,20 @@ def test_criterion_5_dephasing_memory_limit():
     worst = 0.0
     for _ in range(100):
         entries, ent, s1, s2 = _random_tuple(rng)
-        noisy = closed_payoff(Pairing.PH_PH, entries, ent, s1, s2,
-                              (rng.random(), 1.0), (rng.random(), 1.0))
-        clean = closed_payoff(Pairing.PH_PH, entries, ent, s1, s2,
-                              (0.0, 0.0), (0.0, 0.0))
+        noisy = closed_payoff(entries, ent, s1, s2, *Pairing.PH_PH.crossings(
+            (rng.random(), 1.0), (rng.random(), 1.0)))
+        clean = closed_payoff(entries, ent, s1, s2,
+                              *Pairing.PH_PH.crossings((0.0, 0.0), (0.0, 0.0)))
         worst = max(worst, abs(noisy - clean))
     companions = {}
     for pairing in (Pairing.AD_AD, Pairing.D_D):
         best = 0.0
         for _ in range(100):
             entries, ent, s1, s2 = _random_tuple(rng)
-            noisy = closed_payoff(pairing, entries, ent, s1, s2,
-                                  (0.7, 1.0), (0.7, 1.0))
-            clean = closed_payoff(pairing, entries, ent, s1, s2,
-                                  (0.0, 0.0), (0.0, 0.0))
+            noisy = closed_payoff(entries, ent, s1, s2,
+                                  *pairing.crossings((0.7, 1.0), (0.7, 1.0)))
+            clean = closed_payoff(entries, ent, s1, s2,
+                                  *pairing.crossings((0.0, 0.0), (0.0, 0.0)))
             best = max(best, abs(noisy - clean))
         companions[pairing.value] = best
     ok = worst <= 1e-12 and all(v > 1e-3 for v in companions.values())
@@ -159,10 +159,10 @@ def _oracle_vs_closed(pairing: Pairing, rng, mu_zero_ad: bool) -> float:
         if mu_zero_ad and kind is ChannelKind.AMPLITUDE_DAMPING:
             mu = 0.0
         channels.append((rng.random(), mu))
-    closed = closed_payoff(pairing, entries, ent, s1, s2, *channels)
-    rho = two_pass_state(ent, s1, s2,
-                         ChannelSpec(pairing.first, *channels[0]),
-                         ChannelSpec(pairing.second, *channels[1]))
+    # One game point, the same objects for both routes.
+    point = (ent, s1, s2, *pairing.crossings(*channels))
+    closed = closed_payoff(entries, *point)
+    rho = two_pass_state(*point)
     simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
     return abs(closed - simulated)
 
@@ -202,8 +202,9 @@ def test_criterion_7a_phase_independence():
     for pairing in Pairing:
         for game in GAMES.values():
             for entries in (game.a, game.b):
-                vals = payoff_surface(pairing, entries, ent, (0.35, 0.6),
-                                      (0.7, 0.2), 1.0, 0.0, 0.0, PI / 2, a2, b2)
+                vals = payoff_surface(entries, ent,
+                                      *pairing.crossings((0.35, 0.6), (0.7, 0.2)),
+                                      1.0, 0.0, 0.0, PI / 2, a2, b2)
                 worst = max(worst, float(vals.max() - vals.min()))
     ok = worst < 1e-12
     assert report("7a phase-independence", ok, f"max variation {worst:.2e}")
@@ -218,8 +219,9 @@ def test_criterion_7b_memory_monotonicity():
     detail = []
     for name in ("pd", "chicken"):
         for p in (0.2, 0.8):
-            curve = [closed_payoff_pair(Pairing.AD_AD, GAMES[name], ent, s1,
-                                        s2, (p, m), (p, m))[1] for m in mus]
+            curve = [closed_payoff_pair(GAMES[name], ent, s1, s2,
+                                        *Pairing.AD_AD.crossings((p, m), (p, m)))[1]
+                     for m in mus]
             mono = all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
             ok &= mono
             detail.append(f"{name}/p={p}: {'nondecreasing' if mono else 'DIPS'}")
@@ -232,8 +234,8 @@ def _advantage_margins(fig: dict, pairings) -> dict[str, float]:
     for pairing in pairings:
         diffs = [
             (lambda pair: pair[1] - pair[0])(closed_payoff_pair(
-                Pairing.from_string(pairing), GAMES["bos"], ent, s1, s2,
-                (0.5, m), (0.5, m)))
+                GAMES["bos"], ent, s1, s2,
+                *Pairing.from_string(pairing).crossings((0.5, m), (0.5, m))))
             for m in [i / 10 for i in range(11)]
         ]
         out[pairing] = min(diffs)
@@ -281,8 +283,8 @@ def test_criterion_7d_advantage_at_maximum_noise():
     for pairing in Pairing:
         for game in GAMES.values():
             for m in (0.25, 0.5, 0.75, 1.0):
-                pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2,
-                                            (1.0, m), (1.0, m))
+                pa, pb = closed_payoff_pair(game, ent, s1, s2,
+                                            *pairing.crossings((1.0, m), (1.0, m)))
                 worst = min(worst, pb - pa)
     ok = worst > 0
     report("7d max-noise advantage", ok, f"min Bob-Alice margin {worst:+.4f}",

@@ -20,6 +20,7 @@ from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, measure_payoff,
                             payoff_operator)
+from qgmem.qmat import check_range
 
 
 def run(args):
@@ -144,8 +145,7 @@ class TestPayoffCommand:
         rho = two_pass_state(
             ent, StrategyParams(point["theta1"], point["alpha1"], point["beta1"]),
             StrategyParams(point["theta2"], point["alpha2"], point["beta2"]),
-            ChannelSpec(pairing.first, point["p1"], point["mu1"]),
-            ChannelSpec(pairing.second, point["p2"], point["mu2"]))
+            *pairing.crossings((point["p1"], point["mu1"]), (point["p2"], point["mu2"])))
         game = builtin_game("chicken")
         oracle = [measure_payoff(payoff_operator(ent.delta, entries), rho)
                   for entries in (game.a, game.b)]
@@ -171,7 +171,7 @@ class TestRangeMessages:
          "mu must be in [0, 1], got -0.5"),
         (TestPayoffCommand.PAYOFF[:-8] + ["--p1", "1.5", "--mu1", "0", "--p2", "0",
                                           "--mu2", "0"], "p must be in [0, 1], got 1.5"),
-        # batch_weights checks each crossing as a ChannelSpec: p1, mu1, p2, mu2.
+        # Pairing.crossings checks each crossing as a ChannelSpec: p1, mu1, p2, mu2.
         (payoff_with(mu1="1.25"), "mu must be in [0, 1], got 1.25"),
         (payoff_with(p2="2"), "p must be in [0, 1], got 2.0"),
         (payoff_with(mu2="nan"), "mu must be in [0, 1], got nan"),
@@ -188,6 +188,16 @@ class TestRangeMessages:
         else:
             assert run(make) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "--pairing", "ad-ad"],
+                                      TestPayoffCommand.PAYOFF])
+    def test_each_parameter_is_checked_once(self, argv, monkeypatch, capsys):
+        # Twelve parameters, one check each: a verify block (200 samples, one
+        # block) hands the same ChannelSpecs to the closed form and the oracle.
+        checks = count_calls(monkeypatch, check_range)
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert len(checks) == 12
 
 
 class TestVerifyCommand:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import random_ent, random_entries, random_strategy
 from reference import classical_expected, raw_angle_terms, theta_weight
 
-from qgmem.channels import ChannelSpec
 from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
                               batch_weights, closed_payoff, closed_payoff_pair,
                               dephasing_coeff, depol_coeffs, pairing_weights,
@@ -51,10 +50,10 @@ class TestAdCoeffs:
             assert -1e-12 <= value <= 1 + 1e-12
 
     def test_range_error(self):
-        # ad_coeffs trusts p and mu; batch_weights checks them as a ChannelSpec.
+        # ad_coeffs trusts p and mu; the crossing's ChannelSpec checks them.
         with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got -0.1$"):
-            batch_weights(Pairing.AD_AD, EntanglementParams(0.0, 0.0), (-0.1, 0.0),
-                          (0.0, 0.0))
+            batch_weights(EntanglementParams(0.0, 0.0),
+                          *Pairing.AD_AD.crossings((-0.1, 0.0), (0.0, 0.0)))
 
 
 class TestDepolCoeffs:
@@ -103,7 +102,7 @@ class TestDephasingCoeff:
 class TestPairingWeightsSpotChecks:
     def test_ph_ph_sector_weights(self):
         ent = EntanglementParams(PI / 2, 0.0)
-        w = pairing_weights(Pairing.PH_PH, ent, (0.5, 0.2), (0.3, 0.7))
+        w = pairing_weights(ent, *Pairing.PH_PH.crossings((0.5, 0.2), (0.3, 0.7)))
         # cos^2(gamma/2) = sin^2(gamma/2) = 1/2 at gamma = pi/2, delta = 0
         assert w.cc[0] == pytest.approx(0.5)
         assert w.cc[1] == pytest.approx(0.5)
@@ -112,8 +111,8 @@ class TestPairingWeightsSpotChecks:
 
     def test_ad_ad_noiseless_reduces_to_ph_ph(self):
         ent = EntanglementParams(0.9, 0.7)
-        wa = pairing_weights(Pairing.AD_AD, ent, (0.0, 0.3), (0.0, 0.8))
-        wp = pairing_weights(Pairing.PH_PH, ent, (0.0, 0.3), (0.0, 0.8))
+        wa = pairing_weights(ent, *Pairing.AD_AD.crossings((0.0, 0.3), (0.0, 0.8)))
+        wp = pairing_weights(ent, *Pairing.PH_PH.crossings((0.0, 0.3), (0.0, 0.8)))
         for field in ("cc", "ss", "sc", "cs"):
             assert np.allclose(getattr(wa, field), getattr(wp, field),
                                atol=1e-15)
@@ -124,8 +123,8 @@ class TestPairingWeightsSpotChecks:
         # each theta sector's weights must mix the four entries to total 1
         for pairing in ALL_PAIRINGS:
             ent = random_ent(rng)
-            w = pairing_weights(pairing, ent, (rng.random(), rng.random()),
-                                (rng.random(), rng.random()))
+            w = pairing_weights(ent, *pairing.crossings((rng.random(), rng.random()),
+                                                        (rng.random(), rng.random())))
             for field in ("cc", "ss", "sc", "cs"):
                 assert sum(getattr(w, field)) == pytest.approx(1.0, abs=1e-12)
 
@@ -135,23 +134,24 @@ class TestClosedPayoff:
         for pairing in ALL_PAIRINGS:
             for _ in range(30):
                 value = closed_payoff(
-                    pairing, (1.0, 1.0, 1.0, 1.0), random_ent(rng),
+                    (1.0, 1.0, 1.0, 1.0), random_ent(rng),
                     random_strategy(rng), random_strategy(rng),
-                    (rng.random(), rng.random()), (rng.random(), rng.random()))
+                    *pairing.crossings((rng.random(), rng.random()),
+                                       (rng.random(), rng.random())))
                 assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_in_entries(self, rng):
         for pairing in ALL_PAIRINGS:
             ent = random_ent(rng)
             s1, s2 = random_strategy(rng), random_strategy(rng)
-            ch1 = (rng.random(), rng.random())
-            ch2 = (rng.random(), rng.random())
+            ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                         (rng.random(), rng.random()))
             e1, e2 = random_entries(rng), random_entries(rng)
             lam = rng.uniform(-1.0, 2.0)
             combo = tuple(a + lam * b for a, b in zip(e1, e2))
-            v = closed_payoff(pairing, combo, ent, s1, s2, ch1, ch2)
-            v1 = closed_payoff(pairing, e1, ent, s1, s2, ch1, ch2)
-            v2 = closed_payoff(pairing, e2, ent, s1, s2, ch1, ch2)
+            v = closed_payoff(combo, ent, s1, s2, ch1, ch2)
+            v1 = closed_payoff(e1, ent, s1, s2, ch1, ch2)
+            v2 = closed_payoff(e2, ent, s1, s2, ch1, ch2)
             assert v == pytest.approx(v1 + lam * v2, abs=1e-10)
 
     def test_classical_reduction(self):
@@ -161,8 +161,8 @@ class TestClosedPayoff:
             for t1 in np.linspace(0, PI, 7):
                 for t2 in np.linspace(0, PI, 7):
                     pa, pb = closed_payoff_pair(
-                        Pairing.AD_AD, game, ent, StrategyParams(t1),
-                        StrategyParams(t2), (0.0, 0.0), (0.0, 0.0))
+                        game, ent, StrategyParams(t1), StrategyParams(t2),
+                        *Pairing.AD_AD.crossings((0.0, 0.0), (0.0, 0.0)))
                     ca, cb = classical_expected(game, theta_weight(t1),
                                                 theta_weight(t2))
                     assert (pa, pb) == pytest.approx((ca, cb), abs=1e-12)
@@ -173,9 +173,9 @@ class TestClosedPayoff:
             base = None
             for _ in range(10):
                 v = closed_payoff(
-                    pairing, (3, 0, 5, 1), ent, StrategyParams(1.1),
+                    (3, 0, 5, 1), ent, StrategyParams(1.1),
                     StrategyParams(2.0, rng.uniform(-PI, PI), rng.uniform(-PI, PI)),
-                    (0.4, 0.6), (0.7, 0.2))
+                    *pairing.crossings((0.4, 0.6), (0.7, 0.2)))
                 base = v if base is None else base
                 assert v == pytest.approx(base, abs=1e-12)
 
@@ -183,10 +183,10 @@ class TestClosedPayoff:
         for _ in range(30):
             ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
             e = random_entries(rng)
-            noisy = closed_payoff(Pairing.PH_PH, e, ent, s1, s2,
-                                  (rng.random(), 1.0), (rng.random(), 1.0))
-            clean = closed_payoff(Pairing.PH_PH, e, ent, s1, s2,
-                                  (0.0, 0.0), (0.0, 0.0))
+            noisy = closed_payoff(e, ent, s1, s2, *Pairing.PH_PH.crossings(
+                (rng.random(), 1.0), (rng.random(), 1.0)))
+            clean = closed_payoff(e, ent, s1, s2,
+                                  *Pairing.PH_PH.crossings((0.0, 0.0), (0.0, 0.0)))
             assert noisy == pytest.approx(clean, abs=1e-12)
 
     def test_player_swap_symmetry(self, rng):
@@ -195,10 +195,10 @@ class TestClosedPayoff:
             transposed = (e[0], e[2], e[1], e[3])
             ent = random_ent(rng)
             s1, s2 = random_strategy(rng), random_strategy(rng)
-            ch1 = (rng.random(), rng.random())
-            ch2 = (rng.random(), rng.random())
-            v1 = closed_payoff(pairing, e, ent, s1, s2, ch1, ch2)
-            v2 = closed_payoff(pairing, transposed, ent, s2, s1, ch1, ch2)
+            ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                         (rng.random(), rng.random()))
+            v1 = closed_payoff(e, ent, s1, s2, ch1, ch2)
+            v2 = closed_payoff(transposed, ent, s2, s1, ch1, ch2)
             assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_oracle_equivalence_sampled(self, rng):
@@ -207,40 +207,38 @@ class TestClosedPayoff:
                 e = random_entries(rng)
                 ent = random_ent(rng)
                 s1, s2 = random_strategy(rng), random_strategy(rng)
-                ch1 = (rng.random(), rng.random())
-                ch2 = (rng.random(), rng.random())
-                closed = closed_payoff(pairing, e, ent, s1, s2, ch1, ch2)
-                rho = two_pass_state(ent, s1, s2,
-                                     ChannelSpec(pairing.first, *ch1),
-                                     ChannelSpec(pairing.second, *ch2))
+                # One game point, the same objects for both routes.
+                point = (ent, s1, s2, *pairing.crossings((rng.random(), rng.random()),
+                                                         (rng.random(), rng.random())))
+                closed = closed_payoff(e, *point)
+                rho = two_pass_state(*point)
                 simulated = measure_payoff(payoff_operator(ent.delta, e), rho)
                 assert closed == pytest.approx(simulated, abs=1e-9)
 
     def test_pair_matches_single(self, rng):
         game = builtin_game("chicken")
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
-        ch1 = (rng.random(), rng.random())
-        ch2 = (rng.random(), rng.random())
-        pa, pb = closed_payoff_pair(Pairing.D_PH, game, ent, s1, s2, ch1, ch2)
-        assert pa == closed_payoff(Pairing.D_PH, game.a, ent, s1, s2, ch1, ch2)
-        assert pb == closed_payoff(Pairing.D_PH, game.b, ent, s1, s2, ch1, ch2)
+        ch1, ch2 = Pairing.D_PH.crossings((rng.random(), rng.random()),
+                                          (rng.random(), rng.random()))
+        pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
+        assert pa == closed_payoff(game.a, ent, s1, s2, ch1, ch2)
+        assert pb == closed_payoff(game.b, ent, s1, s2, ch1, ch2)
 
 
 class TestPayoffSurface:
     def test_broadcast_matches_scalar(self, rng):
         ent = random_ent(rng)
-        ch1 = (rng.random(), rng.random())
-        ch2 = (rng.random(), rng.random())
+        ch1, ch2 = Pairing.AD_D.crossings((rng.random(), rng.random()),
+                                          (rng.random(), rng.random()))
         theta = np.linspace(0, PI, 5)
         alpha = np.linspace(-PI, PI, 4)
         t, a = np.meshgrid(theta, alpha, indexing="ij")
-        grid = payoff_surface(Pairing.AD_D, (3, 0, 5, 1), ent, ch1, ch2,
-                              0.7, 0.1, -0.2, t, a, 0.5)
+        grid = payoff_surface((3, 0, 5, 1), ent, ch1, ch2, 0.7, 0.1, -0.2, t, a, 0.5)
         assert grid.shape == (5, 4)
         for i in range(5):
             for j in range(4):
                 scalar = closed_payoff(
-                    Pairing.AD_D, (3, 0, 5, 1), ent,
+                    (3, 0, 5, 1), ent,
                     StrategyParams(0.7, 0.1, -0.2),
                     StrategyParams(float(theta[i]), float(alpha[j]), 0.5),
                     ch1, ch2)
@@ -263,13 +261,13 @@ class TestPayoffSurface:
              if p**2 != p * p or (1 - p) ** 2 != (1 - p) * (1 - p)), 40))
         points += [(a, rng.random(), b, rng.random()) for a, b in zip(split, split[::-1])]
         p1, mu1, p2, mu2 = np.array(points).T
-        ch1, ch2 = (p1, mu1), (p2, mu2)
+        ch1, ch2 = pairing.crossings((p1, mu1), (p2, mu2))
         angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
-        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *angles)
+        pa, pb = (payoff_surface(e, ent, ch1, ch2, *angles)
                   for e in (game.a, game.b))
         for i, (a, b, c, d) in enumerate(points):
             assert (pa[i], pb[i]) == closed_payoff_pair(
-                pairing, game, ent, s1, s2, (a, b), (c, d))
+                game, ent, s1, s2, *pairing.crossings((a, b), (c, d)))
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_angle_arrays_match_float_points_bit_for_bit(self, pairing, rng):
@@ -290,13 +288,14 @@ class TestPayoffSurface:
                          split(PI), uniform(-PI, PI), uniform(-PI, PI),
                          split(PI), uniform(-PI, PI), uniform(-PI, PI),
                          *(uniform(0.0, 1.0) for _ in range(4))])
-        ent, ch1, ch2 = EntanglementParams(*cols[:2]), tuple(cols[8:10]), tuple(cols[10:])
-        pa, pb = (payoff_surface(pairing, e, ent, ch1, ch2, *cols[2:8])
+        ent, ch1, ch2 = (EntanglementParams(*cols[:2]),
+                         *pairing.crossings(tuple(cols[8:10]), tuple(cols[10:])))
+        pa, pb = (payoff_surface(e, ent, ch1, ch2, *cols[2:8])
                   for e in (game.a, game.b))
         for i, c in enumerate(cols.T.tolist()):
             assert (pa[i], pb[i]) == closed_payoff_pair(
-                pairing, game, EntanglementParams(*c[:2]), StrategyParams(*c[2:5]),
-                StrategyParams(*c[5:8]), tuple(c[8:10]), tuple(c[10:]))
+                game, EntanglementParams(*c[:2]), StrategyParams(*c[2:5]),
+                StrategyParams(*c[5:8]), *pairing.crossings(tuple(c[8:10]), tuple(c[10:])))
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_precomputed_terms_bit_for_bit(self, pairing, rng):
@@ -306,17 +305,18 @@ class TestPayoffSurface:
         ent = random_ent(rng)
         s1, s2 = random_strategy(rng), random_strategy(rng)
         game = builtin_game("bos")
-        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                     (rng.random(), rng.random()))
         grid = np.meshgrid(np.linspace(0, PI, 7), np.linspace(-PI, PI, 9),
                            np.linspace(-PI, PI, 5), indexing="ij", sparse=True)
         for a, b in ((StrategyParams(*grid), s2), (s1, StrategyParams(*grid)), (s1, s2)):
-            pair = closed_payoff_pair(pairing, game, ent, a, b, ch1, ch2)
+            pair = closed_payoff_pair(game, ent, a, b, ch1, ch2)
             for got, e in zip(pair, (game.a, game.b)):
-                direct = payoff_surface(pairing, e, ent, ch1, ch2, *a.angles, *b.angles)
+                direct = payoff_surface(e, ent, ch1, ch2, *a.angles, *b.angles)
                 assert np.shape(got) == np.shape(direct)
                 assert np.array_equal(got, direct)
-        assert closed_payoff_pair(pairing, game, ent, s1, s2, ch1, ch2) == tuple(
-            closed_payoff(pairing, e, ent, s1, s2, ch1, ch2) for e in (game.a, game.b))
+        assert closed_payoff_pair(game, ent, s1, s2, ch1, ch2) == tuple(
+            closed_payoff(e, ent, s1, s2, ch1, ch2) for e in (game.a, game.b))
 
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_sample_arrays_match_float_calls(self, pairing, rng):
@@ -330,10 +330,10 @@ class TestPayoffSurface:
         cols[4][:3], cols[5][:3] = [0.0, PI / 2, PI / 2], [PI / 2, 0.0, PI / 2]
         cols = np.array(cols)
         entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
-        ch1, ch2 = (cols[12], cols[13]), (cols[14], cols[15])
-        got = payoff_surface(pairing, entries, ent, ch1, ch2, *cols[6:12])
-        want = [payoff_surface(pairing, tuple(c[:4]), EntanglementParams(c[4], c[5]),
-                               (c[12], c[13]), (c[14], c[15]), *c[6:12])
+        ch1, ch2 = pairing.crossings((cols[12], cols[13]), (cols[14], cols[15]))
+        got = payoff_surface(entries, ent, ch1, ch2, *cols[6:12])
+        want = [payoff_surface(tuple(c[:4]), EntanglementParams(c[4], c[5]),
+                               *pairing.crossings((c[12], c[13]), (c[14], c[15])), *c[6:12])
                 for c in cols.T.tolist()]
         assert got.shape == (n,)
         assert np.array_equal(got, want)
@@ -346,7 +346,8 @@ class TestPayoffSurface:
         # call and of a float call at every point.
         game = builtin_game("chicken")
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
-        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                     (rng.random(), rng.random()))
         n = 12
 
         def column(lo, hi):
@@ -356,35 +357,37 @@ class TestPayoffSurface:
         samples = [column(lo, hi) for lo, hi in [(0.0, PI / 2)] * 2
                    + [(0.0, PI), (-PI, PI), (-PI, PI)] * 2 + [(0.0, 1.0)] * 4]
         cases = [
-            (ent, s1, s2, (column(0, 1), column(0, 1)), (column(0, 1), column(0, 1)), (n,)),
+            (ent, s1, s2, *pairing.crossings((column(0, 1), column(0, 1)),
+                                             (column(0, 1), column(0, 1))), (n,)),
             (ent, StrategyParams(*mesh), s2, ch1, ch2, (4, 5, 3)),
             (ent, s1, StrategyParams(*mesh), ch1, ch2, (4, 5, 3)),
             (EntanglementParams(*samples[:2]), StrategyParams(*samples[2:5]),
-             StrategyParams(*samples[5:8]), tuple(samples[8:10]), tuple(samples[10:]),
-             (n,)),
+             StrategyParams(*samples[5:8]),
+             *pairing.crossings(tuple(samples[8:10]), tuple(samples[10:])), (n,)),
         ]
         for e, a, b, c1, c2, shape in cases:
-            pair = closed_payoff_pair(pairing, game, e, a, b, c1, c2)
+            pair = closed_payoff_pair(game, e, a, b, c1, c2)
             for got, entries in zip(pair, (game.a, game.b)):
-                own = payoff_surface(pairing, entries, e, c1, c2, *a.angles, *b.angles)
+                own = payoff_surface(entries, e, c1, c2, *a.angles, *b.angles)
                 assert got.shape == own.shape == shape
                 assert np.array_equal(got, own)
             params = [np.broadcast_to(x, shape) for x in
-                      (e.gamma, e.delta, *a.angles, *b.angles, *c1, *c2)]
+                      (e.gamma, e.delta, *a.angles, *b.angles, c1.p, c1.mu, c2.p, c2.mu)]
             for idx in np.ndindex(shape):
                 x = [float(v[idx]) for v in params]
                 assert (pair[0][idx], pair[1][idx]) == closed_payoff_pair(
-                    pairing, game, EntanglementParams(*x[:2]), StrategyParams(*x[2:5]),
-                    StrategyParams(*x[5:8]), tuple(x[8:10]), tuple(x[10:]))
+                    game, EntanglementParams(*x[:2]), StrategyParams(*x[2:5]),
+                    StrategyParams(*x[5:8]), *pairing.crossings(tuple(x[8:10]), tuple(x[10:])))
 
     def test_channel_arrays_broadcast(self):
         p = np.array([0.0, 0.3, 1.0]).reshape(3, 1)
         mu = np.array([0.2, 0.9])
-        w = batch_weights(Pairing.AD_D, EntanglementParams(0.4, 0.6),
-                          (p, 0.5), (0.7, mu))
+        w = batch_weights(EntanglementParams(0.4, 0.6),
+                          *Pairing.AD_D.crossings((p, 0.5), (0.7, mu)))
         assert np.shape(w.f_diag) == (3, 2)
         assert w.h_off[1, 0] == pairing_weights(
-            Pairing.AD_D, EntanglementParams(0.4, 0.6), (0.3, 0.5), (0.7, 0.2)).h_off
+            EntanglementParams(0.4, 0.6),
+            *Pairing.AD_D.crossings((0.3, 0.5), (0.7, 0.2))).h_off
 
     @pytest.mark.parametrize("name,p,mu,bad", [
         ("p", [0.2, 1.5, -1.0], 0.3, "1.5"),
@@ -392,13 +395,14 @@ class TestPayoffSurface:
     ])
     def test_array_range_error_names_first_bad_value(self, name, p, mu, bad):
         with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
-            batch_weights(Pairing.AD_AD, EntanglementParams(0.0, 0.0),
-                          (np.asarray(p), np.asarray(mu)), (0.0, 0.0))
+            batch_weights(EntanglementParams(0.0, 0.0),
+                          *Pairing.AD_AD.crossings((np.asarray(p), np.asarray(mu)),
+                                                   (0.0, 0.0)))
 
     def test_entry_count_validated(self):
         with pytest.raises(ValueError):
-            payoff_surface(Pairing.PH_PH, (1, 2, 3), EntanglementParams(0, 0),
-                           (0, 0), (0, 0), 0, 0, 0, 0, 0, 0)
+            payoff_surface((1, 2, 3), EntanglementParams(0, 0),
+                           *Pairing.PH_PH.crossings((0, 0), (0, 0)), 0, 0, 0, 0, 0, 0)
 
 
 def unsplit_payoff(w, entries, ent, angles):
@@ -434,8 +438,9 @@ class TestCoefficientAssembly:
     @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
     def test_buffers_match_fresh_arrays_and_unsplit_expression(self, pairing, rng):
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
-        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
-        w = batch_weights(pairing, ent, ch1, ch2)
+        ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                     (rng.random(), rng.random()))
+        w = batch_weights(ent, ch1, ch2)
         grid = np.meshgrid(np.linspace(0, PI, 5), np.linspace(-PI, PI, 7),
                            np.linspace(-PI, PI, 3), indexing="ij", sparse=True)
         game = builtin_game("chicken")
@@ -459,11 +464,12 @@ class TestCoefficientAssembly:
         ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
         ch = (np.array([rng.random() for _ in range(6)] + [0.0, 1.0]),
               np.array([rng.random() for _ in range(6)] + [1.0, 0.0]))
-        w = batch_weights(pairing, ent, ch, ch)
+        ch1, ch2 = pairing.crossings(ch, ch)
+        w = batch_weights(ent, ch1, ch2)
         angles = (*s1.angles, *s2.angles)
         sectors, phases = angle_terms(ent, *angles)
         entries = random_entries(rng)
-        got = payoff_surface(pairing, entries, ent, ch, ch, *angles)
+        got = payoff_surface(entries, ent, ch1, ch2, *angles)
         assert got.shape == (8,)
         k = payoff_coeffs(w, entries, ent)
         assert np.array_equal(got, sum_products(sectors, k, [b() for *_, b in phases]))

@@ -23,9 +23,9 @@ CLASSICAL_POINT = EntanglementParams(0.0, 0.0)
 NOISELESS = (0.0, 0.0)
 
 
-# (pairing, game, ent, ch1, ch2) of the noiseless classical prisoner's dilemma.
-CLASSICAL_PD = (Pairing.PH_PH, builtin_game("pd"), CLASSICAL_POINT,
-                NOISELESS, NOISELESS)
+# (game, ent, ch1, ch2) of the noiseless classical prisoner's dilemma.
+CLASSICAL_PD = (builtin_game("pd"), CLASSICAL_POINT,
+                *Pairing.PH_PH.crossings(NOISELESS, NOISELESS))
 
 
 class TestStrategySpace:
@@ -66,8 +66,9 @@ class TestBestResponse:
     def test_constant_evaluator_keeps_whole_grid(self):
         ones = Bimatrix("ones", (1, 1, 1, 1), (1, 1, 1, 1))
         space = StrategySpace(3, 3, 3)
-        moves = best_response(Pairing.PH_PH, ones, CLASSICAL_POINT, NOISELESS,
-                              NOISELESS, space, StrategyParams(0.0), responder=2)
+        moves = best_response(ones, CLASSICAL_POINT,
+                              *Pairing.PH_PH.crossings(NOISELESS, NOISELESS),
+                              space, StrategyParams(0.0), responder=2)
         assert len(moves) == 27
 
     def test_affine_invariance(self):
@@ -75,11 +76,11 @@ class TestBestResponse:
         scaled = Bimatrix("scaled", game.a,
                           tuple(2.5 * v + 7 for v in game.b))
         ent = EntanglementParams(PI / 2, PI / 4)
-        ch = (0.3, 0.6)
+        ch1, ch2 = Pairing.AD_AD.crossings((0.3, 0.6), (0.3, 0.6))
         space = StrategySpace(5, 5, 5)
         opp = StrategyParams(0.7, 0.2, -1.0)
-        br1 = best_response(Pairing.AD_AD, game, ent, ch, ch, space, opp, responder=2)
-        br2 = best_response(Pairing.AD_AD, scaled, ent, ch, ch, space, opp, responder=2)
+        br1 = best_response(game, ent, ch1, ch2, space, opp, responder=2)
+        br2 = best_response(scaled, ent, ch1, ch2, space, opp, responder=2)
         assert [(m.theta, m.alpha, m.beta) for m in br1] == \
             [(m.theta, m.alpha, m.beta) for m in br2]
 
@@ -88,8 +89,8 @@ class TestBestResponse:
         "not in the quantum player's best-response set; the best response "
         "to theta1=0 is the theta2=0 family"))
     def test_nominal_ii_b_optimum_is_best_response(self):
-        moves = best_response(Pairing.AD_AD, builtin_game("bos"),
-                              EntanglementParams(PI / 2, 0.0), (0.5, 0.5), (0.5, 0.5),
+        moves = best_response(builtin_game("bos"), EntanglementParams(PI / 2, 0.0),
+                              *Pairing.AD_AD.crossings((0.5, 0.5), (0.5, 0.5)),
                               QUANTUM_SPACE, StrategyParams(0.0), responder=2)
         assert any(m.theta == pytest.approx(PI / 2)
                    and m.alpha == pytest.approx(PI / 2)
@@ -114,8 +115,8 @@ class TestCheckProfile:
 
     def test_gains_nonnegative(self):
         [(_, _, gain_a, gain_b)] = check_profile(
-            Pairing.D_D, builtin_game("bos"), EntanglementParams(0.4, 0.9),
-            (0.6, 0.2), (0.6, 0.2),
+            builtin_game("bos"), EntanglementParams(0.4, 0.9),
+            *Pairing.D_D.crossings((0.6, 0.2), (0.6, 0.2)),
             (StrategyParams(1.0, 0.5, 0.5), StrategyParams(2.0, -1.0, 1.0)),
             CLASSICAL_SPACE, QUANTUM_SPACE)
         assert gain_a >= 0
@@ -180,17 +181,18 @@ class TestCertificatePath:
             [(p, m) for p in PM_GRID for m in PM_GRID]
         for r in rows:
             ch = (r["p"], r["mu"])
+            ch1, ch2 = pairing.crossings(ch, ch)
             [(pay_a, pay_b, gain_a, gain_b)] = check_profile(
-                pairing, game, ent, ch, ch, (s1, s2), space_a, space_b)
+                game, ent, ch1, ch2, (s1, s2), space_a, space_b)
             assert (r["payoff_a"], r["payoff_b"]) == (pay_a, pay_b)
             assert (r["gain_a"], r["gain_b"]) == (gain_a, gain_b)
             # ... and those are the gains over the dense meshes.
-            pa, pb = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+            pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
             dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
             dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
-            best_a = payoff_surface(pairing, game.a, ent, ch, ch, *dense_a,
+            best_a = payoff_surface(game.a, ent, ch1, ch2, *dense_a,
                                     s2.theta, s2.alpha, s2.beta).max()
-            best_b = payoff_surface(pairing, game.b, ent, ch, ch, s1.theta,
+            best_b = payoff_surface(game.b, ent, ch1, ch2, s1.theta,
                                     s1.alpha, s1.beta, *dense_b).max()
             assert (pay_a, pay_b) == (pa, pb)
             assert gain_a == max(0.0, float(best_a) - pa)
@@ -212,7 +214,7 @@ class TestCertificatePath:
                                                theta1, rng):
         game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
-        w = batch_weights(pairing, ent, ch, ch)
+        w = batch_weights(ent, *pairing.crossings(ch, ch))
         for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *s2.angles)),
                               (game.b, (*s1.angles, *StrategySpace(5, 6, 4).mesh())),
                               (game.a, (*CLASSICAL_SPACE.mesh(), s2.theta, s2.alpha,
@@ -243,15 +245,15 @@ class TestUnentangledCertificatesAreExact:
     @pytest.mark.parametrize("game", ["pd", "bos", "chicken"])
     def test_no_deviation_beats_the_theta_ends(self, pairing, game, rng):
         game, ent = builtin_game(game), EntanglementParams(0.0, 0.0)
-        ch1, ch2 = (rng.random(), rng.random()), (rng.random(), rng.random())
+        ch1, ch2 = pairing.crossings((rng.random(), rng.random()),
+                                     (rng.random(), rng.random()))
         s1, s2 = random_strategy(rng).angles, random_strategy(rng).angles
         deviations = [np.array([rng.uniform(lo, hi) for _ in range(200)])
                       for lo, hi in ((0.0, PI), (-PI, PI), (-PI, PI))]
         ends = (np.array([0.0, PI]), 0.0, 0.0)
         for entries, angles in ((game.a, lambda own: (*own, *s2)),
                                 (game.b, lambda own: (*s1, *own))):
-            best, deviated = (payoff_surface(pairing, entries, ent, ch1, ch2,
-                                             *angles(own)).max()
+            best, deviated = (payoff_surface(entries, ent, ch1, ch2, *angles(own)).max()
                               for own in (ends, deviations))
             assert deviated <= best + 1e-12
 
@@ -263,8 +265,8 @@ class TestUnentangledScanBuildsNoGrid:
         space = StrategySpace(2, 1001, 1001)
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         fig = FIGURES[2]
-        args = (Pairing.AD_AD, builtin_game("bos"), fig.ent, ch, ch, (fig.s1, fig.s2),
-                space, space)
+        args = (builtin_game("bos"), fig.ent, *Pairing.AD_AD.crossings(ch, ch),
+                (fig.s1, fig.s2), space, space)
         check_profile(*args)
         tracemalloc.start()
         try:
@@ -297,7 +299,8 @@ class TestMuCurves:
                                      ((0.0, 0.5, 1.0),
                                       [[c[i] for i in _MU_SUBSET] for c in row])):
                         ch = (p, np.array(mus))
-                        want = closed_payoff_pair(pairing, game, ent, s1, s2, ch, ch)
+                        want = closed_payoff_pair(game, ent, s1, s2,
+                                                  *pairing.crossings(ch, ch))
                         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

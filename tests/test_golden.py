@@ -143,11 +143,13 @@ def weights_digest(pairing: Pairing) -> str:
     digest, axes = hashlib.sha256(), (CHANNEL_AXIS,) * 4 + (ANGLE_AXIS,) * 2
     grid = np.meshgrid(*map(np.array, axes), indexing="ij", sparse=True)
     p1, mu1, p2, mu2, gamma, delta = grid
-    w = batch_weights(pairing, EntanglementParams(gamma, delta), (p1, mu1), (p2, mu2))
+    w = batch_weights(EntanglementParams(gamma, delta),
+                      *pairing.crossings((p1, mu1), (p2, mu2)))
     for chunk in weight_bytes(w, tuple(map(len, axes))):
         digest.update(chunk)
     for p1, mu1, p2, mu2, gamma, delta in FLOAT_POINTS:
-        w = batch_weights(pairing, EntanglementParams(gamma, delta), (p1, mu1), (p2, mu2))
+        w = batch_weights(EntanglementParams(gamma, delta),
+                          *pairing.crossings((p1, mu1), (p2, mu2)))
         for chunk in weight_bytes(w):
             digest.update(chunk)
     return digest.hexdigest()

@@ -7,7 +7,8 @@ of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
 it re-exports nothing.  References that only the tests compare against live
 in ``tests/reference.py``.  Every qualified name that README.md cites
 resolves.  Parameter ranges are checked only where the parameter types are
-built.  A deviation grid's scan is known to ``closedform`` alone.
+built, and channel crossings are built in one place.  A deviation grid's
+scan is known to ``closedform`` alone.
 """
 
 import ast
@@ -99,14 +100,14 @@ CHECKED = ["channels.ChannelSpec.__post_init__",
            "protocol.StrategyParams.__post_init__"]
 
 
-def _check_range_callers():
-    """``module.scope`` of every ``check_range`` call in the package."""
+def _callers(name):
+    """``module.scope`` of every call of ``name`` in the package."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and "check_range" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 yield ".".join(scope)
             yield from visit(child, scope)
@@ -116,10 +117,20 @@ def _check_range_callers():
 
 
 def test_ranges_are_checked_only_by_the_parameter_types():
-    callers = _check_range_callers()
+    callers = _callers("check_range")
     stray = sorted(callers - set(CHECKED))
     assert not stray, f"check_range called outside the parameter types: {stray}"
     assert sorted(callers) == CHECKED
+
+
+def test_crossings_are_built_only_by_the_pairing():
+    # The closed form, the certificates and the oracle take the caller's
+    # specs, so each crossing is range-checked once and both routes see the
+    # same objects.
+    builders = _callers("ChannelSpec")
+    stray = sorted(builders - {"closedform.Pairing.crossings"})
+    assert not stray, f"ChannelSpec built outside Pairing.crossings: {stray}"
+    assert builders == {"closedform.Pairing.crossings"}
 
 
 # The coefficient layout, liveness rule and buffers of a deviation scan.

@@ -176,17 +176,14 @@ class TestLiouvilleOracle:
         cols = _rounds(pairing, rng)
         entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
         s1, s2 = StrategyParams(*cols[6:9]), StrategyParams(*cols[9:12])
-        ch1 = ChannelSpec(pairing.first, cols[12], cols[13])
-        ch2 = ChannelSpec(pairing.second, cols[14], cols[15])
-        rho = two_pass_state(ent, s1, s2, ch1, ch2)
+        rho = two_pass_state(ent, s1, s2, *pairing.crossings(cols[12:14], cols[14:16]))
         payoffs = measure_payoff(payoff_operator(ent.delta, entries), rho)
         assert rho.shape == (cols.shape[1], 4, 4)
         for i, c in enumerate(cols.T.tolist()):
             one = EntanglementParams(c[4], c[5])
             want = operator_sum_state(
                 one, StrategyParams(*c[6:9]), StrategyParams(*c[9:12]),
-                ChannelSpec(pairing.first, c[12], c[13]),
-                ChannelSpec(pairing.second, c[14], c[15]))
+                *pairing.crossings(c[12:14], c[14:16]))
             assert np.max(np.abs(rho[i] - want)) <= 1e-12
             assert abs(payoffs[i] - measure_payoff(
                 payoff_operator(one.delta, c[:4]), want)) <= 1e-12
@@ -258,11 +255,10 @@ class TestCrossing:
     @pytest.mark.parametrize("pairing", list(Pairing))
     def test_two_pass_state_at_float_points(self, pairing, rng):
         for (p1, mu1), (p2, mu2) in itertools.product(CHANNEL_POINTS[:4], repeat=2):
-            ent, s1, s2 = random_ent(rng), random_strategy(rng), random_strategy(rng)
-            ch1 = ChannelSpec(pairing.first, p1, mu1)
-            ch2 = ChannelSpec(pairing.second, p2, mu2)
-            got = two_pass_state(ent, s1, s2, ch1, ch2)
-            want = operator_sum_state(ent, s1, s2, ch1, ch2)
+            point = (random_ent(rng), random_strategy(rng), random_strategy(rng),
+                     *pairing.crossings((p1, mu1), (p2, mu2)))
+            got = two_pass_state(*point)
+            want = operator_sum_state(*point)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("kind", [ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING])
