@@ -215,7 +215,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
             steps = int(parts[2])
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")
-            grid = start + (stop - start) * np.arange(steps) / (steps - 1)
+            ramp = np.arange(steps)  # size errors first; then steps - 1 fits a float
+            # inf would make the formula warn; nan is left to the range check
+            if any(map(math.isinf, (start, stop, (stop - start) * (steps - 1)))):
+                raise ValueError(f"axis {axis}: start, stop and (stop - start) * "
+                                 f"(steps - 1) must be finite, got {val!r}")
+            grid = start + (stop - start) * ramp / (steps - 1)
             cfg.axes.append((axis, grid))
         elif key == "output":
             cfg.output = val

@@ -15,11 +15,16 @@ xi = (1/2) sin(delta) sin(gamma):
                    + h_off  (e01 - e10) sin(a1-a2+b1-b2) )
 
 The sector weights and interference factors depend only on the channel
-parameters and the entanglement angles.  Each pairing's builder gives its
-four sectors; ``batch_weights`` forms the seven factors by one rule from the
-channels' slot factors: channel 1 gives a coherence factor coh1 and a
-population factor pop1, channel 2 diagonal and off-diagonal coherence
-factors fd2, fo2 and measurement weights m00, m11, moff, and
+parameters and the entanglement angles.  In every sector the e11 weight is
+the e00 weight, and the e10 weight the e01 weight, with cd = cos^2(delta/2)
+and sd = sin^2(delta/2) exchanged (a weight free of delta is its own
+mirror).  So each pairing's builder states its weights at delta once:
+``batch_weights`` calls it at (cd, sd) and at (sd, cd), and a layout
+(``_unital`` or ``_damped``) places both calls' weights in the four sectors.
+The seven factors follow by one rule from the channels' slot factors:
+channel 1 gives a coherence factor coh1 and a population factor pop1,
+channel 2 diagonal and off-diagonal coherence factors fd2, fo2 and
+measurement weights m00, m11, moff, and
 
     f_diag = coh1 fd2,  f_off = coh1 fo2,  gXX = coh1 mXX,
     h_diag = fd2 pop1,  h_off = fo2 pop1.
@@ -211,113 +216,97 @@ class PairingWeights:
     h_off: float
 
 
-def _unital(et, ch, de) -> Sectors:
+def _unital(at_delta, mirror) -> Sectors:
     """The (cc, ss, sc, cs) layout of every pairing but ad-ad, ph-ad and
-    d-ad: ss swaps cc's et and ch, sc and cs carry them on e01 and e10, and
-    de fills the other slots."""
+    d-ad from (et, de) and the mirror's (ch, de): ss swaps cc's et and ch,
+    sc and cs carry them on e01 and e10, and de fills the other slots."""
+    (et, de), (ch, _) = at_delta, mirror
     return (et, ch, de, de), (ch, et, de, de), (de, de, ch, et), (de, de, et, ch)
 
 
-def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> Sectors:
-    band1 = sg + x1.chi11 * cg
-    et1 = x1.chi00 * x2.chi00 * cg * cd + band1 * sd \
-        + (x1.chi00 * x2.chi11 + 2 * x1.chi01 * x2.chi_a) * sd * cg
-    ch1 = x1.chi00 * x2.chi00 * cg * sd + band1 * cd \
-        + (x1.chi00 * x2.chi11 + 2 * x1.chi01 * x2.chi_a) * cd * cg
-    et2 = x2.chi00 * band1 * cd + (x1.chi00 + 2 * x1.chi01 * x2.chi_a) * sd * cg \
-        + x2.chi11 * band1 * sd
-    ch2 = x2.chi00 * band1 * sd + (x1.chi00 + 2 * x1.chi01 * x2.chi_a) * cd * cg \
-        + x2.chi11 * band1 * cd
-    et3 = x1.chi01 * x2.chi00 * cg * cd + x1.chi01 * (1 + x2.chi11) * cg * sd \
-        + x2.chi_a * (band1 + x1.chi00 * cg) * sd
-    ch3 = x1.chi01 * x2.chi00 * cg * sd + x1.chi01 * (1 + x2.chi11) * cg * cd \
-        + x2.chi_a * (band1 + x1.chi00 * cg) * cd
-    de1 = (x1.chi01 * x2.chi_b + x1.chi00 * x2.chi01) * cg
-    de2 = x1.chi01 * x2.chi_b * cg + x2.chi01 * band1
-    de3 = x2.chi_b * band1 * cd + (x1.chi01 * x2.chi01 + x1.chi00 * x2.chi_b * sd) * cg
-    de4 = x2.chi_b * band1 * sd + (x1.chi01 * x2.chi01 + x1.chi00 * x2.chi_b * cd) * cg
+def _damped(at_delta, mirror) -> Sectors:
+    """The layout of ad-ad, ph-ad and d-ad from (et1, et2, et3, de1, de2,
+    de3) and the mirror's (ch1, ch2, ch3, de1, de2, de4)."""
+    (et1, et2, et3, de1, de2, de3), (ch1, ch2, ch3, *_, de4) = at_delta, mirror
     return (et1, ch1, de1, de1), (et2, ch2, de2, de2), (et3, ch3, de3, de4), \
         (et3, ch3, de4, de3)
 
 
-def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> Sectors:
+def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> tuple:
+    band1 = sg + x1.chi11 * cg
+    et1 = x1.chi00 * x2.chi00 * cg * cd + band1 * sd \
+        + (x1.chi00 * x2.chi11 + 2 * x1.chi01 * x2.chi_a) * sd * cg
+    et2 = x2.chi00 * band1 * cd + (x1.chi00 + 2 * x1.chi01 * x2.chi_a) * sd * cg \
+        + x2.chi11 * band1 * sd
+    et3 = x1.chi01 * x2.chi00 * cg * cd + x1.chi01 * (1 + x2.chi11) * cg * sd \
+        + x2.chi_a * (band1 + x1.chi00 * cg) * sd
+    de1 = (x1.chi01 * x2.chi_b + x1.chi00 * x2.chi01) * cg
+    de2 = x1.chi01 * x2.chi_b * cg + x2.chi01 * band1
+    de3 = x2.chi_b * band1 * cd + (x1.chi01 * x2.chi01 + x1.chi00 * x2.chi_b * sd) * cg
+    return et1, et2, et3, de1, de2, de3
+
+
+def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> tuple:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
     et = (v.d1 * d11 + v.d3 * d21) * cd + (v.d1 * d21 + v.d3 * d11) * sd \
         + 2 * v.d2 * u.d4
-    ch = (v.d1 * d21 + v.d3 * d11) * cd + (v.d1 * d11 + v.d3 * d21) * sd \
-        + 2 * v.d2 * u.d4
-    return _unital(et, ch, v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4)
+    return et, v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4
 
 
-def _w_ph_ph(cg, sg, cd, sd, z1: float, z2: float) -> Sectors:
-    return _unital(cg * cd + sg * sd, sg * cd + cg * sd, 0.0)
+def _w_ph_ph(cg, sg, cd, sd, z1: float, z2: float) -> tuple:
+    return cg * cd + sg * sd, 0.0
 
 
-def _w_ph_ad(cg, sg, cd, sd, z1: float, x2: AdCoeffs) -> Sectors:
+def _w_ph_ad(cg, sg, cd, sd, z1: float, x2: AdCoeffs) -> tuple:
     et1 = x2.chi00 * cg * cd + (sg + x2.chi11 * cg) * sd
-    ch1 = (sg + x2.chi11 * cg) * cd + x2.chi00 * cg * sd
     et2 = (cg + x2.chi11 * sg) * sd + x2.chi00 * sg * cd
-    ch2 = x2.chi00 * sg * sd + (cg + x2.chi11 * sg) * cd
-    et3, ch3 = x2.chi_a * sd, x2.chi_a * cd
     de3 = x2.chi_b * (sg * cd + cg * sd)
-    de4 = x2.chi_b * (cg * cd + sg * sd)
-    return (et1, ch1, x2.chi01 * cg, x2.chi01 * cg), \
-        (et2, ch2, x2.chi01 * sg, x2.chi01 * sg), (et3, ch3, de3, de4), (et3, ch3, de4, de3)
+    return et1, et2, x2.chi_a * sd, x2.chi01 * cg, x2.chi01 * sg, de3
 
 
-def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: float) -> Sectors:
+def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: float) -> tuple:
     band1 = sg + x1.chi11 * cg
-    return _unital(x1.chi00 * cg * cd + band1 * sd, band1 * cd + x1.chi00 * cg * sd,
-                   x1.chi01 * cg)
+    return x1.chi00 * cg * cd + band1 * sd, x1.chi01 * cg
 
 
-def _w_ad_d(cg, sg, cd, sd, x1: AdCoeffs, v: DepolCoeffs) -> Sectors:
+def _w_ad_d(cg, sg, cd, sd, x1: AdCoeffs, v: DepolCoeffs) -> tuple:
     band1 = sg + x1.chi11 * cg
     et = (x1.chi00 * v.d1 * cg + v.d3 * band1) * cd \
         + (v.d1 * band1 + x1.chi00 * v.d3 * cg) * sd + 2 * x1.chi01 * v.d2 * cg
-    ch = (x1.chi00 * v.d1 * cg + v.d3 * band1) * sd \
-        + (v.d1 * band1 + x1.chi00 * v.d3 * cg) * cd + 2 * x1.chi01 * v.d2 * cg
-    return _unital(et, ch, x1.chi01 * (v.d1 + v.d3) * cg + v.d2 * band1
-                   + x1.chi00 * v.d2 * cg)
+    return et, x1.chi01 * (v.d1 + v.d3) * cg + v.d2 * band1 + x1.chi00 * v.d2 * cg
 
 
-def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> Sectors:
+def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> tuple:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
     et1 = d11 * (x2.chi00 * cd + x2.chi11 * sd) + d21 * sd + 2 * u.d4 * x2.chi_a * sd
-    ch1 = d11 * (x2.chi00 * sd + x2.chi11 * cd) + d21 * cd + 2 * u.d4 * x2.chi_a * cd
     et2 = d21 * (x2.chi00 * cd + x2.chi11 * sd) + d11 * sd + 2 * u.d4 * x2.chi_a * sd
-    ch2 = d21 * (x2.chi00 * sd + x2.chi11 * cd) + d11 * cd + 2 * u.d4 * x2.chi_a * cd
     et3 = (d11 + d21) * x2.chi_a * sd + u.d4 * (x2.chi00 * cd + (x2.chi11 + 1) * sd)
-    ch3 = (d11 + d21) * x2.chi_a * cd + u.d4 * (x2.chi00 * sd + (x2.chi11 + 1) * cd)
     de1 = d11 * x2.chi01 + u.d4 * x2.chi_b
-    de1s = d21 * x2.chi01 + u.d4 * x2.chi_b
-    de2 = d11 * x2.chi_b * sd + d21 * x2.chi_b * cd + u.d4 * x2.chi01
-    de3 = d11 * x2.chi_b * cd + d21 * x2.chi_b * sd + u.d4 * x2.chi01
-    return (et1, ch1, de1, de1), (et2, ch2, de1s, de1s), (et3, ch3, de2, de3), \
-        (et3, ch3, de3, de2)
+    de2 = d21 * x2.chi01 + u.d4 * x2.chi_b
+    de3 = d11 * x2.chi_b * sd + d21 * x2.chi_b * cd + u.d4 * x2.chi01
+    return et1, et2, et3, de1, de2, de3
 
 
-def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: float) -> Sectors:
+def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: float) -> tuple:
     d11 = u.d1 * cg + u.d2 * sg
     d21 = u.d2 * cg + u.d1 * sg
-    return _unital(d11 * cd + d21 * sd, d11 * sd + d21 * cd, u.d4)
+    return d11 * cd + d21 * sd, u.d4
 
 
-def _w_ph_d(cg, sg, cd, sd, z1: float, v: DepolCoeffs) -> Sectors:
-    return _unital((v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd,
-                   (v.d1 * sg + v.d3 * cg) * cd + (v.d1 * cg + v.d3 * sg) * sd, v.d2)
+def _w_ph_d(cg, sg, cd, sd, z1: float, v: DepolCoeffs) -> tuple:
+    return (v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd, v.d2
 
 
 def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
                   ch2: ChannelSpec) -> PairingWeights:
     """Build the weights for the pairing of the two crossings' kinds: its
-    builder gives the sectors, and the interference factors follow the
-    module doc's rule from the two channels' slot factors.  The p and mu of
-    ``ch1`` and ``ch2``, and gamma and delta, may be arrays; they broadcast,
-    and so does every weight.  The specs checked their ranges when they were
-    built (``Pairing.crossings``)."""
+    builder, at (cd, sd) and at (sd, cd), and its layout give the sectors,
+    and the interference factors follow the module doc's rule from the two
+    channels' slot factors.  The p and mu of ``ch1`` and ``ch2``, and gamma
+    and delta, may be arrays; they broadcast, and so does every weight.  The
+    specs checked their ranges when they were built (``Pairing.crossings``)."""
     (cg, sg), (cd, sd) = _half_angle_squares(ent.gamma), _half_angle_squares(ent.delta)
 
     def coeff(spec: ChannelSpec, slot: int):
@@ -342,7 +331,9 @@ def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
 
     a, (coh1, pop1) = coeff(ch1, 1)
     b, (fd2, fo2, m00, m11, moff) = coeff(ch2, 2)
-    return PairingWeights(*_BUILDERS[Pairing.of(ch1, ch2)](cg, sg, cd, sd, a, b),
+    builder, layout = _BUILDERS[Pairing.of(ch1, ch2)]
+    sectors = layout(builder(cg, sg, cd, sd, a, b), builder(cg, sg, sd, cd, a, b))
+    return PairingWeights(*sectors,
                           f_diag=coh1 * fd2, f_off=coh1 * fo2, g00=coh1 * m00,
                           g11=coh1 * m11, g_off=coh1 * moff,
                           h_diag=fd2 * pop1, h_off=fo2 * pop1)
@@ -356,15 +347,15 @@ def pairing_weights(ent, ch1, ch2) -> PairingWeights:
 
 
 _BUILDERS = {
-    Pairing.AD_AD: _w_ad_ad,
-    Pairing.D_D: _w_d_d,
-    Pairing.PH_PH: _w_ph_ph,
-    Pairing.PH_AD: _w_ph_ad,
-    Pairing.AD_PH: _w_ad_ph,
-    Pairing.AD_D: _w_ad_d,
-    Pairing.D_AD: _w_d_ad,
-    Pairing.D_PH: _w_d_ph,
-    Pairing.PH_D: _w_ph_d,
+    Pairing.AD_AD: (_w_ad_ad, _damped),
+    Pairing.D_D: (_w_d_d, _unital),
+    Pairing.PH_PH: (_w_ph_ph, _unital),
+    Pairing.PH_AD: (_w_ph_ad, _damped),
+    Pairing.AD_PH: (_w_ad_ph, _unital),
+    Pairing.AD_D: (_w_ad_d, _unital),
+    Pairing.D_AD: (_w_d_ad, _damped),
+    Pairing.D_PH: (_w_d_ph, _unital),
+    Pairing.PH_D: (_w_ph_d, _unital),
 }
 
 

@@ -374,6 +374,8 @@ sweep.theta2 = 0:pi:5
 output = {out}
 """
 
+UNBOUNDED = "start, stop and (stop - start) * (steps - 1) must be finite,"
+
 
 class TestSweepCommand:
     def test_row_count_and_header(self, tmp_path, capsys):
@@ -437,6 +439,12 @@ class TestSweepCommand:
         ("sweep.mu2 = nan:1:3", "mu must be in [0, 1], got nan"),
         ("sweep.mu1 = 0:nan:3", "mu must be in [0, 1], got nan"),
         ("sweep.theta2 = 0:4:3", "theta must be in [0, pi], got 4.0"),
+        # An infinite bound, or a span that overflows, is refused before the
+        # grid formula warns (an error under -W error).
+        ("sweep.mu1 = 0:inf:3", f"axis mu1: {UNBOUNDED} got '0:inf:3'"),
+        ("sweep.mu1 = -inf:0:3", f"axis mu1: {UNBOUNDED} got '-inf:0:3'"),
+        ("sweep.mu1 = 1e308:-1e308:3", f"axis mu1: {UNBOUNDED} got '1e308:-1e308:3'"),
+        ("sweep.mu1 = -5e307:1e308:3", f"axis mu1: {UNBOUNDED} got '-5e307:1e308:3'"),
     ])
     def test_swept_axis_out_of_range(self, tmp_path, capsys, axis, message):
         out = tmp_path / "sweep.csv"

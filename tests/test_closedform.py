@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +10,9 @@ from hypothesis import strategies as st
 from conftest import random_ent, random_entries, random_strategy
 from reference import classical_expected, raw_angle_terms, theta_weight
 
-from qgmem.closedform import (AdCoeffs, Pairing, ad_coeffs, angle_terms,
-                              batch_weights, closed_payoff, closed_payoff_pair,
-                              dephasing_coeff, depol_coeffs, pairing_weights,
-                              payoff_surface)
+from qgmem.closedform import (Pairing, ad_coeffs, angle_terms, batch_weights,
+                              closed_payoff, closed_payoff_pair, dephasing_coeff,
+                              depol_coeffs, pairing_weights, payoff_surface)
 from qgmem.closedform import payoff_coeffs, sum_products
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import builtin_game

@@ -90,7 +90,9 @@ assert set(AXIS_DOMAIN) == set(SWEEPABLE)
 @st.composite
 def config_text(draw):
     """A sweep config of 1-3 axes with 2-4 steps each and some fixed keys,
-    a few of its lines broken, and a few junk lines inserted."""
+    a few of its lines broken, and a few junk lines inserted.  An axis bound
+    is junk as often as it is in its domain, so bounds such as inf and 1e999
+    reach the grid formula."""
     game = draw(GAME | st.just("custom"))
     lines = [f"game = {game}", f"pairing = {draw(PAIRING)}"]
     if game == "custom":
@@ -99,7 +101,7 @@ def config_text(draw):
     for key in draw(st.sets(st.sampled_from(sorted(DOMAIN)), max_size=4)):
         lines.append(f"{key} = {draw(DOMAIN[key])}")
     for axis in draw(st.sets(st.sampled_from(SWEEPABLE), min_size=1, max_size=3)):
-        lo, hi = draw(AXIS_DOMAIN[axis]), draw(AXIS_DOMAIN[axis])
+        lo, hi = draw(AXIS_DOMAIN[axis] | JUNK), draw(AXIS_DOMAIN[axis] | JUNK)
         lines.append(f"sweep.{axis} = {lo}:{hi}:{draw(st.integers(2, 4))}")
     for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)):
         key = lines[i].partition(" = ")[0]

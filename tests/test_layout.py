@@ -8,7 +8,8 @@ it re-exports nothing.  References that only the tests compare against live
 in ``tests/reference.py``.  Every qualified name that README.md cites
 resolves.  Parameter ranges are checked only where the parameter types are
 built, and channel crossings are built in one place.  A deviation grid's
-scan is known to ``closedform`` alone.
+scan is known to ``closedform`` alone.  No module in ``src/`` or ``tests/``
+imports a name that it never reads.
 """
 
 import ast
@@ -145,3 +146,24 @@ def test_equilibrium_leaves_the_scan_to_closedform():
     leaked = sorted(imported & SCAN_INTERNALS)
     assert not leaked, f"equilibrium imports closedform's scan internals: {leaked}"
     assert "grid_maxima" in imported, imported
+
+
+def _unread_imports(path):
+    """The names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # The standard library's stand-in for a linter's unused-import rule.
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for path in paths for name in _unread_imports(path)]
+    assert not unread, unread
