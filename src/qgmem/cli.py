@@ -2,7 +2,8 @@
 parameter sweeps, figure-data CSVs, and equilibrium case studies.
 
 Exit codes: 0 success, 2 usage or range error, 3 unsupported configuration
-(an input too large to allocate), 4 verification or certificate failure.
+(an input too large to allocate), 4 verification or certificate failure
+(including a payoff trace with an imaginary residue).
 All output is deterministic: CSV files are byte-identical across runs for
 the same inputs.
 """
@@ -114,12 +115,17 @@ def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
     rows e00, e01, e10, e11 and then the game point in POINT order.
     Each draw is lo + (hi - lo) * random(), as in ``random.uniform``; the
     Mersenne Twister stream is stable across Python versions for a fixed
-    integer seed.  ``mu_zero`` zeroes amplitude-damping memories once drawn."""
+    integer seed.  A block's 16n draws come from one ``getrandbits`` call:
+    its bytes are the stream's 32-bit words in order, little-endian, and each
+    pair (a, b) gives ((a >> 5) 2^26 + (b >> 6)) 2^-53, the formula of
+    ``random()`` itself, with every step exact.  ``mu_zero`` zeroes
+    amplitude-damping memories once drawn."""
     rng = random.Random(seed)
     for start in range(0, samples, VERIFY_BLOCK):
         n = min(VERIFY_BLOCK, samples - start)
-        # random() < 1 never hits the 2.0 sentinel; fromiter reads exactly 16n draws.
-        u = np.fromiter(iter(rng.random, 2.0), float, 16 * n).reshape(n, 16)
+        a, b = np.frombuffer(rng.getrandbits(1024 * n).to_bytes(128 * n, "little"),
+                             "<u4").reshape(n, 16, 2).transpose(2, 0, 1)
+        u = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
         cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[
             [*range(4), 13, 12, 15, 14, *range(4, 12)]]
         for row, kind in ((5, pairing.first), (7, pairing.second)):
@@ -383,9 +389,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return UNSUPPORTED if isinstance(exc, MemoryError) else USAGE_ERROR
+        return (UNSUPPORTED if isinstance(exc, MemoryError)
+                else VERIFY_FAIL if isinstance(exc, ArithmeticError) else USAGE_ERROR)
 
 
 if __name__ == "__main__":

@@ -438,8 +438,14 @@ def live_products(phases: tuple, table: Sequence) -> list:
     ``payoff_coeffs`` columns over channel points) must add, as (indices,
     (term, factor)) of the ``angle_terms`` rows ``phases``, by the rule of
     ``grid_maxima``: only live rows are built."""
-    return [(idx, build()) for idx, amp, build in phases
-            if any(np.any(table[j]) for j in idx) and np.any(amp)]
+    return [(row[0], row[2]()) for row in phases if _live(row, table)]
+
+
+def _live(row: tuple, table: Sequence) -> bool:
+    """Whether the ``angle_terms`` row ``row`` is live over ``table``: some
+    coefficient column of it and its amplitude are not all 0."""
+    idx, amp, _ = row
+    return any(table[j].any() for j in idx) and np.any(amp)
 
 
 def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
@@ -460,37 +466,54 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
                 ent: EntanglementParams, shape: tuple, *grid) -> list[float]:
     """The maximum of one player's payoff for ``entries`` over the open grid
     ``grid`` of strategy angles (theta1 .. beta2, broadcasting as in
-    ``payoff_surface``) at every channel point of ``weights``, whose
-    broadcast shape is ``shape``, in C order.
+    ``payoff_surface``) at every point of ``shape``, in C order.  The
+    coefficients (``weights`` and ``entries``) broadcast to ``shape``.  The
+    fixed player's angles are floats, or arrays whose first axis is the first
+    axis of ``shape`` (a profile axis, say; or 1) ahead of one unit axis per
+    other axis of ``shape`` and per grid axis, so each slice of that axis
+    holds its own angles.  The grid axes are those of the lowest-rank array
+    angle, the deviation mesh.
 
     The scan rule: one broadcast gives the sector sums of all points (points
     by theta) and one ``max`` their maxima.  A phase product is dead over
     the grid, and never built, when its ``payoff_coeffs`` columns are all 0
     (gamma = 0 or delta = 0 zero the f factors) or its amplitude
     0.25 n sin(gamma) or 0.25 n sin(delta) is (gamma = 0 zeroes the gamma
-    term, delta = 0 the delta term, a fixed theta = 0 both); a point skips
-    the live products whose coefficients are all 0 there (weight factors
-    vanish at some p = 0 or mu = 0 points).  A point with a live product left
-    is scanned whole with ``sum_products`` into two buffers per grid, of the
-    broadcast shape of the grid's angles, so a grid with no live product
-    gets no full-size array at all.  A skipped product is +-0 everywhere,
-    and so is a live one whose term is all 0 (a classical scan against
-    alpha2 = beta2 has a zero gamma term although its amplitude is not), so
-    skipping or adding it keeps the sum's bits but for the sign of a zero,
-    and ``max(0.0, best - payoff)`` gives the same gain for either sign of a
-    zero maximum."""
+    term, delta = 0 the delta term, a fixed theta = 0 both).  If a product is
+    live over the whole stack, each slice of the fixed angles is scanned on
+    its own: its angle terms and live products are built from its angles
+    and its points' coefficients alone, as a call with that slice alone
+    would build them, and a point skips the live products whose
+    coefficients are all 0 there (weight factors vanish at some p = 0 or
+    mu = 0 points).  A point with a live product left is scanned whole with
+    ``sum_products`` into two buffers of the grid's shape, so a scan with no
+    live product gets no full-size array at all.  A skipped product is +-0
+    everywhere, and so is a live one whose term is all 0 (a classical scan
+    against alpha2 = beta2 has a zero gamma term although its amplitude is
+    not), so skipping or adding it keeps the sum's bits but for the sign of
+    a zero, and ``max(0.0, best - payoff)`` gives the same gain for either
+    sign of a zero maximum.  The sector sums and their maxima act elementwise
+    on the same floats for a stack as for a call per slice, so each point's
+    maximum has that call's bits."""
     table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(weights, entries, ent)]
     sectors, phases = angle_terms(ent, *grid)
-    live = live_products(phases, table)
-    sums = sum_products(sectors, [np.reshape(c, (-1,) + (1,) * np.ndim(sectors[0]))
-                                  for c in table[:4]], ())
-    maxima = sums.max(axis=tuple(range(1, sums.ndim)))
-    if live:
-        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
-        for i, k in enumerate(zip(*table)):
-            products = [prod for idx, prod in live if any(k[j] for j in idx)]
-            if products:
-                maxima[i] = sum_products(sectors, k, products, bufs).max()
+    mesh = min(np.ndim(x) for x in grid if np.ndim(x))
+    sums = sum_products(sectors, [np.reshape(c, shape + (1,) * mesh) for c in table[:4]], ())
+    maxima = sums.max(axis=tuple(range(len(shape), sums.ndim))).ravel()
+    if any(_live(row, table) for row in phases):
+        fixed = [np.ndim(x) > mesh for x in grid]
+        slices = max((len(x) for x, f in zip(grid, fixed) if f), default=1)
+        n = len(maxima) // slices
+        for q in range(slices):
+            angles = [x[q] if f else x for x, f in zip(grid, fixed)]
+            part = [c[q * n:(q + 1) * n] for c in table]
+            sectors, phases = angle_terms(ent, *angles)
+            live = live_products(phases, part)
+            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, angles))) for _ in range(2)]
+            for i, k in enumerate(zip(*part), q * n):
+                products = [prod for idx, prod in live if any(k[j] for j in idx)]
+                if products:
+                    maxima[i] = sum_products(sectors, k, products, bufs).max()
     return maxima.tolist()
 
 

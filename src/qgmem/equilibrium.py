@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .channels import ChannelSpec
-from .closedform import (Pairing, batch_weights, closed_payoff_pair, grid_maxima,
-                         payoff_surface, stacked_entries)
+from .closedform import Pairing, batch_weights, grid_maxima, payoff_surface, stacked_entries
 from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
@@ -71,33 +71,50 @@ CLASSICAL_SPACE = StrategySpace(classical_only=True)
 QUANTUM_SPACE = StrategySpace()
 
 
-def check_profile(game: Bimatrix, ent: EntanglementParams, ch1: ChannelSpec,
-                  ch2: ChannelSpec, profile: tuple[StrategyParams, StrategyParams],
+def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
+                  profiles: Sequence[tuple[Bimatrix, StrategyParams, StrategyParams]],
                   space_a: StrategySpace, space_b: StrategySpace,
-                  ) -> list[tuple[float, float, float, float]]:
-    """Exhaustive grid scan of both players' unilateral deviations, at every
-    channel point of ``ch1`` and ``ch2`` (whose p and mu may be arrays), in C
-    order, as one (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a
-    float point gives a one-element list.  One ``closed_payoff_pair`` call
-    gives the profile payoffs at all points, and one weight evaluation the
-    coefficients of both deviation grids, each scanned by
-    ``closedform.grid_maxima`` (whose docstring states the scan rule).
-    Gains are clamped at zero, so an off-grid profile that beats its own
-    grid is reported as gain 0 rather than negative.
+                  ) -> list[list[tuple[float, float, float, float]]]:
+    """Exhaustive grid scan of both players' unilateral deviations from each
+    (game, s1, s2) profile of ``profiles``, at every channel point of ``ch1``
+    and ``ch2`` (whose p and mu may be arrays), in C order: per profile, one
+    (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a float point gives
+    one-element lists.  The profile axis leads the channel-point axes of
+    every array.  One weight evaluation gives the coefficients of all
+    deviation grids; one ``payoff_surface`` call, with games by players
+    stacked on the entries, gives every profile's payoffs; and one
+    ``closedform.grid_maxima`` call per player scans every profile (its
+    docstring states the scan rule).  Every step is elementwise over the
+    profile axis, so each profile's rows have the bits of a stack of that
+    profile alone.  Gains are clamped at zero, so an off-grid profile that
+    beats its own grid is reported as gain 0 rather than negative.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
     lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
     such a certificate is a proof over the continuum of strategies."""
+    games, ones, twos = zip(*profiles)
+    shape = (len(profiles),) + np.broadcast_shapes(
+        *map(np.shape, (ch1.p, ch1.mu, ch2.p, ch2.mu)))
+    nd = len(shape) - 1
+
+    def angles(states, units):
+        """theta, alpha and beta of ``states``: the profile axis, then ``units``
+        unit axes."""
+        return np.reshape(np.transpose([s.angles for s in states]), (3, -1) + (1,) * units)
+
     w = batch_weights(ent, ch1, ch2)
-    one, two = (s.angles for s in profile)
-    shape = np.broadcast_shapes(*map(np.shape, (ch1.p, ch1.mu, ch2.p, ch2.mu)))
-    payoffs = [np.broadcast_to(own, shape).ravel().tolist()
-               for own in closed_payoff_pair(game, ent, *profile, ch1, ch2)]
-    best_a = grid_maxima(w, game.a, ent, shape, *space_a.mesh(), *two)
-    best_b = grid_maxima(w, game.b, ent, shape, *one, *space_b.mesh())
-    return [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
-            for pa, pb, ba, bb in zip(*payoffs, best_a, best_b)]
+    pay = payoff_surface(stacked_entries([(g.a, g.b) for g in games], nd), ent, ch1, ch2,
+                         *angles(ones, nd + 1), *angles(twos, nd + 1))
+    pay_a, pay_b = (np.broadcast_to(pay[:, i], shape).ravel().tolist() for i in (0, 1))
+    best_a = grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
+                         *space_a.mesh(), *angles(twos, nd + 3))
+    best_b = grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
+                         *angles(ones, nd + 3), *space_b.mesh())
+    rows = [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
+            for pa, pb, ba, bb in zip(pay_a, pay_b, best_a, best_b)]
+    n = math.prod(shape[1:])
+    return [rows[i:i + n] for i in range(0, len(rows), n)]
 
 
 # --------------------------------------------------------------------------
@@ -173,22 +190,29 @@ def _mu_curves(pairing, games, ent, s1, s2, ps, mus=MU_GRID_11):
             payoff_surface(entries, ent, *pairing.crossings(ch, ch), *s1.angles, *s2.angles)]
 
 
-def _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
-    """Certify a profile at every (p, mu) of PM_GRID and append the gain rows;
-    returns the worst gain."""
+def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
+    """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
+    PM_GRID, with one ``check_profile`` call per pairing (in first-seen
+    order), and append the gain rows in profile order; returns the worst
+    gain."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
-    certs = check_profile(game, ent, *pairing.crossings(ch, ch), (s1, s2), space_a, space_b)
+    stacks = {}
+    for pairing, *profile in profiles:
+        stacks.setdefault(pairing, []).append(profile)
+    certs = {pairing: iter(check_profile(ent, *pairing.crossings(ch, ch), stack,
+                                         space_a, space_b))
+             for pairing, stack in stacks.items()}
+    rows = [(pairing, game, next(certs[pairing])) for pairing, game, *_ in profiles]
     report.gain_rows += [
         dict(zip(GAIN_COLUMNS, (report.case_id, pairing.value, game.name, p, m, *cert)))
-        for (p, m), cert in zip(points, certs)]
-    return max(max(ga, gb) for _, _, ga, gb in certs)
+        for pairing, game, cert_rows in rows for (p, m), cert in zip(points, cert_rows)]
+    return max(max(ga, gb) for *_, cert_rows in rows for _, _, ga, gb in cert_rows)
 
 
 def _nash(report, space, label, ent, profiles, why="", over=""):
     """Certify each (pairing, game, s1, s2) profile, in order."""
-    worst = max(_nash_rows(report, pairing, game, ent, s1, s2, space)
-                for pairing, game, s1, s2 in profiles)
+    worst = _nash_rows(report, ent, profiles, space)
     ok = worst <= DEFAULT_EPSILON
     report.claims.append(CaseClaim(
         label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))

@@ -88,8 +88,11 @@ def measurement_basis(delta: float) -> np.ndarray:
     |v_00> = cos(d/2)|00> + i sin(d/2)|11>     |v_11> = cos(d/2)|11> + i sin(d/2)|00>
     |v_01> = cos(d/2)|01> - i sin(d/2)|10>     |v_10> = cos(d/2)|10> - i sin(d/2)|01>
     """
-    return np.multiply.outer(np.cos(delta / 2), np.eye(4)) + np.multiply.outer(
-        1j * np.sin(delta / 2), np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0])))
+    c, s = np.cos(delta / 2), np.sin(delta / 2)
+    basis, i = np.zeros(np.shape(c) + (4, 4), dtype=complex), np.arange(4)
+    basis.real[..., i, i] = np.expand_dims(c, -1)
+    basis.imag[..., i, 3 - i] = 0.0 + np.multiply.outer(s, (1.0, -1.0, -1.0, 1.0))
+    return basis
 
 
 def payoff_operator(delta: float, entries: Sequence[float]) -> np.ndarray:

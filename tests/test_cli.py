@@ -234,6 +234,17 @@ class TestVerifyCommand:
         assert run(["verify", "--pairing", "ph-ph", "--samples", "10",
                     "--seed", "1", "--tol", "1e-18"]) == 4
 
+    def test_imaginary_residue_fails_without_traceback(self, monkeypatch, capsys):
+        # No valid input reaches measure_payoff's imaginary-residue refusal, so
+        # the observable is made anti-Hermitian (i P) to force it.
+        monkeypatch.setattr(cli, "measure_payoff", lambda op, rho: measure_payoff(1j * op, rho))
+        assert run(["verify", "--pairing", "d-d", "--samples", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: payoff trace has imaginary residue ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert "max_abs_diff" not in captured.out
+
     def test_deterministic_output(self, capsys):
         run(["verify", "--pairing", "d-ph", "--samples", "25", "--seed", "5"])
         first = capsys.readouterr().out

@@ -99,25 +99,27 @@ class TestBestResponse:
 
 class TestCheckProfile:
     def test_classical_pd_defection_is_nash(self):
-        [(pa, pb, gain_a, gain_b)] = check_profile(
-            *CLASSICAL_PD, (StrategyParams(PI), StrategyParams(PI)),
+        game, *point = CLASSICAL_PD
+        [[(pa, pb, gain_a, gain_b)]] = check_profile(
+            *point, [(game, StrategyParams(PI), StrategyParams(PI))],
             CLASSICAL_SPACE, CLASSICAL_SPACE)
         assert max(gain_a, gain_b) <= DEFAULT_EPSILON
         assert (pa, pb) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_classical_pd_cooperation_is_not(self):
-        [(_, _, gain_a, gain_b)] = check_profile(
-            *CLASSICAL_PD, (StrategyParams(0.0), StrategyParams(0.0)),
+        game, *point = CLASSICAL_PD
+        [[(_, _, gain_a, gain_b)]] = check_profile(
+            *point, [(game, StrategyParams(0.0), StrategyParams(0.0))],
             CLASSICAL_SPACE, CLASSICAL_SPACE)
         assert not max(gain_a, gain_b) <= DEFAULT_EPSILON
         assert gain_a == pytest.approx(2.0, abs=1e-12)
         assert gain_b == pytest.approx(2.0, abs=1e-12)
 
     def test_gains_nonnegative(self):
-        [(_, _, gain_a, gain_b)] = check_profile(
-            builtin_game("bos"), EntanglementParams(0.4, 0.9),
-            *Pairing.D_D.crossings((0.6, 0.2), (0.6, 0.2)),
-            (StrategyParams(1.0, 0.5, 0.5), StrategyParams(2.0, -1.0, 1.0)),
+        [[(_, _, gain_a, gain_b)]] = check_profile(
+            EntanglementParams(0.4, 0.9), *Pairing.D_D.crossings((0.6, 0.2), (0.6, 0.2)),
+            [(builtin_game("bos"), StrategyParams(1.0, 0.5, 0.5),
+              StrategyParams(2.0, -1.0, 1.0))],
             CLASSICAL_SPACE, QUANTUM_SPACE)
         assert gain_a >= 0
         assert gain_b >= 0
@@ -175,15 +177,15 @@ class TestCertificatePath:
         if equal_phases:
             space_a, s2 = CLASSICAL_SPACE, StrategyParams(s2.theta, s2.alpha, s2.alpha)
         report = CaseReport("t")
-        _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
+        _nash_rows(report, ent, [(pairing, game, s1, s2)], space_b, space_a)
         rows = report.gain_rows
         assert [(r["p"], r["mu"]) for r in rows] == \
             [(p, m) for p in PM_GRID for m in PM_GRID]
         for r in rows:
             ch = (r["p"], r["mu"])
             ch1, ch2 = pairing.crossings(ch, ch)
-            [(pay_a, pay_b, gain_a, gain_b)] = check_profile(
-                game, ent, ch1, ch2, (s1, s2), space_a, space_b)
+            [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
+                ent, ch1, ch2, [(game, s1, s2)], space_a, space_b)
             assert (r["payoff_a"], r["payoff_b"]) == (pay_a, pay_b)
             assert (r["gain_a"], r["gain_b"]) == (gain_a, gain_b)
             # ... and those are the gains over the dense meshes.
@@ -236,6 +238,48 @@ class TestCertificatePath:
                     assert np.array_equal(factor(k), full[idx][1](k))
 
 
+class TestStackedCertificates:
+    # A stack of profiles gives each profile the bytes of a stack of that
+    # profile alone: mixed games, each profile with its own angles, at
+    # channel points of several shapes.  With gamma and delta random and non
+    # zero, and theta random, the phase products are live, so each scan goes
+    # through its per-profile slices; the theta1 = 0 profile's products are
+    # dead on Bob's grid although the stack's are live, and at p = 0 or
+    # mu = 0 some points skip products that others add.
+    CHANNELS = [
+        (tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID))),),
+        ((np.array([[0.0], [0.4], [1.0]]), np.array([0.0, 0.7])),),
+        ((0.3, 0.6),),
+    ]
+
+    @staticmethod
+    def stack(rng):
+        custom = Bimatrix("custom", (2.0, -1.0, -1.0, 2.0), (1.5, 3.0, 0.0, 1.5))
+        games = [builtin_game("pd"), builtin_game("bos"), custom, builtin_game("chicken")]
+        stack = [(game, random_strategy(rng), random_strategy(rng)) for game in games]
+        _, s1, s2 = stack[2]  # Alice plays theta = 0 in the custom game
+        stack[2] = (custom, StrategyParams(0.0, s1.alpha, s1.beta), s2)
+        return stack
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    @pytest.mark.parametrize("channels", range(len(CHANNELS)))
+    def test_stack_has_the_bytes_of_single_profiles(self, pairing, channels, rng,
+                                                    monkeypatch):
+        [ch] = self.CHANNELS[channels]
+        ent = EntanglementParams(rng.uniform(0.1, PI / 2), rng.uniform(0.1, PI / 2))
+        crossings, stack = pairing.crossings(ch, ch), self.stack(rng)
+        scans = count_calls(monkeypatch, live_products)
+        for space_a in (StrategySpace(3, 4, 5), CLASSICAL_SPACE):
+            space_b = StrategySpace(5, 6, 4)
+            scans.clear()
+            stacked = check_profile(ent, *crossings, stack, space_a, space_b)
+            assert len(scans) == 2 * len(stack)  # live: one per profile and player
+            single = [check_profile(ent, *crossings, [profile], space_a, space_b)[0]
+                      for profile in stack]
+            assert len(stacked) == len(stack)
+            assert np.array(stacked).tobytes() == np.array(single).tobytes()
+
+
 class TestUnentangledCertificatesAreExact:
     # At gamma = delta = 0 every phase product is zero, so a responder's
     # payoff is K + M cos(theta) whatever their alpha and beta.  Its maximum
@@ -265,8 +309,8 @@ class TestUnentangledScanBuildsNoGrid:
         space = StrategySpace(2, 1001, 1001)
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         fig = FIGURES[2]
-        args = (builtin_game("bos"), fig.ent, *Pairing.AD_AD.crossings(ch, ch),
-                (fig.s1, fig.s2), space, space)
+        args = (fig.ent, *Pairing.AD_AD.crossings(ch, ch),
+                [(builtin_game("bos"), fig.s1, fig.s2)], space, space)
         check_profile(*args)
         tracemalloc.start()
         try:
@@ -313,7 +357,7 @@ class TestScanBuffers:
 
         def rows(pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
             report = CaseReport("t")
-            _nash_rows(report, pairing, game, ent, s1, s2, space_b, space_a)
+            _nash_rows(report, ent, [(pairing, game, s1, s2)], space_b, space_a)
             return report.gain_rows
 
         first = rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE)
@@ -326,13 +370,13 @@ class TestScanBuffers:
 
 class TestWeightEvaluations:
     # The weights do not depend on the game, so a claim evaluates them once
-    # per pairing for all its games; each certified profile takes two (its
-    # payoffs and its coefficient table).  Counted through every qgmem
-    # module's name for ``batch_weights``.
-    BUDGET = {"i": 40, "ii-a": 1, "ii-b": 3, "ii-c": 2, "ii-d": 3, "iii-a": 3,
+    # per pairing for all its games; a pairing's certified profiles take two
+    # (their payoffs and their coefficient table).  Counted through every
+    # qgmem module's name for ``batch_weights``.
+    BUDGET = {"i": 16, "ii-a": 1, "ii-b": 3, "ii-c": 2, "ii-d": 3, "iii-a": 3,
               "iii-b": 4, "iii-c": 2, "iv": 11}
 
-    def test_nash_all_evaluates_the_weights_at_most_69_times(self, monkeypatch, capsys):
+    def test_nash_all_evaluates_the_weights_at_most_45_times(self, monkeypatch, capsys):
         from qgmem import cli
 
         calls = count_calls(monkeypatch, batch_weights)
@@ -345,7 +389,16 @@ class TestWeightEvaluations:
         calls.clear()
         assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
         capsys.readouterr()
-        assert 0 < len(calls) <= sum(self.BUDGET.values()) == 69
+        assert 0 < len(calls) <= sum(self.BUDGET.values()) == 45
+
+    def test_case_i_certifies_each_pairing_in_one_call(self, monkeypatch, capsys):
+        # Case i's 15 profiles span three pairings: one stacked call each.
+        from qgmem import cli
+
+        calls = count_calls(monkeypatch, check_profile)
+        assert cli.main(["nash", "--case", "i", "--grid", "5x7x3"]) == 4
+        capsys.readouterr()
+        assert len(calls) == 3
 
 
 class TestCaseStudies:
