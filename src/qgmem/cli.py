@@ -56,16 +56,19 @@ def parse_angle(text: str) -> float:
     return sign * float(token)
 
 
+# The 12-significant-digit decimal format of every number the CLI writes.
+NUMBER = "%.12g"
+
+
 def fmt(value: float) -> str:
-    """12-significant-digit decimal formatting used everywhere."""
-    return f"{value:.12g}"
+    return NUMBER % value
 
 
 def make_row(game_name: str, pairing: Pairing, values) -> str:
     """A CSV row from the columns p1 .. payoff_b.  An array value (a column
-    that varies per row) leaves a %.12g slot, which formats as ``fmt``."""
+    that varies per row) leaves a NUMBER slot for the row's value."""
     return ",".join([game_name, pairing.value] + [
-        "%.12g" if isinstance(v, np.ndarray) else fmt(v) for v in values])
+        NUMBER if isinstance(v, np.ndarray) else fmt(v) for v in values])
 
 
 def game_point(pairing: Pairing, values):
@@ -253,11 +256,10 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
-def write_gains(path: str, gain_rows: list[dict]) -> None:
-    """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns."""
-    text, numbers = GAIN_COLUMNS[:3], GAIN_COLUMNS[3:]
-    write_csv(path, [",".join([r[k] for k in text] + [fmt(r[k]) for k in numbers])
-                     for r in gain_rows], GAIN_HEADER)
+def write_gains(path: str, gain_rows: list[tuple]) -> None:
+    """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns
+    (case, pairing and game as text, then numbers)."""
+    write_csv(path, [",".join([*r[:3], *map(fmt, r[3:])]) for r in gain_rows], GAIN_HEADER)
 
 
 def cmd_sweep(args) -> int:

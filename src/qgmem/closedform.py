@@ -39,13 +39,15 @@ on an array.
 The other factors do not depend on the channels.  ``angle_terms`` states
 them once: the theta-only sector products, of the small shape of the theta
 axes, and one row per phase product (the f_diag and f_off brackets, the
-gamma term and the delta sines) of its coefficient indices, its amplitude
-and a builder of its full-size term.  ``payoff_coeffs`` contracts the
+gamma term and the delta sines) of its coefficient indices, its scale and
+a builder of its parts, plain arrays.  ``payoff_coeffs`` contracts the
 entries with the weights into the nine factors (per channel point and
 player) that multiply them.  ``payoff_surface`` builds every phase product
-and sums them left to right, one numpy call a step (``sum_products``).
-``grid_maxima`` scans a deviation grid at every channel point; its
-docstring states the scan rule.
+and sums them left to right, one numpy call a step (``sum_products``, which
+states the product rule).  ``grid_maxima`` scans a deviation grid at every
+channel point; its docstring states the scan rule.  Every angle term is
+elementwise in the angles, so slicing a term built for a stack of fixed
+angles gives the bits of the term built from the slice's angles alone.
 ``stacked_entries`` puts entry columns (players, or games by players) on
 leading axes of the entries, so one ``payoff_surface`` call, with one weight
 evaluation, gives every column's payoffs; ``closed_payoff_pair`` gives both
@@ -368,30 +370,22 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
     (sectors, phases).  ``sectors`` are the theta-only products cc, ss, sc
     and cs, of the small shape of the theta axes.  ``phases`` are the f_diag,
     f_off, gamma and delta products, in the payoff's order, as rows of
-    (indices of their ``payoff_coeffs`` factors, amplitude, build): build()
-    returns (term, factor), and the product is ``term * factor(k)`` for a
-    coefficient tuple k.  The amplitudes are 0.25 n sin(gamma) and
-    0.25 n sin(delta), of the small shape (1 for the f brackets); the delta
-    product's term is its amplitude, and its factor combines the two sines.
-    Nothing full-size is built until a row's build() is called."""
+    (indices of their ``payoff_coeffs`` factors, scale, build).  The scales
+    are 1 for the f brackets and the amplitudes 0.25 n sin(gamma) and
+    0.25 n sin(delta), of the small shape.  build() returns the parts, one
+    full-size array per index: the two delta sines, or a term that carries
+    its scale.  Nothing full-size is built until a row's build() is called."""
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
     (c1, s1), (c2, s2) = _half_angle_squares(th1), _half_angle_squares(th2)
     cc, ss, sc, cs = c1 * c2, s1 * s2, s1 * c2, c1 * s2
     n = np.sin(th1) * np.sin(th2)
     gamma, delta = 0.25 * n * np.sin(ent.gamma), 0.25 * n * np.sin(ent.delta)
-
-    def delta_sines():
-        sin_diag, sin_off = np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2)
-        return delta, lambda k: k[7] * sin_diag + k[8] * sin_off
-
     return (cc, ss, sc, cs), (
-        ((4,), 1.0, lambda: (cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),
-                             lambda k: k[4])),
-        ((5,), 1.0, lambda: (sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),
-                             lambda k: k[5])),
-        ((6,), gamma, lambda: (gamma * np.sin(a1 + a2 - b1 - b2), lambda k: k[6])),
-        ((7, 8), delta, delta_sines))
+        ((4,), 1.0, lambda: (cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),)),
+        ((5,), 1.0, lambda: (sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),)),
+        ((6,), gamma, lambda: (gamma * np.sin(a1 + a2 - b1 - b2),)),
+        ((7, 8), delta, lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2))))
 
 
 def payoff_surface(entries: Sequence[float], ent: EntanglementParams, ch1: ChannelSpec,
@@ -411,7 +405,7 @@ def payoff_surface(entries: Sequence[float], ent: EntanglementParams, ch1: Chann
     w = batch_weights(ent, ch1, ch2)
     sectors, phases = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
     return sum_products(sectors, payoff_coeffs(w, entries, ent),
-                        [build() for *_, build in phases])
+                        [(idx, scale, build()) for idx, scale, build in phases])
 
 
 def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
@@ -433,88 +427,78 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
             w.h_diag * (e00 - e11), w.h_off * (e01 - e10))
 
 
-def live_products(phases: tuple, table: Sequence) -> list:
-    """The phase products that a grid scan over the coefficient ``table`` (the
-    ``payoff_coeffs`` columns over channel points) must add, as (indices,
-    (term, factor)) of the ``angle_terms`` rows ``phases``, by the rule of
-    ``grid_maxima``: only live rows are built."""
-    return [(row[0], row[2]()) for row in phases if _live(row, table)]
-
-
-def _live(row: tuple, table: Sequence) -> bool:
-    """Whether the ``angle_terms`` row ``row`` is live over ``table``: some
-    coefficient column of it and its amplitude are not all 0."""
-    idx, amp, _ = row
-    return any(table[j].any() for j in idx) and np.any(amp)
-
-
 def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
-    """The sector sum of ``sectors`` and ``coeffs`` plus the given built
-    (term, factor) products, left to right, one numpy call a step.  ``out``,
-    if given, is two float arrays of the full broadcast shape: the products
-    go to the second and the sum to the first (returned).  With no product
-    the sum keeps the sectors' small shape."""
+    """The sector sum of ``sectors`` and ``coeffs`` plus the built
+    (indices, scale, parts) products, left to right, one numpy call a step:
+    a one-part product is ``parts[0] * k[j]``, the delta product
+    ``scale * (k[7] * parts[0] + k[8] * parts[1])``.  ``out``, if given, is
+    two float arrays of the full broadcast shape: the products go to the
+    second and the sum to the first (returned).  With no product the sum
+    keeps the sectors' small shape."""
     cc, ss, sc, cs = sectors
     acc, tmp = (None, None) if out is None else out
     total = cc * coeffs[0] + ss * coeffs[1] + sc * coeffs[2] + cs * coeffs[3]
-    for term, factor in products:
-        total = np.add(total, np.multiply(term, factor(coeffs), out=tmp), out=acc)
+    for idx, scale, parts in products:
+        if len(parts) == 1:
+            term = np.multiply(parts[0], coeffs[idx[0]], out=tmp)
+        else:
+            term = np.multiply(scale, coeffs[idx[0]] * parts[0] + coeffs[idx[1]] * parts[1],
+                               out=tmp)
+        total = np.add(total, term, out=acc)
     return total
 
 
 def grid_maxima(weights: PairingWeights, entries: Sequence[float],
-                ent: EntanglementParams, shape: tuple, *grid) -> list[float]:
+                ent: EntanglementParams, shape: tuple, *grid) -> np.ndarray:
     """The maximum of one player's payoff for ``entries`` over the open grid
     ``grid`` of strategy angles (theta1 .. beta2, broadcasting as in
-    ``payoff_surface``) at every point of ``shape``, in C order.  The
-    coefficients (``weights`` and ``entries``) broadcast to ``shape``.  The
-    fixed player's angles are floats, or arrays whose first axis is the first
-    axis of ``shape`` (a profile axis, say; or 1) ahead of one unit axis per
-    other axis of ``shape`` and per grid axis, so each slice of that axis
-    holds its own angles.  The grid axes are those of the lowest-rank array
-    angle, the deviation mesh.
+    ``payoff_surface``) at every point of ``shape``, as an array of that
+    shape.  The coefficients (``weights`` and ``entries``) broadcast to
+    ``shape``.  The grid axes are those of the lowest-rank angles, the
+    deviation mesh.  The fixed player's angles are arrays whose first axis
+    is the first axis of ``shape`` (a profile axis) ahead of one unit axis
+    per other axis of ``shape`` and per grid axis.
 
-    The scan rule: one broadcast gives the sector sums of all points (points
-    by theta) and one ``max`` their maxima.  A phase product is dead over
-    the grid, and never built, when its ``payoff_coeffs`` columns are all 0
-    (gamma = 0 or delta = 0 zero the f factors) or its amplitude
-    0.25 n sin(gamma) or 0.25 n sin(delta) is (gamma = 0 zeroes the gamma
-    term, delta = 0 the delta term, a fixed theta = 0 both).  If a product is
-    live over the whole stack, each slice of the fixed angles is scanned on
-    its own: its angle terms and live products are built from its angles
-    and its points' coefficients alone, as a call with that slice alone
-    would build them, and a point skips the live products whose
-    coefficients are all 0 there (weight factors vanish at some p = 0 or
-    mu = 0 points).  A point with a live product left is scanned whole with
-    ``sum_products`` into two buffers of the grid's shape, so a scan with no
-    live product gets no full-size array at all.  A skipped product is +-0
-    everywhere, and so is a live one whose term is all 0 (a classical scan
-    against alpha2 = beta2 has a zero gamma term although its amplitude is
-    not), so skipping or adding it keeps the sum's bits but for the sign of
-    a zero, and ``max(0.0, best - payoff)`` gives the same gain for either
-    sign of a zero maximum.  The sector sums and their maxima act elementwise
-    on the same floats for a stack as for a call per slice, so each point's
-    maximum has that call's bits."""
+    The scan rule: one ``angle_terms`` call, one broadcast for the sector
+    sums of all points (points by theta) and one ``max`` for their maxima.
+    A phase product is dead over the stack, and never built, when its
+    ``payoff_coeffs`` columns are all 0 (gamma = 0 or delta = 0 zero the f
+    factors) or its scale is (gamma = 0 zeroes the gamma term, delta = 0 the
+    delta term, a fixed theta = 0 both).  The live products are built once
+    for the stack, and profile q is scanned on their views ``x[q]`` (of
+    every array that carries the profile axis), which have the bits that a
+    call with profile q alone would build (see the module doc).  A point
+    skips the live products whose coefficients are all 0 there (weight
+    factors vanish at some p = 0 or mu = 0 points); a point with a live
+    product left is scanned whole with ``sum_products`` into two buffers of
+    the grid's shape, so a scan with no live product builds no full-size
+    array.  A skipped product is +-0 everywhere, and so is a live one whose
+    term or scale is 0 there (a classical grid against alpha2 = beta2 has a
+    zero gamma term; a theta = 0 profile in a live stack has zero scales),
+    so skipping or adding it keeps the sum's bits but for the sign of a
+    zero, which no gain sees (``equilibrium.check_profile``)."""
     table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(weights, entries, ent)]
     sectors, phases = angle_terms(ent, *grid)
-    mesh = min(np.ndim(x) for x in grid if np.ndim(x))
+    mesh = min(map(np.ndim, grid))
     sums = sum_products(sectors, [np.reshape(c, shape + (1,) * mesh) for c in table[:4]], ())
     maxima = sums.max(axis=tuple(range(len(shape), sums.ndim))).ravel()
-    if any(_live(row, table) for row in phases):
-        fixed = [np.ndim(x) > mesh for x in grid]
-        slices = max((len(x) for x, f in zip(grid, fixed) if f), default=1)
-        n = len(maxima) // slices
-        for q in range(slices):
-            angles = [x[q] if f else x for x, f in zip(grid, fixed)]
+    live = [(idx, scale, build()) for idx, scale, build in phases
+            if any(table[j].any() for j in idx) and np.any(scale)]
+    if live:
+        def at(q, x):  # profile q's view of x, if x carries the profile axis
+            return x[q] if np.ndim(x) > mesh else x
+
+        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))[1:]) for _ in range(2)]
+        n = len(maxima) // shape[0]
+        for q in range(shape[0]):
+            views = [at(q, x) for x in sectors]
+            rows = [(idx, at(q, scale), [at(q, x) for x in parts]) for idx, scale, parts in live]
             part = [c[q * n:(q + 1) * n] for c in table]
-            sectors, phases = angle_terms(ent, *angles)
-            live = live_products(phases, part)
-            bufs = [np.empty(np.broadcast_shapes(*map(np.shape, angles))) for _ in range(2)]
             for i, k in enumerate(zip(*part), q * n):
-                products = [prod for idx, prod in live if any(k[j] for j in idx)]
+                products = [row for row in rows if any(k[j] for j in row[0])]
                 if products:
-                    maxima[i] = sum_products(sectors, k, products, bufs).max()
-    return maxima.tolist()
+                    maxima[i] = sum_products(views, k, products, bufs).max()
+    return maxima.reshape(shape)
 
 
 def closed_payoff(entries: Sequence[float], ent: EntanglementParams, s1: StrategyParams,

@@ -74,20 +74,23 @@ QUANTUM_SPACE = StrategySpace()
 def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
                   profiles: Sequence[tuple[Bimatrix, StrategyParams, StrategyParams]],
                   space_a: StrategySpace, space_b: StrategySpace,
-                  ) -> list[list[tuple[float, float, float, float]]]:
+                  ) -> list[list[list[float]]]:
     """Exhaustive grid scan of both players' unilateral deviations from each
     (game, s1, s2) profile of ``profiles``, at every channel point of ``ch1``
     and ``ch2`` (whose p and mu may be arrays), in C order: per profile, one
-    (payoff_a, payoff_b, gain_a, gain_b) tuple per point; a float point gives
+    [payoff_a, payoff_b, gain_a, gain_b] row per point; a float point gives
     one-element lists.  The profile axis leads the channel-point axes of
     every array.  One weight evaluation gives the coefficients of all
     deviation grids; one ``payoff_surface`` call, with games by players
     stacked on the entries, gives every profile's payoffs; and one
     ``closedform.grid_maxima`` call per player scans every profile (its
-    docstring states the scan rule).  Every step is elementwise over the
-    profile axis, so each profile's rows have the bits of a stack of that
-    profile alone.  Gains are clamped at zero, so an off-grid profile that
-    beats its own grid is reported as gain 0 rather than negative.
+    docstring states the scan rule).  The rows are one array expression:
+    payoffs and gains ``np.maximum(best - payoff, 0.0)``, stacked per
+    profile.  Every step is elementwise over the profile axis, so each
+    profile's rows have the bits of a stack of that profile alone.  Gains
+    are clamped at zero, so an off-grid profile that beats its own grid is
+    reported as gain 0 rather than negative; a -0.0 difference gives +0.0,
+    as ``max(0.0, d)`` does, and a NaN gives NaN, which no epsilon passes.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
@@ -104,17 +107,17 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
         return np.reshape(np.transpose([s.angles for s in states]), (3, -1) + (1,) * units)
 
     w = batch_weights(ent, ch1, ch2)
-    pay = payoff_surface(stacked_entries([(g.a, g.b) for g in games], nd), ent, ch1, ch2,
-                         *angles(ones, nd + 1), *angles(twos, nd + 1))
-    pay_a, pay_b = (np.broadcast_to(pay[:, i], shape).ravel().tolist() for i in (0, 1))
-    best_a = grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
-                         *space_a.mesh(), *angles(twos, nd + 3))
-    best_b = grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
-                         *angles(ones, nd + 3), *space_b.mesh())
-    rows = [(pa, pb, max(0.0, ba - pa), max(0.0, bb - pb))
-            for pa, pb, ba, bb in zip(pay_a, pay_b, best_a, best_b)]
-    n = math.prod(shape[1:])
-    return [rows[i:i + n] for i in range(0, len(rows), n)]
+    pay = np.broadcast_to(
+        payoff_surface(stacked_entries([(g.a, g.b) for g in games], nd), ent, ch1, ch2,
+                       *angles(ones, nd + 1), *angles(twos, nd + 1)),
+        (len(profiles), 2) + shape[1:])
+    best = np.stack([
+        grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
+                    *space_a.mesh(), *angles(twos, nd + 3)),
+        grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
+                    *angles(ones, nd + 3), *space_b.mesh())], axis=1)
+    rows = np.concatenate([pay, np.maximum(best - pay, 0.0)], axis=1)
+    return np.moveaxis(rows, 1, -1).reshape(len(profiles), -1, 4).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -131,12 +134,10 @@ class CaseClaim:
 class CaseReport:
     case_id: str
     claims: list[CaseClaim] = field(default_factory=list)
-    gain_rows: list[dict] = field(default_factory=list)
-
-    @property
-    def nash_certified(self) -> bool:
-        """True iff no gain row has a gain above DEFAULT_EPSILON."""
-        return all(max(r["gain_a"], r["gain_b"]) <= DEFAULT_EPSILON for r in self.gain_rows)
+    # One tuple per certificate and channel point, in GAIN_COLUMNS order.
+    gain_rows: list[tuple] = field(default_factory=list)
+    # The conjunction of the case's nash claims, each decided once by ``_nash``.
+    nash_certified: bool = True
 
     def lines(self) -> list[str]:
         out = [f"case {self.case_id}:"]
@@ -194,7 +195,7 @@ def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
     """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
     PM_GRID, with one ``check_profile`` call per pairing (in first-seen
     order), and append the gain rows in profile order; returns the worst
-    gain."""
+    gain, or NaN if a gain is NaN."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
     stacks = {}
@@ -204,16 +205,17 @@ def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
                                          space_a, space_b))
              for pairing, stack in stacks.items()}
     rows = [(pairing, game, next(certs[pairing])) for pairing, game, *_ in profiles]
-    report.gain_rows += [
-        dict(zip(GAIN_COLUMNS, (report.case_id, pairing.value, game.name, p, m, *cert)))
-        for pairing, game, cert_rows in rows for (p, m), cert in zip(points, cert_rows)]
-    return max(max(ga, gb) for *_, cert_rows in rows for _, _, ga, gb in cert_rows)
+    report.gain_rows += [(report.case_id, pairing.value, game.name, p, m, *cert)
+                         for pairing, game, cert_rows in rows
+                         for (p, m), cert in zip(points, cert_rows)]
+    return np.array([cert_rows for *_, cert_rows in rows])[..., 2:].max()
 
 
 def _nash(report, space, label, ent, profiles, why="", over=""):
     """Certify each (pairing, game, s1, s2) profile, in order."""
     worst = _nash_rows(report, ent, profiles, space)
-    ok = worst <= DEFAULT_EPSILON
+    ok = bool(worst <= DEFAULT_EPSILON)
+    report.nash_certified &= ok
     report.claims.append(CaseClaim(
         label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))
 
@@ -223,9 +225,9 @@ def _phase_independence(report, space, ent):
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
     a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
     entries, ch = stacked_entries([g.b for g in _GAMES], 2), (0.35, 0.6)
-    worst = max(float(np.ptp(payoff_surface(entries, ent, *pairing.crossings(ch, ch),
-                                            0.0, 0.0, 0.0, PI / 2, a2, b2),
-                             axis=(1, 2)).max()) for pairing in Pairing)
+    worst = np.max([np.ptp(payoff_surface(entries, ent, *pairing.crossings(ch, ch),
+                                          0.0, 0.0, 0.0, PI / 2, a2, b2), axis=(1, 2))
+                    for pairing in Pairing])
     report.claims.append(CaseClaim(
         "phase-independence", worst < 1e-12,
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))
@@ -256,19 +258,27 @@ def _mu_ordering(report, space, fig, games, ps):
         f"payoff at p={ps[1]} <= payoff at p={ps[0]}"))
 
 
+def _least(values):
+    """The first least of ``values``, as ``min`` picks it, or the first NaN
+    (``np.argmin`` takes NaN for least): a NaN never passes a claim."""
+    return values[np.argmin(values)]
+
+
 def _advantage(report, space, fig, pairings):
     """Bob's least margin over Alice in bos at p = 0.5, per pairing."""
-    margins = [min(b - a for a, b in zip(*_mu_curves(pairing, [_BOS], *fig[:3], (0.5,))[0][0]))
+    margins = [_least([b - a for a, b in zip(*_mu_curves(pairing, [_BOS], *fig[:3],
+                                                         (0.5,))[0][0])])
                for pairing in pairings]
     report.claims.append(CaseClaim(
-        "quantum advantage (bos, p=0.5)", min(margins) > 0,
+        "quantum advantage (bos, p=0.5)", _least(margins) > 0,
         "; ".join(f"{pr.value}: min margin {m:+.4f}" for pr, m in zip(pairings, margins))))
 
 
 def _equal_payoffs(report, space, label, fig, pairings):
-    worst = max(abs(a - b) for pairing in pairings
-                for rows in _mu_curves(pairing, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
-                for pa, pb in rows for a, b in zip(pa, pb))
+    worst = np.max([abs(a - b) for pairing in pairings
+                    for rows in _mu_curves(pairing, _GAMES, *fig[:3], (0.3, 0.7),
+                                           (0.0, 0.5, 1.0))
+                    for pa, pb in rows for a, b in zip(pa, pb)])
     report.claims.append(CaseClaim(
         label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
 
@@ -299,11 +309,12 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
 def _max_noise_advantage(report, space, fig, mus):
     """Bob's least margin over Alice at p = 1 over every pairing, game and mu
     of ``mus``, and the first place it occurs."""
-    worst, where = min(((pb - pa, f"{pairing.value}/{game.name}/mu={m}")
-                        for pairing in Pairing
-                        for game, [(curve_a, curve_b)] in zip(
-                            _GAMES, _mu_curves(pairing, _GAMES, *fig[:3], (1.0,), mus))
-                        for m, pa, pb in zip(mus, curve_a, curve_b)), key=lambda t: t[0])
+    rows = [(pb - pa, f"{pairing.value}/{game.name}/mu={m}")
+            for pairing in Pairing
+            for game, [(curve_a, curve_b)] in zip(
+                _GAMES, _mu_curves(pairing, _GAMES, *fig[:3], (1.0,), mus))
+            for m, pa, pb in zip(mus, curve_a, curve_b)]
+    worst, where = rows[np.argmin([margin for margin, _ in rows])]  # as in ``_least``
     report.claims.append(CaseClaim(
         "advantage at maximum noise (p=1)", worst > 0,
         f"min Bob-Alice margin = {worst:+.4f} at {where}"

@@ -22,6 +22,16 @@ def random_entries(rng: random.Random, lo=-2.0, hi=5.0):
     return tuple(rng.uniform(lo, hi) for _ in range(4))
 
 
+def rebind(monkeypatch, func, replacement):
+    """Replace ``func`` by ``replacement`` under every qgmem module's name for
+    it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "qgmem" or name.startswith("qgmem."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def count_calls(monkeypatch, func):
     """Replace ``func`` under every qgmem module's name for it by a wrapper
     that counts its calls; returns the list the calls are appended to."""
@@ -31,11 +41,7 @@ def count_calls(monkeypatch, func):
         calls.append(None)
         return func(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "qgmem" or name.startswith("qgmem."):
-            for attr, value in list(vars(mod).items()):
-                if value is func:
-                    monkeypatch.setattr(mod, attr, counted)
+    rebind(monkeypatch, func, counted)
     return calls
 
 

@@ -444,7 +444,7 @@ class TestCoefficientAssembly:
         game = builtin_game("chicken")
         for angles in ((*grid, *s2.angles), (*s1.angles, *grid)):
             sectors, phases = angle_terms(ent, *angles)
-            products = [build() for *_, build in phases]
+            products = [(idx, scale, build()) for idx, scale, build in phases]
             for entries in (game.a, game.b, random_entries(rng)):
                 k = payoff_coeffs(w, entries, ent)
                 bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
@@ -470,8 +470,20 @@ class TestCoefficientAssembly:
         got = payoff_surface(entries, ent, ch1, ch2, *angles)
         assert got.shape == (8,)
         k = payoff_coeffs(w, entries, ent)
-        assert np.array_equal(got, sum_products(sectors, k, [b() for *_, b in phases]))
+        products = [(idx, scale, build()) for idx, scale, build in phases]
+        assert np.array_equal(got, sum_products(sectors, k, products))
         assert np.array_equal(got, unsplit_payoff(w, entries, ent, angles))
+
+    def test_rows_build_data(self, rng):
+        # A row's build() gives one array per coefficient index, no function:
+        # a scan slices the parts of a stack per profile.
+        grid = StrategySpace(3, 4, 5).mesh()
+        _, phases = angle_terms(random_ent(rng), *grid, *random_strategy(rng).angles)
+        assert [idx for idx, *_ in phases] == [(4,), (5,), (6,), (7, 8)]
+        for idx, scale, build in phases:
+            parts = build()
+            assert len(parts) == len(idx) and not callable(scale)
+            assert all(isinstance(x, np.ndarray) and x.ndim == 3 for x in parts)
 
 
 class TestPairingEnum:

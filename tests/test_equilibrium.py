@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_ent, random_strategy
+from conftest import count_calls, random_ent, random_strategy, rebind
 from reference import best_response, raw_angle_terms
 
+from qgmem import closedform
 from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
-                               live_products, payoff_coeffs, payoff_surface)
-from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, MU_GRID_11,
-                               PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _MU_SUBSET, _mu_curves, _nash_rows, case_study,
+                               grid_maxima, payoff_coeffs, payoff_surface, stacked_entries,
+                               sum_products)
+from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
+                               MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
+                               _MU_SUBSET, _mu_curves, _nash, _nash_rows, case_study,
                                check_profile)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import Bimatrix, builtin_game
@@ -179,15 +181,13 @@ class TestCertificatePath:
         report = CaseReport("t")
         _nash_rows(report, ent, [(pairing, game, s1, s2)], space_b, space_a)
         rows = report.gain_rows
-        assert [(r["p"], r["mu"]) for r in rows] == \
-            [(p, m) for p in PM_GRID for m in PM_GRID]
-        for r in rows:
-            ch = (r["p"], r["mu"])
-            ch1, ch2 = pairing.crossings(ch, ch)
+        assert [r[3:5] for r in rows] == [(p, m) for p in PM_GRID for m in PM_GRID]
+        for *_, p, m, row_pay_a, row_pay_b, row_gain_a, row_gain_b in rows:
+            ch1, ch2 = pairing.crossings((p, m), (p, m))
             [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
                 ent, ch1, ch2, [(game, s1, s2)], space_a, space_b)
-            assert (r["payoff_a"], r["payoff_b"]) == (pay_a, pay_b)
-            assert (r["gain_a"], r["gain_b"]) == (gain_a, gain_b)
+            assert (row_pay_a, row_pay_b) == (pay_a, pay_b)
+            assert (row_gain_a, row_gain_b) == (gain_a, gain_b)
             # ... and those are the gains over the dense meshes.
             pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
             dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
@@ -203,39 +203,58 @@ class TestCertificatePath:
     # A subnormal product cannot move an O(1) maximum, so the gains above
     # cannot see a wrong skip there; the liveness itself is compared with
     # the rule on amplitudes built from the raw angles: a product is live
-    # iff its amplitude and some coefficient column are non-zero.  The third
+    # iff its scale and some coefficient column are non-zero.  The third
     # grid is classical against alpha2 = beta2, where the gamma term is its
     # amplitude times sin(0): zero although the amplitude is not, so it is
-    # live.  The built terms and factors have the bits of a full build of
-    # ``angle_terms``.
+    # live.  The products that ``grid_maxima`` hands to ``sum_products`` are
+    # its live rows, with the bits of a full build of ``angle_terms`` and of
+    # the raw terms.
     COLUMNS = {"f_diag": (4,), "f_off": (5,), "gamma": (6,), "delta": (7, 8)}
 
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
     def test_scan_liveness_matches_built_terms(self, pairing, game, gamma, delta,
-                                               theta1, rng):
+                                               theta1, rng, monkeypatch):
         game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         w = batch_weights(ent, *pairing.crossings(ch, ch))
-        for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *s2.angles)),
-                              (game.b, (*s1.angles, *StrategySpace(5, 6, 4).mesh())),
-                              (game.a, (*CLASSICAL_SPACE.mesh(), s2.theta, s2.alpha,
-                                        s2.alpha))):
+        handed = []
+
+        def recording(sectors, coeffs, products, out=None):
+            handed.extend(products)
+            return sum_products(sectors, coeffs, products, out)
+
+        monkeypatch.setattr(closedform, "sum_products", recording)
+
+        def fixed(*angles):  # one profile, one channel axis, three grid axes
+            return [np.reshape(x, (1,) * 5) for x in angles]
+
+        def view(x):  # the profile's view, as grid_maxima takes it
+            return x[0] if np.ndim(x) == 5 else x
+
+        for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *fixed(*s2.angles))),
+                              (game.b, (*fixed(*s1.angles), *StrategySpace(5, 6, 4).mesh())),
+                              (game.a, (*CLASSICAL_SPACE.mesh(),
+                                        *fixed(s2.theta, s2.alpha, s2.alpha)))):
             table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
             raw = raw_angle_terms(ent, *grid)
             amps = dict(f_diag=1.0, f_off=1.0, gamma=raw["gamma_amp"], delta=raw["delta"])
             want = [cols for name, cols in self.COLUMNS.items()
                     if np.any(amps[name]) and any(np.any(table[j]) for j in cols)]
-            live = live_products(angle_terms(ent, *grid)[1], table)
-            assert [idx for idx, _ in live] == want
-            full = {idx: build() for idx, _, build in angle_terms(ent, *grid)[1]}
-            names = {cols: name for name, cols in self.COLUMNS.items()}
-            points = list(zip(*table))
-            for idx, (term, factor) in live:
-                assert np.array_equal(term, full[idx][0])
-                assert np.array_equal(term, raw[names[idx]])
-                for k in (points[0], points[-1]):
-                    assert np.array_equal(factor(k), full[idx][1](k))
+            handed.clear()
+            grid_maxima(w, stacked_entries([entries], 1), ent, (1, 25), *grid)
+            built = {idx: (scale, parts) for idx, scale, parts in handed}
+            assert sorted(built) == want
+            full = {idx: (scale, build()) for idx, scale, build in angle_terms(ent, *grid)[1]}
+            for name, idx in self.COLUMNS.items():
+                if idx in built:
+                    raws = ([raw["sin_diag"], raw["sin_off"]] if name == "delta"
+                            else [raw[name]])
+                    for got, whole in zip((built[idx][0], *built[idx][1]),
+                                          (full[idx][0], *full[idx][1])):
+                        assert np.array_equal(got, view(whole))
+                    assert [x.tobytes() for x in built[idx][1]] == \
+                        [view(x).tobytes() for x in raws]
 
 
 class TestStackedCertificates:
@@ -244,8 +263,11 @@ class TestStackedCertificates:
     # channel points of several shapes.  With gamma and delta random and non
     # zero, and theta random, the phase products are live, so each scan goes
     # through its per-profile slices; the theta1 = 0 profile's products are
-    # dead on Bob's grid although the stack's are live, and at p = 0 or
-    # mu = 0 some points skip products that others add.
+    # dead on Bob's grid although the stack's are live (its views add +-0
+    # products), and at p = 0 or mu = 0 some points skip products that others
+    # add.  Each call builds the angle terms three times: once for the
+    # payoffs and once per ``grid_maxima`` call, whose profiles are scanned
+    # on views of that one build.
     CHANNELS = [
         (tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID))),),
         ((np.array([[0.0], [0.4], [1.0]]), np.array([0.0, 0.7])),),
@@ -268,16 +290,78 @@ class TestStackedCertificates:
         [ch] = self.CHANNELS[channels]
         ent = EntanglementParams(rng.uniform(0.1, PI / 2), rng.uniform(0.1, PI / 2))
         crossings, stack = pairing.crossings(ch, ch), self.stack(rng)
-        scans = count_calls(monkeypatch, live_products)
+        terms = count_calls(monkeypatch, angle_terms)
+        scans = count_calls(monkeypatch, grid_maxima)
         for space_a in (StrategySpace(3, 4, 5), CLASSICAL_SPACE):
             space_b = StrategySpace(5, 6, 4)
+            terms.clear()
             scans.clear()
             stacked = check_profile(ent, *crossings, stack, space_a, space_b)
-            assert len(scans) == 2 * len(stack)  # live: one per profile and player
+            assert (len(scans), len(terms)) == (2, 3)
             single = [check_profile(ent, *crossings, [profile], space_a, space_b)[0]
                       for profile in stack]
             assert len(stacked) == len(stack)
             assert np.array(stacked).tobytes() == np.array(single).tobytes()
+
+
+class TestNaNNeverPasses:
+    # A NaN payoff or maximum must fail every claim it reaches: Python's
+    # ``max(0.0, nan)`` is 0.0, and ``max``/``min`` drop a NaN that comes
+    # after a number.  Each patch rebinds the function in every qgmem module.
+    def test_nan_maxima_fail_the_certificate(self, monkeypatch, capsys):
+        from qgmem import cli
+
+        rebind(monkeypatch, grid_maxima,
+               lambda *args: np.full(np.shape(grid_maxima(*args)), np.nan))
+        assert cli.main(["nash", "--case", "ii-b", "--grid", "3x3x3"]) == 4
+        assert "[FAIL] nash: nominal profile: worst unilateral gain = nan" \
+            in capsys.readouterr().out
+        assert not case_study("ii-b", StrategySpace(3, 3, 3)).nash_certified
+
+    def test_one_nan_maximum_fails_a_certified_claim(self, monkeypatch):
+        # Defection in the dephased prisoner's dilemma certifies at every
+        # (p, mu); a NaN maximum at Bob's last point alone must fail it.
+        defect = StrategyParams(PI)
+        profiles = [(Pairing.PH_PH, builtin_game("pd"), defect, defect)]
+        report = CaseReport("t")
+        _nash(report, CLASSICAL_SPACE, "nash", CLASSICAL_POINT, profiles)
+        assert report.nash_certified and report.claims[0].passed
+
+        def last_nan(*args):
+            best = grid_maxima(*args)
+            best.flat[-1] = np.nan
+            return best
+
+        rebind(monkeypatch, grid_maxima, last_nan)
+        report = CaseReport("t")
+        _nash(report, CLASSICAL_SPACE, "nash", CLASSICAL_POINT, profiles)
+        assert not report.nash_certified and not report.claims[0].passed
+        assert report.claims[0].detail == "worst unilateral gain = nan"
+
+    def test_a_trailing_nan_payoff_fails_the_claims(self, monkeypatch):
+        def last_nan(*args, **kwargs):
+            out = np.array(payoff_surface(*args, **kwargs), dtype=float)
+            out.flat[-1] = np.nan
+            return out
+
+        rebind(monkeypatch, payoff_surface, last_nan)
+        claims = {(case_id, c.label): c for case_id in ("ii-b", "ii-d", "iv")
+                  for c in case_study(case_id, StrategySpace(3, 3, 3)).claims}
+        assert not claims["ii-d", "equal payoffs (unital pairings)"].passed
+        assert not claims["ii-b", "quantum advantage (bos, p=0.5)"].passed
+        assert "ad-ad: min margin +nan" in claims["ii-b", "quantum advantage (bos, p=0.5)"].detail
+        assert "margin = +nan at ad-ad/chicken/mu=1.0" in \
+            claims["iv", "advantage at maximum noise (p=1)"].detail
+
+    def test_a_negative_zero_difference_gives_gain_plus_zero(self, monkeypatch):
+        rebind(monkeypatch, grid_maxima,
+               lambda *args: np.full(np.shape(grid_maxima(*args)), -0.0))
+        rebind(monkeypatch, payoff_surface,
+               lambda *args: np.zeros(np.shape(payoff_surface(*args))))
+        game, *point = CLASSICAL_PD
+        [[row]] = check_profile(*point, [(game, StrategyParams(PI), StrategyParams(PI))],
+                                CLASSICAL_SPACE, CLASSICAL_SPACE)
+        assert [math.copysign(1.0, x) for x in row] == [1.0, 1.0, 1.0, 1.0]
 
 
 class TestUnentangledCertificatesAreExact:
@@ -361,7 +445,7 @@ class TestScanBuffers:
             return report.gain_rows
 
         first = rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE)
-        assert max(r["gain_b"] for r in first) > 0.5
+        assert max(r[-1] for r in first) > 0.5
         for pairing in Pairing:
             rows(pairing, builtin_game("pd"), random_ent(rng), random_strategy(rng),
                  random_strategy(rng), StrategySpace(4, 3, 6), StrategySpace(2, 5, 3))
@@ -390,6 +474,17 @@ class TestWeightEvaluations:
         assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
         capsys.readouterr()
         assert 0 < len(calls) <= sum(self.BUDGET.values()) == 45
+
+    def test_nash_all_builds_the_angle_terms_51_times(self, monkeypatch, capsys):
+        # One build per payoff_surface and per grid_maxima call: a live
+        # stack's profiles are scanned on views, not rebuilt.
+        from qgmem import cli
+
+        terms = count_calls(monkeypatch, angle_terms)
+        weights = count_calls(monkeypatch, batch_weights)
+        assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
+        capsys.readouterr()
+        assert (len(terms), len(weights)) == (51, 45)
 
     def test_case_i_certifies_each_pairing_in_one_call(self, monkeypatch, capsys):
         # Case i's 15 profiles span three pairings: one stacked call each.
@@ -436,4 +531,4 @@ class TestCaseStudies:
     def test_gain_rows_structured(self):
         rows = case_study("ii-b").gain_rows
         assert len(rows) == 25
-        assert all(r["gain_a"] >= 0 and r["gain_b"] >= 0 for r in rows)
+        assert all(len(r) == len(GAIN_COLUMNS) and r[-2] >= 0 and r[-1] >= 0 for r in rows)

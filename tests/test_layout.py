@@ -3,9 +3,11 @@
 Every function, class and public method defined there must be named
 somewhere else in the package, or be a benchmark hook (a ``LAYERS`` target
 of ``benchmark/tracing.py`` or a ``from qgmem... import`` in
-``benchmark/``).  The package's ``__init__`` does not count as a use, and
-it re-exports nothing.  References that only the tests compare against live
-in ``tests/reference.py``.  Every qualified name that README.md cites
+``benchmark/``), and every module-level function must be read by the
+package itself, save the tracer-kept names of
+``test_benchmark_targets.UNREACHED``.  The package's ``__init__`` does not
+count as a use, and it re-exports nothing.  References that only the tests
+compare against live in ``tests/reference.py``.  Every qualified name that README.md cites
 resolves.  Parameter ranges are checked only where the parameter types are
 built, and channel crossings are built in one place.  A deviation grid's
 scan is known to ``closedform`` alone.  No module in ``src/`` or ``tests/``
@@ -18,7 +20,7 @@ import re
 from pathlib import Path
 from types import ModuleType
 
-from test_benchmark_targets import _layers, _qgmem_imports
+from test_benchmark_targets import UNREACHED, _layers, _qgmem_imports
 
 import qgmem
 
@@ -44,9 +46,9 @@ def _names_used():
     for path in SRC.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     used.add(node.attr)
     return used
 
@@ -62,6 +64,18 @@ def test_every_definition_is_used_by_the_program_or_the_benchmark():
     unused = [f"{module}.{name}" for module, name in _definitions()
               if name.rpartition(".")[2] not in kept]
     assert not unused, unused
+
+
+def test_every_module_function_is_read_by_the_package():
+    # A benchmark hook keeps a function only while the tracer needs it; the
+    # program itself must read every other module-level function, so a
+    # helper whose last caller went away cannot linger.
+    read = _names_used()
+    unread = {f"qgmem.{path.stem}:{node.name}" for path in SRC.glob("*.py")
+              if path.name != "__init__.py"
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name not in read}
+    assert unread == set(UNREACHED)
 
 
 def test_package_root_reexports_nothing():
@@ -135,7 +149,7 @@ def test_crossings_are_built_only_by_the_pairing():
 
 
 # The coefficient layout, liveness rule and buffers of a deviation scan.
-SCAN_INTERNALS = {"angle_terms", "payoff_coeffs", "live_products", "sum_products"}
+SCAN_INTERNALS = {"angle_terms", "payoff_coeffs", "sum_products"}
 
 
 def test_equilibrium_leaves_the_scan_to_closedform():
