@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closedform import Pairing, closed_payoff_pair, payoff_surface
+from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
 from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
                           case_study)
 from .games import GAME_NAMES, Bimatrix, builtin_game
@@ -147,7 +147,8 @@ def cmd_verify(args) -> int:
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
         entries, point = cols[:4], game_point(pairing, dict(zip(POINT, cols[4:])))
         ent, s1, s2, ch1, ch2 = point
-        closed = payoff_surface(entries, ent, ch1, ch2, *s1.angles, *s2.angles)
+        closed = payoff_surface(batch_weights(ent, ch1, ch2), entries, ent, *s1.angles,
+                                *s2.angles)
         rho = two_pass_state(*point)
         simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
         # np.max keeps a NaN difference, which then fails the tolerance.

@@ -45,13 +45,15 @@ entries with the weights into the nine factors (per channel point and
 player) that multiply them.  ``payoff_surface`` builds every phase product
 and sums them left to right, one numpy call a step (``sum_products``, which
 states the product rule).  ``grid_maxima`` scans a deviation grid at every
-channel point; its docstring states the scan rule.  Every angle term is
+channel point; its docstring states the scan rule.  Both take (weights,
+entries, ent) first, like ``payoff_coeffs``: only ``batch_weights`` reads the
+crossings, so one weight evaluation gives a profile's payoffs and both
+deviation scans (``equilibrium.check_profile``).  Every angle term is
 elementwise in the angles, so slicing a term built for a stack of fixed
 angles gives the bits of the term built from the slice's angles alone.
 ``stacked_entries`` puts entry columns (players, or games by players) on
-leading axes of the entries, so one ``payoff_surface`` call, with one weight
-evaluation, gives every column's payoffs; ``closed_payoff_pair`` gives both
-players that way.
+leading axes of the entries, so one ``payoff_surface`` call gives every
+column's payoffs; ``closed_payoff_pair`` gives both players that way.
 
 The expressions are pinned against the independent Kraus-operator
 simulation in ``oracle``: the test suite holds the two routes together at
@@ -388,23 +390,22 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
         ((7, 8), delta, lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2))))
 
 
-def payoff_surface(entries: Sequence[float], ent: EntanglementParams, ch1: ChannelSpec,
-                   ch2: ChannelSpec, theta1, alpha1, beta1, theta2, alpha2, beta2):
-    """Closed-form payoff, broadcasting over numpy arrays of strategy angles,
-    of gamma and delta, of p and mu, and of ``entries`` given as a (4, ...)
-    array, from one ``batch_weights`` and one ``angle_terms`` evaluation.
-    Every phase product is built whole, live or not (unlike a
-    ``grid_maxima`` scan), so a CSV keeps the sign of each zero and the
-    surface the full broadcast shape: at gamma = delta = 0 the sector sum
-    alone has only the theta axes, over which case ``i``'s
-    phase-independence check would pass vacuously.
+def payoff_surface(weights: PairingWeights, entries: Sequence[float],
+                   ent: EntanglementParams, theta1, alpha1, beta1, theta2, alpha2, beta2):
+    """Closed-form payoff for ``weights`` (``batch_weights`` at ``ent``), from
+    one ``angle_terms`` evaluation, broadcasting over numpy arrays of strategy
+    angles, of gamma and delta, of the weights' p and mu, and of ``entries``
+    given as a (4, ...) array.  Every phase product is built whole, live or
+    not (unlike a ``grid_maxima`` scan), so a CSV keeps the sign of each zero
+    and the surface the full broadcast shape: at gamma = delta = 0 the sector
+    sum alone has only the theta axes (case ``i``'s phase-independence check
+    would pass vacuously), and f_diag = coh1 fd2 varies over every p and mu.
     No range validation on the angle arrays; grid scans are expected to stay
     inside the strategy domain by construction."""
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
-    w = batch_weights(ent, ch1, ch2)
     sectors, phases = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
-    return sum_products(sectors, payoff_coeffs(w, entries, ent),
+    return sum_products(sectors, payoff_coeffs(weights, entries, ent),
                         [(idx, scale, build()) for idx, scale, build in phases])
 
 
@@ -506,22 +507,23 @@ def closed_payoff(entries: Sequence[float], ent: EntanglementParams, s1: Strateg
     """One player's closed-form payoff for their entry column, at one point.
     Nothing in the package calls it; it stays because the benchmark tracer
     wraps it by name."""
-    return float(payoff_surface(entries, ent, ch1, ch2, *s1.angles, *s2.angles))
+    return float(payoff_surface(batch_weights(ent, ch1, ch2), entries, ent,
+                                *s1.angles, *s2.angles))
 
 
 def closed_payoff_pair(game: Bimatrix, ent: EntanglementParams, s1: StrategyParams,
                        s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec,
                        ) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
     """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
-    one call of it, with the two entry columns stacked (``stacked_entries``),
-    shares the weights and angle terms, and each payoff has the bits of its
-    own call.  It takes the game point of ``oracle.two_pass_state``.
+    one weight evaluation and one call of it, with the two entry columns
+    stacked (``stacked_entries``), give each payoff the bits of its own call.
+    It takes the game point of ``oracle.two_pass_state``.
     The payoffs are numpy scalars at a float point, else arrays of the
     broadcast parameter shape."""
     angles = (*s1.angles, *s2.angles)
     nd = max(map(np.ndim, (ent.gamma, ent.delta, ch1.p, ch1.mu, ch2.p, ch2.mu, *angles)))
-    return tuple(payoff_surface(stacked_entries([game.a, game.b], nd), ent, ch1, ch2,
-                                *angles))
+    return tuple(payoff_surface(batch_weights(ent, ch1, ch2),
+                                stacked_entries([game.a, game.b], nd), ent, *angles))
 
 
 def stacked_entries(columns, nd: int) -> np.ndarray:

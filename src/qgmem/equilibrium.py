@@ -80,10 +80,10 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
     and ``ch2`` (whose p and mu may be arrays), in C order: per profile, one
     [payoff_a, payoff_b, gain_a, gain_b] row per point; a float point gives
     one-element lists.  The profile axis leads the channel-point axes of
-    every array.  One weight evaluation gives the coefficients of all
-    deviation grids; one ``payoff_surface`` call, with games by players
-    stacked on the entries, gives every profile's payoffs; and one
-    ``closedform.grid_maxima`` call per player scans every profile (its
+    every array.  One weight evaluation gives every profile's payoffs, from
+    one ``payoff_surface`` call with games by players stacked on the entries
+    (of the full shape, see its docstring), and both players' deviation
+    scans, one ``closedform.grid_maxima`` call each over every profile (its
     docstring states the scan rule).  The rows are one array expression:
     payoffs and gains ``np.maximum(best - payoff, 0.0)``, stacked per
     profile.  Every step is elementwise over the profile axis, so each
@@ -107,10 +107,8 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
         return np.reshape(np.transpose([s.angles for s in states]), (3, -1) + (1,) * units)
 
     w = batch_weights(ent, ch1, ch2)
-    pay = np.broadcast_to(
-        payoff_surface(stacked_entries([(g.a, g.b) for g in games], nd), ent, ch1, ch2,
-                       *angles(ones, nd + 1), *angles(twos, nd + 1)),
-        (len(profiles), 2) + shape[1:])
+    pay = payoff_surface(w, stacked_entries([(g.a, g.b) for g in games], nd), ent,
+                         *angles(ones, nd + 1), *angles(twos, nd + 1))
     best = np.stack([
         grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
                     *space_a.mesh(), *angles(twos, nd + 3)),
@@ -186,9 +184,9 @@ def _mu_curves(pairing, games, ent, s1, s2, ps, mus=MU_GRID_11):
     float values); each value has the bits of its game's
     ``closed_payoff_pair`` call at its float p."""
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
-    entries = stacked_entries([(g.a, g.b) for g in games], 2)
-    return [list(zip(pa.tolist(), pb.tolist())) for pa, pb in
-            payoff_surface(entries, ent, *pairing.crossings(ch, ch), *s1.angles, *s2.angles)]
+    w = batch_weights(ent, *pairing.crossings(ch, ch))
+    return [list(zip(pa.tolist(), pb.tolist())) for pa, pb in payoff_surface(
+        w, stacked_entries([(g.a, g.b) for g in games], 2), ent, *s1.angles, *s2.angles)]
 
 
 def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
@@ -225,9 +223,9 @@ def _phase_independence(report, space, ent):
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
     a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
     entries, ch = stacked_entries([g.b for g in _GAMES], 2), (0.35, 0.6)
-    worst = np.max([np.ptp(payoff_surface(entries, ent, *pairing.crossings(ch, ch),
-                                          0.0, 0.0, 0.0, PI / 2, a2, b2), axis=(1, 2))
-                    for pairing in Pairing])
+    worst = np.max([np.ptp(payoff_surface(batch_weights(ent, *pairing.crossings(ch, ch)),
+                                          entries, ent, 0.0, 0.0, 0.0, PI / 2, a2, b2),
+                           axis=(1, 2)) for pairing in Pairing])
     report.claims.append(CaseClaim(
         "phase-independence", worst < 1e-12,
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))

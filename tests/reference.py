@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgmem.channels import ChannelSpec, KrausSet
-from qgmem.closedform import payoff_surface
+from qgmem.closedform import batch_weights, payoff_surface
 from qgmem.equilibrium import StrategySpace
 from qgmem.games import Bimatrix
 from qgmem.oracle import _cross, two_pass_state
@@ -151,7 +151,7 @@ def best_response(
     own, other = (theta, alpha, beta), opponent.angles
     entries, angles = ((game.a, own + other) if responder == 1
                        else (game.b, other + own))
-    values = payoff_surface(entries, ent, ch1, ch2, *angles)
+    values = payoff_surface(batch_weights(ent, ch1, ch2), entries, ent, *angles)
     cutoff = float(values.max()) - tie_tol
     idx = np.argwhere(values >= cutoff)
     return [

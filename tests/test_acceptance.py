@@ -21,7 +21,7 @@ from reference import classical_expected, theta_weight, verify_completeness
 
 from qgmem.channels import ChannelKind, ChannelSpec, single_use_kraus, two_use_kraus
 from qgmem.cli import CSV_HEADER, figure_rows, fmt, main
-from qgmem.closedform import (Pairing, closed_payoff, closed_payoff_pair,
+from qgmem.closedform import (Pairing, batch_weights, closed_payoff, closed_payoff_pair,
                               payoff_surface)
 from qgmem.equilibrium import CASE_IDS
 from qgmem.games import builtin_game
@@ -202,9 +202,9 @@ def test_criterion_7a_phase_independence():
     for pairing in Pairing:
         for game in GAMES.values():
             for entries in (game.a, game.b):
-                vals = payoff_surface(entries, ent,
-                                      *pairing.crossings((0.35, 0.6), (0.7, 0.2)),
-                                      1.0, 0.0, 0.0, PI / 2, a2, b2)
+                vals = payoff_surface(
+                    batch_weights(ent, *pairing.crossings((0.35, 0.6), (0.7, 0.2))),
+                    entries, ent, 1.0, 0.0, 0.0, PI / 2, a2, b2)
                 worst = max(worst, float(vals.max() - vals.min()))
     ok = worst < 1e-12
     assert report("7a phase-independence", ok, f"max variation {worst:.2e}")

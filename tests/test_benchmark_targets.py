@@ -52,15 +52,18 @@ def test_benchmark_import_resolves(where, module, name):
     assert hasattr(owner, name) or importlib.import_module(f"{module}.{name}"), where
 
 
-def test_nash_certificates_see_a_shifted_payoff_surface(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("case_id", ["i", "ii-b", "iii-a", "iv"])
+def test_nash_certificates_see_a_shifted_payoff_surface(case_id, tmp_path, monkeypatch,
+                                                        capsys):
     # The benchmark's self-test rebinds closedform.payoff_surface in every
-    # qgmem module to a copy off by 1e-6 and expects nash outputs to change.
-    # A certificate path that went around the function would hide the shift.
+    # qgmem module to a copy off by 1e-6 and expects the nash outputs of the
+    # cases with certificates (these four) to change.  A certificate path
+    # that went around the function would hide the shift.
     from qgmem import closedform
     from qgmem.cli import main
 
     def table(name):
-        assert main(["nash", "--case", "ii-b", "--grid", "3x3x3",
+        assert main(["nash", "--case", case_id, "--grid", "3x3x3",
                      "--csv", str(tmp_path / name)]) == 4
         return (tmp_path / name).read_bytes()
 

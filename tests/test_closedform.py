@@ -231,7 +231,8 @@ class TestPayoffSurface:
         theta = np.linspace(0, PI, 5)
         alpha = np.linspace(-PI, PI, 4)
         t, a = np.meshgrid(theta, alpha, indexing="ij")
-        grid = payoff_surface((3, 0, 5, 1), ent, ch1, ch2, 0.7, 0.1, -0.2, t, a, 0.5)
+        grid = payoff_surface(batch_weights(ent, ch1, ch2), (3, 0, 5, 1), ent,
+                              0.7, 0.1, -0.2, t, a, 0.5)
         assert grid.shape == (5, 4)
         for i in range(5):
             for j in range(4):
@@ -261,7 +262,7 @@ class TestPayoffSurface:
         p1, mu1, p2, mu2 = np.array(points).T
         ch1, ch2 = pairing.crossings((p1, mu1), (p2, mu2))
         angles = (s1.theta, s1.alpha, s1.beta, s2.theta, s2.alpha, s2.beta)
-        pa, pb = (payoff_surface(e, ent, ch1, ch2, *angles)
+        pa, pb = (payoff_surface(batch_weights(ent, ch1, ch2), e, ent, *angles)
                   for e in (game.a, game.b))
         for i, (a, b, c, d) in enumerate(points):
             assert (pa[i], pb[i]) == closed_payoff_pair(
@@ -288,7 +289,7 @@ class TestPayoffSurface:
                          *(uniform(0.0, 1.0) for _ in range(4))])
         ent, ch1, ch2 = (EntanglementParams(*cols[:2]),
                          *pairing.crossings(tuple(cols[8:10]), tuple(cols[10:])))
-        pa, pb = (payoff_surface(e, ent, ch1, ch2, *cols[2:8])
+        pa, pb = (payoff_surface(batch_weights(ent, ch1, ch2), e, ent, *cols[2:8])
                   for e in (game.a, game.b))
         for i, c in enumerate(cols.T.tolist()):
             assert (pa[i], pb[i]) == closed_payoff_pair(
@@ -310,7 +311,8 @@ class TestPayoffSurface:
         for a, b in ((StrategyParams(*grid), s2), (s1, StrategyParams(*grid)), (s1, s2)):
             pair = closed_payoff_pair(game, ent, a, b, ch1, ch2)
             for got, e in zip(pair, (game.a, game.b)):
-                direct = payoff_surface(e, ent, ch1, ch2, *a.angles, *b.angles)
+                direct = payoff_surface(batch_weights(ent, ch1, ch2), e, ent,
+                                        *a.angles, *b.angles)
                 assert np.shape(got) == np.shape(direct)
                 assert np.array_equal(got, direct)
         assert closed_payoff_pair(game, ent, s1, s2, ch1, ch2) == tuple(
@@ -329,10 +331,11 @@ class TestPayoffSurface:
         cols = np.array(cols)
         entries, ent = cols[:4], EntanglementParams(cols[4], cols[5])
         ch1, ch2 = pairing.crossings((cols[12], cols[13]), (cols[14], cols[15]))
-        got = payoff_surface(entries, ent, ch1, ch2, *cols[6:12])
-        want = [payoff_surface(tuple(c[:4]), EntanglementParams(c[4], c[5]),
-                               *pairing.crossings((c[12], c[13]), (c[14], c[15])), *c[6:12])
-                for c in cols.T.tolist()]
+        got = payoff_surface(batch_weights(ent, ch1, ch2), entries, ent, *cols[6:12])
+        want = [payoff_surface(batch_weights(e, *pairing.crossings((c[12], c[13]),
+                                                                   (c[14], c[15]))),
+                               tuple(c[:4]), e, *c[6:12])
+                for c in cols.T.tolist() for e in [EntanglementParams(c[4], c[5])]]
         assert got.shape == (n,)
         assert np.array_equal(got, want)
 
@@ -366,7 +369,8 @@ class TestPayoffSurface:
         for e, a, b, c1, c2, shape in cases:
             pair = closed_payoff_pair(game, e, a, b, c1, c2)
             for got, entries in zip(pair, (game.a, game.b)):
-                own = payoff_surface(entries, e, c1, c2, *a.angles, *b.angles)
+                own = payoff_surface(batch_weights(e, c1, c2), entries, e,
+                                     *a.angles, *b.angles)
                 assert got.shape == own.shape == shape
                 assert np.array_equal(got, own)
             params = [np.broadcast_to(x, shape) for x in
@@ -398,9 +402,10 @@ class TestPayoffSurface:
                                                    (0.0, 0.0)))
 
     def test_entry_count_validated(self):
+        ent = EntanglementParams(0, 0)
+        w = batch_weights(ent, *Pairing.PH_PH.crossings((0, 0), (0, 0)))
         with pytest.raises(ValueError):
-            payoff_surface((1, 2, 3), EntanglementParams(0, 0),
-                           *Pairing.PH_PH.crossings((0, 0), (0, 0)), 0, 0, 0, 0, 0, 0)
+            payoff_surface(w, (1, 2, 3), ent, 0, 0, 0, 0, 0, 0)
 
 
 def unsplit_payoff(w, entries, ent, angles):
@@ -467,7 +472,7 @@ class TestCoefficientAssembly:
         angles = (*s1.angles, *s2.angles)
         sectors, phases = angle_terms(ent, *angles)
         entries = random_entries(rng)
-        got = payoff_surface(entries, ent, ch1, ch2, *angles)
+        got = payoff_surface(w, entries, ent, *angles)
         assert got.shape == (8,)
         k = payoff_coeffs(w, entries, ent)
         products = [(idx, scale, build()) for idx, scale, build in phases]

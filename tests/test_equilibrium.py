@@ -17,7 +17,7 @@ from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_
                                _MU_SUBSET, _mu_curves, _nash, _nash_rows, case_study,
                                check_profile)
 from qgmem.equilibrium import FIGURES
-from qgmem.games import Bimatrix, builtin_game
+from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
 
 PI = math.pi
@@ -192,9 +192,10 @@ class TestCertificatePath:
             pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
             dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
             dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
-            best_a = payoff_surface(game.a, ent, ch1, ch2, *dense_a,
+            w = batch_weights(ent, ch1, ch2)
+            best_a = payoff_surface(w, game.a, ent, *dense_a,
                                     s2.theta, s2.alpha, s2.beta).max()
-            best_b = payoff_surface(game.b, ent, ch1, ch2, s1.theta,
+            best_b = payoff_surface(w, game.b, ent, s1.theta,
                                     s1.alpha, s1.beta, *dense_b).max()
             assert (pay_a, pay_b) == (pa, pb)
             assert gain_a == max(0.0, float(best_a) - pa)
@@ -345,8 +346,10 @@ class TestNaNNeverPasses:
             return out
 
         rebind(monkeypatch, payoff_surface, last_nan)
-        claims = {(case_id, c.label): c for case_id in ("ii-b", "ii-d", "iv")
+        claims = {(case_id, c.label): c for case_id in ("i", "ii-b", "ii-d", "iv")
                   for c in case_study(case_id, StrategySpace(3, 3, 3)).claims}
+        assert not claims["i", "phase-independence"].passed
+        assert claims["i", "phase-independence"].detail.endswith(" grid = nan")
         assert not claims["ii-d", "equal payoffs (unital pairings)"].passed
         assert not claims["ii-b", "quantum advantage (bos, p=0.5)"].passed
         assert "ad-ad: min margin +nan" in claims["ii-b", "quantum advantage (bos, p=0.5)"].detail
@@ -381,7 +384,8 @@ class TestUnentangledCertificatesAreExact:
         ends = (np.array([0.0, PI]), 0.0, 0.0)
         for entries, angles in ((game.a, lambda own: (*own, *s2)),
                                 (game.b, lambda own: (*s1, *own))):
-            best, deviated = (payoff_surface(entries, ent, ch1, ch2, *angles(own)).max()
+            best, deviated = (payoff_surface(batch_weights(ent, ch1, ch2), entries, ent,
+                                             *angles(own)).max()
                               for own in (ends, deviations))
             assert deviated <= best + 1e-12
 
@@ -454,13 +458,13 @@ class TestScanBuffers:
 
 class TestWeightEvaluations:
     # The weights do not depend on the game, so a claim evaluates them once
-    # per pairing for all its games; a pairing's certified profiles take two
-    # (their payoffs and their coefficient table).  Counted through every
+    # per pairing for all its games; a pairing's certified profiles take one
+    # for their payoffs and both coefficient tables.  Counted through every
     # qgmem module's name for ``batch_weights``.
-    BUDGET = {"i": 16, "ii-a": 1, "ii-b": 3, "ii-c": 2, "ii-d": 3, "iii-a": 3,
-              "iii-b": 4, "iii-c": 2, "iv": 11}
+    BUDGET = {"i": 13, "ii-a": 1, "ii-b": 2, "ii-c": 2, "ii-d": 3, "iii-a": 2,
+              "iii-b": 4, "iii-c": 2, "iv": 10}
 
-    def test_nash_all_evaluates_the_weights_at_most_45_times(self, monkeypatch, capsys):
+    def test_nash_all_evaluates_the_weights_at_most_39_times(self, monkeypatch, capsys):
         from qgmem import cli
 
         calls = count_calls(monkeypatch, batch_weights)
@@ -473,7 +477,7 @@ class TestWeightEvaluations:
         calls.clear()
         assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
         capsys.readouterr()
-        assert 0 < len(calls) <= sum(self.BUDGET.values()) == 45
+        assert 0 < len(calls) <= sum(self.BUDGET.values()) == 39
 
     def test_nash_all_builds_the_angle_terms_51_times(self, monkeypatch, capsys):
         # One build per payoff_surface and per grid_maxima call: a live
@@ -484,7 +488,18 @@ class TestWeightEvaluations:
         weights = count_calls(monkeypatch, batch_weights)
         assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
         capsys.readouterr()
-        assert (len(terms), len(weights)) == (51, 45)
+        assert (len(terms), len(weights)) == (51, 39)
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_check_profile_evaluates_the_weights_once(self, size, monkeypatch, rng):
+        # The profile payoffs and both deviation scans share one evaluation.
+        ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
+        stack = [(builtin_game(GAME_NAMES[i % 3]), random_strategy(rng), random_strategy(rng))
+                 for i in range(size)]
+        calls = count_calls(monkeypatch, batch_weights)
+        check_profile(random_ent(rng), *Pairing.AD_D.crossings(ch, ch), stack,
+                      StrategySpace(3, 4, 5), StrategySpace(4, 3, 3))
+        assert len(calls) == 1
 
     def test_case_i_certifies_each_pairing_in_one_call(self, monkeypatch, capsys):
         # Case i's 15 profiles span three pairings: one stacked call each.

@@ -10,8 +10,9 @@ count as a use, and it re-exports nothing.  References that only the tests
 compare against live in ``tests/reference.py``.  Every qualified name that README.md cites
 resolves.  Parameter ranges are checked only where the parameter types are
 built, and channel crossings are built in one place.  A deviation grid's
-scan is known to ``closedform`` alone.  No module in ``src/`` or ``tests/``
-imports a name that it never reads.
+scan is known to ``closedform`` alone, and its assembly steps take weights:
+only the weight step and the closed-form entry points take crossings.  No
+module in ``src/`` or ``tests/`` imports a name that it never reads.
 """
 
 import ast
@@ -160,6 +161,26 @@ def test_equilibrium_leaves_the_scan_to_closedform():
     leaked = sorted(imported & SCAN_INTERNALS)
     assert not leaked, f"equilibrium imports closedform's scan internals: {leaked}"
     assert "grid_maxima" in imported, imported
+
+
+# The assembly steps, which take one weight evaluation's weights, and the
+# only module-level functions of ``closedform`` that take a crossing.
+WEIGHT_TAKERS = ("payoff_surface", "grid_maxima", "payoff_coeffs")
+CROSSING_TAKERS = {"batch_weights", "pairing_weights", "closed_payoff", "closed_payoff_pair"}
+
+
+def test_closedform_assembly_takes_weights_not_crossings():
+    # One weight evaluation serves a certificate stack's payoffs and both
+    # deviation scans only while no assembly step builds weights itself.
+    params = {node.name: [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+              for node in ast.parse((SRC / "closedform.py").read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    for name in WEIGHT_TAKERS:
+        assert [a.arg for a in params[name][:3]] == ["weights", "entries", "ent"], name
+    takers = {name for name, args in params.items()
+              if any(a.arg in ("ch1", "ch2") or getattr(a.annotation, "id", None)
+                     == "ChannelSpec" for a in args)}
+    assert takers == CROSSING_TAKERS
 
 
 def _unread_imports(path):
