@@ -6,8 +6,8 @@ searches the full (theta, alpha, beta) grid.  All claims reported by
 ``case_study`` are computed, never assumed: where a scenario's nominal
 claim does not survive the exact dynamics, the report says so.  Each case
 is a list of (claim kind, configuration) rows in ``_CASES``, one evaluator
-per kind; a claim's payoff curves come from one weight evaluation per
-pairing for all its games, stacked on the entries.
+per kind; a claim's payoff curves are one array, from one weight
+evaluation per pairing for all its games, stacked on the entries.
 """
 
 from __future__ import annotations
@@ -171,22 +171,23 @@ FIGURES = {
 }
 
 
-def _monotone(values, sign=1) -> bool:
-    """Consecutive values never fall (sign 1) or never rise (sign -1) by more
-    than 1e-12."""
-    return all(sign * b >= sign * a - 1e-12 for a, b in zip(values, values[1:]))
+def _monotone(values, sign=1):
+    """Along the last axis, consecutive values never fall (sign 1) or never
+    rise (sign -1) by more than 1e-12."""
+    return np.all(sign * values[..., 1:] >= sign * values[..., :-1] - 1e-12, axis=-1)
 
 
-def _mu_curves(pairing, games, ent, s1, s2, ps, mus=MU_GRID_11):
-    """Per game of ``games``, the (Alice, Bob) payoffs over mu = mu1 = mu2,
-    one row per p = p1 = p2 of ``ps``, from one ``payoff_surface`` call with
-    games by players stacked on the entries (``ent``, ``s1`` and ``s2`` at
-    float values); each value has the bits of its game's
+def _mu_curves(pairings, games, ent, s1, s2, ps, mus=MU_GRID_11):
+    """The payoffs over mu = mu1 = mu2 of ``mus`` at each p = p1 = p2 of
+    ``ps``, indexed (player, pairing, game, p, mu), from one ``payoff_surface``
+    call per pairing with players by games stacked on the entries (``ent``,
+    ``s1`` and ``s2`` at float values); each value has the bits of its game's
     ``closed_payoff_pair`` call at its float p."""
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
-    w = batch_weights(ent, *pairing.crossings(ch, ch))
-    return [list(zip(pa.tolist(), pb.tolist())) for pa, pb in payoff_surface(
-        w, stacked_entries([(g.a, g.b) for g in games], 2), ent, *s1.angles, *s2.angles)]
+    entries = stacked_entries([[g.a for g in games], [g.b for g in games]], 2)
+    return np.stack([payoff_surface(batch_weights(ent, *pairing.crossings(ch, ch)),
+                                    entries, ent, *s1.angles, *s2.angles)
+                     for pairing in pairings], axis=1)
 
 
 def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
@@ -227,16 +228,15 @@ def _phase_independence(report, space, ent):
                                           entries, ent, 0.0, 0.0, 0.0, PI / 2, a2, b2),
                            axis=(1, 2)) for pairing in Pairing])
     report.claims.append(CaseClaim(
-        "phase-independence", worst < 1e-12,
+        "phase-independence", bool(worst < 1e-12),
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))
 
 
 def _nondecreasing(report, space, fig, games, ps):
     """Memory compensation, reported per ad-ad curve of both players."""
-    detail = [f"{game.name}/{tag}/p={p}"
-              for game, rows in zip(games, _mu_curves(Pairing.AD_AD, games, *fig[:3], ps))
-              for p, curves in zip(ps, rows)
-              for tag, curve in zip("AB", curves) if not _monotone(curve)]
+    falls = ~_monotone(_mu_curves([_AD], games, *fig[:3], ps)[:, 0])
+    detail = [f"{games[g].name}/{'AB'[tag]}/p={ps[p]}"
+              for g, p, tag in np.argwhere(np.moveaxis(falls, 0, -1))]
     report.claims.append(CaseClaim(
         "memory-compensation (informational)", not detail,
         "payoff nondecreasing in mu for every curve" if not detail
@@ -246,39 +246,37 @@ def _nondecreasing(report, space, fig, games, ps):
 def _mu_ordering(report, space, fig, games, ps):
     """Bob's ad-ad payoff is nondecreasing in mu at both p of ``ps`` = (lo,
     hi), and no larger at hi than at lo for mu in (0, 0.5, 1)."""
-    curves = [[b for _, b in rows] for rows in _mu_curves(Pairing.AD_AD, games, *fig[:3], ps)]
+    _, [bob] = _mu_curves([_AD], games, *fig[:3], ps)
     report.claims.append(CaseClaim(
-        "mu-monotonicity", all(map(_monotone, sum(curves, []))),
+        "mu-monotonicity", bool(_monotone(bob).all()),
         f"quantum player's payoff nondecreasing in mu at p in {{{ps[0]}, {ps[1]}}}"))
     report.claims.append(CaseClaim(
         "decoherence hurts",
-        all(_monotone((lo[i], hi[i]), -1) for lo, hi in curves for i in _MU_SUBSET),
+        bool(_monotone(np.swapaxes(bob[..., _MU_SUBSET], -1, -2), -1).all()),
         f"payoff at p={ps[1]} <= payoff at p={ps[0]}"))
 
 
 def _least(values):
-    """The first least of ``values``, as ``min`` picks it, or the first NaN
-    (``np.argmin`` takes NaN for least): a NaN never passes a claim."""
-    return values[np.argmin(values)]
+    """Along the last axis, the first least value, as ``min`` picks it, or
+    the first NaN (``np.argmin`` takes NaN for least): a NaN never passes a
+    claim."""
+    return np.take_along_axis(values, np.argmin(values, axis=-1, keepdims=True), -1)[..., 0]
 
 
 def _advantage(report, space, fig, pairings):
     """Bob's least margin over Alice in bos at p = 0.5, per pairing."""
-    margins = [_least([b - a for a, b in zip(*_mu_curves(pairing, [_BOS], *fig[:3],
-                                                         (0.5,))[0][0])])
-               for pairing in pairings]
+    alice, bob = _mu_curves(pairings, [_BOS], *fig[:3], (0.5,))
+    margins = _least((bob - alice)[:, 0, 0])
     report.claims.append(CaseClaim(
-        "quantum advantage (bos, p=0.5)", _least(margins) > 0,
+        "quantum advantage (bos, p=0.5)", bool((margins > 0).all()),
         "; ".join(f"{pr.value}: min margin {m:+.4f}" for pr, m in zip(pairings, margins))))
 
 
 def _equal_payoffs(report, space, label, fig, pairings):
-    worst = np.max([abs(a - b) for pairing in pairings
-                    for rows in _mu_curves(pairing, _GAMES, *fig[:3], (0.3, 0.7),
-                                           (0.0, 0.5, 1.0))
-                    for pa, pb in rows for a, b in zip(pa, pb)])
+    alice, bob = _mu_curves(pairings, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
+    worst = np.max(abs(alice - bob))
     report.claims.append(CaseClaim(
-        label, worst < 1e-9, f"max |payoff_A - payoff_B| = {worst:.3e}"))
+        label, bool(worst < 1e-9), f"max |payoff_A - payoff_B| = {worst:.3e}"))
 
 
 def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=False):
@@ -286,17 +284,16 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
     per game and later p, never grows; an ``exact`` claim's one curve also
     falls from above 1e-3 to 0.  Checked at theta1 = theta2 = pi/2, where the
     noise acts (at theta1 = 0 these payoffs are noise-independent)."""
-    dists = [[abs(v - noiseless[0]) for v in curve]
-             for (_, noiseless), *rows in _mu_curves(pairing, games, *fig[:3], ps)
-             for _, curve in rows]
-    ok = all(_monotone(d, -1) for d in dists)
+    _, [bob] = _mu_curves([pairing], games, *fig[:3], ps)
+    dists = abs(bob[:, 1:] - bob[:, :1, :1])
+    ok = bool(_monotone(dists, -1).all())
     if exact:
-        [d] = dists
+        [[d]] = dists
         report.claims.append(CaseClaim(
-            label, ok and d[0] > 1e-3 and d[-1] < 1e-12,
+            label, bool(ok and d[0] > 1e-3 and d[-1] < 1e-12),
             f"distance to noiseless payoff falls from {d[0]:.4f} to {d[-1]:.1e}"))
         return
-    spread = max(d[-1] for d in dists)
+    spread = dists[..., -1].max()
     report.claims.append(CaseClaim(label, ok, (
         "distance to the noiseless payoff shrinks with mu"
         + (f"; residual at mu=1: {spread:.4f}" if spread > 1e-12 else ", to zero"))
@@ -307,14 +304,12 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
 def _max_noise_advantage(report, space, fig, mus):
     """Bob's least margin over Alice at p = 1 over every pairing, game and mu
     of ``mus``, and the first place it occurs."""
-    rows = [(pb - pa, f"{pairing.value}/{game.name}/mu={m}")
-            for pairing in Pairing
-            for game, [(curve_a, curve_b)] in zip(
-                _GAMES, _mu_curves(pairing, _GAMES, *fig[:3], (1.0,), mus))
-            for m, pa, pb in zip(mus, curve_a, curve_b)]
-    worst, where = rows[np.argmin([margin for margin, _ in rows])]  # as in ``_least``
+    alice, bob = _mu_curves(Pairing, _GAMES, *fig[:3], (1.0,), mus)
+    margins = (bob - alice)[:, :, 0]
+    i, g, m = np.unravel_index(np.argmin(margins), margins.shape)  # as in ``_least``
+    worst, where = margins[i, g, m], f"{list(Pairing)[i].value}/{_GAMES[g].name}/mu={mus[m]}"
     report.claims.append(CaseClaim(
-        "advantage at maximum noise (p=1)", worst > 0,
+        "advantage at maximum noise (p=1)", bool(worst > 0),
         f"min Bob-Alice margin = {worst:+.4f} at {where}"
         + ("" if worst > 0 else
            " (zero for the AD-slotted pairings, negative for the rest)")))

@@ -1,0 +1,148 @@
+"""A mutation catalogue: each mutant is one textual edit of ``src/qgmem``
+and names the test files that must notice it.
+
+    python3 tests/mutate.py
+
+Each mutant is applied to a fresh temporary copy of ``src/``, ``tests/``,
+``benchmark/``, ``README.md`` and ``pyproject.toml`` (under ``$TMPDIR``), and
+its test files run there with pytest.  The kill matrix has one row per
+mutant and one column per test file: the failing tests of that file, ``.``
+for none, ``-`` where the file was not run.  A mutant that no named file
+kills is listed as a survivor, and the script then exits 1.  Standard
+library only; pytest does not collect this file.  ``tests/test_layout.py``
+checks that every pattern occurs exactly once in ``src/`` and that the
+mutated module still parses, so a site cannot silently stop applying.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter, namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+Mutant = namedtuple("Mutant", "name module pattern replacement tests")
+
+MUTANTS = [
+    # Phase products as data.
+    Mutant("delta-parts-swapped", "closedform",
+           "(np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2))",
+           "(np.sin(a1 - a2 + b1 - b2), np.sin(a1 + a2 + b1 + b2))",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("scan-on-slice-0", "closedform",
+           "return x[q] if np.ndim(x) > mesh else x",
+           "return x[0] if np.ndim(x) > mesh else x",
+           ("test_equilibrium.py",)),
+    Mutant("one-part-row-scaled", "closedform",
+           "term = np.multiply(parts[0], coeffs[idx[0]], out=tmp)",
+           "term = np.multiply(scale * parts[0], coeffs[idx[0]], out=tmp)",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("gains-by-fmax", "equilibrium",
+           "np.maximum(best - pay, 0.0)",
+           "np.fmax(best - pay, 0.0)",
+           ("test_equilibrium.py",)),
+    Mutant("least-as-nanmin", "equilibrium",
+           "return np.take_along_axis(values, np.argmin(values, axis=-1, keepdims=True), -1)[..., 0]",
+           "return np.nanmin(values, axis=-1)",
+           ("test_equilibrium.py",)),
+    Mutant("equal-payoffs-by-max", "equilibrium",
+           "worst = np.max(abs(alice - bob))",
+           "worst = max(abs(alice - bob).ravel().tolist())",
+           ("test_equilibrium.py",)),
+    Mutant("worst-gain-by-max", "equilibrium",
+           "return np.array([cert_rows for *_, cert_rows in rows])[..., 2:].max()",
+           "return max(np.array([cert_rows for *_, cert_rows in rows])[..., 2:].ravel().tolist())",
+           ("test_equilibrium.py",)),
+    Mutant("unread-helper", "closedform",
+           "def grid_maxima(",
+           "def live_products(phases):\n    return phases\n\n\ndef grid_maxima(",
+           ("test_layout.py",)),
+    # payoff_surface takes the weights.
+    Mutant("certificate-crossings-swapped", "equilibrium",
+           "w = batch_weights(ent, ch1, ch2)",
+           "w = batch_weights(ent, ch2, ch1)",
+           ("test_golden.py", "test_equilibrium.py")),
+    Mutant("mu-curves-gamma-delta-exchanged", "equilibrium",
+           "np.stack([payoff_surface(batch_weights(ent,",
+           "np.stack([payoff_surface(batch_weights(EntanglementParams(ent.delta, ent.gamma),",
+           ("test_golden.py", "test_equilibrium.py")),
+    Mutant("verify-weights-from-ch1", "cli",
+           "closed = payoff_surface(batch_weights(ent, ch1, ch2)",
+           "closed = payoff_surface(batch_weights(ent, ch1, ch1)",
+           ("test_golden.py", "test_cli.py")),
+    Mutant("phase-independence-by-max", "equilibrium",
+           "worst = np.max([np.ptp(",
+           "worst = (lambda x: max(np.ravel(x)))([np.ptp(",
+           ("test_equilibrium.py",)),
+    # Each claim reads one (Alice, Bob) array.
+    Mutant("mu-curves-pairings-reversed", "equilibrium",
+           "for pairing in pairings], axis=1)",
+           "for pairing in [*pairings][::-1]], axis=1)",
+           ("test_golden.py", "test_equilibrium.py")),
+    Mutant("monotone-sign-flipped", "equilibrium",
+           "sign * values[..., 1:] >= sign * values[..., :-1]",
+           "-sign * values[..., 1:] >= -sign * values[..., :-1]",
+           ("test_golden.py", "test_equilibrium.py", "test_acceptance.py")),
+    Mutant("least-as-np-min", "equilibrium",
+           "return np.take_along_axis(values, np.argmin(values, axis=-1, keepdims=True), -1)[..., 0]",
+           "return np.min(values, axis=-1)",
+           ("test_golden.py", "test_equilibrium.py", "test_acceptance.py")),
+    Mutant("max-noise-least-by-nanargmin", "equilibrium",
+           "np.unravel_index(np.argmin(margins), margins.shape)",
+           "np.unravel_index(np.nanargmin(margins), margins.shape)",
+           ("test_equilibrium.py",)),
+]
+
+COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")
+REPORTED = re.compile(r"^(?:FAILED|ERROR) tests/([\w.]+\.py)", re.MULTILINE)
+
+
+def kills(mutant: Mutant) -> Counter:
+    """Failing tests per named test file, with ``mutant`` applied to a
+    temporary copy of the repository."""
+    with tempfile.TemporaryDirectory(prefix="qgmem-mutant-") as tmp:
+        tmp = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tmp / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, tmp / name)
+        path = tmp / "src" / "qgmem" / f"{mutant.module}.py"
+        text = path.read_text()
+        if text.count(mutant.pattern) != 1:
+            raise SystemExit(f"{mutant.name}: pattern does not occur once in {path.name}")
+        path.write_text(text.replace(mutant.pattern, mutant.replacement))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *(f"tests/{name}" for name in mutant.tests)],
+            cwd=tmp, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(tmp / "src")})
+    found = Counter(REPORTED.findall(run.stdout))
+    if run.returncode not in (0, 1) and not found:
+        raise SystemExit(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}")
+    return found
+
+
+def main() -> int:
+    files = sorted({name for m in MUTANTS for name in m.tests})
+    width = max(len(m.name) for m in MUTANTS)
+    print(" " * width, *(f"{name:>20}" for name in files))
+    survivors = []
+    for m in MUTANTS:
+        found = kills(m)
+        cells = [str(found[name] or ".") if name in m.tests else "-" for name in files]
+        print(f"{m.name:<{width}}", *(f"{cell:>20}" for cell in cells), flush=True)
+        if not any(found[name] for name in m.tests):
+            survivors.append(m.name)
+    print("survivors:", ", ".join(survivors) or "none")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

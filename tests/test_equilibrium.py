@@ -14,8 +14,8 @@ from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff
                                sum_products)
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
                                MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _MU_SUBSET, _mu_curves, _nash, _nash_rows, case_study,
-                               check_profile)
+                               _MU_SUBSET, _least, _mu_curves, _nash, _nash_rows,
+                               case_study, check_profile)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
@@ -367,6 +367,17 @@ class TestNaNNeverPasses:
         assert [math.copysign(1.0, x) for x in row] == [1.0, 1.0, 1.0, 1.0]
 
 
+class TestLeast:
+    # Along the last axis, the first of equal least values, as Python's
+    # ``min`` picks it (``np.min`` may return the last of +0.0 and -0.0, and
+    # the printed margin shows the sign), or the first NaN.
+    def test_first_least_or_first_nan(self):
+        rows = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, np.nan, -1.0]])
+        least = _least(rows)
+        assert [f"{m:+.4f}" for m in least] == ["+0.0000", "-0.0000", "+nan"]
+        assert [f"{_least(row):+.4f}" for row in rows] == ["+0.0000", "-0.0000", "+nan"]
+
+
 class TestUnentangledCertificatesAreExact:
     # At gamma = delta = 0 every phase product is zero, so a responder's
     # payoff is K + M cos(theta) whatever their alpha and beta.  Its maximum
@@ -421,19 +432,29 @@ class TestMuCurves:
         configs = [(f.ent, f.s1, f.s2) for f in FIGURES.values()]
         configs.append((random_ent(rng), random_strategy(rng), random_strategy(rng)))
         for ent, s1, s2 in configs:
-            stacked = _mu_curves(pairing, games, ent, s1, s2, ps)
-            single = _mu_curves(pairing, [game], ent, s1, s2, ps)
-            assert len(stacked) == 3 and len(single) == 1
-            for rows in (stacked[games.index(game)], single[0]):
-                assert len(rows) == len(ps)
-                for p, row in zip(ps, rows):
-                    for mus, got in ((MU_GRID_11, row),
-                                     ((0.0, 0.5, 1.0),
-                                      [[c[i] for i in _MU_SUBSET] for c in row])):
+            stacked = _mu_curves([pairing], games, ent, s1, s2, ps)
+            single = _mu_curves([pairing], [game], ent, s1, s2, ps)
+            assert stacked.shape == (2, 1, 3, len(ps), len(MU_GRID_11))
+            assert single.shape == (2, 1, 1, len(ps), len(MU_GRID_11))
+            for rows in (stacked[:, 0, games.index(game)], single[:, 0, 0]):
+                for p, row in zip(ps, np.moveaxis(rows, 1, 0)):
+                    for mus, got in ((MU_GRID_11, row), ((0.0, 0.5, 1.0), row[:, _MU_SUBSET])):
                         ch = (p, np.array(mus))
                         want = closed_payoff_pair(game, ent, s1, s2,
                                                   *pairing.crossings(ch, ch))
                         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    # One call over all nine pairings gives each pairing's slice the bytes
+    # of a call for that pairing alone: the pairing axis only stacks.
+    @pytest.mark.parametrize("fid", list(FIGURES))
+    def test_pairing_slices_have_the_bytes_of_one_pairing_calls(self, fid):
+        fig, games = FIGURES[fid], [builtin_game(g) for g in GAME_NAMES]
+        ps = (0.0, 0.2, 0.5, 0.8, 1.0)
+        curves = _mu_curves(list(Pairing), games, *fig[:3], ps)
+        assert curves.shape == (2, len(Pairing), 3, len(ps), len(MU_GRID_11))
+        for i, pairing in enumerate(Pairing):
+            single = _mu_curves([pairing], games, *fig[:3], ps)
+            assert curves[:, i].tobytes() == single[:, 0].tobytes()
 
 
 class TestScanBuffers:
@@ -521,6 +542,11 @@ class TestCaseStudies:
             report = case_study(case_id)
             assert isinstance(report, CaseReport)
             assert report.claims
+
+    def test_claim_flags_are_python_bools(self):
+        # A numpy bool prints the same but is no JSON value.
+        flags = [c.passed for case_id in CASE_IDS for c in case_study(case_id).claims]
+        assert {type(flag) for flag in flags} == {bool}
 
     def test_case_i_phase_independence_passes(self):
         report = case_study("i")

@@ -17,6 +17,9 @@ claim line with its printed margins) at the default grid and at 5x7x3.
 ``verify_stdout.sha256`` pins, per pairing, the stdout and exit codes of
 ``verify`` over seeds, sample counts and ``--mu-zero``: a draw routed to the
 wrong parameter passes both routes alike but moves the printed residual.
+``nash_mixed_5x7x3.sha256`` pins certificates over mixed-kind pairings,
+which no case certifies: for ad-ad, d-d and ph-ph the two channel roles are
+interchangeable, so only a mixed pairing shows a certificate that swaps them.
 """
 
 import dataclasses
@@ -28,9 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgmem.cli import main
+from qgmem.cli import main, write_gains
 from qgmem.closedform import Pairing, PairingWeights, batch_weights
-from qgmem.protocol import EntanglementParams
+from qgmem.equilibrium import FIGURES, CaseReport, StrategySpace, _nash
+from qgmem.games import GAME_NAMES, builtin_game
+from qgmem.protocol import EntanglementParams, StrategyParams
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +51,7 @@ NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
 WEIGHT_DIGESTS = digests("weights.sha256")
 STDOUT_DIGESTS = digests("nash_stdout.sha256")
 VERIFY_DIGESTS = digests("verify_stdout.sha256")
+MIXED_DIGESTS = digests("nash_mixed_5x7x3.sha256")
 
 
 def test_three_axis_sweep_bytes(tmp_path, capsys):
@@ -92,6 +98,32 @@ def test_nash_report_digest(capsys, grid):
     assert main(argv if grid == "13x17x17" else argv + ["--grid", grid]) == 4
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == STDOUT_DIGESTS[f"nash_all_{grid}.txt"]
+
+
+# Two kinds in each pairing: ph and d before ad, ad before d, and two unital
+# kinds.
+MIXED_PAIRINGS = (Pairing.PH_AD, Pairing.D_AD, Pairing.AD_D, Pairing.D_PH)
+
+
+def mixed_gains(path, fid):
+    """Write the gain CSV of one ``_nash`` claim over the mixed pairings, at
+    figure ``fid``'s entanglement and Bob's strategy, against Alice's figure
+    strategy and theta1 = pi/2, for every game, on a 5x7x3 grid."""
+    fig = FIGURES[fid]
+    report = CaseReport(f"mixed-{fid}")
+    _nash(report, StrategySpace(5, 7, 3), "nash", fig.ent,
+          [(pairing, builtin_game(game), s1, fig.s2) for pairing in MIXED_PAIRINGS
+           for game in GAME_NAMES for s1 in (fig.s1, StrategyParams(math.pi / 2))])
+    write_gains(str(path), report.gain_rows)
+
+
+# Figure 6 sits at gamma = delta = pi/2, figure 5 at gamma = 0, delta = pi/2.
+@pytest.mark.parametrize("fid", [6, 5])
+def test_mixed_kind_gain_digest(tmp_path, fid):
+    name = f"nash_mixed_fig{fid}_5x7x3.csv"
+    mixed_gains(tmp_path / name, fid)
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == MIXED_DIGESTS[name]
 
 
 def verify_digest(pairing: Pairing, capsys) -> str:

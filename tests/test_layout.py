@@ -11,8 +11,12 @@ compare against live in ``tests/reference.py``.  Every qualified name that READM
 resolves.  Parameter ranges are checked only where the parameter types are
 built, and channel crossings are built in one place.  A deviation grid's
 scan is known to ``closedform`` alone, and its assembly steps take weights:
-only the weight step and the closed-form entry points take crossings.  No
-module in ``src/`` or ``tests/`` imports a name that it never reads.
+only the weight step and the closed-form entry points take crossings.  In
+``equilibrium`` only the certificates, the phase-independence claim and
+``_mu_curves`` evaluate payoffs; every curve claim reads ``_mu_curves``.  No
+module in ``src/`` or ``tests/`` imports a name that it never reads.  Every
+site of the mutation catalogue (``tests/mutate.py``) occurs once in ``src/``
+and still parses when mutated.
 """
 
 import ast
@@ -21,6 +25,7 @@ import re
 from pathlib import Path
 from types import ModuleType
 
+from mutate import MUTANTS
 from test_benchmark_targets import UNREACHED, _layers, _qgmem_imports
 
 import qgmem
@@ -181,6 +186,34 @@ def test_closedform_assembly_takes_weights_not_crossings():
               if any(a.arg in ("ch1", "ch2") or getattr(a.annotation, "id", None)
                      == "ChannelSpec" for a in args)}
     assert takers == CROSSING_TAKERS
+
+
+# Inside ``equilibrium``, the only weight evaluations and payoff assemblies,
+# and the claim kinds that read their payoffs as one (player, pairing, game,
+# p, mu) array.
+PAYOFF_EVALUATORS = {"equilibrium.check_profile", "equilibrium._mu_curves",
+                     "equilibrium._phase_independence"}
+CURVE_CLAIMS = {f"equilibrium.{name}" for name in (
+    "_nondecreasing", "_mu_ordering", "_advantage", "_equal_payoffs",
+    "_noiseless_distance", "_max_noise_advantage")}
+
+
+def test_claims_read_payoffs_through_mu_curves():
+    # A claim kind that evaluated its own payoffs would bypass the one array
+    # per claim that the margins are read from.
+    for name in ("batch_weights", "payoff_surface"):
+        callers = {c for c in _callers(name) if c.startswith("equilibrium.")}
+        assert callers == PAYOFF_EVALUATORS, name
+    assert _callers("_mu_curves") == CURVE_CLAIMS
+
+
+def test_every_mutant_site_occurs_once():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    for m in MUTANTS:
+        counts = {stem: text.count(m.pattern) for stem, text in sources.items()}
+        assert {stem: n for stem, n in counts.items() if n} == {m.module: 1}, m.name
+        ast.parse(sources[m.module].replace(m.pattern, m.replacement))
+        assert all((ROOT / "tests" / name).is_file() for name in m.tests), m.name
 
 
 def _unread_imports(path):
