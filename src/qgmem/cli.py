@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closedform import Pairing, batch_weights, closed_payoff_pair, payoff_surface
+from .closedform import Pairing, closed_payoff, closed_payoff_pair
 from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
                           case_study)
 from .games import GAME_NAMES, Bimatrix, builtin_game
@@ -146,11 +146,9 @@ def cmd_verify(args) -> int:
     worst = 0.0
     for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
         entries, point = cols[:4], game_point(pairing, dict(zip(POINT, cols[4:])))
-        ent, s1, s2, ch1, ch2 = point
-        closed = payoff_surface(batch_weights(ent, ch1, ch2), entries, ent, *s1.angles,
-                                *s2.angles)
+        closed = closed_payoff(entries, *point)
         rho = two_pass_state(*point)
-        simulated = measure_payoff(payoff_operator(ent.delta, entries), rho)
+        simulated = measure_payoff(payoff_operator(point[0].delta, entries), rho)
         # np.max keeps a NaN difference, which then fails the tolerance.
         worst = float(np.max(np.abs(closed - simulated), initial=worst))
     print(f"pairing={pairing.value} samples={args.samples} seed={args.seed} "
@@ -259,8 +257,10 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
 
 def write_gains(path: str, gain_rows: list[tuple]) -> None:
     """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns
-    (case, pairing and game as text, then numbers)."""
-    write_csv(path, [",".join([*r[:3], *map(fmt, r[3:])]) for r in gain_rows], GAIN_HEADER)
+    (case, pairing and game as text, then numbers), from one template of
+    NUMBER slots, as ``make_row`` gives the sweep rows."""
+    template = ",".join(["%s"] * 3 + [NUMBER] * (len(GAIN_COLUMNS) - 3))
+    write_csv(path, [template % r for r in gain_rows], GAIN_HEADER)
 
 
 def cmd_sweep(args) -> int:

@@ -51,8 +51,10 @@ crossings, so one weight evaluation gives a profile's payoffs and both
 deviation scans (``equilibrium.check_profile``).  Every angle term is
 elementwise in the angles, so slicing a term built for a stack of fixed
 angles gives the bits of the term built from the slice's angles alone.
+``closed_payoff``, the entry point from a game point, is ``payoff_surface``
+on ``batch_weights``; only the certificates also write those two steps out.
 ``stacked_entries`` puts entry columns (players, or games by players) on
-leading axes of the entries, so one ``payoff_surface`` call gives every
+leading axes of the entries, so one ``closed_payoff`` call gives every
 column's payoffs; ``closed_payoff_pair`` gives both players that way.
 
 The expressions are pinned against the independent Kraus-operator
@@ -503,27 +505,23 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
 
 
 def closed_payoff(entries: Sequence[float], ent: EntanglementParams, s1: StrategyParams,
-                  s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
-    """One player's closed-form payoff for their entry column, at one point.
-    Nothing in the package calls it; it stays because the benchmark tracer
-    wraps it by name."""
-    return float(payoff_surface(batch_weights(ent, ch1, ch2), entries, ent,
-                                *s1.angles, *s2.angles))
+                  s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec):
+    """The payoff at the game point (ent, s1, s2, ch1, ch2) of ``oracle.two_pass_state``:
+    ``payoff_surface`` on one weight evaluation, broadcasting like it over
+    the point's arrays and a (4, ...) ``entries``."""
+    return payoff_surface(batch_weights(ent, ch1, ch2), entries, ent, *s1.angles, *s2.angles)
 
 
 def closed_payoff_pair(game: Bimatrix, ent: EntanglementParams, s1: StrategyParams,
                        s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec,
                        ) -> tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]:
-    """(Alice, Bob) closed-form payoffs, broadcasting like ``payoff_surface``:
-    one weight evaluation and one call of it, with the two entry columns
-    stacked (``stacked_entries``), give each payoff the bits of its own call.
-    It takes the game point of ``oracle.two_pass_state``.
-    The payoffs are numpy scalars at a float point, else arrays of the
-    broadcast parameter shape."""
-    angles = (*s1.angles, *s2.angles)
-    nd = max(map(np.ndim, (ent.gamma, ent.delta, ch1.p, ch1.mu, ch2.p, ch2.mu, *angles)))
-    return tuple(payoff_surface(batch_weights(ent, ch1, ch2),
-                                stacked_entries([game.a, game.b], nd), ent, *angles))
+    """(Alice, Bob) closed-form payoffs: one ``closed_payoff`` call with the
+    two entry columns stacked (``stacked_entries``) gives each payoff the
+    bits of its own call.  The payoffs are numpy scalars at a float point,
+    else arrays of the broadcast parameter shape."""
+    nd = max(map(np.ndim, (ent.gamma, ent.delta, ch1.p, ch1.mu, ch2.p, ch2.mu,
+                           *s1.angles, *s2.angles)))
+    return tuple(closed_payoff(stacked_entries([game.a, game.b], nd), ent, s1, s2, ch1, ch2))
 
 
 def stacked_entries(columns, nd: int) -> np.ndarray:

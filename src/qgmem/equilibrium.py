@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ChannelSpec
-from .closedform import Pairing, batch_weights, grid_maxima, payoff_surface, stacked_entries
+from .closedform import (Pairing, batch_weights, closed_payoff, grid_maxima, payoff_surface,
+                         stacked_entries)
 from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
 
@@ -73,24 +74,24 @@ QUANTUM_SPACE = StrategySpace()
 
 def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
                   profiles: Sequence[tuple[Bimatrix, StrategyParams, StrategyParams]],
-                  space_a: StrategySpace, space_b: StrategySpace,
-                  ) -> list[list[list[float]]]:
+                  space_a: StrategySpace, space_b: StrategySpace) -> np.ndarray:
     """Exhaustive grid scan of both players' unilateral deviations from each
     (game, s1, s2) profile of ``profiles``, at every channel point of ``ch1``
-    and ``ch2`` (whose p and mu may be arrays), in C order: per profile, one
-    [payoff_a, payoff_b, gain_a, gain_b] row per point; a float point gives
-    one-element lists.  The profile axis leads the channel-point axes of
-    every array.  One weight evaluation gives every profile's payoffs, from
-    one ``payoff_surface`` call with games by players stacked on the entries
-    (of the full shape, see its docstring), and both players' deviation
-    scans, one ``closedform.grid_maxima`` call each over every profile (its
-    docstring states the scan rule).  The rows are one array expression:
-    payoffs and gains ``np.maximum(best - payoff, 0.0)``, stacked per
-    profile.  Every step is elementwise over the profile axis, so each
-    profile's rows have the bits of a stack of that profile alone.  Gains
-    are clamped at zero, so an off-grid profile that beats its own grid is
-    reported as gain 0 rather than negative; a -0.0 difference gives +0.0,
-    as ``max(0.0, d)`` does, and a NaN gives NaN, which no epsilon passes.
+    and ``ch2`` (whose p and mu may be arrays), in C order: one float array
+    indexed (profile, point, column), a [payoff_a, payoff_b, gain_a, gain_b]
+    row per point; a float point is one point.  The profile axis leads the
+    channel-point axes of every array.  One weight evaluation gives every
+    profile's payoffs, from one ``payoff_surface`` call with games by
+    players stacked on the entries (of the full shape, see its docstring),
+    and both players' deviation scans, one ``closedform.grid_maxima`` call
+    each over every profile (its docstring states the scan rule).  The rows
+    are one array expression: payoffs and gains ``np.maximum(best - payoff,
+    0.0)``, stacked per profile.  Every step is elementwise over the profile
+    axis, so each profile's rows have the bits of a stack of that profile
+    alone.  Gains are clamped at zero, so an off-grid profile that beats its
+    own grid is reported as gain 0 rather than negative; a -0.0 difference
+    gives +0.0, as ``max(0.0, d)`` does, and a NaN gives NaN, which no
+    epsilon passes.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
@@ -115,7 +116,7 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
         grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
                     *angles(ones, nd + 3), *space_b.mesh())], axis=1)
     rows = np.concatenate([pay, np.maximum(best - pay, 0.0)], axis=1)
-    return np.moveaxis(rows, 1, -1).reshape(len(profiles), -1, 4).tolist()
+    return np.moveaxis(rows, 1, -1).reshape(len(profiles), -1, 4)
 
 
 # --------------------------------------------------------------------------
@@ -185,29 +186,26 @@ def _mu_curves(pairings, games, ent, s1, s2, ps, mus=MU_GRID_11):
     ``closed_payoff_pair`` call at its float p."""
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
     entries = stacked_entries([[g.a for g in games], [g.b for g in games]], 2)
-    return np.stack([payoff_surface(batch_weights(ent, *pairing.crossings(ch, ch)),
-                                    entries, ent, *s1.angles, *s2.angles)
+    return np.stack([closed_payoff(entries, ent, s1, s2, *pairing.crossings(ch, ch))
                      for pairing in pairings], axis=1)
 
 
 def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
     """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
     PM_GRID, with one ``check_profile`` call per pairing (in first-seen
-    order), and append the gain rows in profile order; returns the worst
-    gain, or NaN if a gain is NaN."""
+    order) filling one (profile, point, column) array, and append the gain
+    rows in profile order; returns the worst gain, or NaN if a gain is NaN."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
-    stacks = {}
-    for pairing, *profile in profiles:
-        stacks.setdefault(pairing, []).append(profile)
-    certs = {pairing: iter(check_profile(ent, *pairing.crossings(ch, ch), stack,
-                                         space_a, space_b))
-             for pairing, stack in stacks.items()}
-    rows = [(pairing, game, next(certs[pairing])) for pairing, game, *_ in profiles]
+    certs = np.empty((len(profiles), len(points), 4))
+    for pairing in dict.fromkeys(pairing for pairing, *_ in profiles):
+        stack = [i for i, (other, *_) in enumerate(profiles) if other is pairing]
+        certs[stack] = check_profile(ent, *pairing.crossings(ch, ch),
+                                     [profiles[i][1:] for i in stack], space_a, space_b)
     report.gain_rows += [(report.case_id, pairing.value, game.name, p, m, *cert)
-                         for pairing, game, cert_rows in rows
-                         for (p, m), cert in zip(points, cert_rows)]
-    return np.array([cert_rows for *_, cert_rows in rows])[..., 2:].max()
+                         for (pairing, game, *_), rows in zip(profiles, certs.tolist())
+                         for (p, m), cert in zip(points, rows)]
+    return certs[..., 2:].max()
 
 
 def _nash(report, space, label, ent, profiles, why="", over=""):
@@ -224,8 +222,8 @@ def _phase_independence(report, space, ent):
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
     a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
     entries, ch = stacked_entries([g.b for g in _GAMES], 2), (0.35, 0.6)
-    worst = np.max([np.ptp(payoff_surface(batch_weights(ent, *pairing.crossings(ch, ch)),
-                                          entries, ent, 0.0, 0.0, 0.0, PI / 2, a2, b2),
+    s1, s2 = StrategyParams(0.0), StrategyParams(PI / 2, a2, b2)
+    worst = np.max([np.ptp(closed_payoff(entries, ent, s1, s2, *pairing.crossings(ch, ch)),
                            axis=(1, 2)) for pairing in Pairing])
     report.claims.append(CaseClaim(
         "phase-independence", bool(worst < 1e-12),

@@ -54,8 +54,8 @@ MUTANTS = [
            "worst = max(abs(alice - bob).ravel().tolist())",
            ("test_equilibrium.py",)),
     Mutant("worst-gain-by-max", "equilibrium",
-           "return np.array([cert_rows for *_, cert_rows in rows])[..., 2:].max()",
-           "return max(np.array([cert_rows for *_, cert_rows in rows])[..., 2:].ravel().tolist())",
+           "return certs[..., 2:].max()",
+           "return max(certs[..., 2:].ravel().tolist())",
            ("test_equilibrium.py",)),
     Mutant("unread-helper", "closedform",
            "def grid_maxima(",
@@ -67,12 +67,12 @@ MUTANTS = [
            "w = batch_weights(ent, ch2, ch1)",
            ("test_golden.py", "test_equilibrium.py")),
     Mutant("mu-curves-gamma-delta-exchanged", "equilibrium",
-           "np.stack([payoff_surface(batch_weights(ent,",
-           "np.stack([payoff_surface(batch_weights(EntanglementParams(ent.delta, ent.gamma),",
+           "np.stack([closed_payoff(entries, ent,",
+           "np.stack([closed_payoff(entries, EntanglementParams(ent.delta, ent.gamma),",
            ("test_golden.py", "test_equilibrium.py")),
     Mutant("verify-weights-from-ch1", "cli",
-           "closed = payoff_surface(batch_weights(ent, ch1, ch2)",
-           "closed = payoff_surface(batch_weights(ent, ch1, ch1)",
+           "closed = closed_payoff(entries, *point)",
+           "closed = closed_payoff(entries, *point[:4], point[3])",
            ("test_golden.py", "test_cli.py")),
     Mutant("phase-independence-by-max", "equilibrium",
            "worst = np.max([np.ptp(",
@@ -95,6 +95,15 @@ MUTANTS = [
            "np.unravel_index(np.argmin(margins), margins.shape)",
            "np.unravel_index(np.nanargmin(margins), margins.shape)",
            ("test_equilibrium.py",)),
+    # One closed-form entry point; certificates as one array.
+    Mutant("closed-payoff-players-swapped", "closedform",
+           "entries, ent, *s1.angles, *s2.angles)",
+           "entries, ent, *s2.angles, *s1.angles)",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("nash-rows-stack-reversed", "equilibrium",
+           "certs[stack] = check_profile(",
+           "certs[stack[::-1]] = check_profile(",
+           ("test_golden.py", "test_equilibrium.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

@@ -80,7 +80,6 @@ def test_nash_certificates_see_a_shifted_payoff_surface(case_id, tmp_path, monke
 # Traced targets that no CLI command reaches, with the reason each one is not.
 UNREACHED = {
     "qgmem.closedform:pairing_weights": "its tracer key cannot hash array arguments",
-    "qgmem.closedform:closed_payoff": "it has no program caller",
     "qgmem.channels:two_use_kraus": "the operator-sum reference the tests compare against",
     "qgmem.channels:apply_channel": "the operator-sum reference the tests compare against",
 }

@@ -307,16 +307,16 @@ class TestVerifyBlocks:
     def test_nan_difference_in_any_block_fails(self, nan_at, monkeypatch, capsys):
         block = cli.VERIFY_BLOCK
         index = {"first": 3, "later": block + 3, "last": 2 * block + 4}[nan_at]
-        orig, done = cli.payoff_surface, [0]
+        orig, done = cli.closed_payoff, [0]
 
-        def surface(*args):
+        def closed_payoff(*args):
             closed = np.array(orig(*args))
             if 0 <= index - done[0] < closed.size:
                 closed[index - done[0]] = np.nan
             done[0] += closed.size
             return closed
 
-        monkeypatch.setattr(cli, "payoff_surface", surface)
+        monkeypatch.setattr(cli, "closed_payoff", closed_payoff)
         assert run(["verify", "--pairing", "ad-d", "--samples", str(2 * block + 5)]) == 4
         assert done[0] == 2 * block + 5
         assert "max_abs_diff=nan " in capsys.readouterr().out

@@ -304,6 +304,35 @@ class TestStackedCertificates:
             assert len(stacked) == len(stack)
             assert np.array(stacked).tobytes() == np.array(single).tobytes()
 
+    @pytest.mark.parametrize("channels", range(len(CHANNELS)))
+    def test_certificates_are_one_float_array(self, channels, rng):
+        # Indexed (profile, point, column), as ``_nash_rows`` stores it: each
+        # profile's slice has the bytes of a one-profile call.
+        [ch] = self.CHANNELS[channels]
+        ent, crossings, stack = random_ent(rng), Pairing.D_AD.crossings(ch, ch), self.stack(rng)
+        spaces = (StrategySpace(3, 4, 5), StrategySpace(5, 6, 4))
+        certs = check_profile(ent, *crossings, stack, *spaces)
+        points = np.broadcast(*ch).size
+        assert isinstance(certs, np.ndarray)
+        assert (certs.dtype, certs.shape) == (np.float64, (len(stack), points, 4))
+        for q, profile in enumerate(stack):
+            [single] = check_profile(ent, *crossings, [profile], *spaces)
+            assert certs[q].tobytes() == single.tobytes()
+
+    def test_nash_rows_keep_profile_order_across_pairings(self, rng):
+        # Two pairings' stacks, interleaved: each profile's gain rows are its
+        # own one-profile certificate, in profile order.
+        ent, space_a, space_b = random_ent(rng), StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
+        profiles = [(pairing, *profile) for profile in self.stack(rng)
+                    for pairing in (Pairing.D_AD, Pairing.PH_PH)]
+        report = CaseReport("x")
+        _nash_rows(report, ent, profiles, space_b, space_a)
+        ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
+        want = [(pairing.value, game.name, *row) for pairing, game, *profile in profiles
+                for row in check_profile(ent, *pairing.crossings(ch, ch), [(game, *profile)],
+                                         space_a, space_b)[0].tolist()]
+        assert [r[1:3] + r[5:] for r in report.gain_rows] == want
+
 
 class TestNaNNeverPasses:
     # A NaN payoff or maximum must fail every claim it reaches: Python's

@@ -11,12 +11,13 @@ compare against live in ``tests/reference.py``.  Every qualified name that READM
 resolves.  Parameter ranges are checked only where the parameter types are
 built, and channel crossings are built in one place.  A deviation grid's
 scan is known to ``closedform`` alone, and its assembly steps take weights:
-only the weight step and the closed-form entry points take crossings.  In
-``equilibrium`` only the certificates, the phase-independence claim and
-``_mu_curves`` evaluate payoffs; every curve claim reads ``_mu_curves``.  No
-module in ``src/`` or ``tests/`` imports a name that it never reads.  Every
-site of the mutation catalogue (``tests/mutate.py``) occurs once in ``src/``
-and still parses when mutated.
+only the weight step and the closed-form entry points take crossings.  Only
+``closedform.closed_payoff`` and the certificates compose the weights with
+``payoff_surface``; in ``equilibrium`` the phase-independence claim and
+``_mu_curves`` call ``closed_payoff``, and every curve claim reads
+``_mu_curves``.  No module in ``src/`` or ``tests/`` imports a name that it
+never reads.  Every site of the mutation catalogue (``tests/mutate.py``)
+occurs once in ``src/`` and still parses when mutated.
 """
 
 import ast
@@ -188,22 +189,28 @@ def test_closedform_assembly_takes_weights_not_crossings():
     assert takers == CROSSING_TAKERS
 
 
-# Inside ``equilibrium``, the only weight evaluations and payoff assemblies,
+# The only places that write the closed form's two steps (a weight evaluation,
+# then ``payoff_surface`` on it): its entry point, and the certificates, whose
+# one weight evaluation also feeds both deviation scans.  Inside
+# ``equilibrium``, the other payoff evaluators, which call the entry point,
 # and the claim kinds that read their payoffs as one (player, pairing, game,
 # p, mu) array.
-PAYOFF_EVALUATORS = {"equilibrium.check_profile", "equilibrium._mu_curves",
-                     "equilibrium._phase_independence"}
+COMPOSERS = {"closedform.closed_payoff", "equilibrium.check_profile"}
+ENTRY_CALLERS = {"equilibrium._mu_curves", "equilibrium._phase_independence"}
 CURVE_CLAIMS = {f"equilibrium.{name}" for name in (
     "_nondecreasing", "_mu_ordering", "_advantage", "_equal_payoffs",
     "_noiseless_distance", "_max_noise_advantage")}
 
 
 def test_claims_read_payoffs_through_mu_curves():
-    # A claim kind that evaluated its own payoffs would bypass the one array
-    # per claim that the margins are read from.
-    for name in ("batch_weights", "payoff_surface"):
-        callers = {c for c in _callers(name) if c.startswith("equilibrium.")}
-        assert callers == PAYOFF_EVALUATORS, name
+    # A second hand-written composition could drift from ``closed_payoff``,
+    # and a claim kind that evaluated its own payoffs would bypass the one
+    # array per claim that the margins are read from.  ``cli`` calls neither
+    # step; ``pairing_weights`` is kept by the tracer alone.
+    assert _callers("payoff_surface") == COMPOSERS
+    assert _callers("batch_weights") == COMPOSERS | {"closedform.pairing_weights"}
+    assert {c for c in _callers("closed_payoff")
+            if c.startswith("equilibrium.")} == ENTRY_CALLERS
     assert _callers("_mu_curves") == CURVE_CLAIMS
 
 
