@@ -2,8 +2,8 @@
 parameter sweeps, figure-data CSVs, and equilibrium case studies.
 
 Exit codes: 0 success, 2 usage or range error, 3 unsupported configuration
-(an input too large to allocate), 4 verification or certificate failure
-(including a payoff trace with an imaginary residue).
+(an input too large to allocate, or a sweep over MAX_SWEEP_ROWS rows), 4
+verification or certificate failure (including an imaginary payoff residue).
 All output is deterministic: CSV files are byte-identical across runs for
 the same inputs.
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .channels import ChannelKind, ChannelSpec
 from .closedform import Pairing, closed_payoff, closed_payoff_pair
 from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
-                          case_study)
+                          case_study, mu_curves)
 from .games import GAME_NAMES, Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -65,10 +65,11 @@ def fmt(value: float) -> str:
 
 
 def make_row(game_name: str, pairing: Pairing, values) -> str:
-    """A CSV row from the columns p1 .. payoff_b.  An array value (a column
-    that varies per row) leaves a NUMBER slot for the row's value."""
+    """The CSV row template of a table's columns p1 .. payoff_b: an array leaves
+    a slot for the row's value, ``%s`` for an array of text, else NUMBER."""
     return ",".join([game_name, pairing.value] + [
-        NUMBER if isinstance(v, np.ndarray) else fmt(v) for v in values])
+        fmt(v) if not isinstance(v, np.ndarray) else "%s" if v.dtype == object else NUMBER
+        for v in values])
 
 
 def game_point(pairing: Pairing, values):
@@ -79,17 +80,19 @@ def game_point(pairing: Pairing, values):
             StrategyParams(*angles[5:]), *pairing.crossings((p1, mu1), (p2, mu2)))
 
 
-def payoff_rows(game: Bimatrix, ent: EntanglementParams, s1: StrategyParams,
-                s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec) -> list[str]:
-    """CSV rows of one array evaluation.  Channel parameters and angles may be
-    arrays; rows run over their broadcast shape, last axis fastest."""
-    pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
+def payoff_rows(game_name: str, ent: EntanglementParams, s1: StrategyParams,
+                s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec, payoffs) -> list[str]:
+    """CSV rows of a game point and its (Alice, Bob) ``payoffs``, last axis fastest.
+    An array smaller than the table (a swept axis) is formatted once per element
+    into ``%s`` slots; full-size ones (the payoffs) keep ``make_row``'s NUMBER slots."""
     values = (ch1.p, ch1.mu, ch2.p, ch2.mu, ent.gamma, ent.delta, *s1.angles, *s2.angles,
-              pa, pb)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+              *payoffs)
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    values = [np.frompyfunc(fmt, 1, 1)(v) if isinstance(v, np.ndarray)
+              and v.size < math.prod(shape) else v for v in values]
     columns = [np.broadcast_to(v, shape).ravel().tolist()
                for v in values if isinstance(v, np.ndarray)]
-    template = make_row(game.name, Pairing.of(ch1, ch2), values)
+    template = make_row(game_name, Pairing.of(ch1, ch2), values)
     return [template % cells for cells in zip(*columns)]
 
 
@@ -163,6 +166,8 @@ SWEEPABLE = ("p1", "mu1", "p2", "mu2", "theta2", "alpha2", "beta2")
 # Largest |entry| of a custom game: a payoff sums a few entries times weights
 # of at most 1, so it stays far below the float range.
 ENTRY_BOUND = 1e300
+# Most rows of a sweep: 1000 times a 101x101 sweep, about 4 GB at its peak.
+MAX_SWEEP_ROWS = 10**7
 
 
 @dataclass
@@ -223,13 +228,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             steps = int(parts[2])
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")
-            ramp = np.arange(steps)  # size errors first; then steps - 1 fits a float
-            # inf would make the formula warn; nan is left to the range check
-            if any(map(math.isinf, (start, stop, (stop - start) * (steps - 1)))):
-                raise ValueError(f"axis {axis}: start, stop and (stop - start) * "
-                                 f"(steps - 1) must be finite, got {val!r}")
-            grid = start + (stop - start) * ramp / (steps - 1)
-            cfg.axes.append((axis, grid))
+            cfg.axes.append((axis, (val, start, stop, steps)))
         elif key == "output":
             cfg.output = val
         elif key in POINT:
@@ -238,16 +237,23 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ValueError(f"unknown config key {key!r}")
     if not cfg.axes:
         raise ValueError("at least one sweep.<axis> line is required")
+    if (rows := math.prod(spec[-1] for _, spec in cfg.axes)) > MAX_SWEEP_ROWS:
+        raise MemoryError(f"a sweep of {rows} rows exceeds the bound of {MAX_SWEEP_ROWS}")
+    for i, (axis, (val, start, stop, steps)) in enumerate(cfg.axes):
+        # steps - 1 fits a float now; inf would warn in the formula, nan fails the range check
+        if any(map(math.isinf, (start, stop, (stop - start) * (steps - 1)))):
+            raise ValueError(f"axis {axis}: start, stop and (stop - start) * "
+                             f"(steps - 1) must be finite, got {val!r}")
+        cfg.axes[i] = (axis, start + (stop - start) * np.arange(steps) / (steps - 1))
     cfg.axes.sort(key=lambda ax: SWEEPABLE.index(ax[0]))
     return cfg
 
 
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Rows in lexicographic axis order (canonical axis order, last fastest)."""
-    grids = np.meshgrid(*(np.array(grid) for _, grid in cfg.axes),
-                        indexing="ij", sparse=True)
-    point = {**cfg.point, **{name: g for (name, _), g in zip(cfg.axes, grids)}}
-    return payoff_rows(cfg.game, *game_point(cfg.pairing, point))
+    grids = np.meshgrid(*dict(cfg.axes).values(), indexing="ij", sparse=True)
+    point = game_point(cfg.pairing, {**cfg.point, **dict(zip(dict(cfg.axes), grids))})
+    return payoff_rows(cfg.game.name, *point, closed_payoff_pair(cfg.game, *point))
 
 
 def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
@@ -284,11 +290,15 @@ def parse_figure_id(text: str):
 
 
 def figure_rows(figure_id: int) -> list[str]:
+    """The figure's rows, group by group, each group's (Alice, Bob) payoffs a
+    slice of one ``mu_curves`` array over the figure's pairings, games and p."""
     ent, s1, s2, groups = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
-    return [row for game, pairing, p in groups
-            for row in payoff_rows(builtin_game(game), ent, s1, s2,
-                                   *pairing.crossings((p, mu), (p, mu)))]
+    games, pairings, ps = (list(dict.fromkeys(axis)) for axis in zip(*groups))
+    curves = mu_curves(pairings, [builtin_game(g) for g in games], ent, s1, s2, ps, mu)
+    return [row for game, pairing, p in groups for row in payoff_rows(
+        game, ent, s1, s2, *pairing.crossings((p, mu), (p, mu)),
+        curves[:, pairings.index(pairing), games.index(game), ps.index(p)])]
 
 
 def cmd_figure(args) -> int:

@@ -178,12 +178,12 @@ def _monotone(values, sign=1):
     return np.all(sign * values[..., 1:] >= sign * values[..., :-1] - 1e-12, axis=-1)
 
 
-def _mu_curves(pairings, games, ent, s1, s2, ps, mus=MU_GRID_11):
-    """The payoffs over mu = mu1 = mu2 of ``mus`` at each p = p1 = p2 of
-    ``ps``, indexed (player, pairing, game, p, mu), from one ``payoff_surface``
-    call per pairing with players by games stacked on the entries (``ent``,
-    ``s1`` and ``s2`` at float values); each value has the bits of its game's
-    ``closed_payoff_pair`` call at its float p."""
+def mu_curves(pairings, games, ent, s1, s2, ps, mus=MU_GRID_11):
+    """The payoffs over mu = mu1 = mu2 of ``mus`` at each p = p1 = p2 of ``ps``,
+    indexed (player, pairing, game, p, mu), that the curve claims and figures
+    read: one ``payoff_surface`` call per pairing, players by games stacked on
+    the entries (``ent``, ``s1``, ``s2`` at float values); each value has the
+    bits of its game's ``closed_payoff_pair`` call at its float p."""
     ch = (np.array(ps, dtype=float)[:, None], np.array(mus, dtype=float))
     entries = stacked_entries([[g.a for g in games], [g.b for g in games]], 2)
     return np.stack([closed_payoff(entries, ent, s1, s2, *pairing.crossings(ch, ch))
@@ -232,7 +232,7 @@ def _phase_independence(report, space, ent):
 
 def _nondecreasing(report, space, fig, games, ps):
     """Memory compensation, reported per ad-ad curve of both players."""
-    falls = ~_monotone(_mu_curves([_AD], games, *fig[:3], ps)[:, 0])
+    falls = ~_monotone(mu_curves([_AD], games, *fig[:3], ps)[:, 0])
     detail = [f"{games[g].name}/{'AB'[tag]}/p={ps[p]}"
               for g, p, tag in np.argwhere(np.moveaxis(falls, 0, -1))]
     report.claims.append(CaseClaim(
@@ -244,7 +244,7 @@ def _nondecreasing(report, space, fig, games, ps):
 def _mu_ordering(report, space, fig, games, ps):
     """Bob's ad-ad payoff is nondecreasing in mu at both p of ``ps`` = (lo,
     hi), and no larger at hi than at lo for mu in (0, 0.5, 1)."""
-    _, [bob] = _mu_curves([_AD], games, *fig[:3], ps)
+    _, [bob] = mu_curves([_AD], games, *fig[:3], ps)
     report.claims.append(CaseClaim(
         "mu-monotonicity", bool(_monotone(bob).all()),
         f"quantum player's payoff nondecreasing in mu at p in {{{ps[0]}, {ps[1]}}}"))
@@ -263,7 +263,7 @@ def _least(values):
 
 def _advantage(report, space, fig, pairings):
     """Bob's least margin over Alice in bos at p = 0.5, per pairing."""
-    alice, bob = _mu_curves(pairings, [_BOS], *fig[:3], (0.5,))
+    alice, bob = mu_curves(pairings, [_BOS], *fig[:3], (0.5,))
     margins = _least((bob - alice)[:, 0, 0])
     report.claims.append(CaseClaim(
         "quantum advantage (bos, p=0.5)", bool((margins > 0).all()),
@@ -271,7 +271,7 @@ def _advantage(report, space, fig, pairings):
 
 
 def _equal_payoffs(report, space, label, fig, pairings):
-    alice, bob = _mu_curves(pairings, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
+    alice, bob = mu_curves(pairings, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
     worst = np.max(abs(alice - bob))
     report.claims.append(CaseClaim(
         label, bool(worst < 1e-9), f"max |payoff_A - payoff_B| = {worst:.3e}"))
@@ -282,7 +282,7 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
     per game and later p, never grows; an ``exact`` claim's one curve also
     falls from above 1e-3 to 0.  Checked at theta1 = theta2 = pi/2, where the
     noise acts (at theta1 = 0 these payoffs are noise-independent)."""
-    _, [bob] = _mu_curves([pairing], games, *fig[:3], ps)
+    _, [bob] = mu_curves([pairing], games, *fig[:3], ps)
     dists = abs(bob[:, 1:] - bob[:, :1, :1])
     ok = bool(_monotone(dists, -1).all())
     if exact:
@@ -302,7 +302,7 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
 def _max_noise_advantage(report, space, fig, mus):
     """Bob's least margin over Alice at p = 1 over every pairing, game and mu
     of ``mus``, and the first place it occurs."""
-    alice, bob = _mu_curves(Pairing, _GAMES, *fig[:3], (1.0,), mus)
+    alice, bob = mu_curves(Pairing, _GAMES, *fig[:3], (1.0,), mus)
     margins = (bob - alice)[:, :, 0]
     i, g, m = np.unravel_index(np.argmin(margins), margins.shape)  # as in ``_least``
     worst, where = margins[i, g, m], f"{list(Pairing)[i].value}/{_GAMES[g].name}/mu={mus[m]}"

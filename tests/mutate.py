@@ -104,6 +104,19 @@ MUTANTS = [
            "certs[stack] = check_profile(",
            "certs[stack[::-1]] = check_profile(",
            ("test_golden.py", "test_equilibrium.py")),
+    # Swept values formatted once; one curve array per figure; the sweep row bound.
+    Mutant("figure-groups-at-first-p", "cli",
+           "games.index(game), ps.index(p)])]",
+           "games.index(game), 0])]",
+           ("test_golden.py", "test_cli.py")),
+    Mutant("text-column-fortran-order", "cli",
+           "columns = [np.broadcast_to(v, shape).ravel().tolist()",
+           "columns = [np.broadcast_to(v, shape).ravel(\"FC\"[v.dtype != object]).tolist()",
+           ("test_golden.py", "test_cli.py")),
+    Mutant("sweep-bound-inclusive", "cli",
+           "cfg.axes)) > MAX_SWEEP_ROWS:",
+           "cfg.axes)) >= MAX_SWEEP_ROWS:",
+           ("test_cli.py",)),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

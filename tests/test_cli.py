@@ -12,10 +12,11 @@ from test_golden import FIGURE_DIGESTS
 
 from qgmem import cli
 from qgmem.channels import ChannelKind, ChannelSpec
-from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, VERIFY_BLOCK, build_parser,
-                       main, parse_angle, parse_sweep_config, run_sweep, verify_blocks)
-from qgmem.closedform import Pairing, payoff_surface
-from qgmem.equilibrium import CASE_IDS
+from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER, SWEEPABLE,
+                       VERIFY_BLOCK, build_parser, game_point, main, parse_angle,
+                       parse_sweep_config, run_sweep, verify_blocks)
+from qgmem.closedform import Pairing, closed_payoff, closed_payoff_pair, payoff_surface
+from qgmem.equilibrium import CASE_IDS, FIGURES
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -553,7 +554,7 @@ class TestSweepCommand:
             assert not out.exists()
 
     # As for ``nash --grid``: 10**17 float64 steps (711 PiB) exceed any
-    # address space, so numpy refuses the axis before anything is allocated.
+    # address space; the row bound refuses the axis before anything is allocated.
     def test_unallocatable_axis_is_unsupported(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         conf = tmp_path / "s.conf"
@@ -564,6 +565,32 @@ class TestSweepCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    # A sweep over MAX_SWEEP_ROWS rows is refused (exit 3) from the product
+    # of its steps, before any axis is built: with numpy's arange unusable the
+    # refusal still comes, and an axis of 10**400 steps, whose steps - 1 does
+    # not fit a float, is refused rather than overflowing (exit 4).
+    @pytest.mark.parametrize("axes,rows", [
+        ("sweep.p1 = 0:1:1001\nsweep.mu1 = 0:1:1001\nsweep.p2 = 0:1:11\n", 11022011),
+        ("sweep.mu2 = 0:1:3\nsweep.theta2 = 0:3:4\nsweep.alpha2 = 0:1:833334\n",
+         10000008),
+        (f"sweep.p1 = 0:1:{10**400}\n", 10**400),
+    ], ids=["product", "just-above", "huge-axis"])
+    def test_oversized_sweep_is_refused_before_any_axis(self, tmp_path, capsys,
+                                                          monkeypatch, axes, rows):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"game = pd\npairing = ad-d\n{axes}output = {out}\n")
+        monkeypatch.setattr(np, "arange", None)
+        assert run(["sweep", "--config", str(conf)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: a sweep of {rows} rows exceeds the bound of {MAX_SWEEP_ROWS}\n"
+        assert not out.exists()
+
+    def test_sweep_at_the_row_bound_is_parsed(self):
+        cfg = parse_sweep_config("game = pd\npairing = ad-d\nsweep.p1 = 0:1:1000\n"
+                                 "sweep.mu1 = 0:1:1000\nsweep.p2 = 0:1:10\n")
+        assert math.prod(grid.size for _, grid in cfg.axes) == MAX_SWEEP_ROWS
+
     def test_axis_order_canonical(self):
         cfg = parse_sweep_config(
             "game = pd\npairing = ph-ph\nsweep.theta2 = 0:pi:3\n"
@@ -573,6 +600,67 @@ class TestSweepCommand:
         assert len(rows) == 6
         # p1 is the outer loop
         assert [r.split(",")[2] for r in rows] == ["0", "0", "0", "1", "1", "1"]
+
+
+def reference_rows(cfg) -> list[str]:
+    """The sweep's rows with every column formatted by NUMBER on every row,
+    from the payoffs of the same closed-form call as ``run_sweep``."""
+    grids = np.meshgrid(*(grid for _, grid in cfg.axes), indexing="ij", sparse=True)
+    point = game_point(cfg.pairing, {**cfg.point, **{
+        name: grid for (name, _), grid in zip(cfg.axes, grids)}})
+    ent, s1, s2, ch1, ch2 = point
+    columns = (ch1.p, ch1.mu, ch2.p, ch2.mu, ent.gamma, ent.delta, *s1.angles, *s2.angles,
+               *closed_payoff_pair(cfg.game, *point))
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    cells = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns))
+    return [",".join([cfg.game.name, cfg.pairing.value, *(NUMBER % v for v in row)])
+            for row in cells]
+
+
+class TestRowFormatting:
+    # ``payoff_rows`` formats a swept axis once per value and broadcasts the
+    # text; the rows must have the bytes of NUMBER on every cell of every row.
+    # Axes have distinct step counts, so text broadcast in the wrong order
+    # lands in the wrong rows.
+    SPANS = {"p1": (0, 1), "mu1": (0, 1), "p2": (0, 1), "mu2": (0, 1),
+             "theta2": (0, 3.14), "alpha2": (-3.14, 3.14), "beta2": (-3.14, 3.14)}
+    # A repeated value, -0.0 (from -0 towards -1) and text in exponent form.
+    SPECIAL = {"mu1": "0:0:3", "alpha2": "-0:-1:4", "beta2": "-0:-1:4", "p2": "0:1e-5:5",
+               "mu2": "1e-5:0:3"}
+
+    def config(self, rng, names, custom, special=0.3):
+        lines = ["game = custom\nentries_a = 1e-5,-0,3.25,-2\nentries_b = 4,1e-7,-1.5,0"
+                 if custom else f"game = {rng.choice(['pd', 'bos', 'chicken'])}",
+                 f"pairing = {rng.choice(list(Pairing)).value}",
+                 f"gamma = {rng.uniform(0, 1.5)!r}", f"delta = {rng.uniform(0, 1.5)!r}",
+                 f"theta1 = {rng.uniform(0, 3)!r}", "alpha1 = -0",
+                 f"beta1 = {rng.uniform(-3, 3)!r}"]
+        for name, steps in zip(names, rng.sample(range(2, 8), len(names))):
+            if name in self.SPECIAL and rng.random() < special:
+                lines.append(f"sweep.{name} = {self.SPECIAL[name]}")
+            else:
+                lo, hi = self.SPANS[name]
+                lines.append(f"sweep.{name} = {rng.uniform(lo, hi)!r}:"
+                             f"{rng.uniform(lo, hi)!r}:{steps}")
+        fixed = ("p1", "mu1", "p2", "mu2", "theta2")
+        lines += [f"{name} = {rng.uniform(0, 1)!r}" for name in fixed if name not in names]
+        return parse_sweep_config("\n".join(lines))
+
+    @pytest.mark.parametrize("n_axes", [1, 2, 3])
+    def test_rows_have_the_bytes_of_per_row_formatting(self, n_axes, rng):
+        for trial in range(12):
+            cfg = self.config(rng, rng.sample(SWEEPABLE, n_axes), custom=trial % 3 == 0)
+            assert run_sweep(cfg) == reference_rows(cfg)
+
+    def test_special_values(self, rng):
+        cfg = self.config(rng, ["alpha2", "mu1", "p2"], custom=True, special=1)
+        rows = run_sweep(cfg)
+        assert rows == reference_rows(cfg)
+        assert len(rows) == 3 * 5 * 4
+        cells = [row.split(",") for row in rows]
+        assert {c[3] for c in cells} == {"0"}
+        assert {c[4] for c in cells} == {"0", "2.5e-06", "5e-06", "7.5e-06", "1e-05"}
+        assert "-0" in {c[12] for c in cells} and {c[9] for c in cells} == {"-0"}
 
 
 class TestFigureCommand:
@@ -611,6 +699,14 @@ class TestFigureCommand:
         assert paths == ["figure2.csv"]
         assert capsys.readouterr().out == "wrote 606 rows to figure2.csv\n"
         assert list(tmp_path.iterdir()) == []
+
+    # Each figure's groups are slices of one ``mu_curves`` array: one
+    # ``closed_payoff`` call per pairing of a figure, not one per group (22).
+    def test_one_curve_array_per_figure(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, closed_payoff)
+        assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == sum(len({pairing for _, pairing, _ in fig.groups})
+                                 for fig in FIGURES.values()) == 10
 
     def test_all_writes_golden_csvs(self, tmp_path, capsys):
         assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0

@@ -14,8 +14,8 @@ from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff
                                sum_products)
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
                                MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _MU_SUBSET, _least, _mu_curves, _nash, _nash_rows,
-                               case_study, check_profile)
+                               _MU_SUBSET, _least, _nash, _nash_rows, case_study,
+                               check_profile, mu_curves)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
@@ -461,8 +461,8 @@ class TestMuCurves:
         configs = [(f.ent, f.s1, f.s2) for f in FIGURES.values()]
         configs.append((random_ent(rng), random_strategy(rng), random_strategy(rng)))
         for ent, s1, s2 in configs:
-            stacked = _mu_curves([pairing], games, ent, s1, s2, ps)
-            single = _mu_curves([pairing], [game], ent, s1, s2, ps)
+            stacked = mu_curves([pairing], games, ent, s1, s2, ps)
+            single = mu_curves([pairing], [game], ent, s1, s2, ps)
             assert stacked.shape == (2, 1, 3, len(ps), len(MU_GRID_11))
             assert single.shape == (2, 1, 1, len(ps), len(MU_GRID_11))
             for rows in (stacked[:, 0, games.index(game)], single[:, 0, 0]):
@@ -479,10 +479,10 @@ class TestMuCurves:
     def test_pairing_slices_have_the_bytes_of_one_pairing_calls(self, fid):
         fig, games = FIGURES[fid], [builtin_game(g) for g in GAME_NAMES]
         ps = (0.0, 0.2, 0.5, 0.8, 1.0)
-        curves = _mu_curves(list(Pairing), games, *fig[:3], ps)
+        curves = mu_curves(list(Pairing), games, *fig[:3], ps)
         assert curves.shape == (2, len(Pairing), 3, len(ps), len(MU_GRID_11))
         for i, pairing in enumerate(Pairing):
-            single = _mu_curves([pairing], games, *fig[:3], ps)
+            single = mu_curves([pairing], games, *fig[:3], ps)
             assert curves[:, i].tobytes() == single[:, 0].tobytes()
 
 

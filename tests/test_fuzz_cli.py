@@ -3,8 +3,8 @@
 Whatever its arguments, ``main`` returns 0, 2, 3 or 4 and prints no
 traceback; whatever its text, ``parse_sweep_config`` returns a config or
 raises the ``ValueError`` that ``main`` reports as a usage error (exit 2),
-or the ``MemoryError`` of an axis too large to allocate, which ``main``
-reports as unsupported (exit 3).
+or the ``MemoryError`` of a sweep over ``cli.MAX_SWEEP_ROWS`` rows, which
+``main`` reports as unsupported (exit 3).
 
 Arguments and config lines are drawn from their valid domains, and then a
 few of them are broken: left out, given without a value, or given junk.  So
@@ -145,7 +145,7 @@ def test_sweep_keeps_exit_code_contract(text):
 
 
 @given(config_text() | st.text(max_size=200))
-# 10**17 float64 steps: numpy refuses the axis before allocating it.
+# 10**17 steps: the row bound refuses the axis before it is allocated.
 @example("game = pd\npairing = ph-ph\nsweep.p1 = 0:1:100000000000000000\n")
 @settings(max_examples=200, deadline=None)
 def test_parse_sweep_config_raises_only_usage_errors(text):

@@ -14,8 +14,8 @@ scan is known to ``closedform`` alone, and its assembly steps take weights:
 only the weight step and the closed-form entry points take crossings.  Only
 ``closedform.closed_payoff`` and the certificates compose the weights with
 ``payoff_surface``; in ``equilibrium`` the phase-independence claim and
-``_mu_curves`` call ``closed_payoff``, and every curve claim reads
-``_mu_curves``.  No module in ``src/`` or ``tests/`` imports a name that it
+``mu_curves`` call ``closed_payoff``, and every curve claim and
+``cli.figure_rows`` read ``mu_curves``.  No module in ``src/`` or ``tests/`` imports a name that it
 never reads.  Every site of the mutation catalogue (``tests/mutate.py``)
 occurs once in ``src/`` and still parses when mutated.
 """
@@ -194,9 +194,10 @@ def test_closedform_assembly_takes_weights_not_crossings():
 # one weight evaluation also feeds both deviation scans.  Inside
 # ``equilibrium``, the other payoff evaluators, which call the entry point,
 # and the claim kinds that read their payoffs as one (player, pairing, game,
-# p, mu) array.
+# p, mu) array; ``cli.figure_rows`` reads the same array, since the figures
+# are the curves that those claims decide on.
 COMPOSERS = {"closedform.closed_payoff", "equilibrium.check_profile"}
-ENTRY_CALLERS = {"equilibrium._mu_curves", "equilibrium._phase_independence"}
+ENTRY_CALLERS = {"equilibrium.mu_curves", "equilibrium._phase_independence"}
 CURVE_CLAIMS = {f"equilibrium.{name}" for name in (
     "_nondecreasing", "_mu_ordering", "_advantage", "_equal_payoffs",
     "_noiseless_distance", "_max_noise_advantage")}
@@ -211,7 +212,7 @@ def test_claims_read_payoffs_through_mu_curves():
     assert _callers("batch_weights") == COMPOSERS | {"closedform.pairing_weights"}
     assert {c for c in _callers("closed_payoff")
             if c.startswith("equilibrium.")} == ENTRY_CALLERS
-    assert _callers("_mu_curves") == CURVE_CLAIMS
+    assert _callers("mu_curves") == CURVE_CLAIMS | {"cli.figure_rows"}
 
 
 def test_every_mutant_site_occurs_once():
