@@ -244,7 +244,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if any(map(math.isinf, (start, stop, (stop - start) * (steps - 1)))):
             raise ValueError(f"axis {axis}: start, stop and (stop - start) * "
                              f"(steps - 1) must be finite, got {val!r}")
-        cfg.axes[i] = (axis, start + (stop - start) * np.arange(steps) / (steps - 1))
+        ramp = start + (stop - start) * np.arange(steps) / (steps - 1)
+        ramp[-1] = stop  # the ramp's last value can round one ulp past stop
+        cfg.axes[i] = (axis, ramp)
     cfg.axes.sort(key=lambda ax: SWEEPABLE.index(ax[0]))
     return cfg
 

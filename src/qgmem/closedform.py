@@ -19,8 +19,8 @@ parameters and the entanglement angles.  In every sector the e11 weight is
 the e00 weight, and the e10 weight the e01 weight, with cd = cos^2(delta/2)
 and sd = sin^2(delta/2) exchanged (a weight free of delta is its own
 mirror).  So each pairing's builder states its weights at delta once:
-``batch_weights`` calls it at (cd, sd) and at (sd, cd), and a layout
-(``_unital`` or ``_damped``) places both calls' weights in the four sectors.
+``batch_weights`` calls it at (cd, sd) and at (sd, cd), and ``_damped`` (if
+channel 2 damps) or ``_unital`` places both calls' weights in the sectors.
 The seven factors follow by one rule from the channels' slot factors:
 channel 1 gives a coherence factor coh1 and a population factor pop1,
 channel 2 diagonal and off-diagonal coherence factors fd2, fo2 and
@@ -161,35 +161,30 @@ def ad_coeffs(p: float, mu: float) -> AdCoeffs:
 
 @dataclass(frozen=True)
 class DepolCoeffs:
-    """Depolarizing two-use coefficients for one channel crossing.
+    """Depolarizing two-use coefficients for one channel crossing, either slot.
 
-    The two slots (channel used first or second) order the same four base
-    quantities differently; the sum rule d1 + d2 + 2*d4 = 1 (slot 1) /
-    d1 + d3 + 2*d2 = 1 (slot 2) holds exactly.  ``eta1dp`` is the
-    population-interference factor appearing in the delta terms.
+    a, b, d: the weights with which a two-qubit population keeps both bits,
+    flips both, or flips one (a + b + 2*d = 1 exactly).  coh: slot 1's
+    coherence factor, which slot 2 rounds as coh_base - (2/3)*(mu*p).
+    ``eta1dp`` is the population-interference factor of the delta terms.
     """
 
-    d1: float
-    d2: float
-    d3: float
-    d4: float
+    a: float
+    b: float
+    d: float
+    coh: float
+    coh_base: float
     eta1dp: float
 
 
-def depol_coeffs(p: float, mu: float, slot: int) -> DepolCoeffs:
+def depol_coeffs(p: float, mu: float) -> DepolCoeffs:
     """p and mu are trusted: the caller's ``ChannelSpec`` checked them."""
-    if slot not in (1, 2):
-        raise ValueError(f"slot must be 1 or 2, got {slot}")
-    base_a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
-    base_b = -(2 / 9) * p * (-2 * p + 2 * mu * p - 3 * mu)
+    a = -(1 / 9) * (-3 + 2 * p) * (-2 * p + 2 * mu * p + 3)
+    b = -(2 / 9) * p * (-2 * p + 2 * mu * p - 3 * mu)
     p_sq = p * p
-    base_c4 = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p_sq + 16 * mu * p_sq)
-    base_c3 = base_c4 - (2 / 3) * mu * p
-    base_d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
-    eta1dp = 2 * base_d - base_a - base_b
-    if slot == 1:
-        return DepolCoeffs(base_a, base_b, base_c3, base_d, eta1dp)
-    return DepolCoeffs(base_a, base_d, base_b, base_c4, eta1dp)
+    coh_base = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p_sq + 16 * mu * p_sq)
+    d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
+    return DepolCoeffs(a, b, d, coh_base - (2 / 3) * mu * p, coh_base, 2 * d - a - b)
 
 
 def dephasing_coeff(p: float, mu: float) -> float:
@@ -223,16 +218,16 @@ class PairingWeights:
 
 
 def _unital(at_delta, mirror) -> Sectors:
-    """The (cc, ss, sc, cs) layout of every pairing but ad-ad, ph-ad and
-    d-ad from (et, de) and the mirror's (ch, de): ss swaps cc's et and ch,
-    sc and cs carry them on e01 and e10, and de fills the other slots."""
+    """The (cc, ss, sc, cs) layout after a second crossing that does not damp,
+    from (et, de) and the mirror's (ch, de): ss swaps cc's et and ch, sc and
+    cs carry them on e01 and e10, and de fills the other slots."""
     (et, de), (ch, _) = at_delta, mirror
     return (et, ch, de, de), (ch, et, de, de), (de, de, ch, et), (de, de, et, ch)
 
 
 def _damped(at_delta, mirror) -> Sectors:
-    """The layout of ad-ad, ph-ad and d-ad from (et1, et2, et3, de1, de2,
-    de3) and the mirror's (ch1, ch2, ch3, de1, de2, de4)."""
+    """The layout after an amplitude-damping second crossing, from (et1, et2,
+    et3, de1, de2, de3) and the mirror's (ch1, ch2, ch3, de1, de2, de4)."""
     (et1, et2, et3, de1, de2, de3), (ch1, ch2, ch3, *_, de4) = at_delta, mirror
     return (et1, ch1, de1, de1), (et2, ch2, de2, de2), (et3, ch3, de3, de4), \
         (et3, ch3, de4, de3)
@@ -253,11 +248,11 @@ def _w_ad_ad(cg, sg, cd, sd, x1: AdCoeffs, x2: AdCoeffs) -> tuple:
 
 
 def _w_d_d(cg, sg, cd, sd, u: DepolCoeffs, v: DepolCoeffs) -> tuple:
-    d11 = u.d1 * cg + u.d2 * sg
-    d21 = u.d2 * cg + u.d1 * sg
-    et = (v.d1 * d11 + v.d3 * d21) * cd + (v.d1 * d21 + v.d3 * d11) * sd \
-        + 2 * v.d2 * u.d4
-    return et, v.d2 * (d11 + d21) + (v.d1 + v.d3) * u.d4
+    d11 = u.a * cg + u.b * sg
+    d21 = u.b * cg + u.a * sg
+    et = (v.a * d11 + v.b * d21) * cd + (v.a * d21 + v.b * d11) * sd \
+        + 2 * v.d * u.d
+    return et, v.d * (d11 + d21) + (v.a + v.b) * u.d
 
 
 def _w_ph_ph(cg, sg, cd, sd, z1: float, z2: float) -> tuple:
@@ -278,31 +273,31 @@ def _w_ad_ph(cg, sg, cd, sd, x1: AdCoeffs, z2: float) -> tuple:
 
 def _w_ad_d(cg, sg, cd, sd, x1: AdCoeffs, v: DepolCoeffs) -> tuple:
     band1 = sg + x1.chi11 * cg
-    et = (x1.chi00 * v.d1 * cg + v.d3 * band1) * cd \
-        + (v.d1 * band1 + x1.chi00 * v.d3 * cg) * sd + 2 * x1.chi01 * v.d2 * cg
-    return et, x1.chi01 * (v.d1 + v.d3) * cg + v.d2 * band1 + x1.chi00 * v.d2 * cg
+    et = (x1.chi00 * v.a * cg + v.b * band1) * cd \
+        + (v.a * band1 + x1.chi00 * v.b * cg) * sd + 2 * x1.chi01 * v.d * cg
+    return et, x1.chi01 * (v.a + v.b) * cg + v.d * band1 + x1.chi00 * v.d * cg
 
 
 def _w_d_ad(cg, sg, cd, sd, u: DepolCoeffs, x2: AdCoeffs) -> tuple:
-    d11 = u.d1 * cg + u.d2 * sg
-    d21 = u.d2 * cg + u.d1 * sg
-    et1 = d11 * (x2.chi00 * cd + x2.chi11 * sd) + d21 * sd + 2 * u.d4 * x2.chi_a * sd
-    et2 = d21 * (x2.chi00 * cd + x2.chi11 * sd) + d11 * sd + 2 * u.d4 * x2.chi_a * sd
-    et3 = (d11 + d21) * x2.chi_a * sd + u.d4 * (x2.chi00 * cd + (x2.chi11 + 1) * sd)
-    de1 = d11 * x2.chi01 + u.d4 * x2.chi_b
-    de2 = d21 * x2.chi01 + u.d4 * x2.chi_b
-    de3 = d11 * x2.chi_b * sd + d21 * x2.chi_b * cd + u.d4 * x2.chi01
+    d11 = u.a * cg + u.b * sg
+    d21 = u.b * cg + u.a * sg
+    et1 = d11 * (x2.chi00 * cd + x2.chi11 * sd) + d21 * sd + 2 * u.d * x2.chi_a * sd
+    et2 = d21 * (x2.chi00 * cd + x2.chi11 * sd) + d11 * sd + 2 * u.d * x2.chi_a * sd
+    et3 = (d11 + d21) * x2.chi_a * sd + u.d * (x2.chi00 * cd + (x2.chi11 + 1) * sd)
+    de1 = d11 * x2.chi01 + u.d * x2.chi_b
+    de2 = d21 * x2.chi01 + u.d * x2.chi_b
+    de3 = d11 * x2.chi_b * sd + d21 * x2.chi_b * cd + u.d * x2.chi01
     return et1, et2, et3, de1, de2, de3
 
 
 def _w_d_ph(cg, sg, cd, sd, u: DepolCoeffs, z2: float) -> tuple:
-    d11 = u.d1 * cg + u.d2 * sg
-    d21 = u.d2 * cg + u.d1 * sg
-    return d11 * cd + d21 * sd, u.d4
+    d11 = u.a * cg + u.b * sg
+    d21 = u.b * cg + u.a * sg
+    return d11 * cd + d21 * sd, u.d
 
 
 def _w_ph_d(cg, sg, cd, sd, z1: float, v: DepolCoeffs) -> tuple:
-    return (v.d1 * cg + v.d3 * sg) * cd + (v.d1 * sg + v.d3 * cg) * sd, v.d2
+    return (v.a * cg + v.b * sg) * cd + (v.a * sg + v.b * cg) * sd, v.d
 
 
 def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
@@ -327,17 +322,18 @@ def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
             return x, (x.chi10, x.chi_b, x.chi00 * cd + k * sd, x.chi00 * sd + k * cd,
                        x.chi_b - x.chi01)
         if kind is ChannelKind.DEPOLARIZING:
-            u = depol_coeffs(p, mu, slot)
+            u = depol_coeffs(p, mu)
             if slot == 1:
-                return u, (u.d3, -u.eta1dp)
-            f, g = u.d4 - (2 / 3) * (mu * p), u.d1 - 2 * u.d2 + u.d3
+                return u, (u.coh, -u.eta1dp)
+            f, g = u.coh_base - (2 / 3) * (mu * p), u.a - 2 * u.d + u.b
             return u, (f, f, g, g, g)
         z = dephasing_coeff(p, mu)
         return z, (z, 1.0) if slot == 1 else (z, z, 1.0, 1.0, 1.0)
 
     a, (coh1, pop1) = coeff(ch1, 1)
     b, (fd2, fo2, m00, m11, moff) = coeff(ch2, 2)
-    builder, layout = _BUILDERS[Pairing.of(ch1, ch2)]
+    builder = _BUILDERS[Pairing.of(ch1, ch2)]
+    layout = _damped if ch2.kind is ChannelKind.AMPLITUDE_DAMPING else _unital
     sectors = layout(builder(cg, sg, cd, sd, a, b), builder(cg, sg, sd, cd, a, b))
     return PairingWeights(*sectors,
                           f_diag=coh1 * fd2, f_off=coh1 * fo2, g00=coh1 * m00,
@@ -353,15 +349,15 @@ def pairing_weights(ent, ch1, ch2) -> PairingWeights:
 
 
 _BUILDERS = {
-    Pairing.AD_AD: (_w_ad_ad, _damped),
-    Pairing.D_D: (_w_d_d, _unital),
-    Pairing.PH_PH: (_w_ph_ph, _unital),
-    Pairing.PH_AD: (_w_ph_ad, _damped),
-    Pairing.AD_PH: (_w_ad_ph, _unital),
-    Pairing.AD_D: (_w_ad_d, _unital),
-    Pairing.D_AD: (_w_d_ad, _damped),
-    Pairing.D_PH: (_w_d_ph, _unital),
-    Pairing.PH_D: (_w_ph_d, _unital),
+    Pairing.AD_AD: _w_ad_ad,
+    Pairing.D_D: _w_d_d,
+    Pairing.PH_PH: _w_ph_ph,
+    Pairing.PH_AD: _w_ph_ad,
+    Pairing.AD_PH: _w_ad_ph,
+    Pairing.AD_D: _w_ad_d,
+    Pairing.D_AD: _w_d_ad,
+    Pairing.D_PH: _w_d_ph,
+    Pairing.PH_D: _w_ph_d,
 }
 
 

@@ -117,6 +117,24 @@ MUTANTS = [
            "cfg.axes)) > MAX_SWEEP_ROWS:",
            "cfg.axes)) >= MAX_SWEEP_ROWS:",
            ("test_cli.py",)),
+    # One name per depolarizing coefficient; the layout from the second crossing.
+    Mutant("layout-rule-inverted", "closedform",
+           "_damped if ch2.kind is ChannelKind.AMPLITUDE_DAMPING else _unital",
+           "_unital if ch2.kind is ChannelKind.AMPLITUDE_DAMPING else _damped",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("delta-mirror-unmirrored", "closedform",
+           "builder(cg, sg, sd, cd, a, b)",
+           "builder(cg, sg, cd, sd, a, b)",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("ph-d-flip-weights-swapped", "closedform",
+           "(v.a * cg + v.b * sg) * cd + (v.a * sg + v.b * cg) * sd, v.d",
+           "(v.a * cg + v.d * sg) * cd + (v.a * sg + v.d * cg) * sd, v.b",
+           ("test_closedform.py", "test_golden.py")),
+    # A sweep axis ends exactly at stop.
+    Mutant("sweep-end-unpinned", "cli",
+           "ramp[-1] = stop",
+           "pass",
+           ("test_fuzz_cli.py",)),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

@@ -591,6 +591,18 @@ class TestSweepCommand:
                                  "sweep.mu1 = 0:1:1000\nsweep.p2 = 0:1:10\n")
         assert math.prod(grid.size for _, grid in cfg.axes) == MAX_SWEEP_ROWS
 
+    # The ramp alone misses stop by a rounding error for 32 of these step
+    # counts on every full angle range, and 14 of them land outside the domain.
+    @pytest.mark.parametrize("axis,start,stop", [
+        ("theta2", "0", "pi"), ("theta2", "pi", "0"), ("alpha2", "-pi", "pi"),
+        ("beta2", "pi", "-pi"), ("alpha2", "0", "pi/2"), ("p1", "0.3", "1"),
+        ("mu2", "1", "0.3")])
+    def test_axis_ends_exactly_at_stop(self, axis, start, stop):
+        for steps in range(2, 201):
+            (_, grid), = parse_sweep_config(
+                f"game = pd\npairing = ph-ph\nsweep.{axis} = {start}:{stop}:{steps}\n").axes
+            assert (grid[0], grid[-1]) == (parse_angle(start), parse_angle(stop)), steps
+
     def test_axis_order_canonical(self):
         cfg = parse_sweep_config(
             "game = pd\npairing = ph-ph\nsweep.theta2 = 0:pi:3\n"

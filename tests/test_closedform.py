@@ -55,34 +55,27 @@ class TestAdCoeffs:
 
 
 class TestDepolCoeffs:
-    def test_noiseless_point_slot1(self):
-        c = depol_coeffs(0.0, 0.6, slot=1)
-        assert (c.d1, c.d2, c.d3, c.d4) == (1.0, 0.0, 1.0, 0.0)
+    def test_noiseless_point(self):
+        c = depol_coeffs(0.0, 0.6)
+        assert (c.a, c.b, c.d, c.coh, c.coh_base) == (1.0, 0.0, 0.0, 1.0, 1.0)
 
-    def test_noiseless_point_slot2(self):
-        c = depol_coeffs(0.0, 0.6, slot=2)
-        assert (c.d1, c.d2, c.d3, c.d4) == (1.0, 0.0, 0.0, 1.0)
-
-    def test_memoryless_leading_weight(self):
-        for p in (0.0, 0.3, 0.9):
-            assert depol_coeffs(p, 0.0, 1).d1 == pytest.approx(
-                (3 - 2 * p) ** 2 / 9, abs=1e-12)
+    def test_memoryless_weights_are_independent_flips(self):
+        # Without memory each qubit flips on its own with probability 2p/3.
+        for p in (0.0, 0.3, 0.75, 0.9, 1.0):
+            c, flip = depol_coeffs(p, 0.0), 2 * p / 3
+            assert c.a == pytest.approx((1 - flip) ** 2, abs=1e-12)
+            assert c.b == pytest.approx(flip ** 2, abs=1e-12)
+            assert c.d == pytest.approx(flip * (1 - flip), abs=1e-12)
 
     @given(probs, probs)
     @settings(max_examples=200, deadline=None)
-    def test_sum_identities(self, p, mu):
-        c1 = depol_coeffs(p, mu, 1)
-        c2 = depol_coeffs(p, mu, 2)
-        assert c1.d1 + c1.d2 + 2 * c1.d4 == pytest.approx(1, abs=1e-12)
-        assert c2.d1 + c2.d3 + 2 * c2.d2 == pytest.approx(1, abs=1e-12)
+    def test_sum_identity(self, p, mu):
+        c = depol_coeffs(p, mu)
+        assert c.a + c.b + 2 * c.d == pytest.approx(1, abs=1e-12)
 
     def test_example_point(self):
-        c = depol_coeffs(0.7, 0.3, 1)
-        assert c.d1 + c.d2 + 2 * c.d4 == pytest.approx(1, abs=1e-12)
-
-    def test_slot_validation(self):
-        with pytest.raises(ValueError):
-            depol_coeffs(0.5, 0.5, 3)
+        c = depol_coeffs(0.7, 0.3)
+        assert c.a + c.b + 2 * c.d == pytest.approx(1, abs=1e-12)
 
 
 class TestDephasingCoeff:

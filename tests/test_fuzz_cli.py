@@ -11,6 +11,13 @@ few of them are broken: left out, given without a value, or given junk.  So
 the examples reach the computations and not only the parsers.  Grid sizes,
 sample counts and sweep steps are drawn small, so no example allocates large
 arrays, and every output path lies in a temporary directory.
+
+Input drawn wholly inside the domains must succeed: ``payoff``, ``verify``
+and ``sweep`` exit 0 with nothing on standard error, and so does ``nash``,
+save that it may exit 4 when a case's claims fail (its verdict, not a
+refusal of the input).  The sweep draws take axis ends in either order,
+the symbolic ends ``pi``, ``-pi`` and ``pi/2`` among them, and up to 200
+steps on a single axis.
 """
 
 import contextlib
@@ -22,7 +29,7 @@ from pathlib import Path
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from qgmem.cli import SWEEPABLE, SweepConfig, main, parse_sweep_config
+from qgmem.cli import SWEEPABLE, VERIFY_FAIL, SweepConfig, main, parse_sweep_config
 from qgmem.closedform import Pairing
 from qgmem.equilibrium import CASE_IDS
 
@@ -122,6 +129,7 @@ def run_main(args):
     assert code in EXIT_CODES, (args, code, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue(), args
     event(f"{args[0] if args[:1] in COMMANDS else 'other'}: exit {code}")
+    return code, err.getvalue()
 
 
 @given(PAYOFF | VERIFY | FIGURE | NASH | STRAY)
@@ -154,3 +162,73 @@ def test_parse_sweep_config_raises_only_usage_errors(text):
     except (ValueError, MemoryError):
         return
     assert isinstance(cfg, SweepConfig) and cfg.axes
+
+
+@st.composite
+def valid_argv(draw):
+    """``payoff``, ``verify`` or ``nash`` with every flag inside its domain;
+    optional flags are left out at times, so their defaults are drawn too."""
+    def optional(flag, value):
+        return [flag, draw(value)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["payoff", "verify", "nash"]))
+    if command == "payoff":
+        out = ["payoff", "--game", draw(GAME), "--pairing", draw(PAIRING)]
+        for name, domain in DOMAIN.items():
+            out += (optional(f"--{name}", domain) if name.startswith(("alpha", "beta"))
+                    else [f"--{name}", draw(domain)])
+        return out
+    if command == "verify":
+        return (["verify", "--pairing", draw(PAIRING),
+                 "--samples", str(draw(st.integers(1, 3))),
+                 *optional("--seed", st.integers(-10**20, 10**20).map(str)),
+                 *optional("--tol", within(1e-9, 1.0, "1e-9"))]
+                + (["--mu-zero"] if draw(st.booleans()) else []))
+    return ["nash", "--case", draw(st.sampled_from([*CASE_IDS, "all"])),
+            "--grid", draw(small_grid())]
+
+
+@st.composite
+def valid_config_text(draw):
+    """A sweep config wholly inside the domain: 1-3 axes, each end drawn from
+    the axis's domain, with up to 200 steps on a single axis and 2-4 on each
+    of several, and up to four fixed keys that are not swept."""
+    axes = sorted(draw(st.sets(st.sampled_from(SWEEPABLE), min_size=1, max_size=3)))
+    steps = st.integers(2, 200 if len(axes) == 1 else 4)
+    lines = [f"game = {draw(GAME)}", f"pairing = {draw(PAIRING)}"]
+    for key in sorted(draw(st.sets(st.sampled_from(sorted(set(DOMAIN) - set(axes))),
+                                   max_size=4))):
+        lines.append(f"{key} = {draw(DOMAIN[key])}")
+    for axis in axes:
+        ends = AXIS_DOMAIN[axis]
+        lines.append(f"sweep.{axis} = {draw(ends)}:{draw(ends)}:{draw(steps)}")
+    return "\n".join(lines)
+
+
+def run_valid(args, codes=(0,)):
+    code, err = run_main(args)
+    assert code in codes and not err, (args, code, err)
+
+
+@given(valid_argv())
+@settings(max_examples=100, deadline=None)
+def test_valid_arguments_succeed(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        if args[0] == "nash":
+            run_valid([*args, "--csv", str(Path(tmp) / "gains.csv")], (0, VERIFY_FAIL))
+        else:
+            run_valid(args)
+
+
+@given(valid_config_text())
+# Full angle ranges whose last value rounded past stop before it was pinned.
+@example("game = pd\npairing = ph-ph\nsweep.theta2 = 0:pi:14")
+@example("game = bos\npairing = d-ad\nsweep.theta2 = pi:0:14")
+@example("game = chicken\npairing = ad-d\nsweep.alpha2 = -pi:pi:27")
+@example("game = pd\npairing = ad-ad\nsweep.beta2 = pi:-pi:14")
+@settings(max_examples=100, deadline=None)
+def test_valid_sweep_succeeds(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "sweep.conf"
+        conf.write_text(f"{text}\noutput = {Path(tmp) / 'sweep.csv'}\n")
+        run_valid(["sweep", "--config", str(conf)])
