@@ -224,7 +224,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
             parts = val.split(":")
             if len(parts) != 3:
                 raise ValueError(f"axis {axis}: expected start:stop:steps, got {val!r}")
-            start, stop = parse_angle(parts[0]), parse_angle(parts[1])
+            start, stop = map(parse_angle if axis in ANGLES else float, parts[:2])
             steps = int(parts[2])
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")

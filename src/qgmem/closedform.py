@@ -49,8 +49,8 @@ channel point; its docstring states the scan rule.  Both take (weights,
 entries, ent) first, like ``payoff_coeffs``: only ``batch_weights`` reads the
 crossings, so one weight evaluation gives a profile's payoffs and both
 deviation scans (``equilibrium.check_profile``).  Every angle term is
-elementwise in the angles, so slicing a term built for a stack of fixed
-angles gives the bits of the term built from the slice's angles alone.
+elementwise in the angles, so a profile's slice of a sum built for a stack
+of fixed angles has the bits of the sum built from that profile alone.
 ``closed_payoff``, the entry point from a game point, is ``payoff_surface``
 on ``batch_weights``; only the certificates also write those two steps out.
 ``stacked_entries`` puts entry columns (players, or games by players) on
@@ -464,18 +464,20 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
     ``payoff_coeffs`` columns are all 0 (gamma = 0 or delta = 0 zero the f
     factors) or its scale is (gamma = 0 zeroes the gamma term, delta = 0 the
     delta term, a fixed theta = 0 both).  The live products are built once
-    for the stack, and profile q is scanned on their views ``x[q]`` (of
-    every array that carries the profile axis), which have the bits that a
-    call with profile q alone would build (see the module doc).  A point
-    skips the live products whose coefficients are all 0 there (weight
-    factors vanish at some p = 0 or mu = 0 points); a point with a live
-    product left is scanned whole with ``sum_products`` into two buffers of
-    the grid's shape, so a scan with no live product builds no full-size
-    array.  A skipped product is +-0 everywhere, and so is a live one whose
-    term or scale is 0 there (a classical grid against alpha2 = beta2 has a
-    zero gamma term; a theta = 0 profile in a live stack has zero scales),
-    so skipping or adding it keeps the sum's bits but for the sign of a
-    zero, which no gain sees (``equilibrium.check_profile``)."""
+    for the stack.  A point skips the live products whose coefficients are
+    all 0 there (weight factors vanish at some p = 0 or mu = 0 points); a
+    point with a live product left sums the whole stack with its own
+    coefficients (``sum_products``, into two buffers of the grid's full
+    shape) and takes its maximum over its profile's slice, which has the
+    bits of a call with that profile alone (see the module doc).  So a scan
+    with no live product builds no full-size array, and a live stack of P
+    profiles does P times a profile's work; ``nash`` stacks several
+    profiles only at gamma = delta = 0.  A skipped product is +-0
+    everywhere, and so is a live one whose term or scale is 0 there (a
+    classical grid against alpha2 = beta2 has a zero gamma term; a theta = 0
+    profile in a live stack has zero scales), so skipping or adding it keeps
+    the sum's bits but for the sign of a zero, which no gain sees
+    (``equilibrium.check_profile``)."""
     table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(weights, entries, ent)]
     sectors, phases = angle_terms(ent, *grid)
     mesh = min(map(np.ndim, grid))
@@ -484,19 +486,12 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
     live = [(idx, scale, build()) for idx, scale, build in phases
             if any(table[j].any() for j in idx) and np.any(scale)]
     if live:
-        def at(q, x):  # profile q's view of x, if x carries the profile axis
-            return x[q] if np.ndim(x) > mesh else x
-
-        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))[1:]) for _ in range(2)]
+        bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
         n = len(maxima) // shape[0]
-        for q in range(shape[0]):
-            views = [at(q, x) for x in sectors]
-            rows = [(idx, at(q, scale), [at(q, x) for x in parts]) for idx, scale, parts in live]
-            part = [c[q * n:(q + 1) * n] for c in table]
-            for i, k in enumerate(zip(*part), q * n):
-                products = [row for row in rows if any(k[j] for j in row[0])]
-                if products:
-                    maxima[i] = sum_products(views, k, products, bufs).max()
+        for i, k in enumerate(zip(*table)):
+            products = [row for row in live if any(k[j] for j in row[0])]
+            if products:
+                maxima[i] = sum_products(sectors, k, products, bufs)[i // n].max()
     return maxima.reshape(shape)
 
 

@@ -482,6 +482,33 @@ class TestSweepCommand:
             f"error: {key!r} is both fixed and swept ('sweep.{key}')"
         assert not out.exists()
 
+    # Each axis end is parsed by its column's rule, as a fixed key and a
+    # flag are: a p or mu end is a plain number, so ``sweep.p1 = 0:pi/4:3``
+    # is refused as ``p1 = pi/4`` is, and an angle end may be a pi literal.
+    @pytest.mark.parametrize("axis", ["p1", "mu1", "p2", "mu2"])
+    def test_channel_axis_refuses_angle_literals(self, tmp_path, capsys, axis):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        for lines in (f"{axis} = pi/4\nsweep.theta2 = 0:pi:3", f"sweep.{axis} = 0:pi/4:3"):
+            conf.write_text(f"game = pd\npairing = ad-d\n{lines}\noutput = {out}\n")
+            assert run(["sweep", "--config", str(conf)]) == 2
+            assert capsys.readouterr().err == \
+                "error: could not convert string to float: 'pi/4'\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("axis,start,stop", [
+        ("theta2", "pi/2", "pi"), ("alpha2", "-pi", "pi/2"), ("beta2", "pi", "-pi")])
+    def test_angle_axis_takes_pi_literals(self, tmp_path, axis, start, stop):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"game = pd\npairing = ad-d\nsweep.{axis} = {start}:{stop}:3\n"
+                        f"output = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 0
+        column = CSV_HEADER.split(",").index(axis)
+        cells = [row.split(",")[column] for row in out.read_text().splitlines()[1:]]
+        lo, hi = parse_angle(start), parse_angle(stop)
+        assert cells == [NUMBER % v for v in (lo, (lo + hi) / 2, hi)]
+
     def test_unknown_game_is_one_clean_line(self, tmp_path, capsys):
         # As for an unknown pairing: the choices in plain text, no quotes
         # around the message.

@@ -474,7 +474,7 @@ class TestCoefficientAssembly:
 
     def test_rows_build_data(self, rng):
         # A row's build() gives one array per coefficient index, no function:
-        # a scan slices the parts of a stack per profile.
+        # a scan sums the parts of a whole stack at every live point.
         grid = StrategySpace(3, 4, 5).mesh()
         _, phases = angle_terms(random_ent(rng), *grid, *random_strategy(rng).angles)
         assert [idx for idx, *_ in phases] == [(4,), (5,), (6,), (7, 8)]

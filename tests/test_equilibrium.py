@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff
                                sum_products)
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
                                MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _MU_SUBSET, _least, _nash, _nash_rows, case_study,
+                               _CASES, _MU_SUBSET, _least, _nash, _nash_rows, case_study,
                                check_profile, mu_curves)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
@@ -230,9 +231,6 @@ class TestCertificatePath:
         def fixed(*angles):  # one profile, one channel axis, three grid axes
             return [np.reshape(x, (1,) * 5) for x in angles]
 
-        def view(x):  # the profile's view, as grid_maxima takes it
-            return x[0] if np.ndim(x) == 5 else x
-
         for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *fixed(*s2.angles))),
                               (game.b, (*fixed(*s1.angles), *StrategySpace(5, 6, 4).mesh())),
                               (game.a, (*CLASSICAL_SPACE.mesh(),
@@ -253,22 +251,21 @@ class TestCertificatePath:
                             else [raw[name]])
                     for got, whole in zip((built[idx][0], *built[idx][1]),
                                           (full[idx][0], *full[idx][1])):
-                        assert np.array_equal(got, view(whole))
-                    assert [x.tobytes() for x in built[idx][1]] == \
-                        [view(x).tobytes() for x in raws]
+                        assert np.array_equal(got, whole)
+                    assert [x.tobytes() for x in built[idx][1]] == [x.tobytes() for x in raws]
 
 
 class TestStackedCertificates:
     # A stack of profiles gives each profile the bytes of a stack of that
     # profile alone: mixed games, each profile with its own angles, at
     # channel points of several shapes.  With gamma and delta random and non
-    # zero, and theta random, the phase products are live, so each scan goes
-    # through its per-profile slices; the theta1 = 0 profile's products are
-    # dead on Bob's grid although the stack's are live (its views add +-0
-    # products), and at p = 0 or mu = 0 some points skip products that others
-    # add.  Each call builds the angle terms three times: once for the
-    # payoffs and once per ``grid_maxima`` call, whose profiles are scanned
-    # on views of that one build.
+    # zero, and theta random, the phase products are live, so each point is
+    # summed over the whole stack and read from its profile's slice; the
+    # theta1 = 0 profile's products are dead on Bob's grid although the
+    # stack's are live (its slice adds +-0 products), and at p = 0 or mu = 0
+    # some points skip products that others add.  Each call builds the angle
+    # terms three times: once for the payoffs and once per ``grid_maxima``
+    # call, whose points all sum that one build.
     CHANNELS = [
         (tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID))),),
         ((np.array([[0.0], [0.4], [1.0]]), np.array([0.0, 0.7])),),
@@ -531,7 +528,7 @@ class TestWeightEvaluations:
 
     def test_nash_all_builds_the_angle_terms_51_times(self, monkeypatch, capsys):
         # One build per payoff_surface and per grid_maxima call: a live
-        # stack's profiles are scanned on views, not rebuilt.
+        # stack's points are summed over the one build, not rebuilt.
         from qgmem import cli
 
         terms = count_calls(monkeypatch, angle_terms)
@@ -559,6 +556,38 @@ class TestWeightEvaluations:
         assert cli.main(["nash", "--case", "i", "--grid", "5x7x3"]) == 4
         capsys.readouterr()
         assert len(calls) == 3
+
+
+class TestScanTraffic:
+    # ``grid_maxima`` sums a point with a live phase product over its whole
+    # stack, so a stack of P profiles with one does P times a profile's work.
+    # Every nash claim stacks several profiles on one pairing only at
+    # gamma = delta = 0, where no product is live, so every live scan that
+    # the CLI makes has one profile.  A claim that breaks this should measure
+    # whether per-profile scans are worth bringing back.
+    def test_stacked_profiles_are_unentangled(self):
+        rows = [config for rows in _CASES.values() for kind, config in rows if kind is _nash]
+        stacked = [config["label"] for config in rows
+                   if max(Counter(pairing for pairing, *_ in config["profiles"]).values()) > 1]
+        assert stacked == ["nash: classical equilibria unchanged"]
+        for config in rows:
+            if config["label"] in stacked:
+                assert (config["ent"].gamma, config["ent"].delta) == (0.0, 0.0)
+
+    def test_nash_all_scans_twelve_stacks(self, monkeypatch, capsys):
+        # Six scans over case i's 5-profile stacks, six over one profile.
+        from qgmem import cli
+
+        stacks = []
+
+        def recording(weights, entries, ent, shape, *grid):
+            stacks.append((shape[0], ent.gamma == ent.delta == 0))
+            return grid_maxima(weights, entries, ent, shape, *grid)
+
+        rebind(monkeypatch, grid_maxima, recording)
+        assert cli.main(["nash", "--case", "all", "--grid", "5x7x3"]) == 4
+        capsys.readouterr()
+        assert sorted(stacks) == [(1, False)] * 6 + [(5, True)] * 6
 
 
 class TestCaseStudies:

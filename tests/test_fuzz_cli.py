@@ -17,7 +17,8 @@ and ``sweep`` exit 0 with nothing on standard error, and so does ``nash``,
 save that it may exit 4 when a case's claims fail (its verdict, not a
 refusal of the input).  The sweep draws take axis ends in either order,
 the symbolic ends ``pi``, ``-pi`` and ``pi/2`` among them, and up to 200
-steps on a single axis.
+steps on a single axis; most sweep one angle axis over its full range,
+where a ramp that misses its end by a rounding error leaves the domain.
 """
 
 import contextlib
@@ -188,14 +189,27 @@ def valid_argv(draw):
             "--grid", draw(small_grid())]
 
 
+# Symbolic ends over the whole range of an angle axis (theta2 lies in
+# [0, pi]): a ramp that rounds one ulp past such an end leaves the domain.
+FULL_RANGES = st.sampled_from([(axis, ends) for axis in ("theta2", "alpha2", "beta2")
+                               for ends in ("0:pi", "pi:0", "-pi:pi", "pi:-pi", "0:pi/2")
+                               if axis != "theta2" or "-" not in ends])
+
+
 @st.composite
 def valid_config_text(draw):
     """A sweep config wholly inside the domain: 1-3 axes, each end drawn from
     the axis's domain, with up to 200 steps on a single axis and 2-4 on each
-    of several, and up to four fixed keys that are not swept."""
+    of several, and up to four fixed keys that are not swept.  Three draws in
+    four sweep one angle axis over a symbolic full range (``FULL_RANGES``) in
+    up to 200 steps and fix nothing, so the examples spend their variety on
+    the ramp."""
+    lines = [f"game = {draw(GAME)}", f"pairing = {draw(PAIRING)}"]
+    if draw(st.sampled_from((True, True, True, False))):
+        axis, ends = draw(FULL_RANGES)
+        return "\n".join(lines + [f"sweep.{axis} = {ends}:{draw(st.integers(2, 200))}"])
     axes = sorted(draw(st.sets(st.sampled_from(SWEEPABLE), min_size=1, max_size=3)))
     steps = st.integers(2, 200 if len(axes) == 1 else 4)
-    lines = [f"game = {draw(GAME)}", f"pairing = {draw(PAIRING)}"]
     for key in sorted(draw(st.sets(st.sampled_from(sorted(set(DOMAIN) - set(axes))),
                                    max_size=4))):
         lines.append(f"{key} = {draw(DOMAIN[key])}")
@@ -226,7 +240,7 @@ def test_valid_arguments_succeed(args):
 @example("game = bos\npairing = d-ad\nsweep.theta2 = pi:0:14")
 @example("game = chicken\npairing = ad-d\nsweep.alpha2 = -pi:pi:27")
 @example("game = pd\npairing = ad-ad\nsweep.beta2 = pi:-pi:14")
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_valid_sweep_succeeds(text):
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "sweep.conf"

@@ -17,7 +17,8 @@ only the weight step and the closed-form entry points take crossings.  Only
 ``mu_curves`` call ``closed_payoff``, and every curve claim and
 ``cli.figure_rows`` read ``mu_curves``.  No module in ``src/`` or ``tests/`` imports a name that it
 never reads.  Every site of the mutation catalogue (``tests/mutate.py``)
-occurs once in ``src/`` and still parses when mutated.
+occurs once in ``src/`` and still parses when mutated, and every known
+survivor that ``tests/golden/mutants.txt`` lists is in the catalogue.
 """
 
 import ast
@@ -26,7 +27,7 @@ import re
 from pathlib import Path
 from types import ModuleType
 
-from mutate import MUTANTS
+from mutate import MUTANTS, known_survivors
 from test_benchmark_targets import UNREACHED, _layers, _qgmem_imports
 
 import qgmem
@@ -222,6 +223,12 @@ def test_every_mutant_site_occurs_once():
         assert {stem: n for stem, n in counts.items() if n} == {m.module: 1}, m.name
         ast.parse(sources[m.module].replace(m.pattern, m.replacement))
         assert all((ROOT / "tests" / name).is_file() for name in m.tests), m.name
+
+
+def test_known_survivors_are_catalogued():
+    # Each line of ``tests/golden/mutants.txt`` names a mutant, then the
+    # reason it survives (a line without one does not parse).
+    assert set(known_survivors()) <= {m.name for m in MUTANTS}
 
 
 def _unread_imports(path):
