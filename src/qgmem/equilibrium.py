@@ -132,6 +132,8 @@ class CaseClaim:
 @dataclass
 class CaseReport:
     case_id: str
+    # The quantum player's grid, on which every certificate scans Bob.
+    space: StrategySpace
     claims: list[CaseClaim] = field(default_factory=list)
     # One tuple per certificate and channel point, in GAIN_COLUMNS order.
     gain_rows: list[tuple] = field(default_factory=list)
@@ -190,34 +192,31 @@ def mu_curves(pairings, games, ent, s1, s2, ps, mus=MU_GRID_11):
                      for pairing in pairings], axis=1)
 
 
-def _nash_rows(report, ent, profiles, space_b, space_a=CLASSICAL_SPACE):
+def _nash(report, label, ent, profiles, why="", over=""):
     """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
-    PM_GRID, with one ``check_profile`` call per pairing (in first-seen
-    order) filling one (profile, point, column) array, and append the gain
-    rows in profile order; returns the worst gain, or NaN if a gain is NaN."""
+    PM_GRID, Alice classical and Bob on ``report.space``: one ``check_profile``
+    call per pairing (in first-seen order) fills one (profile, point, column)
+    array.  Append the gain rows in profile order; the worst gain, NaN if a
+    gain is NaN, decides the claim."""
     points = [(p, m) for p in PM_GRID for m in PM_GRID]
     ch = tuple(np.array(axis) for axis in zip(*points))
     certs = np.empty((len(profiles), len(points), 4))
     for pairing in dict.fromkeys(pairing for pairing, *_ in profiles):
         stack = [i for i, (other, *_) in enumerate(profiles) if other is pairing]
         certs[stack] = check_profile(ent, *pairing.crossings(ch, ch),
-                                     [profiles[i][1:] for i in stack], space_a, space_b)
+                                     [profiles[i][1:] for i in stack],
+                                     CLASSICAL_SPACE, report.space)
     report.gain_rows += [(report.case_id, pairing.value, game.name, p, m, *cert)
                          for (pairing, game, *_), rows in zip(profiles, certs.tolist())
                          for (p, m), cert in zip(points, rows)]
-    return certs[..., 2:].max()
-
-
-def _nash(report, space, label, ent, profiles, why="", over=""):
-    """Certify each (pairing, game, s1, s2) profile, in order."""
-    worst = _nash_rows(report, ent, profiles, space)
+    worst = certs[..., 2:].max()
     ok = bool(worst <= DEFAULT_EPSILON)
     report.nash_certified &= ok
     report.claims.append(CaseClaim(
         label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))
 
 
-def _phase_independence(report, space, ent):
+def _phase_independence(report, ent):
     """At gamma = delta = 0 Bob's payoff cannot depend on the quantum phases,
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
     a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
@@ -230,7 +229,7 @@ def _phase_independence(report, space, ent):
         f"max payoff variation over the (alpha2, beta2) grid = {worst:.3e}"))
 
 
-def _nondecreasing(report, space, fig, games, ps):
+def _nondecreasing(report, fig, games, ps):
     """Memory compensation, reported per ad-ad curve of both players."""
     falls = ~_monotone(mu_curves([_AD], games, *fig[:3], ps)[:, 0])
     detail = [f"{games[g].name}/{'AB'[tag]}/p={ps[p]}"
@@ -241,7 +240,7 @@ def _nondecreasing(report, space, fig, games, ps):
         else "decreasing curves: " + ", ".join(detail)))
 
 
-def _mu_ordering(report, space, fig, games, ps):
+def _mu_ordering(report, fig, games, ps):
     """Bob's ad-ad payoff is nondecreasing in mu at both p of ``ps`` = (lo,
     hi), and no larger at hi than at lo for mu in (0, 0.5, 1)."""
     _, [bob] = mu_curves([_AD], games, *fig[:3], ps)
@@ -261,7 +260,7 @@ def _least(values):
     return np.take_along_axis(values, np.argmin(values, axis=-1, keepdims=True), -1)[..., 0]
 
 
-def _advantage(report, space, fig, pairings):
+def _advantage(report, fig, pairings):
     """Bob's least margin over Alice in bos at p = 0.5, per pairing."""
     alice, bob = mu_curves(pairings, [_BOS], *fig[:3], (0.5,))
     margins = _least((bob - alice)[:, 0, 0])
@@ -270,14 +269,14 @@ def _advantage(report, space, fig, pairings):
         "; ".join(f"{pr.value}: min margin {m:+.4f}" for pr, m in zip(pairings, margins))))
 
 
-def _equal_payoffs(report, space, label, fig, pairings):
+def _equal_payoffs(report, label, fig, pairings):
     alice, bob = mu_curves(pairings, _GAMES, *fig[:3], (0.3, 0.7), (0.0, 0.5, 1.0))
     worst = np.max(abs(alice - bob))
     report.claims.append(CaseClaim(
         label, bool(worst < 1e-9), f"max |payoff_A - payoff_B| = {worst:.3e}"))
 
 
-def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=False):
+def _noiseless_distance(report, label, pairing, fig, games, ps, exact=False):
     """Bob's distance over mu from his noiseless payoff (p = ps[0] = 0, mu = 0),
     per game and later p, never grows; an ``exact`` claim's one curve also
     falls from above 1e-3 to 0.  Checked at theta1 = theta2 = pi/2, where the
@@ -299,7 +298,7 @@ def _noiseless_distance(report, space, label, pairing, fig, games, ps, exact=Fal
                    "(grows with mu for chicken)"))
 
 
-def _max_noise_advantage(report, space, fig, mus):
+def _max_noise_advantage(report, fig, mus):
     """Bob's least margin over Alice at p = 1 over every pairing, game and mu
     of ``mus``, and the first place it occurs."""
     alice, bob = mu_curves(Pairing, _GAMES, *fig[:3], (1.0,), mus)
@@ -316,8 +315,8 @@ def _max_noise_advantage(report, space, fig, mus):
 _GAMES = _PD, _BOS, _CHICKEN = tuple(map(builtin_game, GAME_NAMES))
 
 # Each case's claims, in report order, as (claim kind, configuration) rows: a
-# kind is an evaluator that appends its claim(s) to the report, given the
-# configuration and the quantum player's grid.
+# kind is an evaluator that appends its claim(s) to the report, given its
+# configuration; ``_nash`` reads the quantum player's grid off the report.
 _CASES = {
     "i": [
         (_phase_independence, dict(ent=FIGURES[2].ent)),
@@ -379,7 +378,7 @@ def case_study(case_id: str,
     """Run one named case study; every claim's status is computed."""
     if case_id not in _CASES:
         raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
-    report = CaseReport(case_id)
+    report = CaseReport(case_id, quantum_space)
     for kind, config in _CASES[case_id]:
-        kind(report, quantum_space, **config)
+        kind(report, **config)
     return report

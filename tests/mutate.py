@@ -56,8 +56,8 @@ MUTANTS = [
            "worst = max(abs(alice - bob).ravel().tolist())",
            ("test_equilibrium.py",)),
     Mutant("worst-gain-by-max", "equilibrium",
-           "return certs[..., 2:].max()",
-           "return max(certs[..., 2:].ravel().tolist())",
+           "worst = certs[..., 2:].max()",
+           "worst = max(certs[..., 2:].ravel().tolist())",
            ("test_equilibrium.py",)),
     Mutant("unread-helper", "closedform",
            "def grid_maxima(",
@@ -179,6 +179,32 @@ MUTANTS = [
            "_PAULI_PAIRS, _PAULI_PAIRS, _PAULI_PAIRS.conj(),",
            "_PAULI_PAIRS, _PAULI_PAIRS, _PAULI_PAIRS,",
            ("test_oracle.py", "test_golden.py")),
+    # Alice certified on the classical grid; the payoff column's length; the
+    # oracle's joint weights; one sector weight's sign.
+    Mutant("nash-alice-on-quantum-grid", "equilibrium",
+           "CLASSICAL_SPACE, report.space)",
+           "report.space, report.space)",
+           ("test_equilibrium.py", "test_golden.py")),
+    Mutant("surface-entry-count-unchecked", "closedform",
+           "    if len(entries) != 4:\n"
+           "        raise ValueError(f\"expected 4 payoff entries, got {len(entries)}\")\n"
+           "    sectors, phases",
+           "    sectors, phases",
+           ("test_closedform.py",)),
+    Mutant("operator-entry-count-unchecked", "protocol",
+           "    if len(entries) != 4:\n"
+           "        raise ValueError(f\"expected 4 payoff entries, got {len(entries)}\")\n"
+           "    v, e = measurement_basis(delta)",
+           "    v, e = measurement_basis(delta)",
+           ("test_closedform.py", "test_protocol.py")),
+    Mutant("pair-weights-mu-mix-swapped", "channels",
+           "((1.0 - mu) * probs[..., None, :] + mu * np.eye(4))",
+           "(mu * probs[..., None, :] + (1.0 - mu) * np.eye(4))",
+           ("test_channels.py", "test_oracle.py")),
+    Mutant("d-ad-et3-sign-flipped", "closedform",
+           "(d11 + d21) * x2.chi_a * sd",
+           "(d11 - d21) * x2.chi_a * sd",
+           ("test_closedform.py", "test_golden.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

@@ -217,6 +217,19 @@ class TestClosedPayoff:
 
 
 class TestPayoffSurface:
+    # Both payoff routes refuse a payoff column that is not four entries.
+    @pytest.mark.parametrize("route", ["closed form", "operator"])
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rejects_a_column_of_other_than_four_entries(self, route, count, rng):
+        ent, entries = random_ent(rng), tuple(range(count))
+        with pytest.raises(ValueError, match=f"^expected 4 payoff entries, got {count}$"):
+            if route == "operator":
+                payoff_operator(ent.delta, entries)
+            else:
+                w = batch_weights(ent, *Pairing.AD_D.crossings((0.3, 0.6), (0.3, 0.6)))
+                payoff_surface(w, entries, ent, *random_strategy(rng).angles,
+                               *random_strategy(rng).angles)
+
     def test_broadcast_matches_scalar(self, rng):
         ent = random_ent(rng)
         ch1, ch2 = Pairing.AD_D.crossings((rng.random(), rng.random()),

@@ -15,7 +15,7 @@ from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff
                                sum_products)
 from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
                                MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _CASES, _MU_SUBSET, _least, _nash, _nash_rows, case_study,
+                               _CASES, _MU_SUBSET, _least, _nash, case_study,
                                check_profile, mu_curves)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
@@ -175,32 +175,36 @@ class TestCertificatePath:
         ("chicken", None, None, None, True)])
     def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
                                                     delta, theta1, equal_phases, rng):
+        # ``_nash``'s rows are the per-point certificates of a classical
+        # Alice; those, and a quantum Alice's, are the gains over the dense
+        # meshes.
         game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
-        space_a, space_b = StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
+        space_b = StrategySpace(5, 6, 4)
         if equal_phases:
-            space_a, s2 = CLASSICAL_SPACE, StrategyParams(s2.theta, s2.alpha, s2.alpha)
-        report = CaseReport("t")
-        _nash_rows(report, ent, [(pairing, game, s1, s2)], space_b, space_a)
+            s2 = StrategyParams(s2.theta, s2.alpha, s2.alpha)
+        report = CaseReport("t", space_b)
+        _nash(report, "nash", ent, [(pairing, game, s1, s2)])
         rows = report.gain_rows
         assert [r[3:5] for r in rows] == [(p, m) for p in PM_GRID for m in PM_GRID]
         for *_, p, m, row_pay_a, row_pay_b, row_gain_a, row_gain_b in rows:
             ch1, ch2 = pairing.crossings((p, m), (p, m))
-            [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
-                ent, ch1, ch2, [(game, s1, s2)], space_a, space_b)
-            assert (row_pay_a, row_pay_b) == (pay_a, pay_b)
-            assert (row_gain_a, row_gain_b) == (gain_a, gain_b)
-            # ... and those are the gains over the dense meshes.
             pa, pb = closed_payoff_pair(game, ent, s1, s2, ch1, ch2)
-            dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
-            dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
             w = batch_weights(ent, ch1, ch2)
-            best_a = payoff_surface(w, game.a, ent, *dense_a,
-                                    s2.theta, s2.alpha, s2.beta).max()
+            dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
             best_b = payoff_surface(w, game.b, ent, s1.theta,
                                     s1.alpha, s1.beta, *dense_b).max()
-            assert (pay_a, pay_b) == (pa, pb)
-            assert gain_a == max(0.0, float(best_a) - pa)
-            assert gain_b == max(0.0, float(best_b) - pb)
+            for space_a in (CLASSICAL_SPACE, StrategySpace(3, 4, 5)):
+                [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
+                    ent, ch1, ch2, [(game, s1, s2)], space_a, space_b)
+                if space_a is CLASSICAL_SPACE:
+                    assert (row_pay_a, row_pay_b) == (pay_a, pay_b)
+                    assert (row_gain_a, row_gain_b) == (gain_a, gain_b)
+                dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
+                best_a = payoff_surface(w, game.a, ent, *dense_a,
+                                        s2.theta, s2.alpha, s2.beta).max()
+                assert (pay_a, pay_b) == (pa, pb)
+                assert gain_a == max(0.0, float(best_a) - pa)
+                assert gain_b == max(0.0, float(best_b) - pb)
 
     # A subnormal product cannot move an O(1) maximum, so the gains above
     # cannot see a wrong skip there; the liveness itself is compared with
@@ -303,7 +307,7 @@ class TestStackedCertificates:
 
     @pytest.mark.parametrize("channels", range(len(CHANNELS)))
     def test_certificates_are_one_float_array(self, channels, rng):
-        # Indexed (profile, point, column), as ``_nash_rows`` stores it: each
+        # Indexed (profile, point, column), as ``_nash`` stores it: each
         # profile's slice has the bytes of a one-profile call.
         [ch] = self.CHANNELS[channels]
         ent, crossings, stack = random_ent(rng), Pairing.D_AD.crossings(ch, ch), self.stack(rng)
@@ -319,15 +323,15 @@ class TestStackedCertificates:
     def test_nash_rows_keep_profile_order_across_pairings(self, rng):
         # Two pairings' stacks, interleaved: each profile's gain rows are its
         # own one-profile certificate, in profile order.
-        ent, space_a, space_b = random_ent(rng), StrategySpace(3, 4, 5), StrategySpace(5, 6, 4)
+        ent, space_b = random_ent(rng), StrategySpace(5, 6, 4)
         profiles = [(pairing, *profile) for profile in self.stack(rng)
                     for pairing in (Pairing.D_AD, Pairing.PH_PH)]
-        report = CaseReport("x")
-        _nash_rows(report, ent, profiles, space_b, space_a)
+        report = CaseReport("x", space_b)
+        _nash(report, "nash", ent, profiles)
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         want = [(pairing.value, game.name, *row) for pairing, game, *profile in profiles
                 for row in check_profile(ent, *pairing.crossings(ch, ch), [(game, *profile)],
-                                         space_a, space_b)[0].tolist()]
+                                         CLASSICAL_SPACE, space_b)[0].tolist()]
         assert [r[1:3] + r[5:] for r in report.gain_rows] == want
 
 
@@ -350,8 +354,8 @@ class TestNaNNeverPasses:
         # (p, mu); a NaN maximum at Bob's last point alone must fail it.
         defect = StrategyParams(PI)
         profiles = [(Pairing.PH_PH, builtin_game("pd"), defect, defect)]
-        report = CaseReport("t")
-        _nash(report, CLASSICAL_SPACE, "nash", CLASSICAL_POINT, profiles)
+        report = CaseReport("t", CLASSICAL_SPACE)
+        _nash(report, "nash", CLASSICAL_POINT, profiles)
         assert report.nash_certified and report.claims[0].passed
 
         def last_nan(*args):
@@ -360,8 +364,8 @@ class TestNaNNeverPasses:
             return best
 
         rebind(monkeypatch, grid_maxima, last_nan)
-        report = CaseReport("t")
-        _nash(report, CLASSICAL_SPACE, "nash", CLASSICAL_POINT, profiles)
+        report = CaseReport("t", CLASSICAL_SPACE)
+        _nash(report, "nash", CLASSICAL_POINT, profiles)
         assert not report.nash_certified and not report.claims[0].passed
         assert report.claims[0].detail == "worst unilateral gain = nan"
 
@@ -490,16 +494,16 @@ class TestScanBuffers:
     def test_nash_rows_repeat_after_other_profiles(self, rng):
         bos, fig = builtin_game("bos"), FIGURES[4]  # case ii-b's profile
 
-        def rows(pairing, game, ent, s1, s2, space_b, space_a=CLASSICAL_SPACE):
-            report = CaseReport("t")
-            _nash_rows(report, ent, [(pairing, game, s1, s2)], space_b, space_a)
+        def rows(pairing, game, ent, s1, s2, space_b):
+            report = CaseReport("t", space_b)
+            _nash(report, "nash", ent, [(pairing, game, s1, s2)])
             return report.gain_rows
 
         first = rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE)
         assert max(r[-1] for r in first) > 0.5
         for pairing in Pairing:
             rows(pairing, builtin_game("pd"), random_ent(rng), random_strategy(rng),
-                 random_strategy(rng), StrategySpace(4, 3, 6), StrategySpace(2, 5, 3))
+                 random_strategy(rng), StrategySpace(4, 3, 6))
         assert rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE) == first
 
 
@@ -594,6 +598,21 @@ class TestCaseStudies:
     def test_unknown_case(self):
         with pytest.raises(KeyError):
             case_study("v")
+
+    def test_nash_profiles_play_a_classical_alice(self):
+        # ``_nash`` scans Alice on CLASSICAL_SPACE, whatever the quantum
+        # grid: it holds because every certified Alice move lies in it.
+        rows = [config for rows in _CASES.values() for kind, config in rows if kind is _nash]
+        assert rows
+        for config in rows:
+            for _, _, s1, _ in config["profiles"]:
+                assert (s1.alpha, s1.beta) == (0.0, 0.0), config["label"]
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_report_carries_the_quantum_grid(self, case_id):
+        space = StrategySpace(3, 4, 3)
+        assert case_study(case_id, space).space is space
+        assert case_study(case_id).space is QUANTUM_SPACE
 
     def test_all_cases_run(self):
         for case_id in CASE_IDS:

@@ -110,8 +110,8 @@ def mixed_gains(path, fid):
     figure ``fid``'s entanglement and Bob's strategy, against Alice's figure
     strategy and theta1 = pi/2, for every game, on a 5x7x3 grid."""
     fig = FIGURES[fid]
-    report = CaseReport(f"mixed-{fid}")
-    _nash(report, StrategySpace(5, 7, 3), "nash", fig.ent,
+    report = CaseReport(f"mixed-{fid}", StrategySpace(5, 7, 3))
+    _nash(report, "nash", fig.ent,
           [(pairing, builtin_game(game), s1, fig.s2) for pairing in MIXED_PAIRINGS
            for game in GAME_NAMES for s1 in (fig.s1, StrategyParams(math.pi / 2))])
     write_gains(str(path), report.gain_rows)
