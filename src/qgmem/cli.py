@@ -43,17 +43,16 @@ NUMBER_FLAGS = {f"--{name}" for name in (*POINT, "tol")}
 
 
 def parse_angle(text: str) -> float:
-    """Angles are radians; the literals pi, pi/2, -pi, pi/4 ... are accepted."""
+    """Angles are radians: one optional sign, then ``pi`` or ``pi/N`` with N
+    finite and nonzero (``-pi/4``, ``pi/-2``); any other token is a plain float."""
     token = text.strip().lower().replace(" ", "")
-    sign = 1.0
-    if token.startswith(("-", "+")):
-        sign = -1.0 if token[0] == "-" else 1.0
-        token = token[1:]
-    if token == "pi":
+    sign = -1.0 if token.startswith("-") else 1.0
+    body = token[1:] if token.startswith(("-", "+")) else token
+    if body == "pi":
         return sign * math.pi
-    if token.startswith("pi/") and float(token[3:]) != 0:  # pi/0 fails below
-        return sign * math.pi / float(token[3:])
-    return sign * float(token)
+    if body.startswith("pi/") and math.isfinite(n := float(body[3:])) and n != 0:
+        return sign * math.pi / n
+    return float(token)
 
 
 # The 12-significant-digit decimal format of every number the CLI writes.
@@ -292,15 +291,14 @@ def parse_figure_id(text: str):
 
 
 def figure_rows(figure_id: int) -> list[str]:
-    """The figure's rows, group by group, each group's (Alice, Bob) payoffs a
-    slice of one ``mu_curves`` array over the figure's pairings, games and p."""
-    ent, s1, s2, groups = FIGURES[figure_id]
+    """The figure's rows, curve by curve over its games, pairings and p (p
+    fastest), each curve's (Alice, Bob) payoffs a slice of one ``mu_curves`` array."""
+    ent, s1, s2, games, pairings, ps = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
-    games, pairings, ps = (list(dict.fromkeys(axis)) for axis in zip(*groups))
     curves = mu_curves(pairings, [builtin_game(g) for g in games], ent, s1, s2, ps, mu)
-    return [row for game, pairing, p in groups for row in payoff_rows(
-        game, ent, s1, s2, *pairing.crossings((p, mu), (p, mu)),
-        curves[:, pairings.index(pairing), games.index(game), ps.index(p)])]
+    return [row for g, game in enumerate(games) for i, pairing in enumerate(pairings)
+            for j, p in enumerate(ps) for row in payoff_rows(
+                game, ent, s1, s2, *pairing.crossings((p, mu), (p, mu)), curves[:, i, g, j])]
 
 
 def cmd_figure(args) -> int:

@@ -148,29 +148,25 @@ class CaseReport:
 
 
 # The paper's figures: entanglement, strategies (alpha1 = beta1 = 0
-# throughout, Alice is classical) and the curve groups (game, pairing, p) in
-# plotting order; each curve runs over mu = mu1 = mu2 at p = p1 = p2.
-Figure = namedtuple("Figure", "ent s1 s2 groups")
+# throughout, Alice is classical) and the curve axes, games by pairings by p
+# in plotting order, p fastest; each curve runs over mu = mu1 = mu2 at p = p1 = p2.
+Figure = namedtuple("Figure", "ent s1 s2 games pairings ps")
 _AD, _D, _PH = Pairing.AD_AD, Pairing.D_D, Pairing.PH_PH
 FIGURES = {
     2: Figure(EntanglementParams(0.0, 0.0), StrategyParams(0.0),
-              StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, _AD, p) for g in GAME_NAMES for p in (0.8, 0.2)]),
+              StrategyParams(PI / 2, PI / 2, 0.0), GAME_NAMES, (_AD,), (0.8, 0.2)),
     3: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(PI / 2),
-              StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, _AD, p) for g in ("pd", "chicken") for p in (0.8, 0.2)]),
+              StrategyParams(PI / 2, PI / 2, 0.0), ("pd", "chicken"), (_AD,), (0.8, 0.2)),
     4: Figure(EntanglementParams(PI / 2, 0.0), StrategyParams(0.0),
-              StrategyParams(PI / 2, PI / 2, 0.0),
-              [("bos", pr, 0.5) for pr in (_AD, Pairing.D_AD, Pairing.PH_AD)]),
+              StrategyParams(PI / 2, PI / 2, 0.0), ("bos",),
+              (_AD, Pairing.D_AD, Pairing.PH_AD), (0.5,)),
     5: Figure(EntanglementParams(0.0, PI / 2), StrategyParams(0.0),
-              StrategyParams(PI / 2, 0.0, PI / 2),
-              [("bos", pr, 0.5) for pr in (_AD, Pairing.D_AD, Pairing.PH_AD)]),
+              StrategyParams(PI / 2, 0.0, PI / 2), ("bos",),
+              (_AD, Pairing.D_AD, Pairing.PH_AD), (0.5,)),
     6: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
-              StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, _AD, 0.5) for g in GAME_NAMES]),
+              StrategyParams(PI / 2, PI / 2, 0.0), GAME_NAMES, (_AD,), (0.5,)),
     7: Figure(EntanglementParams(PI / 2, PI / 2), StrategyParams(0.0),
-              StrategyParams(PI / 2, PI / 2, 0.0),
-              [(g, _D, 0.5) for g in GAME_NAMES]),
+              StrategyParams(PI / 2, PI / 2, 0.0), GAME_NAMES, (_D,), (0.5,)),
 }
 
 

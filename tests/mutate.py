@@ -108,8 +108,8 @@ MUTANTS = [
            ("test_golden.py", "test_equilibrium.py")),
     # Swept values formatted once; one curve array per figure; the sweep row bound.
     Mutant("figure-groups-at-first-p", "cli",
-           "games.index(game), ps.index(p)])]",
-           "games.index(game), 0])]",
+           "curves[:, i, g, j])]",
+           "curves[:, i, g, 0])]",
            ("test_golden.py", "test_cli.py")),
     Mutant("text-column-fortran-order", "cli",
            "columns = [np.broadcast_to(v, shape).ravel().tolist()",
@@ -155,6 +155,10 @@ MUTANTS = [
            "total = cc * coeffs[0] + ss * coeffs[1] + sc * coeffs[2] + cs * coeffs[3]",
            "total = cs * coeffs[3] + sc * coeffs[2] + ss * coeffs[1] + cc * coeffs[0]",
            ("test_closedform.py", "test_golden.py")),
+    Mutant("angle-divisor-finiteness-dropped", "cli",
+           "math.isfinite(n := float(body[3:])) and n != 0",
+           "(n := float(body[3:])) != 0",
+           ("test_cli.py",)),
     Mutant("game-point-p1-mu1-swapped", "cli",
            "pairing.crossings((p1, mu1), (p2, mu2))",
            "pairing.crossings((mu1, p1), (p2, mu2))",

@@ -55,17 +55,28 @@ class TestParserReuse:
         assert (run(argv), capsys.readouterr().out) == first
 
 
+# Angle tokens that read as a number before one sign at most and a finite
+# divisor of pi were required: --1 as 1, +-1 as -1, and pi/inf as 0.
+BAD_ANGLES = ("--1", "+-1", "pi/inf", "-pi/inf", "pi/1e400")
+
+
 class TestParseAngle:
+    # Each literal parses to these bits, down to the sign of a zero.
     @pytest.mark.parametrize("text,expected", [
         ("pi", math.pi), ("pi/2", math.pi / 2), ("-pi", -math.pi),
         ("pi/4", math.pi / 4), ("0", 0.0), ("1.25", 1.25), ("-0.5", -0.5),
+        ("-pi/4", -math.pi / 4), ("-pi/-2", math.pi / 2), ("-0", -0.0), ("1e-05", 1e-05),
+        ("+0.5", 0.5),
     ])
     def test_values(self, text, expected):
-        assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
+        value = parse_angle(text)
+        assert (value, math.copysign(1.0, value)) == (expected, math.copysign(1.0, expected))
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_angle("two-pi")
+        # One sign at most, and a divisor of pi that is finite.
+        for text in ("two-pi", "--pi", "pi/nan", *BAD_ANGLES):
+            with pytest.raises(ValueError):
+                parse_angle(text)
 
     def test_rejects_division_by_zero(self):
         for text in ("pi/0", "-pi/0.0"):
@@ -78,6 +89,14 @@ class TestParseAngle:
                     "--p2", "0", "--mu2", "0", "--theta1", "0",
                     "--theta2", "0"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", BAD_ANGLES)
+    def test_doubled_sign_or_infinite_divisor_is_usage_error(self, capsys, text):
+        assert run(["payoff", "--game", "pd", "--pairing", "ph-ph",
+                    "--gamma", "0", "--delta", "0", "--p1", "0", "--mu1", "0",
+                    "--p2", "0", "--mu2", "0", f"--theta1={text}", "--theta2", "0"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --theta1: invalid parse_angle value: {text!r}\n")
 
 
 class TestPayoffCommand:
@@ -496,6 +515,17 @@ class TestSweepCommand:
                 "error: could not convert string to float: 'pi/4'\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("text", BAD_ANGLES)
+    def test_angle_refuses_doubled_sign_and_infinite_divisor(self, tmp_path, capsys, text):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        for lines in (f"theta1 = {text}\nsweep.p1 = 0:1:3", f"sweep.alpha2 = -pi:{text}:3"):
+            conf.write_text(f"game = pd\npairing = ad-d\n{lines}\noutput = {out}\n")
+            assert run(["sweep", "--config", str(conf)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: could not convert string to float: {text!r}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("axis,start,stop", [
         ("theta2", "pi/2", "pi"), ("alpha2", "-pi", "pi/2"), ("beta2", "pi", "-pi")])
     def test_angle_axis_takes_pi_literals(self, tmp_path, axis, start, stop):
@@ -739,13 +769,12 @@ class TestFigureCommand:
         assert capsys.readouterr().out == "wrote 606 rows to figure2.csv\n"
         assert list(tmp_path.iterdir()) == []
 
-    # Each figure's groups are slices of one ``mu_curves`` array: one
-    # ``closed_payoff`` call per pairing of a figure, not one per group (22).
+    # Each figure's curves are slices of one ``mu_curves`` array: one
+    # ``closed_payoff`` call per pairing of a figure, not one per curve (22).
     def test_one_curve_array_per_figure(self, tmp_path, monkeypatch, capsys):
         calls = count_calls(monkeypatch, closed_payoff)
         assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0
-        assert len(calls) == sum(len({pairing for _, pairing, _ in fig.groups})
-                                 for fig in FIGURES.values()) == 10
+        assert len(calls) == sum(len(fig.pairings) for fig in FIGURES.values()) == 10
 
     def test_all_writes_golden_csvs(self, tmp_path, capsys):
         assert run(["figure", "--id", "all", "--outdir", str(tmp_path)]) == 0

@@ -450,6 +450,28 @@ class TestUnentangledScanBuildsNoGrid:
         assert peak < 2 * 1001 * 1001 * np.dtype(float).itemsize
 
 
+class TestScanSkipsDeadPoints:
+    # At figure 6's entanglement (gamma = delta = pi/2) the ad-ad
+    # coefficients of the phase products are nonzero at (p, mu) = (0.5, 0)
+    # and all 0 at (1, 0), so each player's scan sums a full grid at the
+    # first point and none at the second.  There the live products would
+    # add +-0, which keeps every bit but the sign of a zero, so only this
+    # count sees the skip.
+    def test_zero_coefficient_points_sum_no_grid(self, monkeypatch):
+        fig, sums = FIGURES[6], []
+
+        def recording(sectors, coeffs, products, out=None):
+            sums.append(out is not None)
+            return sum_products(sectors, coeffs, products, out)
+
+        monkeypatch.setattr(closedform, "sum_products", recording)
+        ch = (np.array([0.5, 1.0]), np.array([0.0, 0.0]))
+        check_profile(fig.ent, *Pairing.AD_AD.crossings(ch, ch),
+                      [(builtin_game("bos"), fig.s1, fig.s2)],
+                      CLASSICAL_SPACE, StrategySpace(5, 7, 3))
+        assert sums.count(True) == 2
+
+
 class TestMuCurves:
     # One call over all three games, and one over a single game, give each
     # game's p row the bits of that game's call at that float p, and the

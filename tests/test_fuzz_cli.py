@@ -54,8 +54,8 @@ DOMAIN = {"gamma": within(0.0, PI / 2, "0", "pi/2", "pi/4"),
 PAIRING = st.sampled_from([p.value for p in Pairing])
 GAME = st.sampled_from(["pd", "bos", "chicken"])
 JUNK = (st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "1e-400", "+",
-                         "pi/", "pi/0", "pi/-0", "pi/nan", "pi/1e-320", "1,2",
-                         "-1", "7", "xy-zz", "custom", "all", "0x3x3",
+                         "pi/", "pi/0", "pi/-0", "pi/nan", "pi/1e-320", "pi/inf", "--1",
+                         "1,2", "-1", "7", "xy-zz", "custom", "all", "0x3x3",
                          "3x3", "3x3x3x3"])
         | st.floats().map(repr) | st.text(max_size=6))
 
