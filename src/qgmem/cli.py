@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec
+from .channels import ChannelKind
 from .closedform import Pairing, closed_payoff, closed_payoff_pair
 from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
                           case_study, mu_curves)
@@ -57,18 +57,31 @@ def parse_angle(text: str) -> float:
 
 # The 12-significant-digit decimal format of every number the CLI writes.
 NUMBER = "%.12g"
+CSV_CHUNK = 512  # CSV rows joined per write
 
 
 def fmt(value: float) -> str:
     return NUMBER % value
 
 
-def make_row(game_name: str, pairing: Pairing, values) -> str:
-    """The CSV row template of a table's columns p1 .. payoff_b: an array leaves
-    a slot for the row's value, ``%s`` for an array of text, else NUMBER."""
-    return ",".join([game_name, pairing.value] + [
-        fmt(v) if not isinstance(v, np.ndarray) else "%s" if v.dtype == object else NUMBER
-        for v in values])
+def make_row(columns) -> str:
+    """The CSV row template of a table's columns: a constant as it prints,
+    ``%s`` for an array of text, NUMBER for an array of numbers."""
+    return ",".join(("%s" if v.dtype.kind in "OU" else NUMBER) if isinstance(v, np.ndarray)
+                    else v.replace("%", "%%") if isinstance(v, str) else fmt(v)
+                    for v in columns)
+
+
+def table_rows(columns) -> list[str]:
+    """CSV rows of a table whose columns (text, numbers or arrays, at least one an array)
+    broadcast, last axis fastest; a smaller number array is formatted once per element."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    columns = [np.frompyfunc(fmt, 1, 1)(v) if isinstance(v, np.ndarray) and v.dtype.kind
+               not in "OU" and v.size < math.prod(shape) else v for v in columns]
+    cells = [np.broadcast_to(v, shape).ravel().tolist()
+             for v in columns if isinstance(v, np.ndarray)]
+    template = make_row(columns)
+    return [template % row for row in zip(*cells)]
 
 
 def game_point(pairing: Pairing, values):
@@ -77,22 +90,6 @@ def game_point(pairing: Pairing, values):
     p1, mu1, p2, mu2, *angles = (values[name] for name in POINT)
     return (EntanglementParams(*angles[:2]), StrategyParams(*angles[2:5]),
             StrategyParams(*angles[5:]), *pairing.crossings((p1, mu1), (p2, mu2)))
-
-
-def payoff_rows(game_name: str, ent: EntanglementParams, s1: StrategyParams,
-                s2: StrategyParams, ch1: ChannelSpec, ch2: ChannelSpec, payoffs) -> list[str]:
-    """CSV rows of a game point and its (Alice, Bob) ``payoffs``, last axis fastest.
-    An array smaller than the table (a swept axis) is formatted once per element
-    into ``%s`` slots; full-size ones (the payoffs) keep ``make_row``'s NUMBER slots."""
-    values = (ch1.p, ch1.mu, ch2.p, ch2.mu, ent.gamma, ent.delta, *s1.angles, *s2.angles,
-              *payoffs)
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    values = [np.frompyfunc(fmt, 1, 1)(v) if isinstance(v, np.ndarray)
-              and v.size < math.prod(shape) else v for v in values]
-    columns = [np.broadcast_to(v, shape).ravel().tolist()
-               for v in values if isinstance(v, np.ndarray)]
-    template = make_row(game_name, Pairing.of(ch1, ch2), values)
-    return [template % cells for cells in zip(*columns)]
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +162,7 @@ SWEEPABLE = ("p1", "mu1", "p2", "mu2", "theta2", "alpha2", "beta2")
 # Largest |entry| of a custom game: a payoff sums a few entries times weights
 # of at most 1, so it stays far below the float range.
 ENTRY_BOUND = 1e300
-# Most rows of a sweep: 1000 times a 101x101 sweep, about 4 GB at its peak.
+# Most rows of a sweep: 1000 times 101x101, a peak of 2.9-5.2 GB (501x501 scaled up).
 MAX_SWEEP_ROWS = 10**7
 
 
@@ -180,7 +177,7 @@ class SweepConfig:
 
 def parse_sweep_config(text: str) -> SweepConfig:
     """Flat key=value lines with # comments; axes as ``sweep.mu1 = 0:1:11``."""
-    values: dict[str, str] = {}
+    values, lines = {}, {}  # key -> value text, key -> line number
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,17 +187,24 @@ def parse_sweep_config(text: str) -> SweepConfig:
         key, _, val = (part.strip() for part in line.partition("="))
         if key in values:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
-        values[key] = val
+        values[key], lines[key] = val, lineno
 
     def take(key: str) -> str:
         if key not in values:
             raise ValueError(f"missing required key {key!r}")
         return values.pop(key)
 
+    def parse(key: str, token: str, kind=float):
+        try:
+            return kind(token)
+        except ValueError:
+            raise ValueError(f"config line {lines[key]}: {key}: invalid {kind.__name__} "
+                             f"value: {token.strip()!r}") from None
+
     name = take("game")
     if name == "custom":
-        entries_a = [float(x) for x in take("entries_a").split(",")]
-        entries_b = [float(x) for x in take("entries_b").split(",")]
+        entries_a, entries_b = ([parse(key, x) for x in take(key).split(",")]
+                                for key in ("entries_a", "entries_b"))
         if len(entries_a) != 4 or len(entries_b) != 4:
             raise ValueError("custom game needs 4 entries per player")
         if not all(map(math.isfinite, entries_a + entries_b)):
@@ -214,8 +218,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     cfg = SweepConfig(game=game, pairing=Pairing.from_string(take("pairing")))
 
     for key, val in values.items():
+        axis = key.removeprefix("sweep.")
+        number = parse_angle if axis in ANGLES else float
         if key.startswith("sweep."):
-            axis = key[len("sweep."):]
             if axis not in SWEEPABLE:
                 raise ValueError(f"cannot sweep {axis!r}; choose from {SWEEPABLE}")
             if axis in values:
@@ -223,15 +228,14 @@ def parse_sweep_config(text: str) -> SweepConfig:
             parts = val.split(":")
             if len(parts) != 3:
                 raise ValueError(f"axis {axis}: expected start:stop:steps, got {val!r}")
-            start, stop = map(parse_angle if axis in ANGLES else float, parts[:2])
-            steps = int(parts[2])
+            start, stop, steps = map(parse, [key] * 3, parts, (number, number, int))
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")
             cfg.axes.append((axis, (val, start, stop, steps)))
         elif key == "output":
             cfg.output = val
         elif key in POINT:
-            cfg.point[key] = (parse_angle if key in ANGLES else float)(val)
+            cfg.point[key] = parse(key, val, number)
         else:
             raise ValueError(f"unknown config key {key!r}")
     if not cfg.axes:
@@ -253,21 +257,17 @@ def parse_sweep_config(text: str) -> SweepConfig:
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Rows in lexicographic axis order (canonical axis order, last fastest)."""
     grids = np.meshgrid(*dict(cfg.axes).values(), indexing="ij", sparse=True)
-    point = game_point(cfg.pairing, {**cfg.point, **dict(zip(dict(cfg.axes), grids))})
-    return payoff_rows(cfg.game.name, *point, closed_payoff_pair(cfg.game, *point))
+    values = {**cfg.point, **dict(zip(dict(cfg.axes), grids))}
+    payoffs = closed_payoff_pair(cfg.game, *game_point(cfg.pairing, values))
+    return table_rows([cfg.game.name, cfg.pairing.value, *map(values.get, POINT), *payoffs])
 
 
 def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
+    """The header line, then CSV_CHUNK rows at a time: never the whole text at once."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-
-
-def write_gains(path: str, gain_rows: list[tuple]) -> None:
-    """The ``nash --csv`` table: one row per certificate, GAIN_HEADER columns
-    (case, pairing and game as text, then numbers), from one template of
-    NUMBER slots, as ``make_row`` gives the sweep rows."""
-    template = ",".join(["%s"] * 3 + [NUMBER] * (len(GAIN_COLUMNS) - 3))
-    write_csv(path, [template % r for r in gain_rows], GAIN_HEADER)
+        fh.write(header + "\n")
+        for start in range(0, len(rows), CSV_CHUNK):
+            fh.write("\n".join(rows[start:start + CSV_CHUNK]) + "\n")
 
 
 def cmd_sweep(args) -> int:
@@ -291,14 +291,15 @@ def parse_figure_id(text: str):
 
 
 def figure_rows(figure_id: int) -> list[str]:
-    """The figure's rows, curve by curve over its games, pairings and p (p
-    fastest), each curve's (Alice, Bob) payoffs a slice of one ``mu_curves`` array."""
+    """The figure's rows: one table over its games, pairings, p = p1 = p2 and
+    mu = mu1 = mu2 (mu fastest), its (Alice, Bob) payoffs one ``mu_curves`` array."""
     ent, s1, s2, games, pairings, ps = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
     curves = mu_curves(pairings, [builtin_game(g) for g in games], ent, s1, s2, ps, mu)
-    return [row for g, game in enumerate(games) for i, pairing in enumerate(pairings)
-            for j, p in enumerate(ps) for row in payoff_rows(
-                game, ent, s1, s2, *pairing.crossings((p, mu), (p, mu)), curves[:, i, g, j])]
+    return table_rows([np.array(games)[:, None, None, None],
+                       np.array([pairing.value for pairing in pairings])[:, None, None],
+                       *(np.array(ps)[:, None], mu) * 2, ent.gamma, ent.delta, *s1.angles,
+                       *s2.angles, *np.swapaxes(curves, 1, 2)])
 
 
 def cmd_figure(args) -> int:
@@ -321,14 +322,15 @@ def cmd_nash(args) -> int:
         except ValueError:
             raise ValueError(f"bad grid spec {args.grid!r}; expected TxAxB") from None
         space = StrategySpace(t, a, b)
-    rows, certified = [], True
+    tables, certified = [], True
     for case_id in CASE_IDS if args.case == "all" else [args.case]:
         report = case_study(case_id, space)
         print("\n".join(report.lines()))
-        rows += report.gain_rows
+        tables += report.gain_tables
         certified &= report.nash_certified
     if args.csv:
-        write_gains(args.csv, rows)
+        rows = [row for table in tables for row in table_rows(table)]
+        write_csv(args.csv, rows, GAIN_HEADER)
         print(f"wrote {len(rows)} gain rows to {args.csv}")
     return 0 if certified else VERIFY_FAIL
 

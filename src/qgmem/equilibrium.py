@@ -135,16 +135,14 @@ class CaseReport:
     # The quantum player's grid, on which every certificate scans Bob.
     space: StrategySpace
     claims: list[CaseClaim] = field(default_factory=list)
-    # One tuple per certificate and channel point, in GAIN_COLUMNS order.
-    gain_rows: list[tuple] = field(default_factory=list)
+    # Per nash claim, its GAIN_COLUMNS over (profile, point), for ``cli.table_rows``.
+    gain_tables: list[tuple] = field(default_factory=list)
     # The conjunction of the case's nash claims, each decided once by ``_nash``.
     nash_certified: bool = True
 
     def lines(self) -> list[str]:
-        out = [f"case {self.case_id}:"]
-        for c in self.claims:
-            out.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.label}: {c.detail}")
-        return out
+        return [f"case {self.case_id}:"] + [
+            f"  [{'pass' if c.passed else 'FAIL'}] {c.label}: {c.detail}" for c in self.claims]
 
 
 # The paper's figures: entanglement, strategies (alpha1 = beta1 = 0
@@ -192,19 +190,18 @@ def _nash(report, label, ent, profiles, why="", over=""):
     """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
     PM_GRID, Alice classical and Bob on ``report.space``: one ``check_profile``
     call per pairing (in first-seen order) fills one (profile, point, column)
-    array.  Append the gain rows in profile order; the worst gain, NaN if a
-    gain is NaN, decides the claim."""
-    points = [(p, m) for p in PM_GRID for m in PM_GRID]
-    ch = tuple(np.array(axis) for axis in zip(*points))
-    certs = np.empty((len(profiles), len(points), 4))
+    array.  Append it as a gain table, profiles in order; the worst gain, NaN
+    if a gain is NaN, decides the claim."""
+    ch = tuple(np.reshape(np.meshgrid(PM_GRID, PM_GRID, indexing="ij"), (2, -1)))
+    certs = np.empty((len(profiles), ch[0].size, 4))
     for pairing in dict.fromkeys(pairing for pairing, *_ in profiles):
         stack = [i for i, (other, *_) in enumerate(profiles) if other is pairing]
         certs[stack] = check_profile(ent, *pairing.crossings(ch, ch),
                                      [profiles[i][1:] for i in stack],
                                      CLASSICAL_SPACE, report.space)
-    report.gain_rows += [(report.case_id, pairing.value, game.name, p, m, *cert)
-                         for (pairing, game, *_), rows in zip(profiles, certs.tolist())
-                         for (p, m), cert in zip(points, rows)]
+    labels = np.array([(pairing.value, game.name) for pairing, game, *_ in profiles])
+    report.gain_tables.append((report.case_id, *labels.T[:, :, None], *ch,
+                               *np.moveaxis(certs, -1, 0)))
     worst = certs[..., 2:].max()
     ok = bool(worst <= DEFAULT_EPSILON)
     report.nash_certified &= ok

@@ -108,12 +108,12 @@ MUTANTS = [
            ("test_golden.py", "test_equilibrium.py")),
     # Swept values formatted once; one curve array per figure; the sweep row bound.
     Mutant("figure-groups-at-first-p", "cli",
-           "curves[:, i, g, j])]",
-           "curves[:, i, g, 0])]",
+           "*s2.angles, *np.swapaxes(curves, 1, 2)])",
+           "*s2.angles, *np.swapaxes(curves[..., :1, :], 1, 2)])",
            ("test_golden.py", "test_cli.py")),
     Mutant("text-column-fortran-order", "cli",
-           "columns = [np.broadcast_to(v, shape).ravel().tolist()",
-           "columns = [np.broadcast_to(v, shape).ravel(\"FC\"[v.dtype != object]).tolist()",
+           "cells = [np.broadcast_to(v, shape).ravel().tolist()",
+           "cells = [np.broadcast_to(v, shape).ravel(\"FC\"[v.dtype.kind not in \"OU\"]).tolist()",
            ("test_golden.py", "test_cli.py")),
     Mutant("sweep-bound-inclusive", "cli",
            "cfg.axes)) > MAX_SWEEP_ROWS:",
@@ -140,8 +140,8 @@ MUTANTS = [
     # Each axis end parsed by its column's rule; the whole-stack scan; sites
     # that were once mutated by hand.
     Mutant("axis-ends-parsed-as-angles", "cli",
-           "map(parse_angle if axis in ANGLES else float, parts[:2])",
-           "map(parse_angle, parts[:2])",
+           "map(parse, [key] * 3, parts, (number, number, int))",
+           "map(parse, [key] * 3, parts, (parse_angle, parse_angle, int))",
            ("test_cli.py",)),
     Mutant("liveness-ignores-scale", "closedform",
            "if any(table[j].any() for j in idx) and np.any(scale)]",
@@ -209,6 +209,11 @@ MUTANTS = [
            "(d11 + d21) * x2.chi_a * sd",
            "(d11 - d21) * x2.chi_a * sd",
            ("test_closedform.py", "test_golden.py")),
+    # One table builder: a gain claim's profile labels run along its profile axis.
+    Mutant("gain-labels-along-points", "equilibrium",
+           "*labels.T[:, :, None]",
+           "*labels.T[:, None]",
+           ("test_golden.py", "test_equilibrium.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

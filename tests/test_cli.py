@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls
 from test_golden import FIGURE_DIGESTS
@@ -14,7 +16,7 @@ from qgmem import cli
 from qgmem.channels import ChannelKind, ChannelSpec
 from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER, SWEEPABLE,
                        VERIFY_BLOCK, build_parser, game_point, main, parse_angle,
-                       parse_sweep_config, run_sweep, verify_blocks)
+                       parse_sweep_config, run_sweep, table_rows, verify_blocks)
 from qgmem.closedform import Pairing, closed_payoff, closed_payoff_pair, payoff_surface
 from qgmem.equilibrium import CASE_IDS, FIGURES
 from qgmem.games import builtin_game
@@ -508,23 +510,45 @@ class TestSweepCommand:
     def test_channel_axis_refuses_angle_literals(self, tmp_path, capsys, axis):
         out = tmp_path / "sweep.csv"
         conf = tmp_path / "s.conf"
-        for lines in (f"{axis} = pi/4\nsweep.theta2 = 0:pi:3", f"sweep.{axis} = 0:pi/4:3"):
+        for key, lines in ((axis, f"{axis} = pi/4\nsweep.theta2 = 0:pi:3"),
+                           (f"sweep.{axis}", f"sweep.{axis} = 0:pi/4:3")):
             conf.write_text(f"game = pd\npairing = ad-d\n{lines}\noutput = {out}\n")
             assert run(["sweep", "--config", str(conf)]) == 2
             assert capsys.readouterr().err == \
-                "error: could not convert string to float: 'pi/4'\n"
+                f"error: config line 3: {key}: invalid float value: 'pi/4'\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("text", BAD_ANGLES)
     def test_angle_refuses_doubled_sign_and_infinite_divisor(self, tmp_path, capsys, text):
         out = tmp_path / "sweep.csv"
         conf = tmp_path / "s.conf"
-        for lines in (f"theta1 = {text}\nsweep.p1 = 0:1:3", f"sweep.alpha2 = -pi:{text}:3"):
+        for key, lines in (("theta1", f"theta1 = {text}\nsweep.p1 = 0:1:3"),
+                           ("sweep.alpha2", f"sweep.alpha2 = -pi:{text}:3")):
             conf.write_text(f"game = pd\npairing = ad-d\n{lines}\noutput = {out}\n")
             assert run(["sweep", "--config", str(conf)]) == 2
             assert capsys.readouterr().err == \
-                f"error: could not convert string to float: {text!r}\n"
+                f"error: config line 3: {key}: invalid parse_angle value: {text!r}\n"
             assert not out.exists()
+
+    # A value that does not parse is named with its line, key and whole token,
+    # as argparse names a ``payoff`` flag's, not by the bare ``float`` message
+    # (which, for ``pi/N``, quotes only N).
+    @pytest.mark.parametrize("lines,message", [
+        ("theta2 = pi/--2\nsweep.p1 = 0:1:3", "theta2: invalid parse_angle value: 'pi/--2'"),
+        ("sweep.alpha2 = 0:pi/x:3", "sweep.alpha2: invalid parse_angle value: 'pi/x'"),
+        ("p1 = abc\nsweep.mu1 = 0:1:3", "p1: invalid float value: 'abc'"),
+        ("sweep.mu1 = 0:1:x", "sweep.mu1: invalid int value: 'x'"),
+        ("entries_a = 1,2,3,x\nentries_b = 1,1,1,1\nsweep.mu1 = 0:1:3",
+         "entries_a: invalid float value: 'x'"),
+    ], ids=["fixed-angle", "axis-end", "fixed-number", "axis-steps", "entries"])
+    def test_unparsed_value_names_line_key_and_token(self, tmp_path, capsys, lines, message):
+        out = tmp_path / "sweep.csv"
+        conf = tmp_path / "s.conf"
+        game = "custom" if lines.startswith("entries") else "pd"
+        conf.write_text(f"game = {game}\npairing = ad-d\n{lines}\noutput = {out}\n")
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == f"error: config line 3: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis,start,stop", [
         ("theta2", "pi/2", "pi"), ("alpha2", "-pi", "pi/2"), ("beta2", "pi", "-pi")])
@@ -687,7 +711,7 @@ def reference_rows(cfg) -> list[str]:
 
 
 class TestRowFormatting:
-    # ``payoff_rows`` formats a swept axis once per value and broadcasts the
+    # ``table_rows`` formats a swept axis once per value and broadcasts the
     # text; the rows must have the bytes of NUMBER on every cell of every row.
     # Axes have distinct step counts, so text broadcast in the wrong order
     # lands in the wrong rows.
@@ -730,6 +754,73 @@ class TestRowFormatting:
         assert {c[3] for c in cells} == {"0"}
         assert {c[4] for c in cells} == {"0", "2.5e-06", "5e-06", "7.5e-06", "1e-05"}
         assert "-0" in {c[12] for c in cells} and {c[9] for c in cells} == {"-0"}
+
+
+# Cell values of a drawn table, the special ones among them: a negative zero,
+# a number NUMBER writes in exponent form, one near the float range, and text
+# that a row template must not read as a format.
+NUMBERS = st.sampled_from([-0.0, 1e-5, 1e300]) | st.floats()
+TEXTS = st.sampled_from(["pd", "ad-ad", "%s", "100%"]) | st.text(max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """Columns of 1-4 axes: constant text and numbers, text along one axis,
+    number arrays smaller than the table, and a full-size number array."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["number", "text", "text-axis", "part", "full"]), max_size=8)) + ["full"]:
+        if kind in ("number", "text"):
+            columns.append(draw(NUMBERS if kind == "number" else TEXTS))
+        elif kind == "text-axis":
+            axis = draw(st.integers(0, len(shape) - 1))
+            texts = draw(st.lists(TEXTS, min_size=shape[axis], max_size=shape[axis]))
+            columns.append(np.array(texts).reshape((-1,) + (1,) * (len(shape) - 1 - axis)))
+        else:
+            # A part keeps each axis or not, and may drop its leading units.
+            part = tuple(n if kind == "full" or draw(st.booleans()) else 1 for n in shape)
+            part = part[draw(st.integers(0, len(part))):] if kind == "part" else part
+            columns.append(np.array(draw(st.lists(
+                NUMBERS, min_size=math.prod(part), max_size=math.prod(part)))).reshape(part))
+    return draw(st.permutations(columns))
+
+
+def _full(shape, values):
+    return np.resize(np.array(values), shape)
+
+
+# A figure's table over (game, pairing, p, mu), and a gain claim's over
+# (profile, point).
+FIGURE_TABLE = [np.array(["pd", "bos", "chicken"])[:, None, None, None],
+                np.array(["ad-ad", "d-ad"])[:, None, None], np.array([0.8, 1e-5])[:, None],
+                np.array([0.0, 0.25, 1e300]), np.array([0.8, 1e-5])[:, None],
+                np.array([0.0, 0.25, 1e300]), math.pi / 2, 0.0, 0.0, -0.0, 0.0,
+                math.pi / 2, math.pi / 2, 0.0, _full((3, 2, 2, 3), [1.5, -0.0, 1e-5]),
+                _full((3, 2, 2, 3), [2.0, 1e300, -1.25e-7])]
+GAIN_TABLE = ["iii-a", np.array(["ph-ad", "d-ad"])[:, None], np.array(["bos", "pd"])[:, None],
+              np.repeat([0.0, 0.5, 1.0], 3), np.tile([0.0, 1e-5, 1.0], 3),
+              *(_full((2, 9), [v, -0.0, 1e300]) for v in (0.125, 2.0, 0.0, 1e-5))]
+
+
+class TestTableRows:
+    # Constants go into the row template once and small arrays are formatted
+    # once per element; the rows must still equal NUMBER, or the text, in
+    # every cell of every row, last axis fastest.
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    @example(FIGURE_TABLE)
+    @example(GAIN_TABLE)
+    def test_rows_equal_per_cell_formatting(self, columns):
+        shape = np.broadcast_shapes(*map(np.shape, columns))
+
+        def cell(column, index):
+            v = np.broadcast_to(column, shape)[index] if isinstance(column, np.ndarray) \
+                else column
+            return v if isinstance(v, str) else NUMBER % v
+
+        assert table_rows(columns) == [",".join(cell(c, index) for c in columns)
+                                       for index in np.ndindex(shape)]
 
 
 class TestFigureCommand:

@@ -26,6 +26,15 @@ CLASSICAL_POINT = EntanglementParams(0.0, 0.0)
 NOISELESS = (0.0, 0.0)
 
 
+def gain_rows(report):
+    """The report's gain tables as one tuple per certificate and (p, mu)
+    point, in GAIN_COLUMNS order: each table's columns broadcast, last axis
+    fastest, as ``cli.table_rows`` writes them."""
+    return [row for table in report.gain_tables for row in zip(*(
+        np.broadcast_to(c, np.broadcast_shapes(*map(np.shape, table))).ravel().tolist()
+        for c in table))]
+
+
 # (game, ent, ch1, ch2) of the noiseless classical prisoner's dilemma.
 CLASSICAL_PD = (builtin_game("pd"), CLASSICAL_POINT,
                 *Pairing.PH_PH.crossings(NOISELESS, NOISELESS))
@@ -184,7 +193,7 @@ class TestCertificatePath:
             s2 = StrategyParams(s2.theta, s2.alpha, s2.alpha)
         report = CaseReport("t", space_b)
         _nash(report, "nash", ent, [(pairing, game, s1, s2)])
-        rows = report.gain_rows
+        rows = gain_rows(report)
         assert [r[3:5] for r in rows] == [(p, m) for p in PM_GRID for m in PM_GRID]
         for *_, p, m, row_pay_a, row_pay_b, row_gain_a, row_gain_b in rows:
             ch1, ch2 = pairing.crossings((p, m), (p, m))
@@ -332,7 +341,7 @@ class TestStackedCertificates:
         want = [(pairing.value, game.name, *row) for pairing, game, *profile in profiles
                 for row in check_profile(ent, *pairing.crossings(ch, ch), [(game, *profile)],
                                          CLASSICAL_SPACE, space_b)[0].tolist()]
-        assert [r[1:3] + r[5:] for r in report.gain_rows] == want
+        assert [r[1:3] + r[5:] for r in gain_rows(report)] == want
 
 
 class TestNaNNeverPasses:
@@ -519,7 +528,7 @@ class TestScanBuffers:
         def rows(pairing, game, ent, s1, s2, space_b):
             report = CaseReport("t", space_b)
             _nash(report, "nash", ent, [(pairing, game, s1, s2)])
-            return report.gain_rows
+            return gain_rows(report)
 
         first = rows(Pairing.AD_AD, bos, fig.ent, fig.s1, fig.s2, QUANTUM_SPACE)
         assert max(r[-1] for r in first) > 0.5
@@ -669,6 +678,6 @@ class TestCaseStudies:
         assert report.nash_certified
 
     def test_gain_rows_structured(self):
-        rows = case_study("ii-b").gain_rows
+        rows = gain_rows(case_study("ii-b"))
         assert len(rows) == 25
         assert all(len(r) == len(GAIN_COLUMNS) and r[-2] >= 0 and r[-1] >= 0 for r in rows)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgmem.cli import main, write_gains
+from qgmem.cli import GAIN_HEADER, main, table_rows, write_csv
 from qgmem.closedform import Pairing, PairingWeights, batch_weights
 from qgmem.equilibrium import FIGURES, CaseReport, StrategySpace, _nash
 from qgmem.games import GAME_NAMES, builtin_game
@@ -114,7 +114,8 @@ def mixed_gains(path, fid):
     _nash(report, "nash", fig.ent,
           [(pairing, builtin_game(game), s1, fig.s2) for pairing in MIXED_PAIRINGS
            for game in GAME_NAMES for s1 in (fig.s1, StrategyParams(math.pi / 2))])
-    write_gains(str(path), report.gain_rows)
+    write_csv(str(path), [row for table in report.gain_tables for row in table_rows(table)],
+              GAIN_HEADER)
 
 
 # Figure 6 sits at gamma = delta = pi/2, figure 5 at gamma = 0, delta = pi/2.

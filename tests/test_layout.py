@@ -15,7 +15,9 @@ only the weight step and the closed-form entry points take crossings.  Only
 ``closedform.closed_payoff`` and the certificates compose the weights with
 ``payoff_surface``; in ``equilibrium`` the phase-independence claim and
 ``mu_curves`` call ``closed_payoff``, and every curve claim and
-``cli.figure_rows`` read ``mu_curves``.  No module in ``src/`` or ``tests/`` imports a name that it
+``cli.figure_rows`` read ``mu_curves``.  Only ``cli.fmt`` and ``cli.make_row``
+read the number format ``NUMBER``, so every CSV the CLI writes takes its
+numbers from one place.  No module in ``src/`` or ``tests/`` imports a name that it
 never reads.  Every site of the mutation catalogue (``tests/mutate.py``)
 occurs once in ``src/`` and still parses when mutated, and every known
 survivor that ``tests/golden/mutants.txt`` lists is in the catalogue.
@@ -123,20 +125,25 @@ CHECKED = ["channels.ChannelSpec.__post_init__",
            "protocol.StrategyParams.__post_init__"]
 
 
-def _callers(name):
-    """``module.scope`` of every call of ``name`` in the package."""
+def _scopes(found):
+    """``module.scope`` of every node of the package for which ``found`` holds."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if found(child):
                 yield ".".join(scope)
             yield from visit(child, scope)
 
     return {caller for path in SRC.glob("*.py")
             for caller in visit(ast.parse(path.read_text()), [path.stem])}
+
+
+def _callers(name):
+    """``module.scope`` of every call of ``name`` in the package."""
+    return _scopes(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_ranges_are_checked_only_by_the_parameter_types():
@@ -214,6 +221,15 @@ def test_claims_read_payoffs_through_mu_curves():
     assert {c for c in _callers("closed_payoff")
             if c.startswith("equilibrium.")} == ENTRY_CALLERS
     assert _callers("mu_curves") == CURVE_CLAIMS | {"cli.figure_rows"}
+
+
+def test_only_fmt_and_make_row_read_the_number_format():
+    # ``cli.table_rows`` leaves every number slot to ``make_row``'s template
+    # and every formatted value to ``fmt``, so no table can write a number in
+    # a second format.
+    readers = _scopes(lambda node: isinstance(node, ast.Name) and node.id == "NUMBER"
+                      and isinstance(node.ctx, ast.Load))
+    assert readers == {"cli.fmt", "cli.make_row"}
 
 
 def test_every_mutant_site_occurs_once():
