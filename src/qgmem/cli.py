@@ -16,7 +16,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
-SWEEPABLE = ("p1", "mu1", "p2", "mu2", "theta2", "alpha2", "beta2")
+SWEEPABLE = POINT[:4] + POINT[-3:]  # the channels and Bob's angles
 # Largest |entry| of a custom game: a payoff sums a few entries times weights
 # of at most 1, so it stays far below the float range.
 ENTRY_BOUND = 1e300
@@ -168,11 +168,12 @@ MAX_SWEEP_ROWS = 10**7
 
 @dataclass
 class SweepConfig:
+    """A sweep's game, pairing, output path and game point: each swept POINT name
+    holds its ramp on its own axis, in POINT order with the last axis fastest."""
     game: Bimatrix
     pairing: Pairing
-    point: dict[str, float] = field(default_factory=lambda: dict.fromkeys(POINT, 0.0))
-    output: str = "sweep.csv"
-    axes: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    point: dict
+    output: str
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -215,8 +216,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
         game = Bimatrix("custom", tuple(entries_a), tuple(entries_b))
     else:
         game = builtin_game(name)
-    cfg = SweepConfig(game=game, pairing=Pairing.from_string(take("pairing")))
+    pairing, output = Pairing.from_string(take("pairing")), values.pop("output", "sweep.csv")
 
+    point, specs = dict.fromkeys(POINT, 0.0), {}  # specs: axis -> (text, start, stop, steps)
     for key, val in values.items():
         axis = key.removeprefix("sweep.")
         number = parse_angle if axis in ANGLES else float
@@ -231,35 +233,31 @@ def parse_sweep_config(text: str) -> SweepConfig:
             start, stop, steps = map(parse, [key] * 3, parts, (number, number, int))
             if steps < 2:
                 raise ValueError(f"axis {axis}: steps must be >= 2")
-            cfg.axes.append((axis, (val, start, stop, steps)))
-        elif key == "output":
-            cfg.output = val
+            specs[axis] = (val, start, stop, steps)
         elif key in POINT:
-            cfg.point[key] = parse(key, val, number)
+            point[key] = parse(key, val, number)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if not cfg.axes:
+    if not specs:
         raise ValueError("at least one sweep.<axis> line is required")
-    if (rows := math.prod(spec[-1] for _, spec in cfg.axes)) > MAX_SWEEP_ROWS:
+    if (rows := math.prod(spec[-1] for spec in specs.values())) > MAX_SWEEP_ROWS:
         raise MemoryError(f"a sweep of {rows} rows exceeds the bound of {MAX_SWEEP_ROWS}")
-    for i, (axis, (val, start, stop, steps)) in enumerate(cfg.axes):
+    swept = [axis for axis in POINT if axis in specs]
+    for axis, (val, start, stop, steps) in specs.items():
         # steps - 1 fits a float now; inf would warn in the formula, nan fails the range check
         if any(map(math.isinf, (start, stop, (stop - start) * (steps - 1)))):
             raise ValueError(f"axis {axis}: start, stop and (stop - start) * "
                              f"(steps - 1) must be finite, got {val!r}")
         ramp = start + (stop - start) * np.arange(steps) / (steps - 1)
         ramp[-1] = stop  # the ramp's last value can round one ulp past stop
-        cfg.axes[i] = (axis, ramp)
-    cfg.axes.sort(key=lambda ax: SWEEPABLE.index(ax[0]))
-    return cfg
+        point[axis] = ramp.reshape((-1,) + (1,) * (len(swept) - 1 - swept.index(axis)))
+    return SweepConfig(game, pairing, point, output)
 
 
 def run_sweep(cfg: SweepConfig) -> list[str]:
-    """Rows in lexicographic axis order (canonical axis order, last fastest)."""
-    grids = np.meshgrid(*dict(cfg.axes).values(), indexing="ij", sparse=True)
-    values = {**cfg.point, **dict(zip(dict(cfg.axes), grids))}
-    payoffs = closed_payoff_pair(cfg.game, *game_point(cfg.pairing, values))
-    return table_rows([cfg.game.name, cfg.pairing.value, *map(values.get, POINT), *payoffs])
+    """Rows in lexicographic axis order (POINT order, last fastest)."""
+    payoffs = closed_payoff_pair(cfg.game, *game_point(cfg.pairing, cfg.point))
+    return table_rows([cfg.game.name, cfg.pairing.value, *map(cfg.point.get, POINT), *payoffs])
 
 
 def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:

@@ -116,9 +116,14 @@ MUTANTS = [
            "cells = [np.broadcast_to(v, shape).ravel(\"FC\"[v.dtype.kind not in \"OU\"]).tolist()",
            ("test_golden.py", "test_cli.py")),
     Mutant("sweep-bound-inclusive", "cli",
-           "cfg.axes)) > MAX_SWEEP_ROWS:",
-           "cfg.axes)) >= MAX_SWEEP_ROWS:",
+           "specs.values())) > MAX_SWEEP_ROWS:",
+           "specs.values())) >= MAX_SWEEP_ROWS:",
            ("test_cli.py",)),
+    # A swept value's axis follows POINT, not the config's line order.
+    Mutant("sweep-axes-in-config-order", "cli",
+           "swept = [axis for axis in POINT if axis in specs]",
+           "swept = list(specs)",
+           ("test_golden.py", "test_cli.py")),
     # One name per depolarizing coefficient; the layout from the second crossing.
     Mutant("layout-rule-inverted", "closedform",
            "_damped if ch2.kind is ChannelKind.AMPLITUDE_DAMPING else _unital",

@@ -1,6 +1,10 @@
 import hashlib
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -670,7 +674,9 @@ class TestSweepCommand:
     def test_sweep_at_the_row_bound_is_parsed(self):
         cfg = parse_sweep_config("game = pd\npairing = ad-d\nsweep.p1 = 0:1:1000\n"
                                  "sweep.mu1 = 0:1:1000\nsweep.p2 = 0:1:10\n")
-        assert math.prod(grid.size for _, grid in cfg.axes) == MAX_SWEEP_ROWS
+        swept = [cfg.point[name] for name in ("p1", "mu1", "p2")]
+        assert [grid.shape for grid in swept] == [(1000, 1, 1), (1000, 1), (10,)]
+        assert math.prod(grid.size for grid in swept) == MAX_SWEEP_ROWS
 
     # The ramp alone misses stop by a rounding error for 32 of these step
     # counts on every full angle range, and 14 of them land outside the domain.
@@ -680,27 +686,74 @@ class TestSweepCommand:
         ("mu2", "1", "0.3")])
     def test_axis_ends_exactly_at_stop(self, axis, start, stop):
         for steps in range(2, 201):
-            (_, grid), = parse_sweep_config(
-                f"game = pd\npairing = ph-ph\nsweep.{axis} = {start}:{stop}:{steps}\n").axes
+            grid = parse_sweep_config(
+                f"game = pd\npairing = ph-ph\nsweep.{axis} = {start}:{stop}:{steps}\n"
+            ).point[axis]
+            assert grid.shape == (steps,)
             assert (grid[0], grid[-1]) == (parse_angle(start), parse_angle(stop)), steps
 
-    def test_axis_order_canonical(self):
-        cfg = parse_sweep_config(
-            "game = pd\npairing = ph-ph\nsweep.theta2 = 0:pi:3\n"
-            "sweep.p1 = 0:1:2\n")
-        assert [name for name, _ in cfg.axes] == ["p1", "theta2"]
+    # A baseline for the sweep's memory: the peak resident set of a 301x301
+    # channel-axis sweep less that of a 3x3 one, each in a fresh interpreter.
+    # Measured on a 2-vCPU Linux VM (Python 3.11, numpy 2.4): 72.9 MiB and
+    # 30.0 MiB, a difference of 43 MiB; the large sweep runs in about 0.13 s.
+    # The bound is that difference plus 25%.
+    RSS_BOUND_MIB = 54
+    RSS_SWEEP = ("import resource, sys\nfrom qgmem.cli import main\n"
+                 "assert main(['sweep', '--config', sys.argv[1]]) == 0\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_sweep_peak_memory_is_bounded(self, tmp_path):
+        def peak_kib(steps):
+            conf, out = tmp_path / f"s{steps}.conf", tmp_path / "sweep.csv"
+            conf.write_text(f"game = bos\npairing = ad-ad\nsweep.mu1 = 0:1:{steps}\n"
+                            f"sweep.p2 = 0:1:{steps}\noutput = {out}\n")
+            src = os.path.dirname(os.path.dirname(cli.__file__))
+            done = subprocess.run([sys.executable, "-c", self.RSS_SWEEP, str(conf)],
+                                  capture_output=True, text=True, check=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            wrote, rss = done.stdout.splitlines()
+            assert wrote == f"wrote {steps * steps} rows to {out}"
+            return int(rss)
+
+        large, small = peak_kib(301), peak_kib(3)
+        assert (large - small) / 1024 < self.RSS_BOUND_MIB, (large, small)
+
+    # One channel axis and two angle axes, each with its own step count: rows
+    # come out p1, theta2, beta2 (last fastest) in whatever order the lines are.
+    AXIS_LINES = ("sweep.theta2 = 0:pi:3", "sweep.p1 = 0:1:2", "sweep.beta2 = pi:-pi:4")
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_axis_order_canonical(self, tmp_path, order):
+        lines = [self.AXIS_LINES[i] for i in order]
+        cfg = parse_sweep_config("game = pd\npairing = ph-ph\n"
+                                 + "\n".join(line for line in lines if "beta2" not in line))
+        assert cfg.point["p1"].shape == (2, 1) and cfg.point["theta2"].shape == (3,)
         rows = run_sweep(cfg)
         assert len(rows) == 6
         # p1 is the outer loop
         assert [r.split(",")[2] for r in rows] == ["0", "0", "0", "1", "1", "1"]
 
+        csvs = []
+        canonical = [self.AXIS_LINES[i] for i in (1, 0, 2)]
+        for name, axes in (("listed", lines), ("canonical", canonical)):
+            conf, out = tmp_path / f"{name}.conf", tmp_path / f"{name}.csv"
+            conf.write_text("game = bos\npairing = ad-d\ngamma = pi/3\nmu1 = 0.4\n"
+                            + "".join(f"{line}\n" for line in axes) + f"output = {out}\n")
+            assert run(["sweep", "--config", str(conf)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        cells = [row.split(",") for row in csvs[0].decode().splitlines()[1:]]
+        assert len(cells) == 2 * 3 * 4
+        assert [c[2] for c in cells[::12]] == ["0", "1"]
+        assert [c[11] for c in cells[:12:4]] == [NUMBER % v for v in (0, math.pi / 2, math.pi)]
+        assert [c[13] for c in cells[:4]] == [NUMBER % (k * math.pi / 3) for k in (3, 1, -1, -3)]
+
 
 def reference_rows(cfg) -> list[str]:
     """The sweep's rows with every column formatted by NUMBER on every row,
     from the payoffs of the same closed-form call as ``run_sweep``."""
-    grids = np.meshgrid(*(grid for _, grid in cfg.axes), indexing="ij", sparse=True)
-    point = game_point(cfg.pairing, {**cfg.point, **{
-        name: grid for (name, _), grid in zip(cfg.axes, grids)}})
+    point = game_point(cfg.pairing, cfg.point)
     ent, s1, s2, ch1, ch2 = point
     columns = (ch1.p, ch1.mu, ch2.p, ch2.mu, ent.gamma, ent.delta, *s1.angles, *s2.angles,
                *closed_payoff_pair(cfg.game, *point))

@@ -27,6 +27,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -162,7 +163,8 @@ def test_parse_sweep_config_raises_only_usage_errors(text):
         cfg = parse_sweep_config(text)
     except (ValueError, MemoryError):
         return
-    assert isinstance(cfg, SweepConfig) and cfg.axes
+    assert isinstance(cfg, SweepConfig)
+    assert any(isinstance(cfg.point[axis], np.ndarray) for axis in SWEEPABLE)
 
 
 @st.composite
