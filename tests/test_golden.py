@@ -12,6 +12,10 @@ gains do not depend on the grid; its 5x7x3 table equals its 7x9x9 one.)
 
 ``weights.sha256`` pins the bits of every ``PairingWeights`` field, one
 digest per pairing, so a rewrite of the weight builders keeps each float.
+Its channel values are 0, 0.35 and 1 only, so ``weights_random.sha256``
+pins the same fields at seeded random points and at the p = 3/4 and p = 1
+corners, where a depolarizing factor is a signed zero or rounds apart from
+its slot-1 twin.
 ``nash_stdout.sha256`` pins the whole report of ``nash --case all`` (every
 claim line with its printed margins) at the default grid and at 5x7x3.
 ``verify_stdout.sha256`` pins, per pairing, the stdout and exit codes of
@@ -26,6 +30,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +54,7 @@ FIGURE_DIGESTS = digests("figures.sha256")
 NASH_DIGESTS = digests("nash_7x9x9.sha256")
 NASH_3AXIS_DIGESTS = digests("nash_5x7x3.sha256")
 WEIGHT_DIGESTS = digests("weights.sha256")
+RANDOM_WEIGHT_DIGESTS = digests("weights_random.sha256")
 STDOUT_DIGESTS = digests("nash_stdout.sha256")
 VERIFY_DIGESTS = digests("verify_stdout.sha256")
 MIXED_DIGESTS = digests("nash_mixed_5x7x3.sha256")
@@ -191,3 +197,31 @@ def weights_digest(pairing: Pairing) -> str:
 @pytest.mark.parametrize("pairing", list(Pairing))
 def test_weights_digest(pairing):
     assert weights_digest(pairing) == WEIGHT_DIGESTS[pairing.value]
+
+
+# (p1, mu1, p2, mu2, gamma, delta): seeded random points, p and mu in [0, 1)
+# and the angles in [0, pi/2), then each crossing at p in {3/4, 1} and mu in
+# {0, 1}, crossed with gamma and delta in {0, pi/2}.
+_DRAW = random.Random(1)
+RANDOM_POINTS = np.concatenate([
+    np.reshape([_DRAW.random() for _ in range(64 * 6)], (64, 6))
+    * [1, 1, 1, 1, math.pi / 2, math.pi / 2],
+    list(itertools.product(*[(0.75, 1.0), (0.0, 1.0)] * 2, *[(0.0, math.pi / 2)] * 2))])
+
+
+def random_weights_digest(pairing: Pairing) -> str:
+    """SHA-256 over one array call on every point of ``RANDOM_POINTS``, then
+    one call per point at float values."""
+    digest = hashlib.sha256()
+    for point in (RANDOM_POINTS.T, *RANDOM_POINTS.tolist()):
+        p1, mu1, p2, mu2, gamma, delta = point
+        w = batch_weights(EntanglementParams(gamma, delta),
+                          *pairing.crossings((p1, mu1), (p2, mu2)))
+        for chunk in weight_bytes(w, np.shape(p1)):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+def test_random_weights_digest(pairing):
+    assert random_weights_digest(pairing) == RANDOM_WEIGHT_DIGESTS[pairing.value]
