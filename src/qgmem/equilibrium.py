@@ -41,12 +41,11 @@ _MU_SUBSET = tuple(MU_GRID_11.index(m) for m in (0.0, 0.5, 1.0))
 
 @dataclass(frozen=True)
 class StrategySpace:
-    """Search grid for one player; endpoints are always included."""
+    """The quantum player's search grid; endpoints are always included."""
 
     theta_points: int = 13
     alpha_points: int = 17
     beta_points: int = 17
-    classical_only: bool = False
 
     def __post_init__(self):
         for name in ("theta_points", "alpha_points", "beta_points"):
@@ -54,13 +53,8 @@ class StrategySpace:
                 raise ValueError(f"{name} must be >= 2")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        theta = np.linspace(0.0, PI, self.theta_points)
-        if self.classical_only:
-            zero = np.zeros(1)
-            return theta, zero, zero
-        alpha = np.linspace(-PI, PI, self.alpha_points)
-        beta = np.linspace(-PI, PI, self.beta_points)
-        return theta, alpha, beta
+        return (np.linspace(0.0, PI, self.theta_points),
+                np.linspace(-PI, PI, self.alpha_points), np.linspace(-PI, PI, self.beta_points))
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The open (sparse) grid: each axis along its own dimension."""
@@ -68,13 +62,14 @@ class StrategySpace:
         return np.meshgrid(theta, alpha, beta, indexing="ij", sparse=True)
 
 
-CLASSICAL_SPACE = StrategySpace(classical_only=True)
 QUANTUM_SPACE = StrategySpace()
+# Alice's open grid in every certificate: the default theta axis, alpha = beta = 0.
+ALICE_MESH = np.meshgrid(QUANTUM_SPACE.axes()[0], 0.0, 0.0, indexing="ij", sparse=True)
 
 
 def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
                   profiles: Sequence[tuple[Bimatrix, StrategyParams, StrategyParams]],
-                  space_a: StrategySpace, space_b: StrategySpace) -> np.ndarray:
+                  space: StrategySpace) -> np.ndarray:
     """Exhaustive grid scan of both players' unilateral deviations from each
     (game, s1, s2) profile of ``profiles``, at every channel point of ``ch1``
     and ``ch2`` (whose p and mu may be arrays), in C order: one float array
@@ -84,9 +79,10 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
     profile's payoffs, from one ``payoff_surface`` call with games by
     players stacked on the entries (of the full shape, see its docstring),
     and both players' deviation scans, one ``closedform.grid_maxima`` call
-    each over every profile (its docstring states the scan rule).  The rows
-    are one array expression: payoffs and gains ``np.maximum(best - payoff,
-    0.0)``, stacked per profile.  Every step is elementwise over the profile
+    each over every profile (its docstring states the scan rule).  Alice is
+    classical by construction and scans ``ALICE_MESH``; Bob scans ``space``.
+    The rows are one array expression: payoffs and gains ``np.maximum(best -
+    payoff, 0.0)``, stacked per profile.  Every step is elementwise over the profile
     axis, so each profile's rows have the bits of a stack of that profile
     alone.  Gains are clamped at zero, so an off-grid profile that beats its
     own grid is reported as gain 0 rather than negative; a -0.0 difference
@@ -95,8 +91,9 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
-    lies at theta in {0, pi}, which every ``StrategySpace`` grid contains, so
-    such a certificate is a proof over the continuum of strategies."""
+    lies at theta in {0, pi}, which ``ALICE_MESH`` and every
+    ``StrategySpace`` grid contain, so such a certificate is a proof over the
+    continuum of strategies."""
     games, ones, twos = zip(*profiles)
     shape = (len(profiles),) + np.broadcast_shapes(
         *map(np.shape, (ch1.p, ch1.mu, ch2.p, ch2.mu)))
@@ -112,9 +109,9 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
                          *angles(ones, nd + 1), *angles(twos, nd + 1))
     best = np.stack([
         grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
-                    *space_a.mesh(), *angles(twos, nd + 3)),
+                    *ALICE_MESH, *angles(twos, nd + 3)),
         grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
-                    *angles(ones, nd + 3), *space_b.mesh())], axis=1)
+                    *angles(ones, nd + 3), *space.mesh())], axis=1)
     rows = np.concatenate([pay, np.maximum(best - pay, 0.0)], axis=1)
     return np.moveaxis(rows, 1, -1).reshape(len(profiles), -1, 4)
 
@@ -197,8 +194,7 @@ def _nash(report, label, ent, profiles, why="", over=""):
     for pairing in dict.fromkeys(pairing for pairing, *_ in profiles):
         stack = [i for i, (other, *_) in enumerate(profiles) if other is pairing]
         certs[stack] = check_profile(ent, *pairing.crossings(ch, ch),
-                                     [profiles[i][1:] for i in stack],
-                                     CLASSICAL_SPACE, report.space)
+                                     [profiles[i][1:] for i in stack], report.space)
     labels = np.array([(pairing.value, game.name) for pairing, game, *_ in profiles])
     report.gain_tables.append((report.case_id, *labels.T[:, :, None], *ch,
                                *np.moveaxis(certs, -1, 0)))

@@ -191,8 +191,8 @@ MUTANTS = [
     # Alice certified on the classical grid; the payoff column's length; the
     # oracle's joint weights; one sector weight's sign.
     Mutant("nash-alice-on-quantum-grid", "equilibrium",
-           "CLASSICAL_SPACE, report.space)",
-           "report.space, report.space)",
+           "*ALICE_MESH, *angles(twos, nd + 3)),",
+           "*space.mesh(), *angles(twos, nd + 3)),",
            ("test_equilibrium.py", "test_golden.py")),
     Mutant("surface-entry-count-unchecked", "closedform",
            "    if len(entries) != 4:\n"
@@ -219,6 +219,11 @@ MUTANTS = [
            "*labels.T[:, :, None]",
            "*labels.T[:, None]",
            ("test_golden.py", "test_equilibrium.py")),
+    # Slot 2's depolarizing coherence rounds apart from slot 1's.
+    Mutant("depol-slot2-coherence-as-slot1", "closedform",
+           "f, g = u.coh_base - (2 / 3) * (mu * p), u.a - 2 * u.d + u.b",
+           "f, g = u.coh, u.a - 2 * u.d + u.b",
+           ("test_golden.py",)),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

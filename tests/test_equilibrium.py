@@ -13,7 +13,7 @@ from qgmem import closedform
 from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
                                grid_maxima, payoff_coeffs, payoff_surface, stacked_entries,
                                sum_products)
-from qgmem.equilibrium import (CASE_IDS, CLASSICAL_SPACE, DEFAULT_EPSILON, GAIN_COLUMNS,
+from qgmem.equilibrium import (ALICE_MESH, CASE_IDS, DEFAULT_EPSILON, GAIN_COLUMNS,
                                MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
                                _CASES, _MU_SUBSET, _least, _nash, case_study,
                                check_profile, mu_curves)
@@ -24,6 +24,8 @@ from qgmem.protocol import EntanglementParams, StrategyParams
 PI = math.pi
 CLASSICAL_POINT = EntanglementParams(0.0, 0.0)
 NOISELESS = (0.0, 0.0)
+# Alice's deviation axes in every certificate: 13 thetas at alpha = beta = 0.
+ALICE_AXES = (np.linspace(0.0, PI, 13), np.zeros(1), np.zeros(1))
 
 
 def gain_rows(report):
@@ -47,15 +49,23 @@ class TestStrategySpace:
         assert alpha[0] == -PI and alpha[-1] == PI
 
     def test_classical_collapses_phases(self):
-        theta, alpha, beta = CLASSICAL_SPACE.axes()
-        assert list(alpha) == [0.0] and list(beta) == [0.0]
+        theta, alpha, beta = ALICE_MESH
+        assert list(alpha.ravel()) == [0.0] and list(beta.ravel()) == [0.0]
+
+    def test_alice_mesh_holds_both_theta_ends(self):
+        # Case i's continuum argument needs theta = 0 and theta = pi, at
+        # alpha = beta = 0, on Alice's grid.
+        theta, alpha, beta = ALICE_MESH
+        assert [(x.shape, x.dtype) for x in ALICE_MESH] == \
+            [((13, 1, 1), np.float64), ((1, 1, 1), np.float64), ((1, 1, 1), np.float64)]
+        assert np.array_equal(theta.ravel(), ALICE_AXES[0])
+        assert (theta.flat[0], theta.flat[-1], alpha.item(), beta.item()) == (0.0, PI, 0.0, 0.0)
 
     def test_minimum_counts(self):
         with pytest.raises(ValueError):
             StrategySpace(theta_points=1)
 
-    @pytest.mark.parametrize("space", [StrategySpace(3, 4, 5), CLASSICAL_SPACE,
-                                       QUANTUM_SPACE])
+    @pytest.mark.parametrize("space", [StrategySpace(3, 4, 5), QUANTUM_SPACE])
     def test_open_mesh_broadcasts_to_dense_mesh(self, space):
         dense = np.meshgrid(*space.axes(), indexing="ij")
         for open_axis, full in zip(np.broadcast_arrays(*space.mesh()), dense):
@@ -66,13 +76,13 @@ class TestStrategySpace:
 class TestBestResponse:
     def test_defection_dominates_classical_pd(self):
         for theta, responder in itertools.product((0.0, PI / 3, PI), (1, 2)):
-            moves = best_response(*CLASSICAL_PD, CLASSICAL_SPACE, StrategyParams(theta),
+            moves = best_response(*CLASSICAL_PD, QUANTUM_SPACE, StrategyParams(theta),
                                   responder=responder)
             assert all(m.theta == pytest.approx(PI) for m in moves)
 
     def test_responder_validated(self):
         with pytest.raises(ValueError, match="^responder must be 1 or 2, got 3$"):
-            best_response(*CLASSICAL_PD, CLASSICAL_SPACE,
+            best_response(*CLASSICAL_PD, QUANTUM_SPACE,
                           StrategyParams(0.0), responder=3)
 
     def test_constant_evaluator_keeps_whole_grid(self):
@@ -113,16 +123,14 @@ class TestCheckProfile:
     def test_classical_pd_defection_is_nash(self):
         game, *point = CLASSICAL_PD
         [[(pa, pb, gain_a, gain_b)]] = check_profile(
-            *point, [(game, StrategyParams(PI), StrategyParams(PI))],
-            CLASSICAL_SPACE, CLASSICAL_SPACE)
+            *point, [(game, StrategyParams(PI), StrategyParams(PI))], QUANTUM_SPACE)
         assert max(gain_a, gain_b) <= DEFAULT_EPSILON
         assert (pa, pb) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_classical_pd_cooperation_is_not(self):
         game, *point = CLASSICAL_PD
         [[(_, _, gain_a, gain_b)]] = check_profile(
-            *point, [(game, StrategyParams(0.0), StrategyParams(0.0))],
-            CLASSICAL_SPACE, CLASSICAL_SPACE)
+            *point, [(game, StrategyParams(0.0), StrategyParams(0.0))], QUANTUM_SPACE)
         assert not max(gain_a, gain_b) <= DEFAULT_EPSILON
         assert gain_a == pytest.approx(2.0, abs=1e-12)
         assert gain_b == pytest.approx(2.0, abs=1e-12)
@@ -132,7 +140,7 @@ class TestCheckProfile:
             EntanglementParams(0.4, 0.9), *Pairing.D_D.crossings((0.6, 0.2), (0.6, 0.2)),
             [(builtin_game("bos"), StrategyParams(1.0, 0.5, 0.5),
               StrategyParams(2.0, -1.0, 1.0))],
-            CLASSICAL_SPACE, QUANTUM_SPACE)
+            QUANTUM_SPACE)
         assert gain_a >= 0
         assert gain_b >= 0
 
@@ -184,9 +192,8 @@ class TestCertificatePath:
         ("chicken", None, None, None, True)])
     def test_nash_rows_match_per_point_certificates(self, pairing, game, gamma,
                                                     delta, theta1, equal_phases, rng):
-        # ``_nash``'s rows are the per-point certificates of a classical
-        # Alice; those, and a quantum Alice's, are the gains over the dense
-        # meshes.
+        # ``_nash``'s rows are the per-point certificates, whose gains are
+        # those over the dense meshes of Alice's axes and Bob's grid.
         game, ent, s1, s2 = self.inputs(game, gamma, delta, theta1, rng)
         space_b = StrategySpace(5, 6, 4)
         if equal_phases:
@@ -202,18 +209,16 @@ class TestCertificatePath:
             dense_b = np.meshgrid(*space_b.axes(), indexing="ij")
             best_b = payoff_surface(w, game.b, ent, s1.theta,
                                     s1.alpha, s1.beta, *dense_b).max()
-            for space_a in (CLASSICAL_SPACE, StrategySpace(3, 4, 5)):
-                [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
-                    ent, ch1, ch2, [(game, s1, s2)], space_a, space_b)
-                if space_a is CLASSICAL_SPACE:
-                    assert (row_pay_a, row_pay_b) == (pay_a, pay_b)
-                    assert (row_gain_a, row_gain_b) == (gain_a, gain_b)
-                dense_a = np.meshgrid(*space_a.axes(), indexing="ij")
-                best_a = payoff_surface(w, game.a, ent, *dense_a,
-                                        s2.theta, s2.alpha, s2.beta).max()
-                assert (pay_a, pay_b) == (pa, pb)
-                assert gain_a == max(0.0, float(best_a) - pa)
-                assert gain_b == max(0.0, float(best_b) - pb)
+            [[(pay_a, pay_b, gain_a, gain_b)]] = check_profile(
+                ent, ch1, ch2, [(game, s1, s2)], space_b)
+            assert (row_pay_a, row_pay_b) == (pay_a, pay_b)
+            assert (row_gain_a, row_gain_b) == (gain_a, gain_b)
+            dense_a = np.meshgrid(*ALICE_AXES, indexing="ij")
+            best_a = payoff_surface(w, game.a, ent, *dense_a,
+                                    s2.theta, s2.alpha, s2.beta).max()
+            assert (pay_a, pay_b) == (pa, pb)
+            assert gain_a == max(0.0, float(best_a) - pa)
+            assert gain_b == max(0.0, float(best_b) - pb)
 
     # A subnormal product cannot move an O(1) maximum, so the gains above
     # cannot see a wrong skip there; the liveness itself is compared with
@@ -246,7 +251,7 @@ class TestCertificatePath:
 
         for entries, grid in ((game.a, (*StrategySpace(3, 4, 5).mesh(), *fixed(*s2.angles))),
                               (game.b, (*fixed(*s1.angles), *StrategySpace(5, 6, 4).mesh())),
-                              (game.a, (*CLASSICAL_SPACE.mesh(),
+                              (game.a, (*ALICE_MESH,
                                         *fixed(s2.theta, s2.alpha, s2.alpha)))):
             table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
             raw = raw_angle_terms(ent, *grid)
@@ -303,16 +308,12 @@ class TestStackedCertificates:
         crossings, stack = pairing.crossings(ch, ch), self.stack(rng)
         terms = count_calls(monkeypatch, angle_terms)
         scans = count_calls(monkeypatch, grid_maxima)
-        for space_a in (StrategySpace(3, 4, 5), CLASSICAL_SPACE):
-            space_b = StrategySpace(5, 6, 4)
-            terms.clear()
-            scans.clear()
-            stacked = check_profile(ent, *crossings, stack, space_a, space_b)
-            assert (len(scans), len(terms)) == (2, 3)
-            single = [check_profile(ent, *crossings, [profile], space_a, space_b)[0]
-                      for profile in stack]
-            assert len(stacked) == len(stack)
-            assert np.array(stacked).tobytes() == np.array(single).tobytes()
+        space_b = StrategySpace(5, 6, 4)
+        stacked = check_profile(ent, *crossings, stack, space_b)
+        assert (len(scans), len(terms)) == (2, 3)
+        single = [check_profile(ent, *crossings, [profile], space_b)[0] for profile in stack]
+        assert len(stacked) == len(stack)
+        assert np.array(stacked).tobytes() == np.array(single).tobytes()
 
     @pytest.mark.parametrize("channels", range(len(CHANNELS)))
     def test_certificates_are_one_float_array(self, channels, rng):
@@ -320,13 +321,13 @@ class TestStackedCertificates:
         # profile's slice has the bytes of a one-profile call.
         [ch] = self.CHANNELS[channels]
         ent, crossings, stack = random_ent(rng), Pairing.D_AD.crossings(ch, ch), self.stack(rng)
-        spaces = (StrategySpace(3, 4, 5), StrategySpace(5, 6, 4))
-        certs = check_profile(ent, *crossings, stack, *spaces)
+        space = StrategySpace(5, 6, 4)
+        certs = check_profile(ent, *crossings, stack, space)
         points = np.broadcast(*ch).size
         assert isinstance(certs, np.ndarray)
         assert (certs.dtype, certs.shape) == (np.float64, (len(stack), points, 4))
         for q, profile in enumerate(stack):
-            [single] = check_profile(ent, *crossings, [profile], *spaces)
+            [single] = check_profile(ent, *crossings, [profile], space)
             assert certs[q].tobytes() == single.tobytes()
 
     def test_nash_rows_keep_profile_order_across_pairings(self, rng):
@@ -340,7 +341,7 @@ class TestStackedCertificates:
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         want = [(pairing.value, game.name, *row) for pairing, game, *profile in profiles
                 for row in check_profile(ent, *pairing.crossings(ch, ch), [(game, *profile)],
-                                         CLASSICAL_SPACE, space_b)[0].tolist()]
+                                         space_b)[0].tolist()]
         assert [r[1:3] + r[5:] for r in gain_rows(report)] == want
 
 
@@ -363,7 +364,7 @@ class TestNaNNeverPasses:
         # (p, mu); a NaN maximum at Bob's last point alone must fail it.
         defect = StrategyParams(PI)
         profiles = [(Pairing.PH_PH, builtin_game("pd"), defect, defect)]
-        report = CaseReport("t", CLASSICAL_SPACE)
+        report = CaseReport("t", QUANTUM_SPACE)
         _nash(report, "nash", CLASSICAL_POINT, profiles)
         assert report.nash_certified and report.claims[0].passed
 
@@ -373,7 +374,7 @@ class TestNaNNeverPasses:
             return best
 
         rebind(monkeypatch, grid_maxima, last_nan)
-        report = CaseReport("t", CLASSICAL_SPACE)
+        report = CaseReport("t", QUANTUM_SPACE)
         _nash(report, "nash", CLASSICAL_POINT, profiles)
         assert not report.nash_certified and not report.claims[0].passed
         assert report.claims[0].detail == "worst unilateral gain = nan"
@@ -402,7 +403,7 @@ class TestNaNNeverPasses:
                lambda *args: np.zeros(np.shape(payoff_surface(*args))))
         game, *point = CLASSICAL_PD
         [[row]] = check_profile(*point, [(game, StrategyParams(PI), StrategyParams(PI))],
-                                CLASSICAL_SPACE, CLASSICAL_SPACE)
+                                QUANTUM_SPACE)
         assert [math.copysign(1.0, x) for x in row] == [1.0, 1.0, 1.0, 1.0]
 
 
@@ -420,8 +421,9 @@ class TestLeast:
 class TestUnentangledCertificatesAreExact:
     # At gamma = delta = 0 every phase product is zero, so a responder's
     # payoff is K + M cos(theta) whatever their alpha and beta.  Its maximum
-    # over the continuum lies at theta in {0, pi}, which every StrategySpace
-    # grid contains: case i's grid certificates are continuum proofs.
+    # over the continuum lies at theta in {0, pi}, which ALICE_MESH and every
+    # StrategySpace grid contain: case i's grid certificates are continuum
+    # proofs.
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("game", ["pd", "bos", "chicken"])
     def test_no_deviation_beats_the_theta_ends(self, pairing, game, rng):
@@ -448,7 +450,7 @@ class TestUnentangledScanBuildsNoGrid:
         ch = tuple(np.array(axis) for axis in zip(*itertools.product(PM_GRID, PM_GRID)))
         fig = FIGURES[2]
         args = (fig.ent, *Pairing.AD_AD.crossings(ch, ch),
-                [(builtin_game("bos"), fig.s1, fig.s2)], space, space)
+                [(builtin_game("bos"), fig.s1, fig.s2)], space)
         check_profile(*args)
         tracemalloc.start()
         try:
@@ -476,8 +478,7 @@ class TestScanSkipsDeadPoints:
         monkeypatch.setattr(closedform, "sum_products", recording)
         ch = (np.array([0.5, 1.0]), np.array([0.0, 0.0]))
         check_profile(fig.ent, *Pairing.AD_AD.crossings(ch, ch),
-                      [(builtin_game("bos"), fig.s1, fig.s2)],
-                      CLASSICAL_SPACE, StrategySpace(5, 7, 3))
+                      [(builtin_game("bos"), fig.s1, fig.s2)], StrategySpace(5, 7, 3))
         assert sums.count(True) == 2
 
 
@@ -580,7 +581,7 @@ class TestWeightEvaluations:
                  for i in range(size)]
         calls = count_calls(monkeypatch, batch_weights)
         check_profile(random_ent(rng), *Pairing.AD_D.crossings(ch, ch), stack,
-                      StrategySpace(3, 4, 5), StrategySpace(4, 3, 3))
+                      StrategySpace(4, 3, 3))
         assert len(calls) == 1
 
     def test_case_i_certifies_each_pairing_in_one_call(self, monkeypatch, capsys):
@@ -631,7 +632,7 @@ class TestCaseStudies:
             case_study("v")
 
     def test_nash_profiles_play_a_classical_alice(self):
-        # ``_nash`` scans Alice on CLASSICAL_SPACE, whatever the quantum
+        # ``check_profile`` scans Alice on ALICE_MESH, whatever the quantum
         # grid: it holds because every certified Alice move lies in it.
         rows = [config for rows in _CASES.values() for kind, config in rows if kind is _nash]
         assert rows
