@@ -106,34 +106,33 @@ def cmd_payoff(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 VERIFY_BLOCK = 512  # samples evaluated per array call
-# Bounds of a verify tuple's 16 draws: entries, gamma, delta, angles, (mu, p) x 2.
+# A verify tuple's 16 draws in stream order, and their bounds.
+DRAWS = ("e00", "e01", "e10", "e11", *ANGLES, "mu1", "p1", "mu2", "p2")
 _DRAW_LO, _DRAW_HI = np.array(
     [(-2.0, 5.0)] * 4 + [(0.0, math.pi / 2)] * 2
     + [(0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi)] * 2 + [(0.0, 1.0)] * 4).T
 
 
 def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
-    """The ``verify`` tuples, VERIFY_BLOCK at a time, as (16, n) arrays with
-    rows e00, e01, e10, e11 and then the game point in POINT order.
-    Each draw is lo + (hi - lo) * random(), as in ``random.uniform``; the
-    Mersenne Twister stream is stable across Python versions for a fixed
-    integer seed.  A block's 16n draws come from one ``getrandbits`` call:
-    its bytes are the stream's 32-bit words in order, little-endian, and each
-    pair (a, b) gives ((a >> 5) 2^26 + (b >> 6)) 2^-53, the formula of
-    ``random()`` itself, with every step exact.  ``mu_zero`` zeroes
-    amplitude-damping memories once drawn."""
+    """The ``verify`` tuples, VERIFY_BLOCK at a time, as dicts of n draws per
+    DRAWS name.  Each draw is lo + (hi - lo) * random(), as in
+    ``random.uniform``; the Mersenne Twister stream is stable across Python
+    versions for a fixed integer seed.  A block's 16n draws come from one
+    ``getrandbits`` call: its bytes are the stream's 32-bit words in order,
+    little-endian, and each pair (a, b) gives ((a >> 5) 2^26 + (b >> 6))
+    2^-53, the formula of ``random()`` itself, with every step exact.
+    ``mu_zero`` zeroes amplitude-damping memories once drawn."""
     rng = random.Random(seed)
     for start in range(0, samples, VERIFY_BLOCK):
         n = min(VERIFY_BLOCK, samples - start)
         a, b = np.frombuffer(rng.getrandbits(1024 * n).to_bytes(128 * n, "little"),
                              "<u4").reshape(n, 16, 2).transpose(2, 0, 1)
         u = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
-        cols = (_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T[
-            [*range(4), 13, 12, 15, 14, *range(4, 12)]]
-        for row, kind in ((5, pairing.first), (7, pairing.second)):
+        draws = dict(zip(DRAWS, np.ascontiguousarray((_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T)))
+        for name, kind in (("mu1", pairing.first), ("mu2", pairing.second)):
             if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
-                cols[row] = 0.0
-        yield cols
+                draws[name][:] = 0.0
+        yield draws
 
 
 def cmd_verify(args) -> int:
@@ -143,8 +142,8 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     worst = 0.0
-    for cols in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
-        entries, point = cols[:4], game_point(pairing, dict(zip(POINT, cols[4:])))
+    for draws in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
+        entries, point = np.array([draws[name] for name in DRAWS[:4]]), game_point(pairing, draws)
         closed = closed_payoff(entries, *point)
         rho = two_pass_state(*point)
         simulated = measure_payoff(payoff_operator(point[0].delta, entries), rho)
@@ -320,17 +319,16 @@ def cmd_nash(args) -> int:
         except ValueError:
             raise ValueError(f"bad grid spec {args.grid!r}; expected TxAxB") from None
         space = StrategySpace(t, a, b)
-    tables, certified = [], True
+    certificates = []  # the claims that carry a gain table
     for case_id in CASE_IDS if args.case == "all" else [args.case]:
         report = case_study(case_id, space)
         print("\n".join(report.lines()))
-        tables += report.gain_tables
-        certified &= report.nash_certified
+        certificates += [claim for claim in report.claims if claim.gains is not None]
     if args.csv:
-        rows = [row for table in tables for row in table_rows(table)]
+        rows = [row for claim in certificates for row in table_rows(claim.gains)]
         write_csv(args.csv, rows, GAIN_HEADER)
         print(f"wrote {len(rows)} gain rows to {args.csv}")
-    return 0 if certified else VERIFY_FAIL
+    return 0 if all(claim.passed for claim in certificates) else VERIFY_FAIL
 
 
 # --------------------------------------------------------------------------

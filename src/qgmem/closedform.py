@@ -164,17 +164,15 @@ class DepolCoeffs:
     """Depolarizing two-use coefficients for one channel crossing, either slot.
 
     a, b, d: the weights with which a two-qubit population keeps both bits,
-    flips both, or flips one (a + b + 2*d = 1 exactly).  coh: slot 1's
-    coherence factor, which slot 2 rounds as coh_base - (2/3)*(mu*p).
-    ``eta1dp`` is the population-interference factor of the delta terms.
+    flips both, or flips one (a + b + 2*d = 1 exactly).  coh_base: the
+    coherence factor less its (2/3) mu p term.  ``batch_weights`` states both
+    slots' factors from these.
     """
 
     a: float
     b: float
     d: float
-    coh: float
     coh_base: float
-    eta1dp: float
 
 
 def depol_coeffs(p: float, mu: float) -> DepolCoeffs:
@@ -184,7 +182,7 @@ def depol_coeffs(p: float, mu: float) -> DepolCoeffs:
     p_sq = p * p
     coh_base = -(1 / 9) * (-9 + 24 * p - 18 * mu * p - 16 * p_sq + 16 * mu * p_sq)
     d = (2 / 9) * p * (-3 + 2 * p) * (mu - 1)
-    return DepolCoeffs(a, b, d, coh_base - (2 / 3) * mu * p, coh_base, 2 * d - a - b)
+    return DepolCoeffs(a, b, d, coh_base)
 
 
 def dephasing_coeff(p: float, mu: float) -> float:
@@ -323,8 +321,10 @@ def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
                        x.chi_b - x.chi01)
         if kind is ChannelKind.DEPOLARIZING:
             u = depol_coeffs(p, mu)
+            # The slots round one coherence factor, and one population factor,
+            # two ways; weights_random.sha256 pins both roundings: never merge them.
             if slot == 1:
-                return u, (u.coh, -u.eta1dp)
+                return u, (u.coh_base - (2 / 3) * mu * p, -(2 * u.d - u.a - u.b))
             f, g = u.coh_base - (2 / 3) * (mu * p), u.a - 2 * u.d + u.b
             return u, (f, f, g, g, g)
         z = dephasing_coeff(p, mu)

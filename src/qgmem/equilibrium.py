@@ -124,18 +124,19 @@ class CaseClaim:
     label: str
     passed: bool
     detail: str
+    # A certificate's GAIN_COLUMNS over (profile, point), for ``cli.table_rows``;
+    # None for every other claim.  Left out of == and hash, which arrays break.
+    gains: tuple | None = field(default=None, compare=False)
 
 
 @dataclass
 class CaseReport:
+    """A case's claims, in report order: it is certified iff each one with gains passed."""
+
     case_id: str
     # The quantum player's grid, on which every certificate scans Bob.
     space: StrategySpace
     claims: list[CaseClaim] = field(default_factory=list)
-    # Per nash claim, its GAIN_COLUMNS over (profile, point), for ``cli.table_rows``.
-    gain_tables: list[tuple] = field(default_factory=list)
-    # The conjunction of the case's nash claims, each decided once by ``_nash``.
-    nash_certified: bool = True
 
     def lines(self) -> list[str]:
         return [f"case {self.case_id}:"] + [
@@ -187,8 +188,8 @@ def _nash(report, label, ent, profiles, why="", over=""):
     """Certify each (pairing, game, s1, s2) profile at every (p, mu) of
     PM_GRID, Alice classical and Bob on ``report.space``: one ``check_profile``
     call per pairing (in first-seen order) fills one (profile, point, column)
-    array.  Append it as a gain table, profiles in order; the worst gain, NaN
-    if a gain is NaN, decides the claim."""
+    array, the claim's gain table, profiles in order; the worst gain, NaN if
+    a gain is NaN, decides the claim."""
     ch = tuple(np.reshape(np.meshgrid(PM_GRID, PM_GRID, indexing="ij"), (2, -1)))
     certs = np.empty((len(profiles), ch[0].size, 4))
     for pairing in dict.fromkeys(pairing for pairing, *_ in profiles):
@@ -196,13 +197,11 @@ def _nash(report, label, ent, profiles, why="", over=""):
         certs[stack] = check_profile(ent, *pairing.crossings(ch, ch),
                                      [profiles[i][1:] for i in stack], report.space)
     labels = np.array([(pairing.value, game.name) for pairing, game, *_ in profiles])
-    report.gain_tables.append((report.case_id, *labels.T[:, :, None], *ch,
-                               *np.moveaxis(certs, -1, 0)))
     worst = certs[..., 2:].max()
     ok = bool(worst <= DEFAULT_EPSILON)
-    report.nash_certified &= ok
     report.claims.append(CaseClaim(
-        label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why)))
+        label, ok, f"worst unilateral gain{over} = {worst:.4f}" + ("" if ok else why),
+        (report.case_id, *labels.T[:, :, None], *ch, *np.moveaxis(certs, -1, 0))))
 
 
 def _phase_independence(report, ent):

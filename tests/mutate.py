@@ -168,9 +168,13 @@ MUTANTS = [
            "pairing.crossings((p1, mu1), (p2, mu2))",
            "pairing.crossings((mu1, p1), (p2, mu2))",
            ("test_cli.py", "test_golden.py")),
-    Mutant("verify-rows-unpermuted", "cli",
-           "[*range(4), 13, 12, 15, 14, *range(4, 12)]]",
-           "[*range(4), 12, 13, 14, 15, *range(4, 12)]]",
+    Mutant("verify-draws-p-before-mu", "cli",
+           '"mu1", "p1", "mu2", "p2")',
+           '"p1", "mu1", "mu2", "p2")',
+           ("test_cli.py", "test_golden.py")),
+    Mutant("verify-mu-zero-zeroes-p", "cli",
+           '(("mu1", pairing.first), ("mu2", pairing.second))',
+           '(("p1", pairing.first), ("p2", pairing.second))',
            ("test_cli.py", "test_golden.py")),
     Mutant("verify-word-pair-swapped", "cli",
            "a, b = np.frombuffer(rng.getrandbits(",
@@ -222,8 +226,13 @@ MUTANTS = [
     # Slot 2's depolarizing coherence rounds apart from slot 1's.
     Mutant("depol-slot2-coherence-as-slot1", "closedform",
            "f, g = u.coh_base - (2 / 3) * (mu * p), u.a - 2 * u.d + u.b",
-           "f, g = u.coh, u.a - 2 * u.d + u.b",
+           "f, g = u.coh_base - (2 / 3) * mu * p, u.a - 2 * u.d + u.b",
            ("test_golden.py",)),
+    # Only the claims that carry a gain table decide the nash exit.
+    Mutant("nash-exit-reads-every-claim", "cli",
+           "certificates += [claim for claim in report.claims if claim.gains is not None]",
+           "certificates += report.claims",
+           ("test_cli.py", "test_acceptance.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

@@ -18,11 +18,11 @@ from test_golden import FIGURE_DIGESTS
 
 from qgmem import cli
 from qgmem.channels import ChannelKind, ChannelSpec
-from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER, SWEEPABLE,
-                       VERIFY_BLOCK, build_parser, game_point, main, parse_angle,
+from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER, POINT,
+                       SWEEPABLE, VERIFY_BLOCK, build_parser, game_point, main, parse_angle,
                        parse_sweep_config, run_sweep, table_rows, verify_blocks)
 from qgmem.closedform import Pairing, closed_payoff, closed_payoff_pair, payoff_surface
-from qgmem.equilibrium import CASE_IDS, FIGURES
+from qgmem.equilibrium import CASE_IDS, FIGURES, case_study
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, measure_payoff,
@@ -279,8 +279,8 @@ class TestVerifyCommand:
 
     @staticmethod
     def per_sample_draws(pairing, samples, seed, mu_zero):
-        """The tuples as verify drew them one sample at a time, in the order
-        of the rows of ``verify_blocks``."""
+        """The tuples as verify drew them one sample at a time, one array per
+        name, in the order of the stream."""
         rng = random.Random(seed)
         rows = []
         for _ in range(samples):
@@ -290,23 +290,31 @@ class TestVerifyCommand:
                   rng.uniform(-math.pi, math.pi)]
             s2 = [rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
                   rng.uniform(-math.pi, math.pi)]
-            cps = []
+            channels = []
             for kind in (pairing.first, pairing.second):
                 mu = rng.random()
                 if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
                     mu = 0.0
-                cps += [rng.random(), mu]
-            rows.append(entries + cps + ent + s1 + s2)
-        return np.array(rows).T
+                channels += [mu, rng.random()]
+            rows.append(entries + ent + s1 + s2 + channels)
+        names = ("e00", "e01", "e10", "e11", "gamma", "delta", "theta1", "alpha1", "beta1",
+                 "theta2", "alpha2", "beta2", "mu1", "p1", "mu2", "p2")
+        return dict(zip(names, np.array(rows).T))
 
     @pytest.mark.parametrize("pairing", ["ad-d", "ph-ad", "d-ph"])
     @pytest.mark.parametrize("mu_zero", [False, True])
     def test_draw_order_of_per_sample_loop(self, pairing, mu_zero):
         pairing = Pairing.from_string(pairing)
         blocks = list(verify_blocks(pairing, 2 * VERIFY_BLOCK + 7, 11, mu_zero))
-        assert [b.shape for b in blocks] == [(16, VERIFY_BLOCK)] * 2 + [(16, 7)]
+        assert [{v.shape for v in b.values()} for b in blocks] == \
+            [{(VERIFY_BLOCK,)}] * 2 + [{(7,)}]
         want = self.per_sample_draws(pairing, 2 * VERIFY_BLOCK + 7, 11, mu_zero)
-        assert np.array_equal(np.concatenate(blocks, axis=1), want)
+        # After the four entries, every game-point name is drawn exactly once.
+        names = list(blocks[0])
+        assert len(names) == 16 and sorted(names[4:]) == sorted(POINT)
+        assert all(list(b) == list(want) for b in blocks)
+        for name, draws in want.items():
+            assert np.array_equal(np.concatenate([b[name] for b in blocks]), draws), name
 
     @pytest.mark.parametrize("pairing,seed", [("ph-ph", 42), ("d-d", 7)])
     def test_full_scale_runs(self, pairing, seed):
@@ -946,6 +954,18 @@ class TestNashCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("case,pairing,game")
         assert len(lines) == 1 + 25
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_exit_reads_the_certificates_alone(self, case_id, capsys):
+        # Exactly the nash claims carry a gain table, and only they decide the
+        # exit: iii-b and iii-c fail an informational claim and still exit 0.
+        claims = case_study(case_id).claims
+        assert [c.label for c in claims if c.gains is not None] == \
+            [c.label for c in claims if c.label.startswith("nash:")]
+        failed = any(not c.passed for c in claims if c.gains is not None)
+        assert run(["nash", "--case", case_id]) == (4 if failed else 0)
+        if case_id in ("iii-b", "iii-c"):
+            assert not all(c.passed for c in claims)
 
     def test_all_writes_gain_table(self, tmp_path, capsys):
         out = tmp_path / "gains.csv"

@@ -57,7 +57,15 @@ class TestAdCoeffs:
 class TestDepolCoeffs:
     def test_noiseless_point(self):
         c = depol_coeffs(0.0, 0.6)
-        assert (c.a, c.b, c.d, c.coh, c.coh_base) == (1.0, 0.0, 0.0, 1.0, 1.0)
+        assert (c.a, c.b, c.d, c.coh_base) == (1.0, 0.0, 0.0, 1.0)
+
+    def test_noiseless_slot_1_factors_are_one(self):
+        # Slot 1's coherence and population factors are 1 at p1 = 0, so d-ph's
+        # f and h factors are slot 2's dephasing factor and its g factors 1.
+        ch = Pairing.D_PH.crossings((0.0, 0.6), (0.3, 0.4))
+        w = batch_weights(EntanglementParams(0.7, 1.1), *ch)
+        assert w.f_diag == w.f_off == w.h_diag == w.h_off == dephasing_coeff(0.3, 0.4)
+        assert w.g00 == w.g11 == w.g_off == 1.0
 
     def test_memoryless_weights_are_independent_flips(self):
         # Without memory each qubit flips on its own with probability 2p/3.

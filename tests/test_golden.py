@@ -120,7 +120,7 @@ def mixed_gains(path, fid):
     _nash(report, "nash", fig.ent,
           [(pairing, builtin_game(game), s1, fig.s2) for pairing in MIXED_PAIRINGS
            for game in GAME_NAMES for s1 in (fig.s1, StrategyParams(math.pi / 2))])
-    write_csv(str(path), [row for table in report.gain_tables for row in table_rows(table)],
+    write_csv(str(path), [row for claim in report.claims for row in table_rows(claim.gains)],
               GAIN_HEADER)
 
 
