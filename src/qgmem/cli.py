@@ -106,29 +106,30 @@ def cmd_payoff(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 VERIFY_BLOCK = 512  # samples evaluated per array call
-# A verify tuple's 16 draws in stream order, and their bounds.
-DRAWS = ("e00", "e01", "e10", "e11", *ANGLES, "mu1", "p1", "mu2", "p2")
-_DRAW_LO, _DRAW_HI = np.array(
-    [(-2.0, 5.0)] * 4 + [(0.0, math.pi / 2)] * 2
-    + [(0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi)] * 2 + [(0.0, 1.0)] * 4).T
+# A verify tuple's 16 draws in stream order, each name with its (lo, hi).
+DRAWS = {"e00": (-2.0, 5.0), "e01": (-2.0, 5.0), "e10": (-2.0, 5.0), "e11": (-2.0, 5.0),
+         "gamma": (0.0, math.pi / 2), "delta": (0.0, math.pi / 2),
+         "theta1": (0.0, math.pi), "alpha1": (-math.pi, math.pi), "beta1": (-math.pi, math.pi),
+         "theta2": (0.0, math.pi), "alpha2": (-math.pi, math.pi), "beta2": (-math.pi, math.pi),
+         "mu1": (0.0, 1.0), "p1": (0.0, 1.0), "mu2": (0.0, 1.0), "p2": (0.0, 1.0)}
 
 
 def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
     """The ``verify`` tuples, VERIFY_BLOCK at a time, as dicts of n draws per
-    DRAWS name.  Each draw is lo + (hi - lo) * random(), as in
-    ``random.uniform``; the Mersenne Twister stream is stable across Python
-    versions for a fixed integer seed.  A block's 16n draws come from one
-    ``getrandbits`` call: its bytes are the stream's 32-bit words in order,
-    little-endian, and each pair (a, b) gives ((a >> 5) 2^26 + (b >> 6))
-    2^-53, the formula of ``random()`` itself, with every step exact.
-    ``mu_zero`` zeroes amplitude-damping memories once drawn."""
-    rng = random.Random(seed)
+    DRAWS name.  Each draw is lo + (hi - lo) * random() with its name's
+    bounds, as in ``random.uniform``; the Mersenne Twister stream is stable
+    across Python versions for a fixed integer seed.  A block's 16n draws
+    come from one ``getrandbits`` call: its bytes are the stream's 32-bit
+    words in order, little-endian, and each pair (a, b) gives ((a >> 5) 2^26
+    + (b >> 6)) 2^-53, the formula of ``random()`` itself, with every step
+    exact.  ``mu_zero`` zeroes amplitude-damping memories once drawn."""
+    rng, (lo, hi) = random.Random(seed), np.array([*DRAWS.values()]).T
     for start in range(0, samples, VERIFY_BLOCK):
         n = min(VERIFY_BLOCK, samples - start)
         a, b = np.frombuffer(rng.getrandbits(1024 * n).to_bytes(128 * n, "little"),
                              "<u4").reshape(n, 16, 2).transpose(2, 0, 1)
         u = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
-        draws = dict(zip(DRAWS, np.ascontiguousarray((_DRAW_LO + (_DRAW_HI - _DRAW_LO) * u).T)))
+        draws = dict(zip(DRAWS, np.ascontiguousarray((lo + (hi - lo) * u).T)))
         for name, kind in (("mu1", pairing.first), ("mu2", pairing.second)):
             if mu_zero and kind is ChannelKind.AMPLITUDE_DAMPING:
                 draws[name][:] = 0.0
@@ -143,7 +144,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     worst = 0.0
     for draws in verify_blocks(pairing, args.samples, args.seed, args.mu_zero):
-        entries, point = np.array([draws[name] for name in DRAWS[:4]]), game_point(pairing, draws)
+        point = game_point(pairing, draws)
+        entries = np.array([draws[name] for name in DRAWS if name not in POINT])
         closed = closed_payoff(entries, *point)
         rho = two_pass_state(*point)
         simulated = measure_payoff(payoff_operator(point[0].delta, entries), rho)

@@ -39,18 +39,19 @@ on an array.
 The other factors do not depend on the channels.  ``angle_terms`` states
 them once: the theta-only sector products, of the small shape of the theta
 axes, and one row per phase product (the f_diag and f_off brackets, the
-gamma term and the delta sines) of its coefficient indices, its scale and
-a builder of its parts, plain arrays.  ``payoff_coeffs`` contracts the
-entries with the weights into the nine factors (per channel point and
-player) that multiply them.  ``payoff_surface`` builds every phase product
-and sums them left to right, one numpy call a step (``sum_products``, which
-states the product rule).  ``grid_maxima`` scans a deviation grid at every
-channel point; its docstring states the scan rule.  Both take (weights,
-entries, ent) first, like ``payoff_coeffs``: only ``batch_weights`` reads the
-crossings, so one weight evaluation gives a profile's payoffs and both
-deviation scans (``equilibrium.check_profile``).  Every angle term is
-elementwise in the angles, so a profile's slice of a sum built for a stack
-of fixed angles has the bits of the sum built from that profile alone.
+gamma term and the delta sines) of its scale and a builder of its parts,
+plain arrays.  ``payoff_coeffs`` contracts the entries with the weights
+into the factors that multiply them (per channel point and player): four
+sector sums and, per row, a group of one factor per part.
+``payoff_surface`` builds every phase product and sums them left to right,
+one numpy call a step (``sum_products``, which states the product rule).
+``grid_maxima`` scans a deviation grid at every channel point; its
+docstring states the scan rule.  Both take (weights, entries, ent) first,
+like ``payoff_coeffs``: only ``batch_weights`` reads the crossings, so one
+weight evaluation gives a profile's payoffs and both deviation scans
+(``equilibrium.check_profile``).  Every angle term is elementwise in the
+angles, so a profile's slice of a sum built for a stack of fixed angles
+has the bits of the sum built from that profile alone.
 ``closed_payoff``, the entry point from a game point, is ``payoff_surface``
 on ``batch_weights``; only the certificates also write those two steps out.
 ``stacked_entries`` puts entry columns (players, or games by players) on
@@ -369,11 +370,11 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
     """The weight-free factors of ``payoff_surface``, broadcasting like it, as
     (sectors, phases).  ``sectors`` are the theta-only products cc, ss, sc
     and cs, of the small shape of the theta axes.  ``phases`` are the f_diag,
-    f_off, gamma and delta products, in the payoff's order, as rows of
-    (indices of their ``payoff_coeffs`` factors, scale, build).  The scales
-    are 1 for the f brackets and the amplitudes 0.25 n sin(gamma) and
-    0.25 n sin(delta), of the small shape.  build() returns the parts, one
-    full-size array per index: the two delta sines, or a term that carries
+    f_off, gamma and delta products, in the order of ``payoff_coeffs``'
+    factor groups, as rows of (scale, build).  The scales are 1 for the f
+    brackets and the amplitudes 0.25 n sin(gamma) and 0.25 n sin(delta),
+    of the small shape.  build() returns the parts, one full-size array per
+    factor of the row's group: the two delta sines, or a term that carries
     its scale.  Nothing full-size is built until a row's build() is called."""
     th1, a1, b1 = (np.asarray(x, dtype=float) for x in (theta1, alpha1, beta1))
     th2, a2, b2 = (np.asarray(x, dtype=float) for x in (theta2, alpha2, beta2))
@@ -382,10 +383,10 @@ def angle_terms(ent: EntanglementParams, theta1, alpha1, beta1,
     n = np.sin(th1) * np.sin(th2)
     gamma, delta = 0.25 * n * np.sin(ent.gamma), 0.25 * n * np.sin(ent.delta)
     return (cc, ss, sc, cs), (
-        ((4,), 1.0, lambda: (cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),)),
-        ((5,), 1.0, lambda: (sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),)),
-        ((6,), gamma, lambda: (gamma * np.sin(a1 + a2 - b1 - b2),)),
-        ((7, 8), delta, lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2))))
+        (1.0, lambda: (cc * np.cos(2 * (a1 + a2)) - ss * np.cos(2 * (b1 + b2)),)),
+        (1.0, lambda: (sc * np.cos(2 * (a2 - b1)) - cs * np.cos(2 * (a1 - b2)),)),
+        (gamma, lambda: (gamma * np.sin(a1 + a2 - b1 - b2),)),
+        (delta, lambda: (np.sin(a1 + a2 + b1 + b2), np.sin(a1 - a2 + b1 - b2))))
 
 
 def payoff_surface(weights: PairingWeights, entries: Sequence[float],
@@ -403,16 +404,17 @@ def payoff_surface(weights: PairingWeights, entries: Sequence[float],
     if len(entries) != 4:
         raise ValueError(f"expected 4 payoff entries, got {len(entries)}")
     sectors, phases = angle_terms(ent, theta1, alpha1, beta1, theta2, alpha2, beta2)
-    return sum_products(sectors, payoff_coeffs(weights, entries, ent),
-                        [(idx, scale, build()) for idx, scale, build in phases])
+    sums, groups = payoff_coeffs(weights, entries, ent)
+    return sum_products(sectors, sums, [(k, scale, build())
+                                        for k, (scale, build) in zip(groups, phases)])
 
 
 def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
                   ent: EntanglementParams) -> tuple:
-    """The nine factors that multiply the angle terms in ``payoff_surface``:
-    the four sector sums, the f_diag and f_off factors, the gamma bracket and
-    the h_diag and h_off factors of the delta sines, broadcast like the
-    weights."""
+    """The factors that multiply the angle terms in ``payoff_surface``, as
+    (sums, groups) broadcast like the weights: the four sector sums, then one
+    group per ``angle_terms`` row, in its order: (f_diag,), (f_off,), (the
+    gamma bracket,) and (h_diag, h_off) of the delta sines."""
     e00, e01, e10, e11 = np.asarray(entries, dtype=float)
     w, xi = weights, 0.5 * np.sin(ent.delta) * np.sin(ent.gamma)
 
@@ -420,29 +422,28 @@ def payoff_coeffs(weights: PairingWeights, entries: Sequence[float],
         w00, w11, w01, w10 = sw
         return w00 * e00 + w11 * e11 + w01 * e01 + w10 * e10
 
-    return (sector(w.cc), sector(w.ss), sector(w.sc), sector(w.cs),
-            xi * w.f_diag * (e00 - e11), xi * w.f_off * (e01 - e10),
-            -(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10),
-            w.h_diag * (e00 - e11), w.h_off * (e01 - e10))
+    return (sector(w.cc), sector(w.ss), sector(w.sc), sector(w.cs)), (
+        (xi * w.f_diag * (e00 - e11),), (xi * w.f_off * (e01 - e10),),
+        (-(w.g00 * e00 + w.g11 * e11) + w.g_off * (e01 + e10),),
+        (w.h_diag * (e00 - e11), w.h_off * (e01 - e10)))
 
 
-def sum_products(sectors: tuple, coeffs: tuple, products, out=None):
-    """The sector sum of ``sectors`` and ``coeffs`` plus the built
-    (indices, scale, parts) products, left to right, one numpy call a step:
-    a one-part product is ``parts[0] * k[j]``, the delta product
-    ``scale * (k[7] * parts[0] + k[8] * parts[1])``.  ``out``, if given, is
-    two float arrays of the full broadcast shape: the products go to the
-    second and the sum to the first (returned).  With no product the sum
-    keeps the sectors' small shape."""
-    cc, ss, sc, cs = sectors
+def sum_products(sectors: tuple, sums: tuple, products, out=None):
+    """The sector sum of ``sectors`` and ``sums`` plus the built
+    (k, scale, parts) products, each with its factor group k, left to right,
+    one numpy call a step: a one-part product is ``parts[0] * k[0]``, the
+    delta product ``scale * (k[0] * parts[0] + k[1] * parts[1])``.
+    ``out``, if given, is two float arrays of the full broadcast shape: the
+    products go to the second and the sum to the first (returned).  With no
+    product the sum keeps the sectors' small shape."""
+    (cc, ss, sc, cs), (kcc, kss, ksc, kcs) = sectors, sums
     acc, tmp = (None, None) if out is None else out
-    total = cc * coeffs[0] + ss * coeffs[1] + sc * coeffs[2] + cs * coeffs[3]
-    for idx, scale, parts in products:
+    total = cc * kcc + ss * kss + sc * ksc + cs * kcs
+    for k, scale, parts in products:
         if len(parts) == 1:
-            term = np.multiply(parts[0], coeffs[idx[0]], out=tmp)
+            term = np.multiply(parts[0], k[0], out=tmp)
         else:
-            term = np.multiply(scale, coeffs[idx[0]] * parts[0] + coeffs[idx[1]] * parts[1],
-                               out=tmp)
+            term = np.multiply(scale, k[0] * parts[0] + k[1] * parts[1], out=tmp)
         total = np.add(total, term, out=acc)
     return total
 
@@ -461,11 +462,11 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
     The scan rule: one ``angle_terms`` call, one broadcast for the sector
     sums of all points (points by theta) and one ``max`` for their maxima.
     A phase product is dead over the stack, and never built, when its
-    ``payoff_coeffs`` columns are all 0 (gamma = 0 or delta = 0 zero the f
+    factor group's columns are all 0 (gamma = 0 or delta = 0 zero the f
     factors) or its scale is (gamma = 0 zeroes the gamma term, delta = 0 the
     delta term, a fixed theta = 0 both).  The live products are built once
-    for the stack.  A point skips the live products whose coefficients are
-    all 0 there (weight factors vanish at some p = 0 or mu = 0 points); a
+    for the stack.  A point skips the live products whose group's factors
+    are all 0 there (weight factors vanish at some p = 0 or mu = 0 points); a
     point with a live product left sums the whole stack with its own
     coefficients (``sum_products``, into two buffers of the grid's full
     shape) and takes its maximum over its profile's slice, which has the
@@ -478,20 +479,22 @@ def grid_maxima(weights: PairingWeights, entries: Sequence[float],
     profile in a live stack has zero scales), so skipping or adding it keeps
     the sum's bits but for the sign of a zero, which no gain sees
     (``equilibrium.check_profile``)."""
-    table = [np.broadcast_to(c, shape).ravel() for c in payoff_coeffs(weights, entries, ent)]
+    sums, groups = payoff_coeffs(weights, entries, ent)
+    sums, *groups = ([np.broadcast_to(c, shape).ravel() for c in cs] for cs in (sums, *groups))
     sectors, phases = angle_terms(ent, *grid)
     mesh = min(map(np.ndim, grid))
-    sums = sum_products(sectors, [np.reshape(c, shape + (1,) * mesh) for c in table[:4]], ())
-    maxima = sums.max(axis=tuple(range(len(shape), sums.ndim))).ravel()
-    live = [(idx, scale, build()) for idx, scale, build in phases
-            if any(table[j].any() for j in idx) and np.any(scale)]
+    totals = sum_products(sectors, [np.reshape(c, shape + (1,) * mesh) for c in sums], ())
+    maxima = totals.max(axis=tuple(range(len(shape), totals.ndim))).ravel()
+    live = [(group, scale, build()) for group, (scale, build) in zip(groups, phases)
+            if any(c.any() for c in group) and np.any(scale)]
     if live:
         bufs = [np.empty(np.broadcast_shapes(*map(np.shape, grid))) for _ in range(2)]
         n = len(maxima) // shape[0]
-        for i, k in enumerate(zip(*table)):
-            products = [row for row in live if any(k[j] for j in row[0])]
+        points = zip(zip(*sums), *(zip(*group) for group, _, _ in live))
+        for i, (sums_i, *ks) in enumerate(points):
+            products = [(k, scale, parts) for k, (_, scale, parts) in zip(ks, live) if any(k)]
             if products:
-                maxima[i] = sum_products(sectors, k, products, bufs)[i // n].max()
+                maxima[i] = sum_products(sectors, sums_i, products, bufs)[i // n].max()
     return maxima.reshape(shape)
 
 

@@ -36,12 +36,12 @@ MUTANTS = [
            "(np.sin(a1 - a2 + b1 - b2), np.sin(a1 + a2 + b1 + b2))",
            ("test_closedform.py", "test_golden.py")),
     Mutant("scan-on-slice-0", "closedform",
-           "sum_products(sectors, k, products, bufs)[i // n].max()",
-           "sum_products(sectors, k, products, bufs)[0].max()",
+           "sum_products(sectors, sums_i, products, bufs)[i // n].max()",
+           "sum_products(sectors, sums_i, products, bufs)[0].max()",
            ("test_equilibrium.py",)),
     Mutant("one-part-row-scaled", "closedform",
-           "term = np.multiply(parts[0], coeffs[idx[0]], out=tmp)",
-           "term = np.multiply(scale * parts[0], coeffs[idx[0]], out=tmp)",
+           "term = np.multiply(parts[0], k[0], out=tmp)",
+           "term = np.multiply(scale * parts[0], k[0], out=tmp)",
            ("test_closedform.py", "test_golden.py")),
     Mutant("gains-by-fmax", "equilibrium",
            "np.maximum(best - pay, 0.0)",
@@ -149,16 +149,16 @@ MUTANTS = [
            "map(parse, [key] * 3, parts, (parse_angle, parse_angle, int))",
            ("test_cli.py",)),
     Mutant("liveness-ignores-scale", "closedform",
-           "if any(table[j].any() for j in idx) and np.any(scale)]",
-           "if any(table[j].any() for j in idx)]",
+           "if any(c.any() for c in group) and np.any(scale)]",
+           "if any(c.any() for c in group)]",
            ("test_equilibrium.py",)),
     Mutant("point-filter-dropped", "closedform",
-           "products = [row for row in live if any(k[j] for j in row[0])]",
-           "products = live",
+           "for k, (_, scale, parts) in zip(ks, live) if any(k)]",
+           "for k, (_, scale, parts) in zip(ks, live)]",
            ("test_equilibrium.py", "test_golden.py")),
     Mutant("sector-sum-reversed", "closedform",
-           "total = cc * coeffs[0] + ss * coeffs[1] + sc * coeffs[2] + cs * coeffs[3]",
-           "total = cs * coeffs[3] + sc * coeffs[2] + ss * coeffs[1] + cc * coeffs[0]",
+           "total = cc * kcc + ss * kss + sc * ksc + cs * kcs",
+           "total = cs * kcs + sc * ksc + ss * kss + cc * kcc",
            ("test_closedform.py", "test_golden.py")),
     Mutant("angle-divisor-finiteness-dropped", "cli",
            "math.isfinite(n := float(body[3:])) and n != 0",
@@ -169,8 +169,8 @@ MUTANTS = [
            "pairing.crossings((mu1, p1), (p2, mu2))",
            ("test_cli.py", "test_golden.py")),
     Mutant("verify-draws-p-before-mu", "cli",
-           '"mu1", "p1", "mu2", "p2")',
-           '"p1", "mu1", "mu2", "p2")',
+           '"mu1": (0.0, 1.0), "p1": (0.0, 1.0),',
+           '"p1": (0.0, 1.0), "mu1": (0.0, 1.0),',
            ("test_cli.py", "test_golden.py")),
     Mutant("verify-mu-zero-zeroes-p", "cli",
            '(("mu1", pairing.first), ("mu2", pairing.second))',
@@ -233,6 +233,19 @@ MUTANTS = [
            "certificates += [claim for claim in report.claims if claim.gains is not None]",
            "certificates += report.claims",
            ("test_cli.py", "test_acceptance.py")),
+    # Each phase row reads its own factor group; each draw its own bounds.
+    Mutant("delta-factors-swapped", "closedform",
+           "(w.h_diag * (e00 - e11), w.h_off * (e01 - e10))",
+           "(w.h_off * (e01 - e10), w.h_diag * (e00 - e11))",
+           ("test_closedform.py", "test_golden.py")),
+    Mutant("point-filter-all-factors", "closedform",
+           "zip(ks, live) if any(k)]",
+           "zip(ks, live) if all(k)]",
+           ("test_equilibrium.py", "test_golden.py")),
+    Mutant("verify-alpha1-on-theta-range", "cli",
+           '"alpha1": (-math.pi, math.pi)',
+           '"alpha1": (0.0, math.pi)',
+           ("test_cli.py", "test_golden.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

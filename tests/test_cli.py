@@ -18,9 +18,9 @@ from test_golden import FIGURE_DIGESTS
 
 from qgmem import cli
 from qgmem.channels import ChannelKind, ChannelSpec
-from qgmem.cli import (CSV_HEADER, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER, POINT,
-                       SWEEPABLE, VERIFY_BLOCK, build_parser, game_point, main, parse_angle,
-                       parse_sweep_config, run_sweep, table_rows, verify_blocks)
+from qgmem.cli import (CSV_HEADER, DRAWS, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER,
+                       POINT, SWEEPABLE, VERIFY_BLOCK, build_parser, game_point, main,
+                       parse_angle, parse_sweep_config, run_sweep, table_rows, verify_blocks)
 from qgmem.closedform import Pairing, closed_payoff, closed_payoff_pair, payoff_surface
 from qgmem.equilibrium import CASE_IDS, FIGURES, case_study
 from qgmem.games import builtin_game
@@ -315,6 +315,19 @@ class TestVerifyCommand:
         assert all(list(b) == list(want) for b in blocks)
         for name, draws in want.items():
             assert np.array_equal(np.concatenate([b[name] for b in blocks]), draws), name
+
+    @pytest.mark.parametrize("name", POINT)
+    def test_draw_bounds_are_the_parameter_domain(self, name):
+        # verify samples each parameter's whole domain and nothing outside
+        # it: a block at either end of a name's DRAWS bounds is a game point,
+        # one float step beyond either end is refused.
+        mid = {key: np.full(3, (lo + hi) / 2) for key, (lo, hi) in DRAWS.items()}
+        lo, hi = DRAWS[name]
+        for pairing in Pairing:
+            for end, beyond in ((lo, -np.inf), (hi, np.inf)):
+                game_point(pairing, {**mid, name: np.full(3, end)})
+                with pytest.raises(ValueError):
+                    game_point(pairing, {**mid, name: np.full(3, np.nextafter(end, beyond))})
 
     @pytest.mark.parametrize("pairing,seed", [("ph-ph", 42), ("d-d", 7)])
     def test_full_scale_runs(self, pairing, seed):

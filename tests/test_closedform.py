@@ -463,12 +463,12 @@ class TestCoefficientAssembly:
         game = builtin_game("chicken")
         for angles in ((*grid, *s2.angles), (*s1.angles, *grid)):
             sectors, phases = angle_terms(ent, *angles)
-            products = [(idx, scale, build()) for idx, scale, build in phases]
             for entries in (game.a, game.b, random_entries(rng)):
-                k = payoff_coeffs(w, entries, ent)
+                sums, groups = payoff_coeffs(w, entries, ent)
+                products = [(k, scale, build()) for k, (scale, build) in zip(groups, phases)]
                 bufs = [np.full((5, 7, 3), np.nan) for _ in range(2)]
-                got = sum_products(sectors, k, products, bufs)
-                fresh = sum_products(sectors, k, products)
+                got = sum_products(sectors, sums, products, bufs)
+                fresh = sum_products(sectors, sums, products)
                 assert got is bufs[0] and fresh.shape == (5, 7, 3)
                 assert np.array_equal(got, fresh)
                 assert np.array_equal(fresh, unsplit_payoff(w, entries, ent, angles))
@@ -488,21 +488,29 @@ class TestCoefficientAssembly:
         entries = random_entries(rng)
         got = payoff_surface(w, entries, ent, *angles)
         assert got.shape == (8,)
-        k = payoff_coeffs(w, entries, ent)
-        products = [(idx, scale, build()) for idx, scale, build in phases]
-        assert np.array_equal(got, sum_products(sectors, k, products))
+        sums, groups = payoff_coeffs(w, entries, ent)
+        products = [(k, scale, build()) for k, (scale, build) in zip(groups, phases)]
+        assert np.array_equal(got, sum_products(sectors, sums, products))
         assert np.array_equal(got, unsplit_payoff(w, entries, ent, angles))
 
-    def test_rows_build_data(self, rng):
-        # A row's build() gives one array per coefficient index, no function:
-        # a scan sums the parts of a whole stack at every live point.
+    @pytest.mark.parametrize("pairing", ALL_PAIRINGS)
+    def test_rows_build_data(self, pairing, rng):
+        # Each phase row pairs with its own ``payoff_coeffs`` factor group,
+        # at a float and at an array channel point, and its build() gives one
+        # array per factor of that group, no function: a scan sums the parts
+        # of a whole stack at every live point.
+        ent = random_ent(rng)
         grid = StrategySpace(3, 4, 5).mesh()
-        _, phases = angle_terms(random_ent(rng), *grid, *random_strategy(rng).angles)
-        assert [idx for idx, *_ in phases] == [(4,), (5,), (6,), (7, 8)]
-        for idx, scale, build in phases:
-            parts = build()
-            assert len(parts) == len(idx) and not callable(scale)
-            assert all(isinstance(x, np.ndarray) and x.ndim == 3 for x in parts)
+        _, phases = angle_terms(ent, *grid, *random_strategy(rng).angles)
+        array = [np.array([rng.random() for _ in range(6)]) for _ in range(2)]
+        for ch in ((rng.random(), rng.random()), array):
+            w = batch_weights(ent, *pairing.crossings(ch, ch))
+            sums, groups = payoff_coeffs(w, random_entries(rng), ent)
+            assert len(sums) == 4 and len(groups) == len(phases)
+            for group, (scale, build) in zip(groups, phases):
+                parts = build()
+                assert len(parts) == len(group) and not callable(scale)
+                assert all(isinstance(x, np.ndarray) and x.ndim == 3 for x in parts)
 
 
 class TestPairingEnum:

@@ -233,9 +233,13 @@ class TestCertificatePath:
     # grid is classical against alpha2 = beta2, where the gamma term is its
     # amplitude times sin(0): zero although the amplitude is not, so it is
     # live.  The products that ``grid_maxima`` hands to ``sum_products`` are
-    # its live rows, with the bits of a full build of ``angle_terms`` and of
-    # the raw terms.
-    COLUMNS = {"f_diag": (4,), "f_off": (5,), "gamma": (6,), "delta": (7, 8)}
+    # its live rows, at each point those with a non-zero factor there, each
+    # with its own factor group's values at that point and the bits of a
+    # full build of ``angle_terms`` and of the raw terms.  COLUMNS names the
+    # phase rows in ``angle_terms``' order, each with its raw parts, one per
+    # factor of its group.
+    COLUMNS = {"f_diag": ("f_diag",), "f_off": ("f_off",), "gamma": ("gamma",),
+               "delta": ("sin_diag", "sin_off")}
 
     @pytest.mark.parametrize("pairing", list(Pairing))
     @pytest.mark.parametrize("game,gamma,delta,theta1", INPUTS)
@@ -246,9 +250,9 @@ class TestCertificatePath:
         w = batch_weights(ent, *pairing.crossings(ch, ch))
         handed = []
 
-        def recording(sectors, coeffs, products, out=None):
+        def recording(sectors, sums, products, out=None):
             handed.extend(products)
-            return sum_products(sectors, coeffs, products, out)
+            return sum_products(sectors, sums, products, out)
 
         monkeypatch.setattr(closedform, "sum_products", recording)
 
@@ -259,24 +263,25 @@ class TestCertificatePath:
                               (game.b, (*fixed(*s1.angles), *StrategySpace(5, 6, 4).mesh())),
                               (game.a, (*ALICE_MESH,
                                         *fixed(s2.theta, s2.alpha, s2.alpha)))):
-            table = [np.broadcast_to(c, (25,)) for c in payoff_coeffs(w, entries, ent)]
+            _, groups = payoff_coeffs(w, entries, ent)
+            table = [[np.broadcast_to(c, (25,)) for c in group] for group in groups]
             raw = raw_angle_terms(ent, *grid)
-            amps = dict(f_diag=1.0, f_off=1.0, gamma=raw["gamma_amp"], delta=raw["delta"])
-            want = [cols for name, cols in self.COLUMNS.items()
-                    if np.any(amps[name]) and any(np.any(table[j]) for j in cols)]
+            amps = [1.0, 1.0, raw["gamma_amp"], raw["delta"]]
+            live = [r for r, group in enumerate(table)
+                    if np.any(amps[r]) and any(np.any(c) for c in group)]
+            want = [(r, tuple(c[i] for c in table[r])) for i in range(25)
+                    for r in live if any(c[i] for c in table[r])]
             handed.clear()
             grid_maxima(w, stacked_entries([entries], 1), ent, (1, 25), *grid)
-            built = {idx: (scale, parts) for idx, scale, parts in handed}
-            assert sorted(built) == want
-            full = {idx: (scale, build()) for idx, scale, build in angle_terms(ent, *grid)[1]}
-            for name, idx in self.COLUMNS.items():
-                if idx in built:
-                    raws = ([raw["sin_diag"], raw["sin_off"]] if name == "delta"
-                            else [raw[name]])
-                    for got, whole in zip((built[idx][0], *built[idx][1]),
-                                          (full[idx][0], *full[idx][1])):
-                        assert np.array_equal(got, whole)
-                    assert [x.tobytes() for x in built[idx][1]] == [x.tobytes() for x in raws]
+            assert sorted({r for r, _ in want}) == live
+            assert len(handed) == len(want)
+            full = [(scale, build()) for scale, build in angle_terms(ent, *grid)[1]]
+            raws = [[raw[name] for name in parts] for parts in self.COLUMNS.values()]
+            for (k, scale, parts), (r, k_want) in zip(handed, want):
+                assert k == k_want and len(parts) == len(raws[r])
+                for got, whole in zip((scale, *parts), (full[r][0], *full[r][1])):
+                    assert np.array_equal(got, whole)
+                assert [x.tobytes() for x in parts] == [x.tobytes() for x in raws[r]]
 
 
 class TestStackedCertificates:
@@ -477,9 +482,9 @@ class TestScanSkipsDeadPoints:
     def test_zero_coefficient_points_sum_no_grid(self, monkeypatch):
         fig, sums = FIGURES[6], []
 
-        def recording(sectors, coeffs, products, out=None):
+        def recording(sectors, sector_sums, products, out=None):
             sums.append(out is not None)
-            return sum_products(sectors, coeffs, products, out)
+            return sum_products(sectors, sector_sums, products, out)
 
         monkeypatch.setattr(closedform, "sum_products", recording)
         ch = (np.array([0.5, 1.0]), np.array([0.0, 0.0]))
