@@ -270,7 +270,7 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         cfg = parse_sweep_config(fh.read())
     rows = run_sweep(cfg)
     write_csv(cfg.output, rows)

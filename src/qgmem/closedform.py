@@ -78,7 +78,7 @@ from .protocol import EntanglementParams, StrategyParams
 
 
 class Pairing(enum.Enum):
-    """Ordered (first crossing, second crossing) channel-kind pairs."""
+    """Ordered channel-kind pairs: each member's ``first`` and ``second`` crossing's kind."""
 
     AD_AD = "ad-ad"
     D_D = "d-d"
@@ -90,13 +90,8 @@ class Pairing(enum.Enum):
     D_PH = "d-ph"
     PH_D = "ph-d"
 
-    @property
-    def first(self) -> ChannelKind:
-        return ChannelKind(self.value.split("-")[0])
-
-    @property
-    def second(self) -> ChannelKind:
-        return ChannelKind(self.value.split("-")[1])
+    def __init__(self, value: str):
+        self.first, self.second = map(ChannelKind, value.split("-"))
 
     @classmethod
     def from_string(cls, token: str) -> "Pairing":
@@ -107,11 +102,6 @@ class Pairing(enum.Enum):
                 f"unknown pairing {token!r}; choose from "
                 f"{', '.join(p.value for p in cls)}"
             ) from None
-
-    @classmethod
-    def of(cls, ch1: ChannelSpec, ch2: ChannelSpec) -> "Pairing":
-        """The pairing of two crossings' kinds."""
-        return cls(f"{ch1.kind.value}-{ch2.kind.value}")
 
     def crossings(self, ch1: tuple, ch2: tuple) -> tuple[ChannelSpec, ChannelSpec]:
         """The two crossings at (p1, mu1) and (p2, mu2): the package's one place
@@ -333,7 +323,7 @@ def batch_weights(ent: EntanglementParams, ch1: ChannelSpec,
 
     a, (coh1, pop1) = coeff(ch1, 1)
     b, (fd2, fo2, m00, m11, moff) = coeff(ch2, 2)
-    builder = _BUILDERS[Pairing.of(ch1, ch2)]
+    builder = _BUILDERS[ch1.kind, ch2.kind]
     layout = _damped if ch2.kind is ChannelKind.AMPLITUDE_DAMPING else _unital
     sectors = layout(builder(cg, sg, cd, sd, a, b), builder(cg, sg, sd, cd, a, b))
     return PairingWeights(*sectors,
@@ -349,7 +339,7 @@ def pairing_weights(ent, ch1, ch2) -> PairingWeights:
     return batch_weights(ent, ch1, ch2)
 
 
-_BUILDERS = {
+_BUILDERS = {(pairing.first, pairing.second): builder for pairing, builder in {
     Pairing.AD_AD: _w_ad_ad,
     Pairing.D_D: _w_d_d,
     Pairing.PH_PH: _w_ph_ph,
@@ -359,7 +349,7 @@ _BUILDERS = {
     Pairing.D_AD: _w_d_ad,
     Pairing.D_PH: _w_d_ph,
     Pairing.PH_D: _w_ph_d,
-}
+}.items()}
 
 
 # --------------------------------------------------------------------------

@@ -75,19 +75,19 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
     and ``ch2`` (whose p and mu may be arrays), in C order: one float array
     indexed (profile, point, column), a [payoff_a, payoff_b, gain_a, gain_b]
     row per point; a float point is one point.  The profile axis leads the
-    channel-point axes of every array.  One weight evaluation gives every
-    profile's payoffs, from one ``payoff_surface`` call with games by
-    players stacked on the entries (of the full shape, see its docstring),
-    and both players' deviation scans, one ``closedform.grid_maxima`` call
-    each over every profile (its docstring states the scan rule).  Alice is
-    classical by construction and scans ``ALICE_MESH``; Bob scans ``space``.
-    The rows are one array expression: payoffs and gains ``np.maximum(best -
-    payoff, 0.0)``, stacked per profile.  Every step is elementwise over the profile
-    axis, so each profile's rows have the bits of a stack of that profile
-    alone.  Gains are clamped at zero, so an off-grid profile that beats its
-    own grid is reported as gain 0 rather than negative; a -0.0 difference
-    gives +0.0, as ``max(0.0, d)`` does, and a NaN gives NaN, which no
-    epsilon passes.
+    channel-point axes of every array.  The entries are stacked once, games by
+    players.  One weight evaluation gives every profile's payoffs, from one
+    ``payoff_surface`` call on the whole stack (of the full shape, see its
+    docstring), and both players' deviation scans, one ``grid_maxima`` call
+    each on its player's column of the stack (its docstring states the scan
+    rule).  Alice is classical by construction and scans ``ALICE_MESH``; Bob
+    scans ``space``.  The rows are one array expression: payoffs and gains
+    ``np.maximum(best - payoff, 0.0)``, stacked per profile.  Every step is
+    elementwise over the profile axis, so each profile's rows have the bits of
+    a stack of that profile alone.  Gains are clamped at zero, so an off-grid
+    profile that beats its own grid is reported as gain 0 rather than negative;
+    a -0.0 difference gives +0.0, as ``max(0.0, d)`` does, and a NaN gives NaN,
+    which no epsilon passes.
 
     At gamma = delta = 0 (case ``i``) every product is zero, so a responder's
     payoff is K + M cos(theta), whatever their alpha and beta.  Its maximum
@@ -104,13 +104,12 @@ def check_profile(ent: EntanglementParams, ch1: ChannelSpec, ch2: ChannelSpec,
         unit axes."""
         return np.reshape(np.transpose([s.angles for s in states]), (3, -1) + (1,) * units)
 
+    entries = stacked_entries([(g.a, g.b) for g in games], nd)
     w = batch_weights(ent, ch1, ch2)
-    pay = payoff_surface(w, stacked_entries([(g.a, g.b) for g in games], nd), ent,
-                         *angles(ones, nd + 1), *angles(twos, nd + 1))
+    pay = payoff_surface(w, entries, ent, *angles(ones, nd + 1), *angles(twos, nd + 1))
     best = np.stack([
-        grid_maxima(w, stacked_entries([g.a for g in games], nd), ent, shape,
-                    *ALICE_MESH, *angles(twos, nd + 3)),
-        grid_maxima(w, stacked_entries([g.b for g in games], nd), ent, shape,
+        grid_maxima(w, entries[:, :, 0], ent, shape, *ALICE_MESH, *angles(twos, nd + 3)),
+        grid_maxima(w, entries[:, :, 1], ent, shape,
                     *angles(ones, nd + 3), *space.mesh())], axis=1)
     rows = np.concatenate([pay, np.maximum(best - pay, 0.0)], axis=1)
     return np.moveaxis(rows, 1, -1).reshape(len(profiles), -1, 4)

@@ -246,6 +246,24 @@ MUTANTS = [
            '"alpha1": (-math.pi, math.pi)',
            '"alpha1": (0.0, math.pi)',
            ("test_cli.py", "test_golden.py")),
+    # Each pairing holds its kinds; a certificate stacks its entries once; a
+    # config's leading BOM.
+    Mutant("pairing-kinds-swapped", "closedform",
+           "self.first, self.second = map(ChannelKind",
+           "self.second, self.first = map(ChannelKind",
+           ("test_closedform.py", "test_golden.py", "test_equilibrium.py")),
+    Mutant("builder-by-swapped-kinds", "closedform",
+           "_BUILDERS[ch1.kind, ch2.kind]",
+           "_BUILDERS[ch2.kind, ch1.kind]",
+           ("test_closedform.py", "test_golden.py", "test_equilibrium.py")),
+    Mutant("alice-scans-bob-entries", "equilibrium",
+           "grid_maxima(w, entries[:, :, 0], ent, shape,",
+           "grid_maxima(w, entries[:, :, 1], ent, shape,",
+           ("test_golden.py", "test_equilibrium.py")),
+    Mutant("config-bom-kept", "cli",
+           'encoding="utf-8-sig"',
+           'encoding="utf-8"',
+           ("test_cli.py",)),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

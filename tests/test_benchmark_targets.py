@@ -8,10 +8,11 @@ self-test.  The benchmark files are only parsed here, never imported.
 
 import ast
 import importlib
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import rebind
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -68,12 +69,8 @@ def test_nash_certificates_see_a_shifted_payoff_surface(case_id, tmp_path, monke
         return (tmp_path / name).read_bytes()
 
     before, orig = table("before.csv"), closedform.payoff_surface
-    owners = [m for name, m in list(sys.modules.items())
-              if name.startswith("qgmem") and getattr(m, "payoff_surface", None) is orig]
-    assert closedform in owners
-    for module in owners:
-        monkeypatch.setattr(module, "payoff_surface",
-                            lambda *args, **kwargs: orig(*args, **kwargs) + 1e-6)
+    rebind(monkeypatch, orig, lambda *args, **kwargs: orig(*args, **kwargs) + 1e-6)
+    assert closedform.payoff_surface is not orig
     assert table("after.csv") != before
 
 
@@ -92,8 +89,6 @@ def test_cli_reaches_every_other_target(tmp_path, monkeypatch, capsys):
     from qgmem import cli
 
     calls = {}
-    modules = [m for name, m in list(sys.modules.items())
-               if name == "qgmem" or name.startswith("qgmem.")]
 
     def counted(target, fn):
         def wrapper(*args, **kwargs):
@@ -111,10 +106,7 @@ def test_cli_reaches_every_other_target(tmp_path, monkeypatch, capsys):
             monkeypatch.setattr(cls, meth, counted(target, cls.__dict__[meth]))
             continue
         orig = getattr(module, attr)
-        for mod in modules:
-            for name, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, name, counted(target, orig))
+        rebind(monkeypatch, orig, counted(target, orig))
 
     config = tmp_path / "sweep.conf"
     config.write_text(f"game = pd\npairing = ad-d\nsweep.p1 = 0:1:3\n"

@@ -464,6 +464,18 @@ class TestSweepCommand:
         run(["sweep", "--config", str(conf)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_leading_bom_is_ignored(self, tmp_path):
+        # Some editors start a UTF-8 file with a byte-order mark; it is not
+        # part of the first key.
+        tables = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            out, conf = tmp_path / f"{len(bom)}.csv", tmp_path / f"{len(bom)}.conf"
+            conf.write_bytes(bom + f"game = pd\npairing = ad-d\nsweep.p1 = 0:1:3\n"
+                                   f"output = {out}\n".encode())
+            assert run(["sweep", "--config", str(conf)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "sweep.csv"
         conf = tmp_path / "s.conf"
