@@ -34,8 +34,8 @@ class ChannelSpec:
     mu: float = 0.0
 
     def __post_init__(self):
-        check_range("p", self.p, 0.0, 1.0, "[0, 1]")
-        check_range("mu", self.mu, 0.0, 1.0, "[0, 1]")
+        check_range("p", self.p)
+        check_range("mu", self.mu)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .games import GAME_NAMES, Bimatrix, builtin_game
 from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
                        payoff_operator)
+from .qmat import DOMAINS
 
 # The twelve parameters of a game point, in CSV column order.
 POINT = ("p1", "mu1", "p2", "mu2", "gamma", "delta",
@@ -106,12 +107,11 @@ def cmd_payoff(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 VERIFY_BLOCK = 512  # samples evaluated per array call
-# A verify tuple's 16 draws in stream order, each name with its (lo, hi).
-DRAWS = {"e00": (-2.0, 5.0), "e01": (-2.0, 5.0), "e10": (-2.0, 5.0), "e11": (-2.0, 5.0),
-         "gamma": (0.0, math.pi / 2), "delta": (0.0, math.pi / 2),
-         "theta1": (0.0, math.pi), "alpha1": (-math.pi, math.pi), "beta1": (-math.pi, math.pi),
-         "theta2": (0.0, math.pi), "alpha2": (-math.pi, math.pi), "beta2": (-math.pi, math.pi),
-         "mu1": (0.0, 1.0), "p1": (0.0, 1.0), "mu2": (0.0, 1.0), "p2": (0.0, 1.0)}
+# A verify tuple's 16 draws in stream order, each name with its (lo, hi): the
+# entries from (-2, 5), each game-point name from its parameter's DOMAINS row.
+DRAWS = {**dict.fromkeys(("e00", "e01", "e10", "e11"), (-2.0, 5.0)),
+         **{name: DOMAINS[name.rstrip("12")][:2]
+            for name in (*ANGLES, "mu1", "p1", "mu2", "p2")}}
 
 
 def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
@@ -270,8 +270,13 @@ def write_csv(path: str, rows: list[str], header: str = CSV_HEADER) -> None:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, encoding="utf-8-sig") as fh:
-        cfg = parse_sweep_config(fh.read())
+    try:
+        with open(args.config, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config {args.config!r} must be UTF-8 text: "
+                         f"{exc.reason} at byte {exc.start}") from None
+    cfg = parse_sweep_config(text)
     rows = run_sweep(cfg)
     write_csv(cfg.output, rows)
     print(f"wrote {len(rows)} rows to {cfg.output}")

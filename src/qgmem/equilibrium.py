@@ -24,6 +24,7 @@ from .closedform import (Pairing, batch_weights, closed_payoff, grid_maxima, pay
                          stacked_entries)
 from .games import GAME_NAMES, Bimatrix, builtin_game, classical_pure_nash
 from .protocol import EntanglementParams, StrategyParams
+from .qmat import DOMAINS
 
 PI = math.pi
 
@@ -41,7 +42,7 @@ _MU_SUBSET = tuple(MU_GRID_11.index(m) for m in (0.0, 0.5, 1.0))
 
 @dataclass(frozen=True)
 class StrategySpace:
-    """The quantum player's search grid; endpoints are always included."""
+    """The quantum player's search grid over each angle's DOMAINS row, ends included."""
 
     theta_points: int = 13
     alpha_points: int = 17
@@ -53,8 +54,8 @@ class StrategySpace:
                 raise ValueError(f"{name} must be >= 2")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.linspace(0.0, PI, self.theta_points),
-                np.linspace(-PI, PI, self.alpha_points), np.linspace(-PI, PI, self.beta_points))
+        return tuple(np.linspace(*DOMAINS[name][:2], getattr(self, f"{name}_points"))
+                     for name in ("theta", "alpha", "beta"))
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The open (sparse) grid: each axis along its own dimension."""
@@ -206,7 +207,7 @@ def _nash(report, label, ent, profiles, why="", over=""):
 def _phase_independence(report, ent):
     """At gamma = delta = 0 Bob's payoff cannot depend on the quantum phases,
     for any pairing: checked over an (alpha2, beta2) grid, all games at once."""
-    a2, b2 = np.meshgrid(np.linspace(-PI, PI, 9), np.linspace(-PI, PI, 9), indexing="ij")
+    a2, b2 = np.meshgrid(*StrategySpace(alpha_points=9, beta_points=9).axes()[1:], indexing="ij")
     entries, ch = stacked_entries([g.b for g in _GAMES], 2), (0.35, 0.6)
     s1, s2 = StrategyParams(0.0), StrategyParams(PI / 2, a2, b2)
     worst = np.max([np.ptp(closed_payoff(entries, ent, s1, s2, *pairing.crossings(ch, ch)),

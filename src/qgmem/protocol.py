@@ -7,9 +7,9 @@ Conventions (fixed package-wide):
 * two-qubit basis order |00>, |01>, |10>, |11>;
 * payoff-table entries are always passed in the order
   ($_00, $_01, $_10, $_11);
-* angles are radians; gamma and delta live in [0, pi/2], theta in [0, pi],
-  alpha and beta in [-pi, pi].  ``EntanglementParams`` and
-  ``StrategyParams`` check these ranges once; the functions trust them.
+* angles are radians, each in its ``qmat.DOMAINS`` row.
+  ``EntanglementParams`` and ``StrategyParams`` check these ranges once;
+  the functions trust them.
 
 Parameters may be arrays of matching shapes; states, unitaries and operators
 then come as stacks, shape (..., 4, 4) or (..., 2, 2).
@@ -41,9 +41,9 @@ class StrategyParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        check_range("theta", self.theta, 0.0, math.pi, "[0, pi]")
-        check_range("alpha", self.alpha, -math.pi, math.pi, "[-pi, pi]")
-        check_range("beta", self.beta, -math.pi, math.pi, "[-pi, pi]")
+        check_range("theta", self.theta)
+        check_range("alpha", self.alpha)
+        check_range("beta", self.beta)
 
     @property
     def angles(self) -> tuple[float, float, float]:
@@ -59,8 +59,8 @@ class EntanglementParams:
     delta: float
 
     def __post_init__(self):
-        check_range("gamma", self.gamma, 0.0, math.pi / 2, "[0, pi/2]")
-        check_range("delta", self.delta, 0.0, math.pi / 2, "[0, pi/2]")
+        check_range("gamma", self.gamma)
+        check_range("delta", self.delta)
 
 
 def initial_density(gamma: float) -> np.ndarray:

@@ -33,9 +33,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
 
 
-def check_range(name: str, value, lo: float, hi: float, span: str) -> None:
-    """Raise ``ValueError`` unless lo <= value <= hi (NaN fails) for a float
-    or every element of an array; the message names the first offending one."""
+# Each game-point parameter's domain: name -> (lo, hi, the interval as messages print it).
+DOMAINS = {"theta": (0.0, np.pi, "[0, pi]"),
+           "alpha": (-np.pi, np.pi, "[-pi, pi]"), "beta": (-np.pi, np.pi, "[-pi, pi]"),
+           "gamma": (0.0, np.pi / 2, "[0, pi/2]"), "delta": (0.0, np.pi / 2, "[0, pi/2]"),
+           "p": (0.0, 1.0, "[0, 1]"), "mu": (0.0, 1.0, "[0, 1]")}
+
+
+def check_range(name: str, value) -> None:
+    """Raise ``ValueError`` unless lo <= value <= hi (NaN fails) for a float or every element
+    of an array, with ``name``'s DOMAINS row; the message names the first offending one."""
+    lo, hi, span = DOMAINS[name]
     v = np.asarray(value)
     bad = v[~((v >= lo) & (v <= hi))]
     if bad.size:

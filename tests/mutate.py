@@ -169,8 +169,8 @@ MUTANTS = [
            "pairing.crossings((mu1, p1), (p2, mu2))",
            ("test_cli.py", "test_golden.py")),
     Mutant("verify-draws-p-before-mu", "cli",
-           '"mu1": (0.0, 1.0), "p1": (0.0, 1.0),',
-           '"p1": (0.0, 1.0), "mu1": (0.0, 1.0),',
+           '(*ANGLES, "mu1", "p1", "mu2", "p2")',
+           '(*ANGLES, "p1", "mu1", "mu2", "p2")',
            ("test_cli.py", "test_golden.py")),
     Mutant("verify-mu-zero-zeroes-p", "cli",
            '(("mu1", pairing.first), ("mu2", pairing.second))',
@@ -243,8 +243,8 @@ MUTANTS = [
            "zip(ks, live) if all(k)]",
            ("test_equilibrium.py", "test_golden.py")),
     Mutant("verify-alpha1-on-theta-range", "cli",
-           '"alpha1": (-math.pi, math.pi)',
-           '"alpha1": (0.0, math.pi)',
+           'DOMAINS[name.rstrip("12")]',
+           'DOMAINS[{"alpha1": "theta"}.get(name, name.rstrip("12"))]',
            ("test_cli.py", "test_golden.py")),
     # Each pairing holds its kinds; a certificate stacks its entries once; a
     # config's leading BOM.
@@ -264,6 +264,11 @@ MUTANTS = [
            'encoding="utf-8-sig"',
            'encoding="utf-8"',
            ("test_cli.py",)),
+    # Each parameter's domain stated once, in one table.
+    Mutant("delta-domain-to-pi", "qmat",
+           '"delta": (0.0, np.pi / 2, "[0, pi/2]")',
+           '"delta": (0.0, np.pi, "[0, pi/2]")',
+           ("test_cli.py", "test_protocol.py", "test_golden.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,12 +23,12 @@ from qgmem.cli import (CSV_HEADER, DRAWS, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_RO
                        POINT, SWEEPABLE, VERIFY_BLOCK, build_parser, game_point, main,
                        parse_angle, parse_sweep_config, run_sweep, table_rows, verify_blocks)
 from qgmem.closedform import Pairing, closed_payoff, closed_payoff_pair, payoff_surface
-from qgmem.equilibrium import CASE_IDS, FIGURES, case_study
+from qgmem.equilibrium import CASE_IDS, FIGURES, QUANTUM_SPACE, StrategySpace, case_study
 from qgmem.games import builtin_game
 from qgmem.oracle import two_pass_state
 from qgmem.protocol import (EntanglementParams, StrategyParams, measure_payoff,
                             payoff_operator)
-from qgmem.qmat import check_range
+from qgmem.qmat import DOMAINS, check_range
 
 
 def run(args):
@@ -316,17 +317,30 @@ class TestVerifyCommand:
         for name, draws in want.items():
             assert np.array_equal(np.concatenate([b[name] for b in blocks]), draws), name
 
+    # Each game-point name's row of qmat.DOMAINS, written out here so that a
+    # draw read from another parameter's row is noticed.
+    PARAMETER = dict(zip(POINT, ("p", "mu", "p", "mu", "gamma", "delta", "theta", "alpha",
+                                 "beta", "theta", "alpha", "beta")))
+
     @pytest.mark.parametrize("name", POINT)
     def test_draw_bounds_are_the_parameter_domain(self, name):
-        # verify samples each parameter's whole domain and nothing outside
-        # it: a block at either end of a name's DRAWS bounds is a game point,
-        # one float step beyond either end is refused.
-        mid = {key: np.full(3, (lo + hi) / 2) for key, (lo, hi) in DRAWS.items()}
-        lo, hi = DRAWS[name]
+        # Every reader of a DOMAINS row takes its ends from it: the name's
+        # DRAWS bounds, and for an angle every StrategySpace axis.  verify
+        # samples each parameter's whole domain and nothing outside it: a
+        # block at either end of the row is a game point, one float step
+        # beyond either end is refused by the parameter's type.
+        row = self.PARAMETER[name]
+        lo, hi, span = DOMAINS[row]
+        assert DRAWS[name] == (lo, hi)
+        if row in ("theta", "alpha", "beta"):
+            for space in (QUANTUM_SPACE, StrategySpace(2, 3, 4)):
+                axis = space.axes()[("theta", "alpha", "beta").index(row)]
+                assert (axis[0], axis[-1]) == (lo, hi)
+        mid = {key: np.full(3, (a + b) / 2) for key, (a, b) in DRAWS.items()}
         for pairing in Pairing:
             for end, beyond in ((lo, -np.inf), (hi, np.inf)):
                 game_point(pairing, {**mid, name: np.full(3, end)})
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=re.escape(f"{row} must be in {span}, ")):
                     game_point(pairing, {**mid, name: np.full(3, np.nextafter(end, beyond))})
 
     @pytest.mark.parametrize("pairing,seed", [("ph-ph", 42), ("d-d", 7)])
@@ -475,6 +489,15 @@ class TestSweepCommand:
             assert run(["sweep", "--config", str(conf)]) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
+
+    def test_config_not_utf8_names_file_and_encoding(self, tmp_path, capsys):
+        # A UTF-16 config (as some editors save it) is refused with the
+        # path and the encoding the parser expects, not the codec's text.
+        conf = tmp_path / "utf16.conf"
+        conf.write_bytes("game = pd\npairing = ad-d\nsweep.p1 = 0:1:3\n".encode("utf-16"))
+        assert run(["sweep", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == (f"error: config {str(conf)!r} must be UTF-8 "
+                                           "text: invalid start byte at byte 0\n")
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "sweep.csv"

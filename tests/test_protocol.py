@@ -39,6 +39,8 @@ class TestParams:
             EntanglementParams(PI, 0.0)
         with pytest.raises(ValueError):
             EntanglementParams(0.0, -0.01)
+        with pytest.raises(ValueError):
+            EntanglementParams(0.0, PI / 2 + 0.01)
 
 
 class TestInitialDensity:
