@@ -11,11 +11,11 @@ of independent ones during that crossing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .qmat import PAULI, check_range, dagger
+from .qmat import PAULI, RangeChecked, dagger
 
 
 class ChannelKind(enum.Enum):
@@ -24,25 +24,15 @@ class ChannelKind(enum.Enum):
     DEPOLARIZING = "d"
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One channel crossing: noise kind, decoherence p, memory mu.  Arrays of
-    p and mu describe a batch of crossings of one kind."""
+class ChannelSpec(RangeChecked, namedtuple("ChannelSpec", "kind p mu", defaults=(0.0,))):
+    """One channel crossing: noise kind, decoherence p, memory mu (p, then mu
+    range-checked).  Arrays of p and mu describe a batch of crossings of one kind."""
 
-    kind: ChannelKind
-    p: float
-    mu: float = 0.0
-
-    def __post_init__(self):
-        check_range("p", self.p)
-        check_range("mu", self.mu)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """A finite Kraus family; weights are folded into the operators."""
-
-    operators: tuple[np.ndarray, ...]
+# A finite Kraus family; weights are folded into the operators.
+KrausSet = namedtuple("KrausSet", "operators")
 
 
 def _pauli_probs(kind: ChannelKind, p) -> dict:

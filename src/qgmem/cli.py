@@ -6,6 +6,10 @@ Exit codes: 0 success, 2 usage or range error, 3 unsupported configuration
 verification or certificate failure (including an imaginary payoff residue).
 All output is deterministic: CSV files are byte-identical across runs for
 the same inputs.
+
+Start-up loads only what every subcommand runs: ``verify`` imports ``oracle``,
+and ``figure`` and ``nash`` import ``equilibrium``, inside their functions, each
+name read from its module at call time.
 """
 
 from __future__ import annotations
@@ -16,16 +20,13 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .channels import ChannelKind
 from .closedform import Pairing, closed_payoff, closed_payoff_pair
-from .equilibrium import (CASE_IDS, FIGURES, GAIN_COLUMNS, QUANTUM_SPACE, StrategySpace,
-                          case_study, mu_curves)
 from .games import GAME_NAMES, Bimatrix, builtin_game
-from .oracle import two_pass_state
 from .protocol import (EntanglementParams, StrategyParams, measure_payoff,
                        payoff_operator)
 from .qmat import DOMAINS
@@ -34,7 +35,10 @@ from .qmat import DOMAINS
 POINT = ("p1", "mu1", "p2", "mu2", "gamma", "delta",
          "theta1", "alpha1", "beta1", "theta2", "alpha2", "beta2")
 CSV_HEADER = ",".join(("game", "pairing", *POINT, "payoff_a", "payoff_b"))
-
+# The columns of a certificate's gain table (``equilibrium.CaseClaim.gains``), in
+# ``nash --csv`` order.
+GAIN_COLUMNS = ("case", "pairing", "game", "p", "mu",
+                "payoff_a", "payoff_b", "gain_a", "gain_b")
 GAIN_HEADER = ",".join(GAIN_COLUMNS)
 
 USAGE_ERROR, UNSUPPORTED, VERIFY_FAIL = 2, 3, 4
@@ -77,9 +81,10 @@ def table_rows(columns) -> list[str]:
     """CSV rows of a table whose columns (text, numbers or arrays, at least one an array)
     broadcast, last axis fastest; a smaller number array is formatted once per element."""
     shape = np.broadcast_shapes(*map(np.shape, columns))
+    size = math.prod(shape)
     columns = [np.frompyfunc(fmt, 1, 1)(v) if isinstance(v, np.ndarray) and v.dtype.kind
-               not in "OU" and v.size < math.prod(shape) else v for v in columns]
-    cells = [np.broadcast_to(v, shape).ravel().tolist()
+               not in "OU" and v.size < size else v for v in columns]
+    cells = [(v if v.size == size else np.broadcast_to(v, shape)).ravel().tolist()
              for v in columns if isinstance(v, np.ndarray)]
     template = make_row(columns)
     return [template % row for row in zip(*cells)]
@@ -137,6 +142,7 @@ def verify_blocks(pairing: Pairing, samples: int, seed: int, mu_zero: bool):
 
 
 def cmd_verify(args) -> int:
+    from .oracle import two_pass_state
     pairing = Pairing.from_string(args.pairing)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -167,14 +173,9 @@ ENTRY_BOUND = 1e300
 MAX_SWEEP_ROWS = 10**7
 
 
-@dataclass
-class SweepConfig:
-    """A sweep's game, pairing, output path and game point: each swept POINT name
-    holds its ramp on its own axis, in POINT order with the last axis fastest."""
-    game: Bimatrix
-    pairing: Pairing
-    point: dict
-    output: str
+# A sweep's game, pairing, game point and output path: each swept POINT name
+# holds its ramp on its own axis, in POINT order with the last axis fastest.
+SweepConfig = namedtuple("SweepConfig", "game pairing point output")
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -294,9 +295,21 @@ def parse_figure_id(text: str):
     return text if text == "all" else int(text)
 
 
+def chosen(kind: str, token, ids) -> list:
+    """The ids that a ``--case`` or ``--id`` value names: every one of ``ids`` for
+    ``all``, else the one it is; any other value is refused."""
+    if token == "all":
+        return list(ids)
+    if token not in ids:
+        raise ValueError(f"unknown {kind} {token!r}; choose from "
+                         f"{', '.join(map(str, (*ids, 'all')))}")
+    return [token]
+
+
 def figure_rows(figure_id: int) -> list[str]:
     """The figure's rows: one table over its games, pairings, p = p1 = p2 and
     mu = mu1 = mu2 (mu fastest), its (Alice, Bob) payoffs one ``mu_curves`` array."""
+    from .equilibrium import FIGURES, mu_curves
     ent, s1, s2, games, pairings, ps = FIGURES[figure_id]
     mu = np.arange(FIGURE_MU_STEPS) / (FIGURE_MU_STEPS - 1)
     curves = mu_curves(pairings, [builtin_game(g) for g in games], ent, s1, s2, ps, mu)
@@ -307,7 +320,8 @@ def figure_rows(figure_id: int) -> list[str]:
 
 
 def cmd_figure(args) -> int:
-    for fid in sorted(FIGURES) if args.id == "all" else [args.id]:
+    from .equilibrium import FIGURES
+    for fid in chosen("figure id", args.id, sorted(FIGURES)):
         path = os.path.join(args.outdir, f"figure{fid}.csv")
         rows = figure_rows(fid)
         write_csv(path, rows)
@@ -319,7 +333,8 @@ def cmd_figure(args) -> int:
 # nash
 # --------------------------------------------------------------------------
 def cmd_nash(args) -> int:
-    space = QUANTUM_SPACE
+    from .equilibrium import CASE_IDS, QUANTUM_SPACE, StrategySpace, case_study
+    case_ids, space = chosen("case id", args.case, CASE_IDS), QUANTUM_SPACE
     if args.grid:
         try:
             t, a, b = (int(x) for x in args.grid.lower().split("x"))
@@ -327,7 +342,7 @@ def cmd_nash(args) -> int:
             raise ValueError(f"bad grid spec {args.grid!r}; expected TxAxB") from None
         space = StrategySpace(t, a, b)
     certificates = []  # the claims that carry a gain table
-    for case_id in CASE_IDS if args.case == "all" else [args.case]:
+    for case_id in case_ids:
         report = case_study(case_id, space)
         print("\n".join(report.lines()))
         certificates += [claim for claim in report.claims if claim.gains is not None]
@@ -371,14 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=cmd_sweep)
 
     fig = sub.add_parser("figure", help="emit one figure's data as CSV, or all six")
-    fig.add_argument("--id", type=parse_figure_id, choices=(*FIGURES, "all"),
-                     required=True)
+    fig.add_argument("--id", type=parse_figure_id, required=True)
     fig.add_argument("--outdir", default=".")
     fig.set_defaults(func=cmd_figure)
 
     nsh = sub.add_parser("nash", help="equilibrium case study and certificates")
-    nsh.add_argument("--case", choices=(*CASE_IDS, "all"), required=True,
-                     help="a case id, or all")
+    nsh.add_argument("--case", required=True, help="a case id, or all")
     nsh.add_argument("--grid", default=None, help="quantum grid as TxAxB")
     nsh.add_argument("--csv", default=None, help="write gain rows to CSV")
     nsh.set_defaults(func=cmd_nash)
@@ -408,7 +421,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, MemoryError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A KeyError's str() quotes its message; print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return (UNSUPPORTED if isinstance(exc, MemoryError)
                 else VERIFY_FAIL if isinstance(exc, ArithmeticError) else USAGE_ERROR)
 

@@ -67,7 +67,7 @@ machine precision).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -119,23 +119,13 @@ def _half_angle_squares(x):
     return c * c, s * s
 
 
-@dataclass(frozen=True)
-class AdCoeffs:
-    """Amplitude-damping two-use coefficients for one channel crossing.
-
-    chi00/chi11: survival weights of the |00>/|11> populations;
-    chi10: coherence factor between the damped and undamped sectors;
-    chi01: weight leaking one excitation (uncorrelated branch only);
-    chi_a/chi_b: single-qubit leak and keep weights (chi_a + chi_b = 1).
-    The identity chi00 + chi11 + 2*chi01 = 1 is exact.
-    """
-
-    chi00: float
-    chi11: float
-    chi10: float
-    chi01: float
-    chi_a: float
-    chi_b: float
+# Amplitude-damping two-use coefficients for one channel crossing.
+# chi00/chi11: survival weights of the |00>/|11> populations;
+# chi10: coherence factor between the damped and undamped sectors;
+# chi01: weight leaking one excitation (uncorrelated branch only);
+# chi_a/chi_b: single-qubit leak and keep weights (chi_a + chi_b = 1).
+# The identity chi00 + chi11 + 2*chi01 = 1 is exact.
+AdCoeffs = namedtuple("AdCoeffs", "chi00 chi11 chi10 chi01 chi_a chi_b")
 
 
 def ad_coeffs(p: float, mu: float) -> AdCoeffs:
@@ -150,20 +140,12 @@ def ad_coeffs(p: float, mu: float) -> AdCoeffs:
     )
 
 
-@dataclass(frozen=True)
-class DepolCoeffs:
-    """Depolarizing two-use coefficients for one channel crossing, either slot.
-
-    a, b, d: the weights with which a two-qubit population keeps both bits,
-    flips both, or flips one (a + b + 2*d = 1 exactly).  coh_base: the
-    coherence factor less its (2/3) mu p term.  ``batch_weights`` states both
-    slots' factors from these.
-    """
-
-    a: float
-    b: float
-    d: float
-    coh_base: float
+# Depolarizing two-use coefficients for one channel crossing, either slot.
+# a, b, d: the weights with which a two-qubit population keeps both bits,
+# flips both, or flips one (a + b + 2*d = 1 exactly).  coh_base: the
+# coherence factor less its (2/3) mu p term.  ``batch_weights`` states both
+# slots' factors from these.
+DepolCoeffs = namedtuple("DepolCoeffs", "a b d coh_base")
 
 
 def depol_coeffs(p: float, mu: float) -> DepolCoeffs:
@@ -189,21 +171,10 @@ Sector = tuple[float, float, float, float]  # weights of (e00, e11, e01, e10)
 Sectors = tuple[Sector, Sector, Sector, Sector]  # (cc, ss, sc, cs)
 
 
-@dataclass(frozen=True)
-class PairingWeights:
-    """Angle-independent structure of one pairing's payoff (see module doc)."""
-
-    cc: Sector
-    ss: Sector
-    sc: Sector
-    cs: Sector
-    f_diag: float
-    f_off: float
-    g00: float
-    g11: float
-    g_off: float
-    h_diag: float
-    h_off: float
+# Angle-independent structure of one pairing's payoff (see module doc): four
+# Sectors, then seven interference factors.
+PairingWeights = namedtuple("PairingWeights",
+                            "cc ss sc cs f_diag f_off g00 g11 g_off h_diag h_off")
 
 
 def _unital(at_delta, mirror) -> Sectors:

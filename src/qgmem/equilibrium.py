@@ -29,9 +29,6 @@ from .qmat import DOMAINS
 PI = math.pi
 
 DEFAULT_EPSILON = 1e-6
-# The keys of one certificate's gain row, in ``nash --csv`` column order.
-GAIN_COLUMNS = ("case", "pairing", "game", "p", "mu",
-                "payoff_a", "payoff_b", "gain_a", "gain_b")
 
 # (p, mu) sample grid used by the equilibrium certificates.
 PM_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -124,7 +121,7 @@ class CaseClaim:
     label: str
     passed: bool
     detail: str
-    # A certificate's GAIN_COLUMNS over (profile, point), for ``cli.table_rows``;
+    # A certificate's ``cli.GAIN_COLUMNS`` over (profile, point), for ``cli.table_rows``;
     # None for every other claim.  Left out of == and hash, which arrays break.
     gains: tuple | None = field(default=None, compare=False)
 
@@ -365,7 +362,7 @@ def case_study(case_id: str,
                quantum_space: StrategySpace = QUANTUM_SPACE) -> CaseReport:
     """Run one named case study; every claim's status is computed."""
     if case_id not in _CASES:
-        raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
+        raise KeyError(f"unknown case id {case_id!r}; choose from {', '.join(CASE_IDS)}")
     report = CaseReport(case_id, quantum_space)
     for kind, config in _CASES[case_id]:
         kind(report, **config)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Bimatrix:
+class Bimatrix(namedtuple("Bimatrix", "name a b")):
     """A 2x2 bimatrix game.
 
     ``a`` and ``b`` hold Alice's and Bob's payoffs in the flat order
@@ -14,9 +13,7 @@ class Bimatrix:
     game (C for pd/chicken, O for bos) and the first index is Alice's row.
     """
 
-    name: str
-    a: tuple[float, float, float, float]
-    b: tuple[float, float, float, float]
+    __slots__ = ()
 
     def cell(self, i: int, j: int) -> tuple[float, float]:
         k = 2 * i + j

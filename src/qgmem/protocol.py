@@ -18,49 +18,36 @@ then come as stacks, shape (..., 4, 4) or (..., 2, 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
 
-from .qmat import check_range
+from .qmat import RangeChecked
 
 _IMAG_RESIDUE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class StrategyParams(RangeChecked, namedtuple("StrategyParams", "theta alpha beta",
+                                               defaults=(0.0, 0.0))):
     """One player's unitary move, U = cos(theta/2) R + sin(theta/2) P.
 
     R is the phase move (R|0> = e^{i alpha}|0>, R|1> = e^{-i alpha}|1>),
     P the flip move (P|0> = e^{i(pi/2 - beta)}|1>, P|1> = e^{i(pi/2 + beta)}|0>).
     """
 
-    theta: float
-    alpha: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        check_range("theta", self.theta)
-        check_range("alpha", self.alpha)
-        check_range("beta", self.beta)
+    __slots__ = ()
 
     @property
     def angles(self) -> tuple[float, float, float]:
         return self.theta, self.alpha, self.beta
 
 
-@dataclass(frozen=True)
-class EntanglementParams:
+class EntanglementParams(RangeChecked, namedtuple("EntanglementParams", "gamma delta")):
     """Entanglement angles: gamma for the initial state, delta for the
     measurement basis."""
 
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        check_range("gamma", self.gamma)
-        check_range("delta", self.delta)
+    __slots__ = ()
 
 
 def initial_density(gamma: float) -> np.ndarray:

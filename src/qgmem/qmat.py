@@ -48,3 +48,22 @@ def check_range(name: str, value) -> None:
     bad = v[~((v >= lo) & (v <= hi))]
     if bad.size:
         raise ValueError(f"{name} must be in {span}, got {bad[0]}")
+
+
+class RangeChecked:
+    """The base of a ``namedtuple`` record whose fields that name a DOMAINS row are
+    range-checked in field order, once per construction: by position, by keyword and
+    through ``_replace``, which builds through ``_make``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(record._fields, record):
+            if name in DOMAINS:
+                check_range(name, value)
+        return record
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)

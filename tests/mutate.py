@@ -112,8 +112,9 @@ MUTANTS = [
            "*s2.angles, *np.swapaxes(curves[..., :1, :], 1, 2)])",
            ("test_golden.py", "test_cli.py")),
     Mutant("text-column-fortran-order", "cli",
-           "cells = [np.broadcast_to(v, shape).ravel().tolist()",
-           "cells = [np.broadcast_to(v, shape).ravel(\"FC\"[v.dtype.kind not in \"OU\"]).tolist()",
+           "cells = [(v if v.size == size else np.broadcast_to(v, shape)).ravel().tolist()",
+           "cells = [(v if v.size == size else np.broadcast_to(v, shape))"
+           ".ravel(\"FC\"[v.dtype.kind not in \"OU\"]).tolist()",
            ("test_golden.py", "test_cli.py")),
     Mutant("sweep-bound-inclusive", "cli",
            "specs.values())) > MAX_SWEEP_ROWS:",
@@ -269,6 +270,16 @@ MUTANTS = [
            '"delta": (0.0, np.pi / 2, "[0, pi/2]")',
            '"delta": (0.0, np.pi, "[0, pi/2]")',
            ("test_cli.py", "test_protocol.py", "test_golden.py")),
+    # A subcommand imports only what it runs; a record checks its own ranges.
+    Mutant("eager-equilibrium-import", "cli",
+           "from .closedform import Pairing, closed_payoff, closed_payoff_pair",
+           "from .closedform import Pairing, closed_payoff, closed_payoff_pair\n"
+           "from .equilibrium import CASE_IDS, QUANTUM_SPACE, StrategySpace, case_study",
+           ("test_cli.py",)),
+    Mutant("strategy-beta-unchecked", "qmat",
+           "if name in DOMAINS:",
+           'if name in DOMAINS and name != "beta":',
+           ("test_qmat.py", "test_protocol.py")),
 ]
 
 COPIED = ("src", "tests", "benchmark", "README.md", "pyproject.toml")

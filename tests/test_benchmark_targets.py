@@ -8,6 +8,9 @@ self-test.  The benchmark files are only parsed here, never imported.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,40 @@ def test_nash_certificates_see_a_shifted_payoff_surface(case_id, tmp_path, monke
     rebind(monkeypatch, orig, lambda *args, **kwargs: orig(*args, **kwargs) + 1e-6)
     assert closedform.payoff_surface is not orig
     assert table("after.csv") != before
+
+
+# A fresh process imports the CLI, then rebinds two names of the modules that
+# ``verify`` and ``nash`` import when they run, as the tracer and the self-test
+# do (``conftest.rebind``, importing each module first), and runs both commands.
+REBIND_AFTER_IMPORT = """
+import importlib, sys, types
+from qgmem import cli
+sys.path.insert(0, sys.argv[1])
+from conftest import rebind
+calls = []
+for target in ("qgmem.equilibrium:case_study", "qgmem.oracle:two_pass_state"):
+    modname, _, name = target.partition(":")
+    orig = getattr(importlib.import_module(modname), name)
+    def counted(*args, orig=orig, target=target, **kwargs):
+        calls.append(target)
+        return orig(*args, **kwargs)
+    rebind(types.SimpleNamespace(setattr=setattr), orig, counted)
+assert cli.main(["nash", "--case", "ii-b", "--grid", "3x3x3"]) == 4
+assert cli.main(["verify", "--pairing", "ad-ad", "--samples", "3"]) == 0
+print(*dict.fromkeys(calls))
+"""
+
+
+def test_lazily_imported_names_are_read_at_call_time():
+    # ``cli`` imports ``equilibrium`` and ``oracle`` inside the commands; a name
+    # bound there at import would keep the original and hide the rebinding.
+    tests = Path(__file__).resolve().parent
+    src = Path(importlib.import_module("qgmem").__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", REBIND_AFTER_IMPORT, str(tests)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.splitlines()[-1] == \
+        "qgmem.equilibrium:case_study qgmem.oracle:two_pass_state"
 
 
 # Traced targets that no CLI command reaches, with the reason each one is not.

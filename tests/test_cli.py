@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import count_calls
 from test_golden import FIGURE_DIGESTS
 
-from qgmem import cli
+from qgmem import cli, equilibrium
 from qgmem.channels import ChannelKind, ChannelSpec
 from qgmem.cli import (CSV_HEADER, DRAWS, ENTRY_BOUND, GAIN_HEADER, MAX_SWEEP_ROWS, NUMBER,
                        POINT, SWEEPABLE, VERIFY_BLOCK, build_parser, game_point, main,
@@ -933,8 +933,10 @@ class TestTableRows:
 
 
 class TestFigureCommand:
-    def test_unknown_id(self):
+    def test_unknown_id(self, capsys):
         assert run(["figure", "--id", "9"]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown figure id 9; choose from 2, 3, 4, 5, 6, 7, all\n"
 
     @pytest.mark.parametrize("fid,groups", [(2, 6), (3, 4), (4, 3), (5, 3),
                                             (6, 3), (7, 3)])
@@ -984,8 +986,19 @@ class TestFigureCommand:
 
 
 class TestNashCommand:
-    def test_unknown_case(self):
+    def test_unknown_case(self, capsys):
         assert run(["nash", "--case", "vii"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown case id 'vii'; choose from i, "
+                                       "ii-a, ii-b, ii-c, ii-d, iii-a, iii-b, iii-c, iv, all\n")
+
+    def test_key_error_prints_its_message(self, monkeypatch, capsys):
+        # str() of a KeyError quotes its message; the refusal prints it bare.
+        def refuse(case_id, space):
+            raise KeyError(f"no case {case_id!r}")
+
+        monkeypatch.setattr(equilibrium, "case_study", refuse)
+        assert run(["nash", "--case", "i"]) == 2
+        assert capsys.readouterr().err == "error: no case 'i'\n"
 
     def test_green_case_exits_zero(self, capsys):
         assert run(["nash", "--case", "ii-d"]) == 0
@@ -1041,3 +1054,30 @@ class TestNashCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "PiB" in err
         assert "Traceback" not in err
+
+
+class TestStartUp:
+    # A subcommand loads only what it runs.  In a fresh process, importing the
+    # CLI and building its parser loads neither the oracle nor the equilibrium
+    # module, nor ``dataclasses`` (no record is a dataclass); ``payoff`` adds
+    # neither module, ``verify`` the oracle alone, ``nash`` equilibrium alone.
+    WATCHED = ("qgmem.oracle", "qgmem.equilibrium", "dataclasses")
+
+    @pytest.mark.parametrize("argv,loaded", [
+        pytest.param(None, set(), id="import"),
+        pytest.param(["payoff", "--game", "pd", "--pairing", "ad-d", "--gamma", "0",
+                      "--delta", "0", "--theta1", "0", "--theta2", "0", "--p1", "0",
+                      "--mu1", "0", "--p2", "0", "--mu2", "0"], set(), id="payoff"),
+        pytest.param(["verify", "--pairing", "ad-ad", "--samples", "2"], {"qgmem.oracle"},
+                     id="verify"),
+        pytest.param(["nash", "--case", "ii-a", "--grid", "2x2x2"],
+                     {"qgmem.equilibrium", "dataclasses"}, id="nash"),
+    ])
+    def test_modules_loaded(self, argv, loaded):
+        code = ("import sys\nfrom qgmem import cli\ncli.build_parser()\n"
+                + (f"assert cli.main({argv!r}) == 0\n" if argv else "")
+                + f"print(*sorted(set({self.WATCHED!r}) & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert set(done.stdout.splitlines()[-1].split()) == loaded

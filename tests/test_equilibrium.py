@@ -13,10 +13,10 @@ from qgmem import closedform
 from qgmem.closedform import (Pairing, angle_terms, batch_weights, closed_payoff_pair,
                                grid_maxima, payoff_coeffs, payoff_surface, stacked_entries,
                                sum_products)
-from qgmem.equilibrium import (ALICE_MESH, CASE_IDS, DEFAULT_EPSILON, GAIN_COLUMNS,
-                               MU_GRID_11, PM_GRID, QUANTUM_SPACE, CaseReport, StrategySpace,
-                               _CASES, _MU_SUBSET, _least, _nash, case_study,
-                               check_profile, mu_curves)
+from qgmem.cli import GAIN_COLUMNS
+from qgmem.equilibrium import (ALICE_MESH, CASE_IDS, DEFAULT_EPSILON, MU_GRID_11, PM_GRID,
+                               QUANTUM_SPACE, CaseReport, StrategySpace, _CASES, _MU_SUBSET,
+                               _least, _nash, case_study, check_profile, mu_curves)
 from qgmem.equilibrium import FIGURES
 from qgmem.games import GAME_NAMES, Bimatrix, builtin_game
 from qgmem.protocol import EntanglementParams, StrategyParams
@@ -639,8 +639,9 @@ class TestScanTraffic:
 
 class TestCaseStudies:
     def test_unknown_case(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as refused:
             case_study("v")
+        assert refused.value.args == (f"unknown case id 'v'; choose from {', '.join(CASE_IDS)}",)
 
     def test_nash_profiles_play_a_classical_alice(self):
         # ``check_profile`` scans Alice on ALICE_MESH, whatever the quantum

@@ -26,7 +26,6 @@ which no case certifies: for ad-ad, d-d and ph-ph the two channel roles are
 interchangeable, so only a mixed pairing shows a certificate that swaps them.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -170,8 +169,8 @@ FLOAT_POINTS = (*itertools.product(*[(0.0, 1.0)] * 4, *[(0.0, math.pi / 2)] * 2)
 def weight_bytes(w: PairingWeights, shape=()):
     """The 11 fields of ``w`` (sectors entry by entry) as float64 bytes,
     each broadcast to ``shape``."""
-    for field in dataclasses.fields(w):
-        value = getattr(w, field.name)
+    for name in w._fields:
+        value = getattr(w, name)
         for v in value if isinstance(value, tuple) else (value,):
             yield np.ascontiguousarray(np.broadcast_to(v, shape), dtype=float).tobytes()
 
@@ -192,6 +191,13 @@ def weights_digest(pairing: Pairing) -> str:
         for chunk in weight_bytes(w):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def test_weight_fields_in_digest_order():
+    # Both weight digests read the fields in ``_fields`` order; a reordered
+    # record would move every digest without moving a weight.
+    assert PairingWeights._fields == ("cc", "ss", "sc", "cs", "f_diag", "f_off",
+                                      "g00", "g11", "g_off", "h_diag", "h_off")
 
 
 @pytest.mark.parametrize("pairing", list(Pairing))

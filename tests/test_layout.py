@@ -120,9 +120,7 @@ def test_readme_citations_resolve():
     assert not missing, missing
 
 
-CHECKED = ["channels.ChannelSpec.__post_init__",
-           "protocol.EntanglementParams.__post_init__",
-           "protocol.StrategyParams.__post_init__"]
+CHECKED = ["qmat.RangeChecked.__new__"]
 
 
 def _scopes(found):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from reference import is_density, noiseless_final_state
 
-from qgmem.protocol import StrategyParams, strategy_unitary
-from qgmem.qmat import PAULI, dagger, tensor
+from qgmem.channels import ChannelKind, ChannelSpec
+from qgmem.protocol import EntanglementParams, StrategyParams, strategy_unitary
+from qgmem.qmat import DOMAINS, PAULI, dagger, tensor
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -130,3 +132,39 @@ class TestIsDensity:
 def test_pauli_algebra():
     for sigma in PAULI[1:]:
         assert np.allclose(sigma @ sigma, I2)
+
+
+# Each range-checked record, with an in-range value for every field.
+RECORDS = [StrategyParams(1.0, 0.5, -0.5), EntanglementParams(0.3, 1.2),
+           ChannelSpec(ChannelKind.DEPHASING, 0.4, 0.6)]
+
+
+class TestRangeChecked:
+    # A record checks each field that names a DOMAINS row however it is built:
+    # by position, by keyword and through _replace.  One float step beyond
+    # either end of the row is refused, the end itself is kept.
+    @pytest.mark.parametrize("record,name", [
+        pytest.param(r, name, id=f"{type(r).__name__}.{name}")
+        for r in RECORDS for name in r._fields if name in DOMAINS])
+    def test_out_of_range_refused_every_way(self, record, name):
+        cls, (lo, hi, span) = type(record), DOMAINS[name]
+        for end, beyond in ((lo, -np.inf), (hi, np.inf)):
+            assert getattr(record._replace(**{name: end}), name) == end
+            bad = record._asdict() | {name: np.nextafter(end, beyond)}
+            for build in (lambda: cls(*bad.values()), lambda: cls(**bad),
+                          lambda: record._replace(**{name: bad[name]})):
+                with pytest.raises(ValueError, match=re.escape(f"{name} must be in {span}, ")):
+                    build()
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_first_bad_field_in_field_order_is_named(self, record):
+        checked = [name for name in record._fields if name in DOMAINS]
+        bad = record._asdict() | {name: DOMAINS[name][1] + 1.0 for name in checked}
+        with pytest.raises(ValueError, match=f"^{checked[0]} must be in "):
+            type(record)(**bad)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_assigned(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
